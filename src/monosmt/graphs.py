@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .sat import TRUE, FALSE, mk_lit
+from .sat import TRUE, mk_lit
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 
 INF = float("inf")
@@ -234,6 +234,7 @@ def edmonds_karp(flow_adj, caps, n, enabled, s, t, target=None) -> FlowResult:
 
 _DIRECTED_KINDS = {"reach", "distance_leq", "maxflow_geq"}
 _UNDIRECTED_KINDS = {"components_leq", "mst_weight_leq", "mst_edge"}
+_SPAN = ("span",)
 
 
 class GraphTheory(MonotonicTheory):
@@ -270,7 +271,6 @@ class GraphTheory(MonotonicTheory):
         self._order = sorted(range(m),
                              key=lambda i: (self._weights[i], i))
         self._var_to_eid = {e.var: e.eid for e in graph.edges}
-        self._analysis = {}
 
     # -- predicate registration ------------------------------------------
 
@@ -323,113 +323,54 @@ class GraphTheory(MonotonicTheory):
                              % (edge_var, self.graph.gid))
         return self._add("mst_edge", pvar, (eid,))
 
-    # -- completions -------------------------------------------------------
-
-    def _enabled_now(self, maximal):
-        gen = self._max_gen if maximal else self._min_gen
-        key = ("enabled", maximal)
-        hit = self._analysis.get(key)
-        if hit is not None and hit[0] == gen:
-            return hit[1]
-        value = self.solver.var_value
-        if maximal:
-            enabled = bytearray(0 if value(e.var) == FALSE else 1
-                                for e in self.graph.edges)
-        else:
-            enabled = bytearray(1 if value(e.var) == TRUE else 0
-                                for e in self.graph.edges)
-        self._analysis[key] = (gen, enabled)
-        return enabled
-
-    def _enabled_prefix(self, maximal, prefix):
-        solver = self.solver
-        fill = 1 if maximal else 0
-        out = bytearray(len(self.graph.edges))
-        for e in self.graph.edges:
-            p = solver.pos[e.var]
-            if 0 <= p < prefix:
-                out[e.eid] = 1 if solver.var_value(e.var) == TRUE else 0
-            else:
-                out[e.eid] = fill
-        return out
-
-    def _disabled_prefix(self, prefix):
-        """Edge ids whose var is assigned false before the prefix."""
-        solver = self.solver
-        return [e.eid for e in self.graph.edges
-                if 0 <= solver.pos[e.var] < prefix
-                and solver.var_value(e.var) == FALSE]
-
-    def _shared(self, key, maximal, compute):
-        gen = self._max_gen if maximal else self._min_gen
-        hit = self._analysis.get(key)
-        if hit is not None and hit[0] == gen:
-            return hit[1]
-        value = compute()
-        self._analysis[key] = (gen, value)
-        return value
-
-    def _bfs(self, maximal, src):
-        return self._shared(("bfs", maximal, src), maximal,
-                            lambda: bfs_tree(self._adj, self.graph.n,
-                                             self._enabled_now(maximal), src))
-
-    def _dij(self, maximal, src):
-        return self._shared(("dij", maximal, src), maximal,
-                            lambda: dijkstra_tree(self._adj, self._weights,
-                                                  self.graph.n,
-                                                  self._enabled_now(maximal),
-                                                  src))
-
-    def _span(self, maximal):
-        return self._shared(("span", maximal), maximal,
-                            lambda: span_scan(self.graph.n, self.graph.edges,
-                                              self._order,
-                                              self._enabled_now(maximal)))
-
-    def _flow(self, maximal, s, t):
-        return self._shared(("flow", maximal, s, t), maximal,
-                            lambda: edmonds_karp(self._flow_adj, self._weights,
-                                                 self.graph.n,
-                                                 self._enabled_now(maximal),
-                                                 s, t))
-
     # -- evaluation ---------------------------------------------------------
 
-    def eval_completion(self, pred, maximal):
-        return self._eval(pred.kind, pred.payload,
-                          enabled=None, maximal=maximal)
+    def eval_completion(self, maximal):
+        enabled = self.completion(maximal).enabled
+        analysis = {}
+        values = [self._eval(p.kind, p.payload, enabled, analysis)
+                  for p in self._preds]
+        return values, analysis
 
     def eval_concrete(self, kind, payload, enabled):
         """Evaluate a predicate on an explicit enabled mask (no solver)."""
-        return self._eval(kind, payload, enabled=enabled, maximal=None)
+        return self._eval(kind, payload, enabled, {})
 
-    def _eval(self, kind, payload, enabled, maximal):
-        cached = enabled is None
+    def _analysis(self, enabled, analysis, key):
+        """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
+        ("span",), ("bfs", src), ("dij", src) or ("flow", s, t)."""
+        hit = analysis.get(key)
+        if hit is None:
+            name, n = key[0], self.graph.n
+            if name == "span":
+                hit = span_scan(n, self.graph.edges, self._order, enabled)
+            elif name == "bfs":
+                hit = bfs_tree(self._adj, n, enabled, key[1])
+            elif name == "dij":
+                hit = dijkstra_tree(self._adj, self._weights, n, enabled,
+                                    key[1])
+            else:
+                hit = edmonds_karp(self._flow_adj, self._weights, n, enabled,
+                                   key[1], key[2])
+            analysis[key] = hit
+        return hit
+
+    def _eval(self, kind, payload, enabled, analysis):
+        if kind == "mst_edge":
+            eid = payload[0]
+            return (not enabled[eid] or eid in self._analysis(
+                enabled, analysis, _SPAN).forest_set)
         if kind == "reach":
             u, v = payload
-            if cached:
-                return bool(self._bfs(maximal, u)[0][v])
-            return bool(bfs_tree(self._adj, self.graph.n, enabled, u)[0][v])
+            return bool(self._analysis(enabled, analysis, ("bfs", u))[0][v])
         if kind == "distance_leq":
             u, v, bound = payload
-            if cached:
-                dist = self._dij(maximal, u)[0]
-            else:
-                dist = dijkstra_tree(self._adj, self._weights, self.graph.n,
-                                     enabled, u)[0]
-            return dist[v] <= bound
+            return self._analysis(enabled, analysis, ("dij", u))[0][v] <= bound
         if kind == "maxflow_geq":
             s, t, bound = payload
-            if bound <= 0:
-                return True
-            if cached:
-                return self._flow(maximal, s, t).value >= bound
-            return edmonds_karp(self._flow_adj, self._weights, self.graph.n,
-                                enabled, s, t, target=bound).value >= bound
-        span = (self._span(maximal) if cached else
-                span_scan(self.graph.n, self.graph.edges, self._order,
-                          enabled))
+            return bound <= 0 or self._analysis(
+                enabled, analysis, ("flow", s, t)).value >= bound
+        span = self._analysis(enabled, analysis, _SPAN)
         if kind == "components_leq":
             return span.components <= payload[0]
         if kind == "mst_weight_leq":
@@ -437,10 +378,6 @@ class GraphTheory(MonotonicTheory):
                 return False
             bound = payload[0]
             return True if bound is None else span.weight <= bound
-        if kind == "mst_edge":
-            eid = payload[0]
-            mask = self._enabled_now(maximal) if cached else enabled
-            return not mask[eid] or eid in span.forest_set
         raise AssertionError(kind)
 
     # -- witnesses ------------------------------------------------------------
@@ -474,72 +411,69 @@ class GraphTheory(MonotonicTheory):
     def _edge_lit(self, eid, negated):
         return mk_lit(self.graph.edges[eid].var, negated)
 
-    def _path_lits(self, u, v, prefix, shortest):
-        """Negated vars of a u-v path in the minimal completion."""
-        enabled = self._enabled_prefix(False, prefix)
-        if shortest:
-            _, parent = dijkstra_tree(self._adj, self._weights, self.graph.n,
-                                      enabled, u)
-        else:
-            _, parent = bfs_tree(self._adj, self.graph.n, enabled, u)
-        lits = []
+    def _tree_path(self, parent, u, v):
+        """Edge ids walking parent edges from v back to u."""
+        edges = self.graph.edges
+        path = []
         node = v
         while node != u:
             eid = parent[node]
-            assert eid >= 0, "witness path missing"
-            lits.append(self._edge_lit(eid, True))
-            e = self.graph.edges[eid]
+            if eid < 0:
+                raise RuntimeError("witness path missing")
+            path.append(eid)
+            e = edges[eid]
             node = e.u if e.v == node else e.v
-        return lits
+        return path
+
+    def _path_lits(self, u, v, prefix, shortest):
+        """Negated vars of a u-v path in the minimal completion."""
+        enabled, _, analysis = self.completion_before(False, prefix)
+        _, parent = self._analysis(enabled, analysis,
+                                   ("dij" if shortest else "bfs", u))
+        return [self._edge_lit(eid, True)
+                for eid in self._tree_path(parent, u, v)]
 
     def _cut_lits(self, u, prefix):
         """Disabled edges incident to the set reachable in the maximal
         completion; keeping them disabled keeps the target unreachable."""
-        visited, _ = bfs_tree(self._adj, self.graph.n,
-                              self._enabled_prefix(True, prefix), u)
-        out = []
-        for eid in self._disabled_prefix(prefix):
-            e = self.graph.edges[eid]
-            if visited[e.u] or visited[e.v]:
-                out.append(self._edge_lit(eid, False))
-        return out
+        enabled, disabled, analysis = self.completion_before(True, prefix)
+        visited, _ = self._analysis(enabled, analysis, ("bfs", u))
+        edges = self.graph.edges
+        return [self._edge_lit(eid, False) for eid in sorted(disabled)
+                if visited[edges[eid].u] or visited[edges[eid].v]]
 
     def _flow_lits(self, pred, positive, prefix):
         s, t, bound = pred.payload
         if positive:
-            enabled = self._enabled_prefix(False, prefix)
+            enabled, _, _ = self.completion_before(False, prefix)
             res = edmonds_karp(self._flow_adj, self._weights, self.graph.n,
                                enabled, s, t, target=bound)
             return [self._edge_lit(eid, True)
                     for eid in range(len(self.graph.edges))
                     if res.flow[eid] > 0]
-        enabled = self._enabled_prefix(True, prefix)
-        res = edmonds_karp(self._flow_adj, self._weights, self.graph.n,
-                           enabled, s, t)
-        side = res.cut_side
-        return [self._edge_lit(eid, False)
-                for eid in self._disabled_prefix(prefix)
-                if side[self.graph.edges[eid].u]
-                and not side[self.graph.edges[eid].v]]
+        enabled, disabled, analysis = self.completion_before(True, prefix)
+        side = self._analysis(enabled, analysis, ("flow", s, t)).cut_side
+        edges = self.graph.edges
+        return [self._edge_lit(eid, False) for eid in sorted(disabled)
+                if side[edges[eid].u] and not side[edges[eid].v]]
 
     def _forest_lits(self, prefix):
-        span = span_scan(self.graph.n, self.graph.edges, self._order,
-                         self._enabled_prefix(False, prefix))
+        enabled, _, analysis = self.completion_before(False, prefix)
+        span = self._analysis(enabled, analysis, _SPAN)
         return [self._edge_lit(eid, True) for eid in span.forest]
 
     def _cross_component_lits(self, prefix):
-        span = span_scan(self.graph.n, self.graph.edges, self._order,
-                         self._enabled_prefix(True, prefix))
-        return [self._edge_lit(eid, False)
-                for eid in self._disabled_prefix(prefix)
-                if span.comp[self.graph.edges[eid].u]
-                != span.comp[self.graph.edges[eid].v]]
+        enabled, disabled, analysis = self.completion_before(True, prefix)
+        span = self._analysis(enabled, analysis, _SPAN)
+        edges = self.graph.edges
+        return [self._edge_lit(eid, False) for eid in sorted(disabled)
+                if span.comp[edges[eid].u] != span.comp[edges[eid].v]]
 
     def _mst_weight_neg_lits(self, pred, prefix):
         edges = self.graph.edges
-        span = span_scan(self.graph.n, edges, self._order,
-                         self._enabled_prefix(True, prefix))
-        disabled = self._disabled_prefix(prefix)
+        enabled, disabled, analysis = self.completion_before(True, prefix)
+        span = self._analysis(enabled, analysis, _SPAN)
+        disabled = sorted(disabled)
         if span.components > 1:
             # Disconnected: a cut of disabled edges isolating one component.
             cuts = {}
@@ -568,10 +502,9 @@ class GraphTheory(MonotonicTheory):
         eid = pred.payload[0]
         edges = self.graph.edges
         e = edges[eid]
-        solver = self.solver
         if positive:
-            p = solver.pos[e.var]
-            if 0 <= p < prefix and solver.var_value(e.var) == FALSE:
+            enabled, disabled, _ = self.completion_before(True, prefix)
+            if not enabled[eid]:
                 return [self._edge_lit(eid, False)]
             # Edge is in the tree of the maximal completion, which means no
             # path of strictly lighter edges joins its endpoints there. It
@@ -579,7 +512,6 @@ class GraphTheory(MonotonicTheory):
             # path must cross out of the lighter-reachable region through a
             # currently disabled lighter edge: those edges are the witness.
             key = (e.weight, eid)
-            enabled = self._enabled_prefix(True, prefix)
             visited = bytearray(self.graph.n)
             visited[e.u] = 1
             stack = [e.u]
@@ -590,9 +522,10 @@ class GraphTheory(MonotonicTheory):
                             and (edges[fid].weight, fid) < key):
                         visited[y] = 1
                         stack.append(y)
-            assert not visited[e.v], "edge not in the completion tree"
+            if visited[e.v]:
+                raise RuntimeError("edge not in the completion tree")
             out = []
-            for fid in self._disabled_prefix(prefix):
+            for fid in sorted(disabled):
                 f = edges[fid]
                 if (f.weight, fid) < key and visited[f.u] != visited[f.v]:
                     out.append(self._edge_lit(fid, False))
@@ -600,10 +533,11 @@ class GraphTheory(MonotonicTheory):
         # Negative: the edge is enabled yet outside the minimal-completion
         # tree, so the tree path between its endpoints plus the edge itself
         # pins it out of every extension's tree.
-        span = span_scan(self.graph.n, edges, self._order,
-                         self._enabled_prefix(False, prefix))
+        enabled, _, analysis = self.completion_before(False, prefix)
+        span = self._analysis(enabled, analysis, _SPAN)
         path = tree_path_eids(span, edges, self.graph.n, e.u, e.v)
-        assert path is not None
+        if path is None:
+            raise RuntimeError("edge endpoints not joined in the tree")
         lits = [self._edge_lit(p, True) for p in path]
         lits.append(self._edge_lit(eid, True))
         return lits
@@ -663,19 +597,15 @@ class GraphTheory(MonotonicTheory):
             if solver.var_value(pred.pvar) != TRUE:
                 continue
             u, v = pred.payload
-            if self._bfs(False, u)[0][v]:
+            now = len(solver.trail)
+            enabled, _, analysis = self.completion_before(False, now)
+            if self._analysis(enabled, analysis, ("bfs", u))[0][v]:
                 continue
-            visited, parent = self._bfs(True, u)
+            enabled, _, analysis = self.completion_before(True, now)
+            visited, parent = self._analysis(enabled, analysis, ("bfs", u))
             if not visited[v]:
                 continue
-            path = []
-            node = v
-            while node != u:
-                eid = parent[node]
-                path.append(eid)
-                e = self.graph.edges[eid]
-                node = e.u if e.v == node else e.v
-            for eid in reversed(path):
+            for eid in reversed(self._tree_path(parent, u, v)):
                 var = self.graph.edges[eid].var
                 if solver.var_value(var) == 0:
                     return mk_lit(var)

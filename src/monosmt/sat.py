@@ -392,8 +392,9 @@ class Solver:
         assert lits[0] == lit, "explain must put the implied literal first"
         if check:
             for other in lits[1:]:
-                assert self.lit_value(other) == FALSE, \
-                    "reason literal not false at implication time"
+                if self.lit_value(other) != FALSE:
+                    raise RuntimeError(
+                        "reason literal not false at implication time")
         if self.theory_clause_log is not None:
             self.theory_clause_log.append(tuple(lits))
         return Clause(lits)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .sat import TRUE, FALSE, mk_lit
+from .sat import mk_lit
 from .theory import MonotonicTheory, NEGATIVE
 
 
@@ -109,11 +109,13 @@ def busy_window_tasks(tasks, enabled, result: EdfResult):
             t0 = lo
         elif e > hi:
             hi = e
-    assert hi >= t_miss, "miss window not covered"
+    if hi < t_miss:
+        raise RuntimeError("miss window not covered")
     picked = [t.tid for t in tasks
               if enabled[t.tid] and t.deadline <= t_miss
               and t0 <= t.arrival < t_miss]
-    assert sum(tasks[tid].duration for tid in picked) > t_miss - t0
+    if sum(tasks[tid].duration for tid in picked) <= t_miss - t0:
+        raise RuntimeError("busy window not overloaded")
     return picked
 
 
@@ -125,7 +127,6 @@ class ProcessorTheory(MonotonicTheory):
         self.pid = pid
         self.tasks = []
         self._seen_vars = set()
-        self._sim_cache = {}
 
     def add_task(self, var, arrival, duration, deadline) -> int:
         if var in self._seen_vars:
@@ -142,41 +143,11 @@ class ProcessorTheory(MonotonicTheory):
     def add_schedulable(self, pvar) -> int:
         return self.register_predicate(pvar, NEGATIVE, "schedulable", ())
 
-    # -- completions --------------------------------------------------------
-
-    def _enabled_now(self, maximal):
-        value = self.solver.var_value
-        if maximal:
-            return bytearray(0 if value(t.var) == FALSE else 1
-                             for t in self.tasks)
-        return bytearray(1 if value(t.var) == TRUE else 0
-                         for t in self.tasks)
-
-    def _enabled_prefix(self, maximal, prefix):
-        solver = self.solver
-        fill = 1 if maximal else 0
-        out = bytearray(len(self.tasks))
-        for t in self.tasks:
-            p = solver.pos[t.var]
-            if 0 <= p < prefix:
-                out[t.tid] = 1 if solver.var_value(t.var) == TRUE else 0
-            else:
-                out[t.tid] = fill
-        return out
-
-    def _simulate_now(self, maximal):
-        gen = self._max_gen if maximal else self._min_gen
-        hit = self._sim_cache.get(maximal)
-        if hit is not None and hit[0] == gen:
-            return hit[1]
-        res = edf_simulate(self.tasks, self._enabled_now(maximal))
-        self._sim_cache[maximal] = (gen, res)
-        return res
-
     # -- theory interface ------------------------------------------------------
 
-    def eval_completion(self, pred, maximal):
-        return self._simulate_now(maximal).feasible
+    def eval_completion(self, maximal):
+        result = edf_simulate(self.tasks, self.completion(maximal).enabled)
+        return [result.feasible] * len(self._preds), {"edf": result}
 
     def eval_concrete(self, enabled):
         return edf_simulate(self.tasks, enabled).feasible
@@ -184,9 +155,12 @@ class ProcessorTheory(MonotonicTheory):
     def witness_lits(self, pred, positive, prefix):
         if positive:
             return None  # fall back to the disabled-task clause
-        enabled = self._enabled_prefix(False, prefix)
-        result = edf_simulate(self.tasks, enabled)
-        assert not result.feasible, "witness requested without a miss"
+        enabled, _, analysis = self.completion_before(False, prefix)
+        result = analysis.get("edf")
+        if result is None:
+            result = analysis["edf"] = edf_simulate(self.tasks, enabled)
+        if result.feasible:
+            raise RuntimeError("witness requested without a miss")
         return [mk_lit(self.tasks[tid].var, True)
                 for tid in busy_window_tasks(self.tasks, enabled, result)]
 

@@ -12,10 +12,22 @@ and the *maximal* completion assigns true. For a positive predicate, truth on
 the minimal completion forces the atom true everywhere and falsity on the
 maximal completion forces it false; a negative predicate swaps which extreme
 guarantees which polarity. That pair of checks is the whole propagation rule.
+
+Each extreme is a trail-restored ``Completion``: an enabled mask updated in
+place as S-atoms are assigned, plus a log of the changed S-atoms in trail
+order. The log length is the completion's generation. A backjump pops the
+log entries of unassigned S-atoms and restores their bits, so the mask is
+never rebuilt from the solver. Every predicate is evaluated on a completion
+once per generation, together with the analyses behind the values (a
+spanning forest, a shortest-path tree, a max flow); these evaluations stack
+up by generation and a backjump drops only those newer than the generation
+it restores, so the level it returns to keeps its evaluation. Explanations
+read the mask of an earlier trail prefix off the same log, and reuse the
+stacked analysis of that generation when there is one.
 """
 from __future__ import annotations
 
-from .sat import TRUE, FALSE, UNDEF, mk_lit, neg
+from .sat import TRUE, FALSE, UNDEF, mk_lit
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -36,39 +48,68 @@ class AtomBinding:
         self.payload = payload
 
 
+class Completion:
+    """One extreme completion of the current trail, kept in step with it.
+
+    ``enabled`` has one byte per S-atom slot, 1 where the S-atom is in the
+    completion. ``log`` lists the slots the trail has moved off the fill
+    value (set true for the minimal completion, false for the maximal one)
+    in trail order; its length is the generation. ``stack`` holds
+    ``(generation, values, analysis)`` evaluations made along the current
+    trail, oldest first, all for prefixes of ``log``.
+    """
+
+    __slots__ = ("maximal", "enabled", "log", "stack")
+
+    def __init__(self, maximal: bool):
+        self.maximal = maximal
+        self.enabled = bytearray()
+        self.log = []
+        self.stack = []
+
+
 class MonotonicTheory:
     """Base class driving under/over-approximation propagation.
 
-    Subclasses supply ``eval_completion(pred, maximal)`` evaluating one
-    predicate on the minimal or maximal completion of the current trail, and
-    may override ``witness_lits`` to produce algorithm-specific reason
-    clauses; the base falls back to the justification-set clause built from
-    one polarity of S-atom assignments.
+    Subclasses supply ``eval_completion(maximal)``, which evaluates every
+    predicate on one extreme of the current trail (``completion(maximal)``)
+    and returns ``(values, analysis)``: a bool per atom id and a dict of
+    whatever analyses produced them. They may override ``witness_lits`` to
+    produce algorithm-specific reason clauses; the base falls back to the
+    justification-set clause built from one polarity of S-atom assignments.
     """
 
     def __init__(self):
         self.solver = None
         self.tid = -1
         self._preds: list[AtomBinding] = []
-        self._svars: set[int] = set()
         self._pvars: dict[int, int] = {}  # pvar -> atom_id
-        # Completion generations: bumped when the respective extreme changes.
-        self._min_gen = 0
-        self._max_gen = 0
-        self._stamp = 0
-        self._scan_stamp = -1
-        self._eval_cache: dict[tuple[int, bool], tuple[int, bool]] = {}
+        self._slots: dict[int, int] = {}  # S-var -> mask slot
+        self._slot_vars: list[int] = []   # mask slot -> S-var
+        # Indexed by ``maximal``: (minimal, maximal).
+        self._ext = (Completion(False), Completion(True))
+        self._assigned: list[int] = []  # atom ids assigned since last scan
+        self._full = True  # next scan must visit every atom
+        self._scanned = (-1, -1)  # generations seen by the last scan
 
     # -- registration ---------------------------------------------------
 
-    def add_s_var(self, var: int) -> None:
+    def add_s_var(self, var: int) -> int:
+        """Register an argument var; returns its mask slot (the same slot
+        when the var is registered again)."""
         if var in self._pvars:
             raise ValueError("var %d is already a predicate atom" % var)
-        self._svars.add(var)
+        slot = self._slots.get(var)
+        if slot is None:
+            slot = self._slots[var] = len(self._slot_vars)
+            self._slot_vars.append(var)
+            self._ext[0].enabled.append(0)
+            self._ext[1].enabled.append(1)
+        return slot
 
     def register_predicate(self, pvar: int, polarity: int, kind: str,
                            payload) -> int:
-        if pvar in self._svars:
+        if pvar in self._slots:
             raise ValueError("atom var %d is already an argument var" % pvar)
         if pvar in self._pvars:
             raise ValueError("var %d already bound to a predicate" % pvar)
@@ -81,59 +122,113 @@ class MonotonicTheory:
     def attach(self, solver, tid: int) -> None:
         self.solver = solver
         self.tid = tid
-        for v in self._svars:
+        for v in self._slots:
             solver.watch_var(v, self)
         for v in self._pvars:
             solver.watch_var(v, self)
+        for lit in solver.trail:  # assignments made before attaching
+            v = lit >> 1
+            if v in self._slots or v in self._pvars:
+                self.on_assign(lit)
 
     def atom(self, atom_id: int) -> AtomBinding:
         return self._preds[atom_id]
 
+    def completion(self, maximal: bool) -> Completion:
+        return self._ext[maximal]
+
     # -- solver callbacks ------------------------------------------------
 
     def on_assign(self, lit: int) -> None:
-        v = lit >> 1
-        if v in self._svars:
-            if lit & 1:
-                self._max_gen += 1  # maximal completion lost a member
-            else:
-                self._min_gen += 1  # minimal completion gained one
-        self._stamp += 1
+        slot = self._slots.get(lit >> 1)
+        if slot is None:
+            self._assigned.append(self._pvars[lit >> 1])
+        elif lit & 1:
+            comp = self._ext[1]  # the maximal completion loses a member
+            comp.enabled[slot] = 0
+            comp.log.append(slot)
+        else:
+            comp = self._ext[0]  # the minimal completion gains one
+            comp.enabled[slot] = 1
+            comp.log.append(slot)
 
     def on_backjump(self, level: int) -> None:
-        self._min_gen += 1
-        self._max_gen += 1
-        self._stamp += 1
+        assigns = self.solver.assigns
+        slot_vars = self._slot_vars
+        for comp in self._ext:
+            log, enabled = comp.log, comp.enabled
+            fill = 1 if comp.maximal else 0
+            n = len(log)
+            while n and assigns[slot_vars[log[n - 1]]] == UNDEF:
+                n -= 1
+                enabled[log[n]] = fill
+            if n < len(log):
+                del log[n:]
+                stack = comp.stack
+                while stack and stack[-1][0] > n:
+                    stack.pop()
+        # Implied atoms can be unassigned without any S-atom changing.
+        self._full = True
+        self._assigned.clear()
 
     def propagate(self):
-        """Scan all predicates; returns (implied, conflict_lits).
+        """Scan the predicates; returns (implied, conflict_lits).
 
         ``implied`` is a tuple of (literal, atom_id) pairs over currently
         unassigned atoms; ``conflict_lits`` is a falsified clause when an
-        implication contradicts an existing atom assignment.
+        implication contradicts an existing atom assignment. When neither
+        completion changed since the last scan, only the atoms assigned
+        since then are checked.
         """
-        if self._stamp == self._scan_stamp:
+        gens = (len(self._ext[0].log), len(self._ext[1].log))
+        if self._full or gens != self._scanned:
+            preds = self._preds
+        elif self._assigned:
+            preds = [self._preds[i] for i in sorted(self._assigned)]
+        else:
             return _NO_RESULT
-        self._scan_stamp = self._stamp
-        solver = self.solver
+        self._full = False
+        self._scanned = gens
+        self._assigned.clear()
+        assigns = self.solver.assigns
+        values = [None, None]  # per extreme, fetched on first use
         implied = []
-        for pred in self._preds:
-            val = solver.var_value(pred.pvar)
+        for pred in preds:
+            val = assigns[pred.pvar]
             if val != TRUE:
                 # Truth on this extreme survives every completion.
-                if self._cached_eval(pred, pred.polarity == NEGATIVE):
+                sure = pred.polarity == NEGATIVE
+                got = values[sure]
+                if got is None:
+                    got = values[sure] = self._values(sure)
+                if got[pred.atom_id]:
                     if val == FALSE:
+                        self._full = True
                         return (), self.explain(pred.atom_id,
                                                 mk_lit(pred.pvar))
                     implied.append((mk_lit(pred.pvar), pred.atom_id))
                     continue
             if val != FALSE:
-                if not self._cached_eval(pred, pred.polarity == POSITIVE):
+                sure = pred.polarity == POSITIVE
+                got = values[sure]
+                if got is None:
+                    got = values[sure] = self._values(sure)
+                if not got[pred.atom_id]:
                     if val == TRUE:
+                        self._full = True
                         return (), self.explain(pred.atom_id,
                                                 mk_lit(pred.pvar, True))
                     implied.append((mk_lit(pred.pvar, True), pred.atom_id))
         return tuple(implied), None
+
+    def _values(self, maximal: bool):
+        """Per-atom values on one extreme, evaluated once per generation."""
+        comp = self._ext[maximal]
+        stack = comp.stack
+        if not stack or stack[-1][0] != len(comp.log):
+            values, analysis = self.eval_completion(maximal)
+            stack.append((len(comp.log), values, analysis))
+        return stack[-1][1]
 
     def explain(self, atom_id: int, lit: int) -> list[int]:
         """Reason clause for an implied atom literal, implied literal first.
@@ -160,18 +255,36 @@ class MonotonicTheory:
 
     # -- helpers for subclasses -------------------------------------------
 
-    def s_assignment(self, prefix: int):
-        """(true_vars, false_vars) among S-atoms assigned before ``prefix``."""
-        solver = self.solver
-        true_vars, false_vars = set(), set()
-        for v in self._svars:
-            p = solver.pos[v]
-            if 0 <= p < prefix:
-                if solver.var_value(v) == TRUE:
-                    true_vars.add(v)
-                else:
-                    false_vars.add(v)
-        return true_vars, false_vars
+    def completion_before(self, maximal: bool, prefix: int):
+        """One extreme as it stood before trail index ``prefix``.
+
+        Returns ``(enabled, moved, analysis)``: the enabled mask, the slots
+        moved off the fill value by then (in trail order), and an analysis
+        dict for that mask, shared with the stacked evaluation of that
+        generation when there is one. The mask may be the live one: read
+        it, never write it.
+        """
+        comp = self._ext[maximal]
+        log = comp.log
+        pos = self.solver.pos
+        slot_vars = self._slot_vars
+        k = len(log)
+        while k and pos[slot_vars[log[k - 1]]] >= prefix:
+            k -= 1
+        if k == len(log):
+            enabled = comp.enabled
+        else:
+            enabled = comp.enabled[:]
+            fill = 1 if maximal else 0
+            for slot in log[k:]:
+                enabled[slot] = fill
+        analysis = {}
+        for gen, _, stacked in reversed(comp.stack):
+            if gen <= k:
+                if gen == k:
+                    analysis = stacked
+                break
+        return enabled, log[:k], analysis
 
     def fallback_lits(self, pred, positive: bool, prefix: int) -> list[int]:
         """Justification-set clause tail from one polarity of assignments.
@@ -181,25 +294,15 @@ class MonotonicTheory:
         and an implied-false atom by those assigned false; a negative
         predicate swaps the roles.
         """
-        true_vars, false_vars = self.s_assignment(prefix)
         use_true = positive == (pred.polarity == POSITIVE)
-        if use_true:
-            return [mk_lit(v, True) for v in sorted(true_vars)]
-        return [mk_lit(v) for v in sorted(false_vars)]
+        # The minimal completion's log holds the S-atoms assigned true.
+        _, moved, _ = self.completion_before(not use_true, prefix)
+        return [mk_lit(v, use_true)
+                for v in sorted(self._slot_vars[s] for s in moved)]
 
     def witness_lits(self, pred, positive: bool, prefix: int):
         """Algorithm-specific clause tail, or None to use the fallback."""
         return None
 
-    def _cached_eval(self, pred, maximal: bool) -> bool:
-        gen = self._max_gen if maximal else self._min_gen
-        key = (pred.atom_id, maximal)
-        hit = self._eval_cache.get(key)
-        if hit is not None and hit[0] == gen:
-            return hit[1]
-        value = self.eval_completion(pred, maximal)
-        self._eval_cache[key] = (gen, value)
-        return value
-
-    def eval_completion(self, pred, maximal: bool) -> bool:
+    def eval_completion(self, maximal: bool):
         raise NotImplementedError

@@ -1,11 +1,17 @@
 """Command line interface: subcommands, exit codes, output contracts."""
 
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monosmt
 from monosmt.cli import main
 from monosmt.gnf import parse
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SAT_CHAIN = """p gnf 3 3
 digraph 3 2 1
@@ -182,8 +188,30 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert info.value.code == 2
 
 
+def declared_script(name):
+    """Target of a console script in pyproject.toml's [project.scripts]."""
+    text = (ROOT / "pyproject.toml").read_text()
+    if sys.version_info >= (3, 11):
+        import tomllib
+        return tomllib.loads(text)["project"]["scripts"][name]
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    for line in table.splitlines():
+        key, sep, value = line.partition("=")
+        if sep and key.strip() == name:
+            return value.strip().strip('"')
+    raise KeyError(name)
+
+
 def test_installed_entry_point():
-    proc = subprocess.run(["monosmt", "gen", "maze", "2", "2"],
-                          capture_output=True, text=True)
+    # The console script an install would create runs this target; run it
+    # the same way with this interpreter, so no install is needed.
+    module, _, func = declared_script("monosmt").partition(":")
+    code = "import sys, %s as m; sys.exit(m.%s())" % (module, func)
+    src = str(Path(monosmt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code,
+                           "gen", "maze", "2", "2"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("p gnf 19 ")

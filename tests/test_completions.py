@@ -1,0 +1,175 @@
+"""Trail-restored completions checked against masks rebuilt from the solver.
+
+After every ``propagate`` call, each theory's two completion masks must equal
+the masks rebuilt from ``solver.assigns``, and every evaluation still on a
+completion's stack must match ``eval_concrete`` on the mask rebuilt from the
+trail prefix it belongs to. The checks run through restarts and backjumps.
+"""
+
+import random
+
+from monosmt import generators
+from monosmt.build import build_instance
+from monosmt.graphs import GraphTheory
+from monosmt.sat import FALSE, TRUE, Solver, mk_lit
+from monosmt.scheduling import ProcessorTheory
+from monosmt.theory import NEGATIVE, POSITIVE
+
+from instances import ALL_KINDS, rand_doc, rand_mixed_doc
+from test_theory_driver import ToyTheory
+
+
+def slot_vars(th):
+    if isinstance(th, GraphTheory):
+        return [e.var for e in th.graph.edges]
+    if isinstance(th, ProcessorTheory):
+        return [t.var for t in th.tasks]
+    return th.arg_vars
+
+
+def concrete_values(th, enabled, memo):
+    key = bytes(enabled)
+    hit = memo.get(key)
+    if hit is None:
+        preds = [th.atom(i) for i in range(len(th._preds))]
+        if isinstance(th, GraphTheory):
+            hit = [th.eval_concrete(p.kind, p.payload, enabled)
+                   for p in preds]
+        elif isinstance(th, ProcessorTheory):
+            hit = [th.eval_concrete(enabled)] * len(preds)
+        else:
+            hit = [th.eval_concrete(p, enabled) for p in preds]
+        memo[key] = hit
+    return hit
+
+
+def mask_at(th, maximal, prefix):
+    """One extreme rebuilt from the first ``prefix`` trail literals."""
+    solver = th.solver
+    fill = 1 if maximal else 0
+    mask = bytearray([fill]) * len(slot_vars(th))
+    slot = {v: i for i, v in enumerate(slot_vars(th))}
+    for lit in solver.trail[:prefix]:
+        i = slot.get(lit >> 1)
+        if i is not None and (lit & 1) == maximal:
+            mask[i] = 1 - fill
+    return mask
+
+
+class Checker:
+    """Wraps each theory's propagate with the completion checks."""
+
+    def __init__(self, solver, theories, seed=0):
+        self.solver = solver
+        self.rng = random.Random(seed)
+        self.memo = {th: {} for th in theories}
+        self.checks = 0
+        self.stacked = 0
+        for th in theories:
+            th.propagate = self._wrap(th, th.propagate)
+
+    def _wrap(self, th, propagate):
+        def checked():
+            result = propagate()
+            self.check(th)
+            return result
+        return checked
+
+    def check(self, th):
+        solver = self.solver
+        svars = slot_vars(th)
+        for maximal in (False, True):
+            comp = th.completion(maximal)
+            live = bytearray(
+                (solver.var_value(v) != FALSE) if maximal
+                else (solver.var_value(v) == TRUE) for v in svars)
+            assert comp.enabled == live
+            assert len(comp.enabled) == len(svars)
+            for gen, values, _ in comp.stack:
+                # Where this generation sits in the trail.
+                if gen < len(comp.log):
+                    prefix = solver.pos[svars[comp.log[gen]]]
+                else:
+                    prefix = len(solver.trail)
+                want = concrete_values(th, mask_at(th, maximal, prefix),
+                                       self.memo[th])
+                assert values == want
+                self.stacked += 1
+            prefix = self.rng.randint(0, len(solver.trail))
+            enabled, moved, _ = th.completion_before(maximal, prefix)
+            assert enabled == mask_at(th, maximal, prefix)
+            assert sorted(moved) == [i for i, b in enumerate(enabled)
+                                     if b != maximal]
+        self.checks += 1
+
+
+def solve_checked(inst, seed=0):
+    theories = (list(inst.graph_theories.values())
+                + list(inst.proc_theories.values()))
+    checker = Checker(inst.solver, theories, seed)
+    res = inst.solver.solve()
+    return res, checker
+
+
+def test_generated_instances_through_restarts_and_backjumps():
+    docs = ([generators.gen_maze(4, 4, s) for s in range(3)]
+            + [generators.gen_maze(5, 5, 7)]
+            + [generators.gen_flow(5, 5, mode="unit", seed=s, demand=2)
+               for s in range(3)]
+            + [generators.gen_flow(5, 5, mode="random1to4", seed=s)
+               for s in range(2)]
+            + [generators.gen_sched(20, 2, 2, s) for s in range(2)]
+            + [generators.gen_sched(30, 3, 4, 0)])
+    restarts = conflicts = checks = stacked = 0
+    for i, doc in enumerate(docs):
+        inst = build_instance(doc, validate_reasons=True)
+        solver = inst.solver
+        res, checker = solve_checked(inst, seed=i)
+        assert res.status in ("SAT", "UNSAT")
+        restarts += solver.restarts
+        conflicts += solver.conflicts  # each one backjumps
+        checks += checker.checks
+        stacked += checker.stacked
+    assert restarts >= 5 and conflicts >= 1000
+    assert checks > 1000 and stacked > checks
+
+
+def test_random_documents_of_every_kind():
+    docs = [rand_doc(kind, seed) for kind in ALL_KINDS for seed in range(40)]
+    docs += [rand_mixed_doc(seed) for seed in range(40)]
+    checks = 0
+    for i, doc in enumerate(docs):
+        inst = build_instance(doc, validate_reasons=True)
+        if inst.ok:
+            _, checker = solve_checked(inst, seed=i)
+            checks += checker.checks
+    assert checks > 500
+
+
+def test_toy_instances_with_shared_argument_vars():
+    for seed in range(30):
+        rng = random.Random(seed)
+        solver = Solver(validate_reasons=True, seed=seed)
+        vs = [solver.new_var() for _ in range(12)]
+        args, atoms = vs[:8], vs[8:]
+        th = ToyTheory()
+        for k, pvar in enumerate(atoms):
+            kind = ("any", "not_all")[k % 2]
+            polarity = POSITIVE if kind == "any" else NEGATIVE
+            th.add_pred(pvar, polarity, kind, rng.sample(args, 3))
+        solver.attach_theory(th)
+        for _ in range(rng.randint(10, 30)):
+            solver.add_clause([mk_lit(rng.choice(vs), rng.random() < 0.5)
+                               for _ in range(3)])
+        checker = Checker(solver, [th], seed)
+        solver.solve()
+        assert checker.checks > 0
+        assert len(th.completion(False).enabled) == len(th.arg_vars)
+
+
+def test_registering_an_svar_twice_keeps_one_slot():
+    th = ToyTheory()
+    assert th.add_s_var(5) == th.add_s_var(5) == 0
+    assert th.add_s_var(7) == 1
+    assert len(th.completion(False).enabled) == 2
+    assert th.completion(True).enabled == bytearray([1, 1])

@@ -147,8 +147,8 @@ def test_attach_theory_after_solving_rejected():
 class ConstantTheory(MonotonicTheory):
     """One predicate that is simply false on every completion."""
 
-    def eval_completion(self, pred, maximal):
-        return False
+    def eval_completion(self, maximal):
+        return [False] * len(self._preds), {}
 
 
 def test_theory_conflict_at_level_zero():

@@ -1,10 +1,14 @@
 """EDF simulation, busy-window explanations, and the schedulability theory."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from monosmt import oracle
+from monosmt import oracle, scheduling
 from monosmt.build import dimacs_lit, run_solve, solve_doc
 from monosmt.gnf import GnfDocument, PredDecl, ProcDecl, TaskDecl
 from monosmt.scheduling import (ProcessorTheory, TaskSpec, busy_window_tasks,
@@ -113,6 +117,33 @@ def rand_triples(rng, n):
         l = rng.randrange(1, 6)
         out.append((a, l, a + rng.randrange(1, 9)))
     return out
+
+
+_MADE_UP_MISSES = """
+from monosmt.scheduling import EdfResult, TaskSpec, busy_window_tasks
+print(__debug__)
+tasks = [TaskSpec(0, 1, 0, 2, 10)]
+for completion in ({0: 1}, {}):  # window not covered; window not overloaded
+    try:
+        busy_window_tasks(tasks, bytearray([1]),
+                          EdfResult(0, 10, completion, []))
+    except RuntimeError as exc:
+        print("raised", exc)
+"""
+
+
+def test_busy_window_guards_survive_optimize_flag():
+    src = str(Path(scheduling.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _MADE_UP_MISSES],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "raised miss window not covered",
+        "raised busy window not overloaded",
+    ]
 
 
 def test_edf_agrees_with_demand_criterion():

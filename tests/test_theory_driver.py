@@ -5,29 +5,37 @@ import itertools
 import pytest
 
 from monosmt.sat import Solver, mk_lit
-from monosmt.theory import MonotonicTheory, NEGATIVE, POSITIVE, FALSE, TRUE
+from monosmt.theory import MonotonicTheory, NEGATIVE, POSITIVE
 
 
 class ToyTheory(MonotonicTheory):
     """Two predicate kinds over explicit argument variables: ``any`` is the
     disjunction (positive monotone), ``not_all`` the negated conjunction
-    (negative monotone)."""
+    (negative monotone). ``arg_vars`` lists the distinct argument vars in
+    registration order, which is their mask slot order."""
+
+    def __init__(self):
+        super().__init__()
+        self.arg_vars = []
 
     def add_pred(self, pvar, polarity, kind, arg_vars):
+        slots = []
         for v in arg_vars:
-            self.add_s_var(v)
-        return self.register_predicate(pvar, polarity, kind, tuple(arg_vars))
+            if v not in self.arg_vars:
+                self.arg_vars.append(v)
+            slots.append(self.add_s_var(v))
+        return self.register_predicate(pvar, polarity, kind, tuple(slots))
 
-    def eval_completion(self, pred, maximal):
-        value = self.solver.var_value
-        if maximal:
-            bits = [value(v) != FALSE for v in pred.payload]
-        else:
-            bits = [value(v) == TRUE for v in pred.payload]
+    def eval_concrete(self, pred, enabled):
+        bits = [enabled[slot] for slot in pred.payload]
         if pred.kind == "any":
             return any(bits)
         assert pred.kind == "not_all"
         return not all(bits)
+
+    def eval_completion(self, maximal):
+        enabled = self.completion(maximal).enabled
+        return [self.eval_concrete(p, enabled) for p in self._preds], {}
 
 
 def toy(kind, polarity, nargs=2, **kw):

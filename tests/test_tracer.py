@@ -1,0 +1,46 @@
+"""The benchmark's span recorder still finds the entry points it patches.
+
+``perfbench/tracer.py`` rebinds layer functions and methods by name from
+outside the program, so renaming one would silently empty its metrics. This
+runs it in a subprocess (it patches classes process-wide) on tiny maze, flow
+and sched instances and checks that every span it relies on was recorded.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_SCRIPT = """
+from monosmt import generators
+from monosmt.build import solve_doc
+import tracer
+
+rec = tracer.SpanRecorder()
+tracer.install(rec)
+for doc in (generators.gen_maze(3, 3, 0),
+            generators.gen_flow(4, 4, mode="unit", seed=0, demand=2),
+            generators.gen_sched(20, 2, 2, 0)):
+    solve_doc(doc)
+for name, (calls, _, _) in sorted(rec.span_totals().items()):
+    print(name, calls)
+"""
+
+SPANS = ("theory.propagate", "graphs.eval_completion", "graphs.span_scan",
+         "graphs.edmonds_karp", "scheduling.eval_completion")
+
+
+def test_tracer_records_every_layer_span():
+    path = [str(ROOT / "src"), str(ROOT / "perfbench"),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT], cwd=ROOT,
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines())
+    for name in SPANS:
+        assert int(calls.get(name, 0)) > 0, name
