@@ -33,10 +33,10 @@ class Instance:
         self.ok = ok  # False when clause loading already hit a contradiction
 
 
-def build_instance(doc: GnfDocument, seed=0, theory_decisions=False,
-                   log_clauses=False, validate_reasons=False) -> Instance:
-    solver = Solver(theory_decisions=theory_decisions, seed=seed,
-                    log_clauses=log_clauses, validate_reasons=validate_reasons)
+def build_instance(doc: GnfDocument, seed=0, log_clauses=False,
+                   validate_reasons=False) -> Instance:
+    solver = Solver(seed=seed, log_clauses=log_clauses,
+                    validate_reasons=validate_reasons)
     for _ in range(doc.nvars):
         solver.new_var()
     graph_theories = {}
@@ -87,12 +87,11 @@ def build_instance(doc: GnfDocument, seed=0, theory_decisions=False,
     return Instance(doc, solver, graph_theories, proc_theories, atoms, ok)
 
 
-def solve_doc(doc: GnfDocument, seed=0, theory_decisions=False,
-              log_clauses=False, validate_reasons=False, assumptions=()):
+def solve_doc(doc: GnfDocument, seed=0, log_clauses=False,
+              validate_reasons=False, assumptions=()):
     """Solve a document; returns (status, values, instance) where status is
     "SAT"/"UNSAT" and values is a 1-based bool list on SAT."""
-    inst = build_instance(doc, seed=seed, theory_decisions=theory_decisions,
-                          log_clauses=log_clauses,
+    inst = build_instance(doc, seed=seed, log_clauses=log_clauses,
                           validate_reasons=validate_reasons)
     if not inst.ok:
         return "UNSAT", None, inst
@@ -130,11 +129,9 @@ def witness_lines(inst: Instance, values):
     return lines
 
 
-def run_solve(doc: GnfDocument, witness=False, theory_decisions=False,
-              seed=0):
+def run_solve(doc: GnfDocument, witness=False, seed=0):
     """Solve and format output lines; returns (exit_code, lines)."""
-    status, values, inst = solve_doc(doc, seed=seed,
-                                     theory_decisions=theory_decisions)
+    status, values, inst = solve_doc(doc, seed=seed)
     if status == "SAT":
         lines = ["s SATISFIABLE", v_line(values)]
         if witness:

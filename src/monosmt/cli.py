@@ -26,9 +26,7 @@ def _load(path):
 
 def _cmd_solve(args):
     doc = _load(args.file)
-    code, lines = build.run_solve(doc, witness=args.witness,
-                                  theory_decisions=args.theory_decisions ==
-                                  "on", seed=args.seed)
+    code, lines = build.run_solve(doc, witness=args.witness, seed=args.seed)
     print("\n".join(lines))
     return code
 
@@ -102,8 +100,6 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--witness", action="store_true",
                    help="print per-true-atom witness lines")
-    p.add_argument("--theory-decisions", choices=("on", "off"),
-                   default="off", help="let theories suggest decisions")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_solve)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .sat import TRUE, mk_lit
+from .sat import mk_lit
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 
 INF = float("inf")
@@ -243,16 +243,14 @@ class GraphTheory(MonotonicTheory):
     def __init__(self, graph: SymbolicGraph):
         super().__init__()
         self.graph = graph
-        seen_vars = set()
         for e in graph.edges:
             if not (0 <= e.u < graph.n and 0 <= e.v < graph.n):
                 raise ValueError("edge %d endpoint out of range" % e.eid)
             if e.weight < 0:
                 raise ValueError("edge %d has negative weight" % e.eid)
-            if e.var in seen_vars:
+            if e.var in self._slots:
                 raise ValueError("edge var %d used twice in graph %d"
                                  % (e.var, graph.gid))
-            seen_vars.add(e.var)
             self.add_s_var(e.var)
         m = len(graph.edges)
         self._weights = [e.weight for e in graph.edges]
@@ -549,64 +547,30 @@ class GraphTheory(MonotonicTheory):
         path for reach and distance, (u, v, flow) triples for flow, the
         component count, tree edge vars for spanning-tree atoms."""
         kind = pred.kind
-        n = self.graph.n
         edges = self.graph.edges
         if kind in ("reach", "distance_leq"):
             u, v = pred.payload[0], pred.payload[1]
-            if kind == "reach":
-                _, parent = bfs_tree(self._adj, n, enabled, u)
-            else:
-                _, parent = dijkstra_tree(self._adj, self._weights, n,
-                                          enabled, u)
+            key = ("bfs" if kind == "reach" else "dij", u)
+            _, parent = self._analysis(enabled, {}, key)
             nodes = [v]
-            node = v
-            while node != u:
-                e = edges[parent[node]]
-                node = e.u if e.v == node else e.v
-                nodes.append(node)
+            for eid in self._tree_path(parent, u, v):
+                e = edges[eid]
+                nodes.append(e.u if e.v == nodes[-1] else e.v)
             nodes.reverse()
             return nodes
         if kind == "maxflow_geq":
             s, t, _ = pred.payload
-            res = edmonds_karp(self._flow_adj, self._weights, n, enabled,
-                               s, t)
+            res = self._analysis(enabled, {}, ("flow", s, t))
             out = []
             for eid, f in enumerate(res.flow):
                 if f > 0:
                     out.extend((edges[eid].u, edges[eid].v, f))
             return out
-        span = span_scan(n, edges, self._order, enabled)
+        if kind == "mst_edge":
+            return ["tree" if enabled[pred.payload[0]] else "disabled"]
+        span = self._analysis(enabled, {}, _SPAN)
         if kind == "components_leq":
             return [span.components]
         if kind == "mst_weight_leq":
             return [edges[eid].var for eid in span.forest]
-        if kind == "mst_edge":
-            eid = pred.payload[0]
-            return ["tree" if enabled[eid] else "disabled"]
         raise AssertionError(kind)
-
-    # -- decision hint ---------------------------------------------------------
-
-    def decide_hint(self):
-        """Suggest enabling the first unassigned edge on a maximal-completion
-        path for the first true reach atom not yet satisfied minimally."""
-        solver = self.solver
-        for pred in self._preds:
-            if pred.kind != "reach":
-                continue
-            if solver.var_value(pred.pvar) != TRUE:
-                continue
-            u, v = pred.payload
-            now = len(solver.trail)
-            enabled, _, analysis = self.completion_before(False, now)
-            if self._analysis(enabled, analysis, ("bfs", u))[0][v]:
-                continue
-            enabled, _, analysis = self.completion_before(True, now)
-            visited, parent = self._analysis(enabled, analysis, ("bfs", u))
-            if not visited[v]:
-                continue
-            for eid in reversed(self._tree_path(parent, u, v)):
-                var = self.graph.edges[eid].var
-                if solver.var_value(var) == 0:
-                    return mk_lit(var)
-        return None

@@ -34,10 +34,6 @@ def lit_var(lit: int) -> int:
     return lit >> 1
 
 
-def lit_is_neg(lit: int) -> bool:
-    return bool(lit & 1)
-
-
 def luby(y: int, x: int) -> int:
     """x-th term (1-based) of the Luby restart sequence with base factor y."""
     size, seq = 1, 0
@@ -90,16 +86,14 @@ class Solver:
     activities with decay 0.95, phase saving, Luby restarts (base 100) and
     activity-based deletion of learnt clauses.
 
-    ``theory_decisions`` enables theory-suggested decision literals. ``seed``
-    perturbs initial variable activities for reproducible search variation.
-    ``log_clauses`` records learnt clauses and every theory-produced clause.
-    ``validate_reasons`` materializes each theory reason eagerly and asserts it
-    is asserting at the moment of implication (test instrumentation).
+    ``seed`` perturbs initial variable activities for reproducible search
+    variation. ``log_clauses`` records learnt clauses and every
+    theory-produced clause. ``validate_reasons`` materializes each theory
+    reason eagerly and asserts it is asserting at the moment of implication
+    (test instrumentation).
     """
 
-    def __init__(self, theory_decisions=False, seed=0, log_clauses=False,
-                 validate_reasons=False):
-        self.theory_decisions = theory_decisions
+    def __init__(self, seed=0, log_clauses=False, validate_reasons=False):
         self.log_clauses = log_clauses
         self.validate_reasons = validate_reasons
         self.ok = True
@@ -223,9 +217,6 @@ class Solver:
     def lit_value(self, lit: int) -> int:
         a = self.assigns[lit >> 1]
         return -a if lit & 1 else a
-
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
 
     def assigned_lit(self, var: int) -> int:
         """The literal currently true for an assigned var."""
@@ -356,7 +347,8 @@ class Solver:
                 val = self.lit_value(lit)
                 if val == TRUE:
                     continue
-                assert val == UNDEF, "theory implied an assigned literal"
+                if val != UNDEF:
+                    raise RuntimeError("theory implied an assigned literal")
                 reason = LazyReason(th, atom_id)
                 if self.validate_reasons:
                     reason = self._materialize(th, atom_id, lit, check=True)
@@ -389,7 +381,8 @@ class Solver:
 
     def _materialize(self, theory, atom_id, lit, check=False):
         lits = list(theory.explain(atom_id, lit))
-        assert lits[0] == lit, "explain must put the implied literal first"
+        if lits[0] != lit:
+            raise RuntimeError("explain must put the implied literal first")
         if check:
             for other in lits[1:]:
                 if self.lit_value(other) != FALSE:
@@ -483,11 +476,6 @@ class Solver:
                 return None, True  # assumption contradicted
             if v == UNDEF:
                 return a, False
-        if self.theory_decisions:
-            for th in self._theories:
-                hint = th.decide_hint()
-                if hint is not None and self.lit_value(hint) == UNDEF:
-                    return hint, False
         order = self._order
         while order:
             negact, v = heapq.heappop(order)

@@ -126,15 +126,13 @@ class ProcessorTheory(MonotonicTheory):
         super().__init__()
         self.pid = pid
         self.tasks = []
-        self._seen_vars = set()
 
     def add_task(self, var, arrival, duration, deadline) -> int:
-        if var in self._seen_vars:
+        if var in self._slots:
             raise ValueError("task var %d used twice on processor %d"
                              % (var, self.pid))
         if arrival < 0 or duration < 1:
             raise ValueError("task needs arrival >= 0 and duration >= 1")
-        self._seen_vars.add(var)
         tid = len(self.tasks)
         self.tasks.append(TaskSpec(tid, var, arrival, duration, deadline))
         self.add_s_var(var)

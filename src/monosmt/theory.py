@@ -250,6 +250,7 @@ class MonotonicTheory:
             rest = self.fallback_lits(pred, positive, prefix)
         return [lit] + rest
 
+    # Never called by the solver; perfbench/tracer.py patches this name.
     def decide_hint(self):
         return None
 

@@ -215,55 +215,6 @@ def test_criterion_6_sched_placement(acceptance):
     acceptance(6, "sched-placement", ok, detail)
 
 
-def grid_reach_doc(seed):
-    width = 16
-    n = width * width
-    rng = Xorshift64Star(seed)
-    g = GraphDecl(1, True, n)
-    var = 0
-    units = []
-    for r in range(width):
-        for c in range(width):
-            node = r * width + c
-            arcs = []
-            if c + 1 < width:
-                arcs.append((node, node + 1))
-            if r + 1 < width:
-                arcs.append((node, node + width))
-            for u, v in arcs:
-                var += 1
-                g.edges.append(EdgeDecl(1, u, v, var, 1))
-                roll = rng.randint(1, 4)
-                if roll == 1:
-                    units.append([var])
-                elif roll == 2:
-                    units.append([-var])
-    atom = var + 1
-    doc = GnfDocument(nvars=atom)
-    doc.graphs[1] = g
-    doc.preds.append(PredDecl("reach", 1, (0, n - 1), atom))
-    doc.clauses = units + [[atom]]
-    return doc
-
-
-def test_criterion_7_heuristic_equivalence(acceptance):
-    seeds = range(12)
-    differing = []
-    statuses = []
-    for seed in seeds:
-        doc = grid_reach_doc(seed)
-        plain, _, _ = solve_doc(doc, theory_decisions=False)
-        guided, _, _ = solve_doc(doc, theory_decisions=True)
-        statuses.append(plain)
-        if plain != guided:
-            differing.append((seed, plain, guided))
-    ok = not differing and len(set(statuses)) > 0
-    acceptance(7, "heuristic-equivalence", ok,
-               "%d grids, %d SAT / %d UNSAT, %d disagreements"
-               % (len(statuses), statuses.count("SAT"),
-                  statuses.count("UNSAT"), len(differing)))
-
-
 def rand_grid_mst_doc(seed):
     rng = Xorshift64Star(seed)
     width = rng.randint(2, 4)

@@ -215,3 +215,13 @@ def test_installed_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("p gnf 19 ")
+
+
+def test_module_entry_point_without_install():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "monosmt", "gen", "maze",
+                           "3", "3", "--seed", "0"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("p gnf ")

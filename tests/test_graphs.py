@@ -8,12 +8,11 @@ through the independent oracle.
 import pytest
 
 from monosmt import oracle
-from monosmt.build import build_instance, dimacs_lit, run_solve, solve_doc
+from monosmt.build import dimacs_lit, run_solve, solve_doc
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.graphs import (GraphTheory, SymbolicGraph, edmonds_karp,
                             span_scan, tree_path_eids)
-from monosmt.sat import mk_lit
 
 from instances import rand_graph, rand_pred, GRAPH_KINDS, DIRECTED_KINDS
 
@@ -210,23 +209,6 @@ def test_mst_edge_self_loop_never_in_tree():
     th = GraphTheory(g)
     assert not th.eval_concrete("mst_edge", (eid,), bytearray([1]))
     assert th.eval_concrete("mst_edge", (eid,), bytearray([0]))
-
-
-# -- decision hint ------------------------------------------------------------
-
-def test_decide_hint_picks_first_open_path_edge():
-    doc = graph_doc(True, 3, [(0, 1, 1), (1, 2, 1)],
-                    [("reach", (0, 2))], [[3]])
-    inst = build_instance(doc)
-    th = inst.graph_theories[1]
-    assert th.decide_hint() == mk_lit(0)
-
-
-def test_decide_hint_silent_when_satisfied():
-    doc = graph_doc(True, 3, [(0, 1, 1), (1, 2, 1)],
-                    [("reach", (0, 2))], [[1], [2], [3]])
-    inst = build_instance(doc)
-    assert inst.graph_theories[1].decide_hint() is None
 
 
 # -- registration and validation ----------------------------------------------

@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from monosmt import minimize
 from monosmt.build import solve_doc
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.minimize import minimize_bound
@@ -66,6 +67,26 @@ def test_probe_log_is_a_monotone_search():
     unsat_bounds = [b for b, s in res.probes if s == "UNSAT"]
     assert min(sat_bounds) == res.bound
     assert all(b < res.bound for b in unsat_bounds)
+
+
+def test_non_monotone_answers_still_give_an_ordered_probe_log(monkeypatch):
+    # Binary search only probes between its last UNSAT and its last SAT
+    # bound, so the probe log stays ordered whatever the answers are: an
+    # answer that is not monotone in the bound yields a wrong bound, never
+    # an UNSAT probe above a SAT one.
+    doc, atom = tree_doc([(0, 1, 5), (1, 2, 6), (0, 2, 7), (2, 3, 9)])
+
+    def non_monotone(trial, seed=0):
+        sat = trial.preds[0].args[0] % 3 != 1
+        return ("SAT", [None] * (trial.nvars + 1), None) if sat else (
+            "UNSAT", None, None)
+
+    monkeypatch.setattr(minimize, "solve_doc", non_monotone)
+    res = minimize_bound(doc, atom)
+    sat_bounds = [b for b, s in res.probes if s == "SAT"]
+    unsat_bounds = [b for b, s in res.probes if s == "UNSAT"]
+    assert len(res.probes) > 3 and sat_bounds and unsat_bounds
+    assert max(unsat_bounds) < min(sat_bounds) == res.bound
 
 
 def test_zero_bound_reachable_when_graph_is_trivial():

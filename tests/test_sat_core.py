@@ -1,6 +1,12 @@
 """CDCL core behavior, frozen conflict-analysis shapes, and oracle agreement
 on pure CNF."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import monosmt
 from monosmt.build import dimacs_lit, solve_doc
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import GnfDocument
@@ -196,3 +202,60 @@ def test_stats_line_mentions_counters():
     solver.solve()
     line = solver.stats_line()
     assert "conflicts=" in line and "decisions=" in line
+
+
+_ROGUE_THEORIES = """
+from monosmt.sat import Solver, mk_lit
+
+
+class Rogue:
+    # Implies ``lit`` for atom 0 on every pass and explains it by ``reason``.
+    def __init__(self, lit, reason):
+        self.lit, self.reason = lit, reason
+
+    def attach(self, solver, tid):
+        pass
+
+    def on_assign(self, lit):
+        pass
+
+    def on_backjump(self, level):
+        pass
+
+    def propagate(self):
+        return ((self.lit, 0),), None
+
+    def explain(self, atom_id, lit):
+        return self.reason
+
+
+print(__debug__)
+# An implication of an already false literal; an explanation that puts the
+# implied literal second.
+for false_var, rogue, validate in ((0, Rogue(mk_lit(0), None), False),
+                                   (1, Rogue(mk_lit(0), [mk_lit(1),
+                                                         mk_lit(0)]), True)):
+    solver = Solver(validate_reasons=validate)
+    solver.new_var()
+    solver.new_var()
+    solver.add_clause([mk_lit(false_var, True)])
+    solver.attach_theory(rogue)
+    try:
+        print("returned", solver.solve().status)
+    except RuntimeError as exc:
+        print("raised", exc)
+"""
+
+
+def test_theory_guards_survive_optimize_flag():
+    src = str(Path(monosmt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _ROGUE_THEORIES],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "raised theory implied an assigned literal",
+        "raised explain must put the implied literal first",
+    ]
