@@ -110,16 +110,19 @@ def v_line(values) -> str:
 def witness_lines(inst: Instance, values):
     """One `w` line per atom true in the model."""
     lines = []
+    models = {}  # theory -> (model mask, analyses of it shared by its atoms)
     for pred, (th, binding) in zip(inst.doc.preds, inst.atoms):
         if not values[pred.var]:
             continue
-        if pred.kind == "schedulable":
-            decls = inst.doc.procs[pred.owner].tasks
-            enabled = bytearray(1 if values[t.var] else 0 for t in decls)
-        else:
-            decls = inst.doc.graphs[pred.owner].edges
-            enabled = bytearray(1 if values[e.var] else 0 for e in decls)
-        payload = th.model_witness(binding, enabled)
+        model = models.get(th)
+        if model is None:
+            if pred.kind == "schedulable":
+                decls = inst.doc.procs[pred.owner].tasks
+            else:
+                decls = inst.doc.graphs[pred.owner].edges
+            model = models[th] = (
+                bytearray(1 if values[d.var] else 0 for d in decls), {})
+        payload = th.model_witness(binding, *model)
         if pred.kind == "mst_weight_leq":
             payload = [v + 1 for v in payload]  # internal vars back to GNF
         params = [pred.owner] + ["inf" if a is None else a for a in pred.args]

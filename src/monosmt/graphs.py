@@ -185,10 +185,30 @@ class FlowResult:
         self.cut_side = cut_side  # residual-reachable nodes, None on early stop
 
 
-def edmonds_karp(flow_adj, caps, n, enabled, s, t, target=None) -> FlowResult:
-    """Max flow by shortest augmenting paths; stops once target is reached."""
-    flow = [0] * len(caps)
-    value = 0
+def edmonds_karp(flow_adj, caps, n, enabled, s, t, target=None,
+                 start=None) -> FlowResult:
+    """Max flow by shortest augmenting paths; stops once target is reached.
+
+    ``start`` is a flow of the same graph under another mask, usually the
+    previous evaluation of the same completion, to augment from instead of
+    the zero flow. Its ``flow`` list is copied, never changed. First every
+    unit it sends through an edge disabled in ``enabled`` is cancelled (see
+    ``_cancel``), which leaves a valid flow of this mask; then the same
+    augmenting loop runs as for a cold start. The value and ``cut_side``
+    (the nodes residual-reachable from s) are the same for every maximum
+    flow, so they do not depend on the start; only ``flow`` itself does.
+    """
+    if start is None:
+        flow = [0] * len(caps)
+        value = 0
+    else:
+        flow = start.flow[:]
+        value = start.value
+        for u, arcs in enumerate(flow_adj):
+            for eid, v, fwd in arcs:
+                while fwd and flow[eid] and not enabled[eid]:
+                    value -= _cancel(flow_adj, flow, n, s, t, value, eid,
+                                     u, v)
     while True:
         parent = [None] * n
         visited = bytearray(n)
@@ -228,6 +248,47 @@ def edmonds_karp(flow_adj, caps, n, enabled, s, t, target=None) -> FlowResult:
         value += bottleneck
         if target is not None and value >= target:
             return FlowResult(value, flow, None)
+
+
+def _cancel(flow_adj, flow, n, s, t, value, eid, u, v):
+    """Take flow off edge eid (u -> v) along a cycle of arcs that carry
+    flow, counting the value as one more arc, t -> s. With that arc a valid
+    flow is a circulation, so every arc carrying flow lies on such a cycle.
+    A cycle through t -> s is an s-t path, and cancelling it lowers the
+    value; returns that decrease."""
+    parent = [None] * n
+    seen = bytearray(n)
+    seen[v] = 1
+    queue = [v]
+    for x in queue:
+        if x == u:
+            break
+        if x == t and value > 0 and not seen[s]:
+            seen[s] = 1
+            parent[s] = (-1, t)
+            queue.append(s)
+        for fid, y, fwd in flow_adj[x]:
+            if fwd and flow[fid] > 0 and not seen[y]:
+                seen[y] = 1
+                parent[y] = (fid, x)
+                queue.append(y)
+    else:
+        raise RuntimeError("start flow is not a valid flow")
+    cycle = [eid]
+    delta = flow[eid]
+    through_sink = False
+    node = u
+    while node != v:
+        fid, node = parent[node]
+        if fid < 0:
+            through_sink = True
+            delta = min(delta, value)
+        else:
+            cycle.append(fid)
+            delta = min(delta, flow[fid])
+    for fid in cycle:
+        flow[fid] -= delta
+    return delta if through_sink else 0
 
 
 # ----------------------------------------------------------------------
@@ -324,9 +385,12 @@ class GraphTheory(MonotonicTheory):
     # -- evaluation ---------------------------------------------------------
 
     def eval_completion(self, maximal):
-        enabled = self.completion(maximal).enabled
+        comp = self.completion(maximal)
+        # Max flows start from the newest stacked evaluation, which is for
+        # a prefix of the current log.
+        base = comp.stack[-1][2] if comp.stack else None
         analysis = {}
-        values = [self._eval(p.kind, p.payload, enabled, analysis)
+        values = [self._eval(p.kind, p.payload, comp.enabled, analysis, base)
                   for p in self._preds]
         return values, analysis
 
@@ -334,9 +398,11 @@ class GraphTheory(MonotonicTheory):
         """Evaluate a predicate on an explicit enabled mask (no solver)."""
         return self._eval(kind, payload, enabled, {})
 
-    def _analysis(self, enabled, analysis, key):
+    def _analysis(self, enabled, analysis, key, base=None):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
-        ("span",), ("bfs", src), ("dij", src) or ("flow", s, t)."""
+        ("span",), ("bfs", src), ("dij", src) or ("flow", s, t). A max flow
+        starts from the flow in ``base``, the analysis of another mask,
+        when that has one."""
         hit = analysis.get(key)
         if hit is None:
             name, n = key[0], self.graph.n
@@ -349,11 +415,12 @@ class GraphTheory(MonotonicTheory):
                                     key[1])
             else:
                 hit = edmonds_karp(self._flow_adj, self._weights, n, enabled,
-                                   key[1], key[2])
+                                   key[1], key[2],
+                                   start=base.get(key) if base else None)
             analysis[key] = hit
         return hit
 
-    def _eval(self, kind, payload, enabled, analysis):
+    def _eval(self, kind, payload, enabled, analysis, base=None):
         if kind == "mst_edge":
             eid = payload[0]
             return (not enabled[eid] or eid in self._analysis(
@@ -367,7 +434,7 @@ class GraphTheory(MonotonicTheory):
         if kind == "maxflow_geq":
             s, t, bound = payload
             return bound <= 0 or self._analysis(
-                enabled, analysis, ("flow", s, t)).value >= bound
+                enabled, analysis, ("flow", s, t), base).value >= bound
         span = self._analysis(enabled, analysis, _SPAN)
         if kind == "components_leq":
             return span.components <= payload[0]
@@ -542,16 +609,18 @@ class GraphTheory(MonotonicTheory):
 
     # -- model witnesses ---------------------------------------------------------
 
-    def model_witness(self, pred, enabled):
+    def model_witness(self, pred, enabled, analysis):
         """Integer payload shown for a true atom under a full model: a node
         path for reach and distance, (u, v, flow) triples for flow, the
-        component count, tree edge vars for spanning-tree atoms."""
+        component count, tree edge vars for spanning-tree atoms.
+        ``analysis`` memoizes the analyses of the model's mask for the other
+        atoms of this graph."""
         kind = pred.kind
         edges = self.graph.edges
         if kind in ("reach", "distance_leq"):
             u, v = pred.payload[0], pred.payload[1]
             key = ("bfs" if kind == "reach" else "dij", u)
-            _, parent = self._analysis(enabled, {}, key)
+            _, parent = self._analysis(enabled, analysis, key)
             nodes = [v]
             for eid in self._tree_path(parent, u, v):
                 e = edges[eid]
@@ -560,7 +629,7 @@ class GraphTheory(MonotonicTheory):
             return nodes
         if kind == "maxflow_geq":
             s, t, _ = pred.payload
-            res = self._analysis(enabled, {}, ("flow", s, t))
+            res = self._analysis(enabled, analysis, ("flow", s, t))
             out = []
             for eid, f in enumerate(res.flow):
                 if f > 0:
@@ -568,7 +637,7 @@ class GraphTheory(MonotonicTheory):
             return out
         if kind == "mst_edge":
             return ["tree" if enabled[pred.payload[0]] else "disabled"]
-        span = self._analysis(enabled, {}, _SPAN)
+        span = self._analysis(enabled, analysis, _SPAN)
         if kind == "components_leq":
             return [span.components]
         if kind == "mst_weight_leq":

@@ -571,7 +571,8 @@ class Solver:
                 if lit is None:
                     # No decision left: every var is assigned and every
                     # assumption was checked satisfied along the way.
-                    assert len(self.trail) == nvars
+                    if len(self.trail) != nvars:
+                        raise RuntimeError("model has unassigned vars")
                     model = [self.assigns[v] == TRUE for v in range(nvars)]
                     self._finish()
                     return SolveResult(SAT, model)

@@ -154,18 +154,24 @@ class ProcessorTheory(MonotonicTheory):
         if positive:
             return None  # fall back to the disabled-task clause
         enabled, _, analysis = self.completion_before(False, prefix)
-        result = analysis.get("edf")
-        if result is None:
-            result = analysis["edf"] = edf_simulate(self.tasks, enabled)
+        result = self._edf(enabled, analysis)
         if result.feasible:
             raise RuntimeError("witness requested without a miss")
         return [mk_lit(self.tasks[tid].var, True)
                 for tid in busy_window_tasks(self.tasks, enabled, result)]
 
-    def model_witness(self, pred, enabled):
+    def _edf(self, enabled, analysis):
+        """EDF run of the enabled mask, memoized in ``analysis``."""
+        result = analysis.get("edf")
+        if result is None:
+            result = analysis["edf"] = edf_simulate(self.tasks, enabled)
+        return result
+
+    def model_witness(self, pred, enabled, analysis):
         """Chronological (taskId, start, end) run chunks of the EDF schedule
-        for a full model, flattened; adjacent chunks of a task merged."""
-        result = edf_simulate(self.tasks, enabled)
+        for a full model, flattened; adjacent chunks of a task merged.
+        ``analysis`` memoizes the run for the other atoms of the model."""
+        result = self._edf(enabled, analysis)
         merged = []
         for s, e, tid in result.segments:
             if merged and merged[-1][2] == tid and merged[-1][1] == s:

@@ -237,7 +237,8 @@ class MonotonicTheory:
         implication (the full trail for a fresh conflict).
         """
         pred = self._preds[atom_id]
-        assert lit >> 1 == pred.pvar
+        if lit >> 1 != pred.pvar:
+            raise RuntimeError("explain asked for another atom's literal")
         positive = not (lit & 1)
         solver = self.solver
         p = solver.pos[pred.pvar]

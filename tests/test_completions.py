@@ -3,14 +3,17 @@
 After every ``propagate`` call, each theory's two completion masks must equal
 the masks rebuilt from ``solver.assigns``, and every evaluation still on a
 completion's stack must match ``eval_concrete`` on the mask rebuilt from the
-trail prefix it belongs to. The checks run through restarts and backjumps.
+trail prefix it belongs to. So must every max flow in a stacked analysis,
+which was warm-started from an older one: its value and residual cut side
+must be those of a cold ``edmonds_karp`` on that mask. The checks run
+through restarts and backjumps.
 """
 
 import random
 
 from monosmt import generators
 from monosmt.build import build_instance
-from monosmt.graphs import GraphTheory
+from monosmt.graphs import GraphTheory, edmonds_karp
 from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import NEGATIVE, POSITIVE
@@ -25,6 +28,15 @@ def slot_vars(th):
     if isinstance(th, ProcessorTheory):
         return [t.var for t in th.tasks]
     return th.arg_vars
+
+
+def cold_flow(th, enabled, key, memo):
+    memo_key = (bytes(enabled), key)
+    hit = memo.get(memo_key)
+    if hit is None:
+        hit = memo[memo_key] = edmonds_karp(th._flow_adj, th._weights,
+                                            th.graph.n, enabled, *key[1:])
+    return hit
 
 
 def concrete_values(th, enabled, memo):
@@ -43,17 +55,24 @@ def concrete_values(th, enabled, memo):
     return hit
 
 
-def mask_at(th, maximal, prefix):
-    """One extreme rebuilt from the first ``prefix`` trail literals."""
-    solver = th.solver
+def masks_at(th, maximal, prefixes):
+    """One extreme rebuilt from the first ``p`` trail literals, for each
+    ``p`` of the ascending ``prefixes``."""
+    svars = slot_vars(th)
+    slot = {v: i for i, v in enumerate(svars)}
     fill = 1 if maximal else 0
-    mask = bytearray([fill]) * len(slot_vars(th))
-    slot = {v: i for i, v in enumerate(slot_vars(th))}
-    for lit in solver.trail[:prefix]:
-        i = slot.get(lit >> 1)
-        if i is not None and (lit & 1) == maximal:
-            mask[i] = 1 - fill
-    return mask
+    mask = bytearray([fill]) * len(svars)
+    trail = th.solver.trail
+    masks = []
+    done = 0
+    for prefix in prefixes:
+        for lit in trail[done:prefix]:
+            i = slot.get(lit >> 1)
+            if i is not None and (lit & 1) == maximal:
+                mask[i] = 1 - fill
+        done = prefix
+        masks.append(mask[:])
+    return masks
 
 
 class Checker:
@@ -65,6 +84,7 @@ class Checker:
         self.memo = {th: {} for th in theories}
         self.checks = 0
         self.stacked = 0
+        self.flows = set()  # stacked max flows checked so far
         for th in theories:
             th.propagate = self._wrap(th, th.propagate)
 
@@ -85,19 +105,23 @@ class Checker:
                 else (solver.var_value(v) == TRUE) for v in svars)
             assert comp.enabled == live
             assert len(comp.enabled) == len(svars)
-            for gen, values, _ in comp.stack:
-                # Where this generation sits in the trail.
-                if gen < len(comp.log):
-                    prefix = solver.pos[svars[comp.log[gen]]]
-                else:
-                    prefix = len(solver.trail)
-                want = concrete_values(th, mask_at(th, maximal, prefix),
-                                       self.memo[th])
-                assert values == want
+            # Where each stacked generation sits in the trail.
+            prefixes = [solver.pos[svars[comp.log[gen]]]
+                        if gen < len(comp.log) else len(solver.trail)
+                        for gen, _, _ in comp.stack]
+            masks = masks_at(th, maximal, prefixes)
+            for (_, values, analysis), mask in zip(comp.stack, masks):
+                assert values == concrete_values(th, mask, self.memo[th])
                 self.stacked += 1
+                for key, res in analysis.items():
+                    if key[0] == "flow" and res not in self.flows:
+                        cold = cold_flow(th, mask, key, self.memo[th])
+                        assert res.value == cold.value
+                        assert bytes(res.cut_side) == bytes(cold.cut_side)
+                        self.flows.add(res)
             prefix = self.rng.randint(0, len(solver.trail))
             enabled, moved, _ = th.completion_before(maximal, prefix)
-            assert enabled == mask_at(th, maximal, prefix)
+            assert enabled == masks_at(th, maximal, [prefix])[0]
             assert sorted(moved) == [i for i, b in enumerate(enabled)
                                      if b != maximal]
         self.checks += 1
@@ -132,6 +156,21 @@ def test_generated_instances_through_restarts_and_backjumps():
         stacked += checker.stacked
     assert restarts >= 5 and conflicts >= 1000
     assert checks > 1000 and stacked > checks
+
+
+def test_stacked_max_flows_match_cold_starts():
+    docs = [generators.gen_flow(12, 12, mode="unit", seed=0, demand=11),
+            generators.gen_flow(12, 12, mode="random1to4", seed=1,
+                                demand=16)]
+    restarts = conflicts = flows = 0
+    for i, doc in enumerate(docs):
+        inst = build_instance(doc, validate_reasons=True)
+        res, checker = solve_checked(inst, seed=i)
+        assert res.status in ("SAT", "UNSAT")
+        restarts += inst.solver.restarts
+        conflicts += inst.solver.conflicts
+        flows += len(checker.flows)
+    assert restarts >= 2 and conflicts >= 200 and flows >= 2000
 
 
 def test_random_documents_of_every_kind():

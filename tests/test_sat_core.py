@@ -247,15 +247,43 @@ for false_var, rogue, validate in ((0, Rogue(mk_lit(0), None), False),
 """
 
 
-def test_theory_guards_survive_optimize_flag():
+def run_optimized(script):
+    """stdout lines of ``script`` run by ``python -O`` with this package
+    importable."""
     src = str(Path(monosmt.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", _ROGUE_THEORIES],
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    return proc.stdout.splitlines()
+
+
+def test_theory_guards_survive_optimize_flag():
+    assert run_optimized(_ROGUE_THEORIES) == [
         "False",
         "raised theory implied an assigned literal",
         "raised explain must put the implied literal first",
+    ]
+
+
+_NO_DECISION_LEFT = """
+from monosmt.sat import Solver
+
+print(__debug__)
+solver = Solver()
+solver.new_var()
+# A decision heuristic that gives up while a var is still unassigned.
+solver._decide = lambda assumptions: (None, False)
+try:
+    print("returned", solver.solve().status)
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
+
+def test_model_guard_survives_optimize_flag():
+    assert run_optimized(_NO_DECISION_LEFT) == [
+        "False",
+        "raised model has unassigned vars",
     ]

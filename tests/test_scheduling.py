@@ -1,18 +1,16 @@
 """EDF simulation, busy-window explanations, and the schedulability theory."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from monosmt import oracle, scheduling
+from monosmt import oracle
 from monosmt.build import dimacs_lit, run_solve, solve_doc
 from monosmt.gnf import GnfDocument, PredDecl, ProcDecl, TaskDecl
 from monosmt.scheduling import (ProcessorTheory, TaskSpec, busy_window_tasks,
                                 edf_simulate)
+
+from test_sat_core import run_optimized
 
 
 def specs(triples):
@@ -133,13 +131,7 @@ for completion in ({0: 1}, {}):  # window not covered; window not overloaded
 
 
 def test_busy_window_guards_survive_optimize_flag():
-    src = str(Path(scheduling.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", _MADE_UP_MISSES],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert run_optimized(_MADE_UP_MISSES) == [
         "False",
         "raised miss window not covered",
         "raised busy window not overloaded",

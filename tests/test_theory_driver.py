@@ -7,6 +7,8 @@ import pytest
 from monosmt.sat import Solver, mk_lit
 from monosmt.theory import MonotonicTheory, NEGATIVE, POSITIVE
 
+from test_sat_core import run_optimized
+
 
 class ToyTheory(MonotonicTheory):
     """Two predicate kinds over explicit argument variables: ``any`` is the
@@ -169,3 +171,31 @@ def test_random_toy_instances_with_validated_reasons():
             (q, lambda bits: not (bits[a] and bits[c])),
         ])
         assert solver.solve().status == want, "seed %d" % seed
+
+
+_WRONG_ATOM = """
+from monosmt.graphs import GraphTheory, SymbolicGraph
+from monosmt.sat import Solver, mk_lit
+
+print(__debug__)
+solver = Solver()
+edge, p, q = solver.new_var(), solver.new_var(), solver.new_var()
+graph = SymbolicGraph(0, True, 2)
+graph.add_edge(0, 1, edge)
+th = GraphTheory(graph)
+th.add_reach(0, 1, p)
+th.add_reach(1, 0, q)
+solver.add_clause([mk_lit(edge)])
+solver.attach_theory(th)
+try:
+    print("returned", th.explain(0, mk_lit(q)))  # atom 0 is p, not q
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
+
+def test_explain_guard_survives_optimize_flag():
+    assert run_optimized(_WRONG_ATOM) == [
+        "False",
+        "raised explain asked for another atom's literal",
+    ]

@@ -1,0 +1,118 @@
+"""Warm-started max flow checked against cold starts and the oracle.
+
+``edmonds_karp(..., start=prev)`` must give the value and residual cut side
+of a cold start on the new mask, return a valid flow of that mask, and leave
+``prev`` untouched, whatever edges the step enabled or disabled, including
+edges that carry flow in ``prev`` on s-t paths or on cycles.
+"""
+
+import random
+
+from monosmt import graphs, oracle
+from monosmt.graphs import (FlowResult, GraphTheory, SymbolicGraph,
+                            edmonds_karp)
+
+
+def rand_flow_graph(rng):
+    """(n, edges as (u, v, cap)) with antiparallel pairs, parallel arcs and
+    cycles; capacities 1-4."""
+    n = rng.randint(3, 8)
+    edges = []
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.randint(1, 4)))
+        if rng.random() < 0.3:
+            edges.append((v, u, rng.randint(1, 4)))
+    for _ in range(rng.randint(0, 2)):  # a cycle through random nodes
+        ring = rng.sample(range(n), rng.randint(2, n))
+        edges.extend((a, b, rng.randint(1, 4))
+                     for a, b in zip(ring, ring[1:] + ring[:1]))
+    return n, edges
+
+
+def add_circulation(n, edges, res, enabled, rng):
+    """``res`` plus one unit around a cycle of enabled arcs with spare
+    capacity, when there is one: same value, a flow no cold start makes."""
+    flow = res.flow[:]
+    spare = [eid for eid, (_, _, cap) in enumerate(edges)
+             if enabled[eid] and flow[eid] < cap]
+    rng.shuffle(spare)
+    for eid in spare:
+        u, v, _ = edges[eid]
+        parent = {v: None}
+        queue = [v]
+        for x in queue:
+            for fid in spare:
+                a, b, _ = edges[fid]
+                if a == x and b not in parent:
+                    parent[b] = fid
+                    queue.append(b)
+        if u in parent:
+            node = u
+            while node != v:
+                fid = parent[node]
+                flow[fid] += 1
+                node = edges[fid][0]
+            flow[eid] += 1
+            return FlowResult(res.value, flow, None)
+    return res
+
+
+def check_flow(n, edges, enabled, s, t, res):
+    net = [0] * n
+    for eid, (u, v, cap) in enumerate(edges):
+        f = res.flow[eid]
+        assert 0 <= f <= cap
+        if not enabled[eid]:
+            assert f == 0
+        net[u] -= f
+        net[v] += f
+    for x in range(n):
+        if x not in (s, t):
+            assert net[x] == 0
+    assert net[t] == res.value == -net[s]
+
+
+def test_warm_start_matches_cold_start_and_oracle(monkeypatch):
+    cancels = []  # s-t value each cancel took off
+    real_cancel = graphs._cancel
+
+    def counting_cancel(*args):
+        drop = real_cancel(*args)
+        cancels.append(drop)
+        return drop
+
+    monkeypatch.setattr(graphs, "_cancel", counting_cancel)
+    rng = random.Random(20150125)
+    for _ in range(300):
+        n, edges = rand_flow_graph(rng)
+        graph = SymbolicGraph(0, True, n)
+        for eid, (u, v, cap) in enumerate(edges):
+            graph.add_edge(u, v, eid, cap)
+        th = GraphTheory(graph)
+        adj, caps, m = th._flow_adj, th._weights, len(edges)
+        s, t = rng.sample(range(n), 2)
+        enabled = bytearray(rng.random() < 0.7 for _ in range(m))
+        prev = edmonds_karp(adj, caps, n, enabled, s, t)
+        for _ in range(6):
+            if rng.random() < 0.3:
+                prev = add_circulation(n, edges, prev, enabled, rng)
+            carrying = [eid for eid in range(m) if prev.flow[eid]]
+            for eid in rng.sample(carrying, min(len(carrying),
+                                                rng.randint(0, 2))):
+                enabled[eid] = 0
+            for eid in rng.sample(range(m), rng.randint(0, 3)):
+                enabled[eid] ^= 1
+            base = prev.flow[:]
+            warm = edmonds_karp(adj, caps, n, enabled, s, t, start=prev)
+            cold = edmonds_karp(adj, caps, n, enabled, s, t)
+            assert prev.flow == base
+            assert warm.flow is not prev.flow
+            assert warm.value == cold.value == oracle.maxflow_dfs(
+                n, edges, enabled, s, t)
+            assert bytes(warm.cut_side) == bytes(cold.cut_side)
+            check_flow(n, edges, enabled, s, t, warm)
+            prev = warm
+    # Both kinds of cancelling ran often: along s-t paths and along cycles.
+    assert sum(d > 0 for d in cancels) > 200
+    assert sum(d == 0 for d in cancels) > 100

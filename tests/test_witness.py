@@ -3,9 +3,10 @@ algorithms, independently of the graph theory that prints them."""
 
 from collections import defaultdict
 
-from monosmt import oracle
-from monosmt.build import run_solve
+from monosmt import graphs, oracle
+from monosmt.build import run_solve, solve_doc, witness_lines
 from monosmt.generators import gen_flow, gen_maze
+from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 
 from instances import GRAPH_KINDS, rand_doc
 
@@ -112,3 +113,26 @@ def test_witness_lines_hold_in_the_model():
             checked[pred.kind] += 1
     for kind in GRAPH_KINDS:
         assert checked[kind] >= 50, dict(checked)
+
+
+def test_atoms_of_one_graph_share_the_model_analysis(monkeypatch):
+    # A path 0-1-2-3 plus an isolated node 4, with five true components_leq
+    # atoms of different bounds.
+    k = 5
+    g = GraphDecl(1, False, 5)
+    for i in range(3):
+        g.edges.append(EdgeDecl(1, i, i + 1, i + 1, 1))
+    doc = GnfDocument(nvars=3 + k)
+    doc.graphs[1] = g
+    for j in range(k):
+        doc.preds.append(PredDecl("components_leq", 1, (2 + j,), 4 + j))
+    doc.clauses = [[v] for v in range(1, 4 + k)]
+    status, values, inst = solve_doc(doc)
+    assert status == "SAT"
+    scans = []
+    real_scan = graphs.span_scan
+    monkeypatch.setattr(graphs, "span_scan",
+                        lambda *args: scans.append(args) or real_scan(*args))
+    lines = witness_lines(inst, values)
+    assert lines == ["w components_leq 1 %d : 2" % (2 + j) for j in range(k)]
+    assert len(scans) == 1
