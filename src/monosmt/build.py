@@ -80,8 +80,9 @@ def build_instance(doc: GnfDocument, seed=0, log_clauses=False,
     for th in list(graph_theories.values()) + list(proc_theories.values()):
         solver.attach_theory(th)
     ok = True
-    for clause in doc.clauses:
-        if not solver.add_clause([internal_lit(l) for l in clause]):
+    for clause in doc.clauses:  # internal_lit, inlined
+        if not solver.add_clause([l + l - 2 if l > 0 else -l - l - 1
+                                  for l in clause]):
             ok = False
             break
     return Instance(doc, solver, graph_theories, proc_theories, atoms, ok)

@@ -2,7 +2,8 @@
 
 Variables are dense 0-based ints. A literal packs a variable and a sign into one
 int: ``2*v`` asserts variable ``v``, ``2*v + 1`` negates it, so negation is
-``lit ^ 1``. Assignment values are 1 (true), -1 (false), 0 (unassigned).
+``lit ^ 1``. Assignment values are 1 (true), -1 (false), 0 (unassigned); they
+are kept per variable and, for propagation, per literal.
 
 Attached theories are driven to fixpoint after every unit-propagation fixpoint.
 A theory implication is enqueued with an opaque lazy reason; the reason clause
@@ -30,10 +31,6 @@ def neg(lit: int) -> int:
     return lit ^ 1
 
 
-def lit_var(lit: int) -> int:
-    return lit >> 1
-
-
 def luby(y: int, x: int) -> int:
     """x-th term (1-based) of the Luby restart sequence with base factor y."""
     size, seq = 1, 0
@@ -48,13 +45,12 @@ def luby(y: int, x: int) -> int:
 
 
 class Clause:
-    __slots__ = ("lits", "learnt", "activity", "deleted")
+    __slots__ = ("lits", "learnt", "activity")
 
     def __init__(self, lits, learnt=False):
         self.lits = lits
         self.learnt = learnt
         self.activity = 0.0
-        self.deleted = False
 
     def __repr__(self):
         return "Clause(%r%s)" % (self.lits, ", learnt" if self.learnt else "")
@@ -86,11 +82,19 @@ class Solver:
     activities with decay 0.95, phase saving, Luby restarts (base 100) and
     activity-based deletion of learnt clauses.
 
+    Values live in two tables kept in step: ``assigns[var]``, which theories
+    read, and ``_val[lit]``, the value of a literal, which propagation reads.
+    The next decision is the unassigned variable of highest activity, lowest
+    index on ties. ``_order`` is a lazy heap of ``(-activity, var)`` in which
+    every unassigned variable has exactly one entry carrying its current
+    activity (``_queued[var]`` is set while such an entry is in the heap);
+    entries outdated by a later bump are dropped when popped.
+
     ``seed`` perturbs initial variable activities for reproducible search
     variation. ``log_clauses`` records learnt clauses and every
     theory-produced clause. ``validate_reasons`` materializes each theory
-    reason eagerly and asserts it is asserting at the moment of implication
-    (test instrumentation).
+    reason eagerly and raises ``RuntimeError`` unless it is asserting at the
+    moment of implication (test instrumentation).
     """
 
     def __init__(self, seed=0, log_clauses=False, validate_reasons=False):
@@ -99,9 +103,10 @@ class Solver:
         self.ok = True
 
         self.assigns = []          # var -> TRUE/FALSE/UNDEF
+        self._val = []             # lit -> TRUE/FALSE/UNDEF
         self.level = []            # var -> decision level
         self.reason = []           # var -> Clause | LazyReason | None
-        self.pos = []              # var -> trail index
+        self.pos = []              # var -> trail index, -1 if unassigned
         self.phase = []            # var -> saved phase (bool: last value)
         self.activity = []
         self.trail = []
@@ -114,10 +119,11 @@ class Solver:
         self._pending = []         # clauses to attach at next propagation
 
         self._theories = []
-        self._var_theories = {}    # var -> list of theories watching it
+        self._var_theories = []    # var -> tuple of theories watching it
         self._solving = False
 
         self._order = []           # lazy max-heap of (-activity, var)
+        self._queued = bytearray()  # var -> has a current entry in _order
         self._seen = bytearray()
         self._var_inc = 1.0
         self._cla_inc = 1.0
@@ -140,6 +146,7 @@ class Solver:
     def new_var(self) -> int:
         v = len(self.assigns)
         self.assigns.append(UNDEF)
+        self._val += (UNDEF, UNDEF)
         self.level.append(0)
         self.reason.append(None)
         self.pos.append(-1)
@@ -149,9 +156,10 @@ class Solver:
             self._seed_state = (self._seed_state * 1103515245 + 12345) & 0xFFFFFFFF
             noise = (self._seed_state % 1000) * 1e-6
         self.activity.append(noise)
-        self.watches.append([])
-        self.watches.append([])
+        self.watches += ([], [])
         self._seen.append(0)
+        self._var_theories.append(())
+        self._queued.append(1)
         heapq.heappush(self._order, (-self.activity[v], v))
         return v
 
@@ -163,25 +171,26 @@ class Solver:
         """
         if self.trail_lim:
             raise ValueError("add_clause requires decision level 0")
-        for lit in lits:
-            if not 0 <= lit_var(lit) < len(self.assigns):
-                raise ValueError("unknown variable in clause: lit %d" % lit)
+        lits = sorted(lits)
+        if lits and (lits[0] < 0 or lits[-1] >= len(self._val)):
+            bad = lits[0] if lits[0] < 0 else lits[-1]
+            raise ValueError("unknown variable in clause: lit %d" % bad)
         if not self.ok:
             return False
+        val = self._val
         out = []
-        seen = set()
-        for lit in sorted(lits):
-            if lit in seen:
+        prev = -1
+        for lit in lits:  # sorted: duplicates and x, -x sit side by side
+            if lit == prev:
                 continue
-            if neg(lit) in seen:
+            if lit == prev ^ 1:
                 return True  # tautology
-            v = self.lit_value(lit)
+            prev = lit
+            v = val[lit]
             if v == TRUE:
                 return True
-            if v == FALSE:
-                continue  # false at level 0, drop
-            seen.add(lit)
-            out.append(lit)
+            if v == UNDEF:
+                out.append(lit)  # a literal false at level 0 is dropped
         if not out:
             self.ok = False
             return False
@@ -206,7 +215,7 @@ class Solver:
 
     def watch_var(self, var: int, theory) -> None:
         """Route future assignments of ``var`` to ``theory.on_assign``."""
-        self._var_theories.setdefault(var, []).append(theory)
+        self._var_theories[var] += (theory,)
 
     # ------------------------------------------------------------------
     # state inspection (also the trail view theories read)
@@ -215,8 +224,7 @@ class Solver:
         return self.assigns[var]
 
     def lit_value(self, lit: int) -> int:
-        a = self.assigns[lit >> 1]
-        return -a if lit & 1 else a
+        return self._val[lit]
 
     def assigned_lit(self, var: int) -> int:
         """The literal currently true for an assigned var."""
@@ -226,29 +234,42 @@ class Solver:
     # trail operations
 
     def _enqueue(self, lit, reason) -> None:
+        """Assign ``lit`` true. ``_bcp`` repeats these steps inline."""
         v = lit >> 1
+        self._val[lit] = TRUE
+        self._val[lit ^ 1] = FALSE
         self.assigns[v] = FALSE if lit & 1 else TRUE
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.pos[v] = len(self.trail)
         self.trail.append(lit)
-        for th in self._var_theories.get(v, ()):
+        for th in self._var_theories[v]:
             th.on_assign(lit)
 
     def _cancel_until(self, lvl: int) -> None:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            v = self.trail[i] >> 1
-            self.phase[v] = self.assigns[v] == TRUE
-            self.assigns[v] = UNDEF
-            self.reason[v] = None
-            self.pos[v] = -1
-            heapq.heappush(self._order, (-self.activity[v], v))
-        del self.trail[bound:]
+        trail = self.trail
+        assigns, val, phase = self.assigns, self._val, self.phase
+        reason, pos = self.reason, self.pos
+        activity, queued, order = self.activity, self._queued, self._order
+        for lit in trail[bound:]:
+            v = lit >> 1
+            phase[v] = not lit & 1
+            assigns[v] = UNDEF
+            val[lit] = UNDEF
+            val[lit ^ 1] = UNDEF
+            reason[v] = None
+            pos[v] = -1
+            if not queued[v]:
+                queued[v] = 1
+                heapq.heappush(order, (-activity[v], v))
+        if len(order) > 2 * len(assigns):
+            self._rebuild_order()  # shed the entries outdated by bumps
+        del trail[bound:]
         del self.trail_lim[lvl:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
         for th in self._theories:
             th.on_backjump(lvl)
 
@@ -256,8 +277,8 @@ class Solver:
     # propagation
 
     def _watch(self, c: Clause) -> None:
-        self.watches[neg(c.lits[0])].append(c)
-        self.watches[neg(c.lits[1])].append(c)
+        self.watches[c.lits[0] ^ 1].append(c)
+        self.watches[c.lits[1] ^ 1].append(c)
 
     def _attach_pending(self):
         """Safely insert clauses learned mid-search (theory conflicts).
@@ -291,14 +312,22 @@ class Solver:
         return None
 
     def _bcp(self):
-        """Unit propagation to fixpoint; returns a falsified Clause or None."""
+        """Unit propagation to fixpoint; returns a falsified Clause or None.
+
+        An implied literal is assigned inline, step for step as ``_enqueue``
+        does it.
+        """
         trail = self.trail
         watches = self.watches
-        lit_value = self.lit_value
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
+        val = self._val
+        assigns, level, reason, pos = (self.assigns, self.level, self.reason,
+                                       self.pos)
+        var_theories = self._var_theories
+        lvl = len(self.trail_lim)
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             fl = p ^ 1  # the watched literal that just became false
             ws = watches[p]
             i = j = 0
@@ -306,34 +335,49 @@ class Solver:
             while i < n:
                 c = ws[i]
                 i += 1
-                if c.deleted:
-                    continue
                 lits = c.lits
-                if lits[0] == fl:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if lit_value(first) == TRUE:
+                if first == fl:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = fl
+                if val[first] == TRUE:
                     ws[j] = c
                     j += 1
                     continue
-                for k in range(2, len(lits)):
-                    if lit_value(lits[k]) != FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches[neg(lits[1])].append(c)
+                k = 2
+                m = len(lits)
+                while k < m:
+                    lk = lits[k]
+                    if val[lk] != FALSE:
+                        lits[k] = lits[1]
+                        lits[1] = lk
+                        watches[lk ^ 1].append(c)
                         break
+                    k += 1
                 else:
                     ws[j] = c
                     j += 1
-                    if lit_value(first) == FALSE:
-                        while i < n:
-                            ws[j] = ws[i]
-                            j += 1
-                            i += 1
-                        del ws[j:]
+                    if val[first] == FALSE:
+                        del ws[j:i]  # keep the watches not yet visited
                         self.qhead = len(trail)
+                        self.propagations += qhead - start
                         return c
-                    self._enqueue(first, c)
+                    v = first >> 1
+                    val[first] = TRUE
+                    val[first ^ 1] = FALSE
+                    assigns[v] = FALSE if first & 1 else TRUE
+                    level[v] = lvl
+                    reason[v] = c
+                    pos[v] = len(trail)
+                    trail.append(first)
+                    ths = var_theories[v]
+                    if ths:
+                        for th in ths:
+                            th.on_assign(first)
             del ws[j:]
+        self.qhead = qhead
+        self.propagations += qhead - start
         return None
 
     def _theory_pass(self):
@@ -403,16 +447,25 @@ class Solver:
     # conflict analysis
 
     def _bump_var(self, v):
-        self.activity[v] += self._var_inc
-        if self.activity[v] > 1e100:
+        act = self.activity[v] + self._var_inc
+        self.activity[v] = act
+        if act > 1e100:
             for i in range(len(self.activity)):
                 self.activity[i] *= 1e-100
             self._var_inc *= 1e-100
-            self._order = [(-self.activity[i], i) for i in range(len(self.assigns))
-                           if self.assigns[i] == UNDEF]
-            heapq.heapify(self._order)
-            return
-        heapq.heappush(self._order, (-self.activity[v], v))
+            self._rebuild_order()
+        elif self.assigns[v] == UNDEF:
+            heapq.heappush(self._order, (-act, v))
+        else:
+            self._queued[v] = 0  # its entry is outdated; re-queued on unassign
+
+    def _rebuild_order(self):
+        """Rebuild ``_order`` with one entry per unassigned var."""
+        activity, assigns = self.activity, self.assigns
+        self._order = [(-activity[v], v) for v in range(len(assigns))
+                       if assigns[v] == UNDEF]
+        heapq.heapify(self._order)
+        self._queued = bytearray(a == UNDEF for a in assigns)
 
     def _bump_clause(self, c):
         c.activity += self._cla_inc
@@ -476,32 +529,39 @@ class Solver:
                 return None, True  # assumption contradicted
             if v == UNDEF:
                 return a, False
-        order = self._order
+        order, activity, queued = self._order, self.activity, self._queued
         while order:
             negact, v = heapq.heappop(order)
-            if self.assigns[v] != UNDEF:
-                continue
-            if -negact != self.activity[v]:
-                heapq.heappush(order, (-self.activity[v], v))
-                continue
-            return mk_lit(v, not self.phase[v]), False
+            if -negact != activity[v]:
+                continue  # outdated by a later bump
+            queued[v] = 0
+            if self.assigns[v] == UNDEF:
+                return mk_lit(v, not self.phase[v]), False
         return None, False  # nothing left (callers guard on trail size)
 
     # ------------------------------------------------------------------
     # learnt-clause management
 
     def _reduce_db(self):
+        """Delete the learnt clauses in the less active half that are longer
+        than two and not a reason, and drop their watches (a clause is
+        watched on its first two literals); the other watches keep their
+        order."""
         self.learnts.sort(key=lambda c: c.activity)
         keep_from = len(self.learnts) // 2
         kept = []
+        dead = set()
         for i, c in enumerate(self.learnts):
             locked = self.reason[c.lits[0] >> 1] is c and \
-                self.lit_value(c.lits[0]) == TRUE
+                self._val[c.lits[0]] == TRUE
             if i < keep_from and len(c.lits) > 2 and not locked:
-                c.deleted = True
+                dead.add(c)
             else:
                 kept.append(c)
         self.learnts = kept
+        for lit in {c.lits[k] ^ 1 for c in dead for k in (0, 1)}:
+            ws = self.watches[lit]
+            ws[:] = [c for c in ws if c not in dead]
         self._max_learnts = int(self._max_learnts * 1.1) + 1
 
     # ------------------------------------------------------------------
@@ -513,7 +573,7 @@ class Solver:
         self._solving = True
         assumptions = list(assumptions)
         for a in assumptions:
-            if not 0 <= (a >> 1) < len(self.assigns):
+            if not 0 <= a < len(self._val):
                 raise ValueError("unknown variable in assumption")
         nvars = len(self.assigns)
         self._max_learnts = max(self._max_learnts,

@@ -4,14 +4,17 @@ on pure CNF."""
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import monosmt
-from monosmt.build import dimacs_lit, solve_doc
-from monosmt.generators import Xorshift64Star
+from monosmt.build import build_instance, dimacs_lit, solve_doc
+from monosmt.generators import Xorshift64Star, gen_maze
 from monosmt.gnf import GnfDocument
 from monosmt.oracle import brute_force_solve, check_clause_valid
-from monosmt.sat import Solver, mk_lit, neg
+from monosmt.sat import UNDEF, Solver, mk_lit, neg
 from monosmt.theory import MonotonicTheory, POSITIVE
 
 from instances import rand_doc
@@ -128,6 +131,91 @@ def test_learned_clauses_are_entailed():
             assert bad is None, "seed %d clause %s" % (seed, lits)
             checked += 1
     assert checked > 0
+
+
+def test_add_clause_rejects_literals_of_unknown_vars():
+    solver, (a, b) = fresh(2)
+    for lit in (-1, -2, 2 * 2, 2 * 2 + 1):
+        with pytest.raises(ValueError):
+            solver.add_clause([mk_lit(a), lit])
+    assert solver.add_clause([mk_lit(b, True)])  # the highest literal is fine
+    assert solver.solve().status == "SAT"
+
+
+def test_add_clause_reads_an_iterator_once():
+    solver, (a, b) = fresh(2)
+    assert solver.add_clause(iter([mk_lit(a), mk_lit(b)]))
+    assert solver.ok and len(solver.clauses) == 1
+
+
+def test_solve_rejects_assumptions_of_unknown_vars():
+    solver, (a,) = fresh(1)
+    for lit in (-1, 2, 3):
+        with pytest.raises(ValueError):
+            solver.solve([lit])
+    assert solver.solve([mk_lit(a, True)]).status == "SAT"
+
+
+# A pure CNF with several learnt-clause reductions, and a maze.
+@pytest.mark.parametrize("doc", [rand_cnf(100, 426, 0), gen_maze(6, 6, 1)],
+                         ids=["cnf", "maze"])
+def test_decisions_follow_activity_through_rescaling(doc):
+    solver = build_instance(doc).solver
+    nvars = len(solver.assigns)
+    decide = solver._decide
+    rescales = Counter()
+
+    def force_rescales():
+        # Keep both increments at their rescale thresholds, so that the
+        # second bump of a var or a clause rescales them all.
+        if solver._var_inc < 1e100:
+            rescales["var"] += 1
+            solver._var_inc = 1e100
+        if solver._cla_inc < 1e20:
+            rescales["clause"] += 1
+            solver._cla_inc = 1e20
+
+    def checked(assumptions):
+        activity = solver.activity
+        unassigned = [v for v in range(nvars) if solver.assigns[v] == UNDEF]
+        current = Counter(v for negact, v in solver._order
+                          if -negact == activity[v])
+        assert all(current[v] == 1 for v in unassigned)
+        lit, failed = decide(assumptions)
+        if unassigned:
+            want = min(unassigned, key=lambda v: (-activity[v], v))
+            assert lit >> 1 == want
+        force_rescales()
+        return lit, failed
+
+    solver._decide = checked
+    force_rescales()
+    rescales.clear()
+    status = solver.solve().status
+    assert solver.decisions > 50
+    assert rescales["var"] >= 3 and rescales["clause"] >= 3
+    assert status == solve_doc(doc)[0]
+
+
+def test_reduce_db_unwatches_deleted_clauses_in_order():
+    solver = build_instance(rand_cnf(100, 426, 0)).solver
+    reduce_db = solver._reduce_db
+    removed_total = 0
+
+    def checked():
+        nonlocal removed_total
+        before = [list(ws) for ws in solver.watches]
+        learnts = set(solver.learnts)
+        reduce_db()
+        removed = learnts - set(solver.learnts)
+        assert removed
+        removed_total += len(removed)
+        for old, ws in zip(before, solver.watches):
+            assert ws == [c for c in old if c not in removed]
+
+    solver._reduce_db = checked
+    assert solver.solve().status == "SAT"
+    assert removed_total > 0
 
 
 def test_assumptions_are_reusable():
