@@ -90,14 +90,6 @@ class GnfDocument:
     preds: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def s_vars(self):
-        out = set()
-        for g in self.graphs.values():
-            out.update(e.var for e in g.edges)
-        for p in self.procs.values():
-            out.update(t.var for t in p.tasks)
-        return out
-
 
 def _ints(tokens, ln, what):
     try:

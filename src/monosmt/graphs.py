@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+from .gnf import DIRECTED_PREDS, UNDIRECTED_PREDS
 from .sat import mk_lit
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 
@@ -84,8 +85,7 @@ def dijkstra_tree(adj, weights, n, enabled, src):
 class SpanResult:
     """Kruskal scan output: spanning forest in (weight, eid) order."""
 
-    __slots__ = ("components", "forest", "forest_set", "weight", "comp",
-                 "_rooted")
+    __slots__ = ("components", "forest", "forest_set", "weight", "comp")
 
     def __init__(self, components, forest, weight, comp):
         self.components = components
@@ -93,7 +93,6 @@ class SpanResult:
         self.forest_set = set(forest)
         self.weight = weight
         self.comp = comp  # node -> component root
-        self._rooted = None
 
 
 def span_scan(n, edges, order, enabled) -> SpanResult:
@@ -120,60 +119,6 @@ def span_scan(n, edges, order, enabled) -> SpanResult:
             components -= 1
     comp = [find(v) for v in range(n)]
     return SpanResult(components, forest, weight, comp)
-
-
-def _root_forest(span: SpanResult, edges, n):
-    """Rooted parent arrays for the spanning forest (lazy, cached)."""
-    if span._rooted is not None:
-        return span._rooted
-    tree_adj = [[] for _ in range(n)]
-    for eid in span.forest:
-        e = edges[eid]
-        tree_adj[e.u].append((eid, e.v))
-        tree_adj[e.v].append((eid, e.u))
-    parent_node = [-1] * n
-    parent_eid = [-1] * n
-    depth = [0] * n
-    seen = bytearray(n)
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for eid, w in tree_adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    parent_node[w] = u
-                    parent_eid[w] = eid
-                    depth[w] = depth[u] + 1
-                    stack.append(w)
-    span._rooted = (parent_node, parent_eid, depth)
-    return span._rooted
-
-
-def tree_path_eids(span: SpanResult, edges, n, a, b):
-    """Edge ids on the forest path between a and b, or None if disconnected."""
-    if span.comp[a] != span.comp[b]:
-        return None
-    parent_node, parent_eid, depth = _root_forest(span, edges, n)
-    path = []
-    x, y = a, b
-    while depth[x] > depth[y]:
-        path.append(parent_eid[x])
-        x = parent_node[x]
-    tail = []
-    while depth[y] > depth[x]:
-        tail.append(parent_eid[y])
-        y = parent_node[y]
-    while x != y:
-        path.append(parent_eid[x])
-        x = parent_node[x]
-        tail.append(parent_eid[y])
-        y = parent_node[y]
-    path.extend(reversed(tail))
-    return path
 
 
 class FlowResult:
@@ -293,8 +238,6 @@ def _cancel(flow_adj, flow, n, s, t, value, eid, u, v):
 
 # ----------------------------------------------------------------------
 
-_DIRECTED_KINDS = {"reach", "distance_leq", "maxflow_geq"}
-_UNDIRECTED_KINDS = {"components_leq", "mst_weight_leq", "mst_edge"}
 _SPAN = ("span",)
 
 
@@ -335,9 +278,9 @@ class GraphTheory(MonotonicTheory):
 
     def _add(self, kind, pvar, payload):
         if self.graph.directed:
-            if kind in _UNDIRECTED_KINDS:
+            if kind in UNDIRECTED_PREDS:
                 raise ValueError("%s requires an undirected graph" % kind)
-        elif kind in _DIRECTED_KINDS:
+        elif kind in DIRECTED_PREDS:
             raise ValueError("%s requires a directed graph" % kind)
         polarity = NEGATIVE if kind == "mst_edge" else POSITIVE
         return self.register_predicate(pvar, polarity, kind, payload)
@@ -384,20 +327,6 @@ class GraphTheory(MonotonicTheory):
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_completion(self, maximal):
-        comp = self.completion(maximal)
-        # Max flows start from the newest stacked evaluation, which is for
-        # a prefix of the current log.
-        base = comp.stack[-1][2] if comp.stack else None
-        analysis = {}
-        values = [self._eval(p.kind, p.payload, comp.enabled, analysis, base)
-                  for p in self._preds]
-        return values, analysis
-
-    def eval_concrete(self, kind, payload, enabled):
-        """Evaluate a predicate on an explicit enabled mask (no solver)."""
-        return self._eval(kind, payload, enabled, {})
-
     def _analysis(self, enabled, analysis, key, base=None):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
         ("span",), ("bfs", src), ("dij", src) or ("flow", s, t). A max flow
@@ -420,7 +349,8 @@ class GraphTheory(MonotonicTheory):
             analysis[key] = hit
         return hit
 
-    def _eval(self, kind, payload, enabled, analysis, base=None):
+    def evaluate(self, pred, enabled, analysis, base=None):
+        kind, payload = pred.kind, pred.payload
         if kind == "mst_edge":
             eid = payload[0]
             return (not enabled[eid] or eid in self._analysis(
@@ -538,11 +468,10 @@ class GraphTheory(MonotonicTheory):
         edges = self.graph.edges
         enabled, disabled, analysis = self.completion_before(True, prefix)
         span = self._analysis(enabled, analysis, _SPAN)
-        disabled = sorted(disabled)
         if span.components > 1:
             # Disconnected: a cut of disabled edges isolating one component.
             cuts = {}
-            for eid in disabled:
+            for eid in sorted(disabled):
                 e = edges[eid]
                 cu, cv = span.comp[e.u], span.comp[e.v]
                 if cu != cv:
@@ -552,16 +481,32 @@ class GraphTheory(MonotonicTheory):
                        key=lambda r: (len(cuts.get(r, ())), r))
             return [self._edge_lit(eid, False)
                     for eid in sorted(cuts.get(best, ()))]
-        # Connected but too heavy: disabled edges that could lighten the tree.
+        # Connected but too heavy: disabled edges that could lighten the
+        # tree, those whose ends the forest joins only through a heavier
+        # edge. Equal weight does not lighten it.
+        parent = list(range(self.graph.n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        forest = span.forest  # in (weight, eid) order
+        merged = 0
         out = []
-        for eid in disabled:
-            e = edges[eid]
-            if e.u == e.v:
+        for eid in self._order:
+            if enabled[eid]:
                 continue
-            path = tree_path_eids(span, edges, self.graph.n, e.u, e.v)
-            if path and max(edges[p].weight for p in path) > e.weight:
-                out.append(self._edge_lit(eid, False))
-        return out
+            e = edges[eid]
+            while (merged < len(forest)
+                   and edges[forest[merged]].weight <= e.weight):
+                f = edges[forest[merged]]
+                parent[find(f.u)] = find(f.v)
+                merged += 1
+            if find(e.u) != find(e.v):
+                out.append(eid)
+        return [self._edge_lit(eid, False) for eid in sorted(out)]
 
     def _mst_edge_lits(self, pred, positive, prefix):
         eid = pred.payload[0]
@@ -599,11 +544,12 @@ class GraphTheory(MonotonicTheory):
         # tree, so the tree path between its endpoints plus the edge itself
         # pins it out of every extension's tree.
         enabled, _, analysis = self.completion_before(False, prefix)
-        span = self._analysis(enabled, analysis, _SPAN)
-        path = tree_path_eids(span, edges, self.graph.n, e.u, e.v)
-        if path is None:
-            raise RuntimeError("edge endpoints not joined in the tree")
-        lits = [self._edge_lit(p, True) for p in path]
+        in_forest = bytearray(len(edges))
+        for fid in self._analysis(enabled, analysis, _SPAN).forest:
+            in_forest[fid] = 1
+        _, parent = bfs_tree(self._adj, self.graph.n, in_forest, e.u)
+        lits = [self._edge_lit(p, True)
+                for p in reversed(self._tree_path(parent, e.u, e.v))]
         lits.append(self._edge_lit(eid, True))
         return lits
 

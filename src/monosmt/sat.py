@@ -220,9 +220,6 @@ class Solver:
     # ------------------------------------------------------------------
     # state inspection (also the trail view theories read)
 
-    def var_value(self, var: int) -> int:
-        return self.assigns[var]
-
     def lit_value(self, lit: int) -> int:
         return self._val[lit]
 
@@ -596,7 +593,7 @@ class Solver:
                         top = lv
                 if top == 0:
                     self.ok = False
-                    self._finish()
+                    self._cancel_until(0)
                     return SolveResult(UNSAT)
                 if top < len(self.trail_lim):
                     self._cancel_until(top)
@@ -626,7 +623,7 @@ class Solver:
             else:
                 lit, failed = self._decide(assumptions)
                 if failed:
-                    self._finish()
+                    self._cancel_until(0)
                     return SolveResult(UNSAT)
                 if lit is None:
                     # No decision left: every var is assigned and every
@@ -634,17 +631,8 @@ class Solver:
                     if len(self.trail) != nvars:
                         raise RuntimeError("model has unassigned vars")
                     model = [self.assigns[v] == TRUE for v in range(nvars)]
-                    self._finish()
+                    self._cancel_until(0)
                     return SolveResult(SAT, model)
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)
-
-    def _finish(self):
-        self._cancel_until(0)
-
-    def stats_line(self) -> str:
-        return ("conflicts=%d decisions=%d propagations=%d "
-                "theory_implications=%d restarts=%d"
-                % (self.conflicts, self.decisions, self.propagations,
-                   self.theory_implications, self.restarts))

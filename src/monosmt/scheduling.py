@@ -143,12 +143,8 @@ class ProcessorTheory(MonotonicTheory):
 
     # -- theory interface ------------------------------------------------------
 
-    def eval_completion(self, maximal):
-        result = edf_simulate(self.tasks, self.completion(maximal).enabled)
-        return [result.feasible] * len(self._preds), {"edf": result}
-
-    def eval_concrete(self, enabled):
-        return edf_simulate(self.tasks, enabled).feasible
+    def evaluate(self, pred, enabled, analysis, base=None):
+        return self._edf(enabled, analysis).feasible
 
     def witness_lits(self, pred, positive, prefix):
         if positive:

@@ -24,6 +24,11 @@ up by generation and a backjump drops only those newer than the generation
 it restores, so the level it returns to keeps its evaluation. Explanations
 read the mask of an earlier trail prefix off the same log, and reuse the
 stacked analysis of that generation when there is one.
+
+A theory supplies one evaluation hook, ``MonotonicTheory.evaluate``: the
+truth of one predicate on one enabled mask. ``eval_completion`` calls it
+for every predicate on an extreme, and explanations reuse the analyses it
+memoized.
 """
 from __future__ import annotations
 
@@ -71,11 +76,14 @@ class Completion:
 class MonotonicTheory:
     """Base class driving under/over-approximation propagation.
 
-    Subclasses supply ``eval_completion(maximal)``, which evaluates every
-    predicate on one extreme of the current trail (``completion(maximal)``)
-    and returns ``(values, analysis)``: a bool per atom id and a dict of
-    whatever analyses produced them. They may override ``witness_lits`` to
-    produce algorithm-specific reason clauses; the base falls back to the
+    Subclasses supply one hook, ``evaluate(pred, enabled, analysis, base)``,
+    the truth of one predicate on an enabled mask. It memoizes the analyses
+    behind the value (a spanning forest, a max flow) in the ``analysis``
+    dict, shared by every predicate evaluated on the same mask; ``base`` is
+    the analysis of an older mask of the same completion, or None.
+    ``eval_completion`` applies it to every predicate on one extreme of the
+    current trail. Subclasses may override ``witness_lits`` to produce
+    algorithm-specific reason clauses; the base falls back to the
     justification-set clause built from one polarity of S-atom assignments.
     """
 
@@ -221,6 +229,18 @@ class MonotonicTheory:
                     implied.append((mk_lit(pred.pvar, True), pred.atom_id))
         return tuple(implied), None
 
+    def eval_completion(self, maximal: bool):
+        """Every predicate evaluated on one extreme of the current trail;
+        returns ``(values, analysis)``, a bool per atom id and the analyses
+        that produced them."""
+        comp = self._ext[maximal]
+        # The newest stacked evaluation is for a prefix of the current log.
+        base = comp.stack[-1][2] if comp.stack else None
+        enabled = comp.enabled
+        analysis = {}
+        return [self.evaluate(p, enabled, analysis, base)
+                for p in self._preds], analysis
+
     def _values(self, maximal: bool):
         """Per-atom values on one extreme, evaluated once per generation."""
         comp = self._ext[maximal]
@@ -306,5 +326,6 @@ class MonotonicTheory:
         """Algorithm-specific clause tail, or None to use the fallback."""
         return None
 
-    def eval_completion(self, maximal: bool):
+    def evaluate(self, pred, enabled, analysis, base=None) -> bool:
+        """Truth of ``pred`` on the ``enabled`` mask."""
         raise NotImplementedError

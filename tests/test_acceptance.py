@@ -13,6 +13,7 @@ from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.graphs import GraphTheory, SymbolicGraph
 from monosmt.minimize import minimize_bound
 from monosmt.scheduling import ProcessorTheory
+from monosmt.theory import AtomBinding, POSITIVE
 
 from instances import ALL_KINDS, DIRECTED_KINDS, GRAPH_KINDS, rand_doc
 
@@ -110,10 +111,11 @@ def test_criterion_3_monotone_evaluators(acceptance):
                     a = rng.randint(0, 12)
                     th.add_task(i + 1, a, rng.randint(1, 5),
                                 a + rng.randint(1, 8))
-                evaluate = lambda en: th.eval_concrete(en)
+                atom = th.atom(th.add_schedulable(size + 1))
             else:
                 th, payload, size = rand_graph_setup(rng, kind)
-                evaluate = lambda en: th.eval_concrete(kind, payload, en)
+                atom = AtomBinding(0, 0, POSITIVE, kind, payload)
+            evaluate = lambda en: th.evaluate(atom, en, {})
             for _ in range(8):
                 if done >= flips_per_kind:
                     break

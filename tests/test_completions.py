@@ -2,8 +2,8 @@
 
 After every ``propagate`` call, each theory's two completion masks must equal
 the masks rebuilt from ``solver.assigns``, and every evaluation still on a
-completion's stack must match ``eval_concrete`` on the mask rebuilt from the
-trail prefix it belongs to. So must every max flow in a stacked analysis,
+completion's stack must match ``evaluate``, the theories' one evaluation
+hook, on the mask rebuilt from the trail prefix it belongs to. So must every max flow in a stacked analysis,
 which was warm-started from an older one: its value and residual cut side
 must be those of a cold ``edmonds_karp`` on that mask. The checks run
 through restarts and backjumps.
@@ -43,15 +43,8 @@ def concrete_values(th, enabled, memo):
     key = bytes(enabled)
     hit = memo.get(key)
     if hit is None:
-        preds = [th.atom(i) for i in range(len(th._preds))]
-        if isinstance(th, GraphTheory):
-            hit = [th.eval_concrete(p.kind, p.payload, enabled)
-                   for p in preds]
-        elif isinstance(th, ProcessorTheory):
-            hit = [th.eval_concrete(enabled)] * len(preds)
-        else:
-            hit = [th.eval_concrete(p, enabled) for p in preds]
-        memo[key] = hit
+        hit = memo[key] = [th.evaluate(th.atom(i), enabled, {})
+                           for i in range(len(th._preds))]
     return hit
 
 
@@ -101,8 +94,8 @@ class Checker:
         for maximal in (False, True):
             comp = th.completion(maximal)
             live = bytearray(
-                (solver.var_value(v) != FALSE) if maximal
-                else (solver.var_value(v) == TRUE) for v in svars)
+                (solver.assigns[v] != FALSE) if maximal
+                else (solver.assigns[v] == TRUE) for v in svars)
             assert comp.enabled == live
             assert len(comp.enabled) == len(svars)
             # Where each stacked generation sits in the trail.

@@ -11,8 +11,8 @@ from monosmt import oracle
 from monosmt.build import dimacs_lit, run_solve, solve_doc
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
-from monosmt.graphs import (GraphTheory, SymbolicGraph, edmonds_karp,
-                            span_scan, tree_path_eids)
+from monosmt.graphs import GraphTheory, SymbolicGraph, edmonds_karp, span_scan
+from monosmt.theory import AtomBinding, POSITIVE
 
 from instances import rand_graph, rand_pred, GRAPH_KINDS, DIRECTED_KINDS
 
@@ -28,6 +28,11 @@ def graph_doc(directed, n, edges, preds, clauses):
         doc.preds.append(PredDecl(kind, 1, args, len(edges) + 1 + j))
     doc.clauses = [list(c) for c in clauses]
     return doc
+
+
+def binding(kind, payload):
+    """A predicate record for ``GraphTheory.evaluate``, outside any solver."""
+    return AtomBinding(0, 0, POSITIVE, kind, payload)
 
 
 def solved_with_log(doc):
@@ -114,8 +119,9 @@ def test_components_count_isolated_vertices():
     g = SymbolicGraph(1, False, 3)
     g.add_edge(0, 0, 0, 1)  # self-loop joins nothing
     th = GraphTheory(g)
-    assert th.eval_concrete("components_leq", (3,), bytearray([1]))
-    assert not th.eval_concrete("components_leq", (2,), bytearray([1]))
+    assert th.evaluate(binding("components_leq", (3,)), bytearray([1]), {})
+    assert not th.evaluate(binding("components_leq", (2,)), bytearray([1]),
+                           {})
 
 
 # -- maxflow_geq -------------------------------------------------------------
@@ -172,6 +178,16 @@ def test_mst_weight_improving_edge_witness():
     assert_theory_clause(doc, "UNSAT", (2, -3))
 
 
+def test_mst_weight_improving_edge_ties_do_not_lighten():
+    # The tree 0-1-2 weighs 4 > 3, and its path from 0 to 2 peaks at
+    # weight 3. The disabled w2 edge 0-2 would lighten it; the disabled w3
+    # edge 0-2 only ties the peak, so the lemma leaves it out.
+    doc = graph_doc(False, 3, [(0, 1, 1), (1, 2, 3), (0, 2, 2), (0, 2, 3)],
+                    [("mst_weight_leq", (3,))],
+                    [[1], [2], [-3], [-4], [5]])
+    assert_theory_clause(doc, "UNSAT", (3, -5))
+
+
 # -- mst_edge ----------------------------------------------------------------
 
 def test_mst_edge_disabled_case_witness():
@@ -207,8 +223,8 @@ def test_mst_edge_self_loop_never_in_tree():
     g = SymbolicGraph(1, False, 2)
     eid = g.add_edge(0, 0, 0, 1)
     th = GraphTheory(g)
-    assert not th.eval_concrete("mst_edge", (eid,), bytearray([1]))
-    assert th.eval_concrete("mst_edge", (eid,), bytearray([0]))
+    assert not th.evaluate(binding("mst_edge", (eid,)), bytearray([1]), {})
+    assert th.evaluate(binding("mst_edge", (eid,)), bytearray([0]), {})
 
 
 # -- registration and validation ----------------------------------------------
@@ -265,7 +281,6 @@ def test_span_scan_tie_break_by_edge_id():
     span = span_scan(3, g.edges, [0, 1, 2], bytearray([1, 1, 1]))
     assert sorted(span.forest) == [0, 1]
     assert span.components == 1 and span.weight == 2
-    assert tree_path_eids(span, g.edges, 3, 0, 2) == [0, 1]
 
 
 def test_span_scan_counts_isolated_nodes():
@@ -324,11 +339,11 @@ def test_evaluators_agree_with_oracle_family():
         g = rand_graph(rng, kind in DIRECTED_KINDS)
         pred = rand_pred(rng, kind, g, len(g.edges) + 1)
         th = theory_for(g)
-        payload = pred_payload(kind, pred.args, g)
+        atom = binding(kind, pred_payload(kind, pred.args, g))
         for _ in range(8):
             enabled = bytearray(rng.randint(0, 1)
                                 for _ in range(len(g.edges)))
-            got = th.eval_concrete(kind, payload, enabled)
+            got = th.evaluate(atom, enabled, {})
             want = oracle_truth(g, kind, pred.args, enabled)
             assert got == want, (kind, i, list(enabled))
 
@@ -342,12 +357,12 @@ def test_monotone_bracketing_on_nested_masks():
         g = rand_graph(rng, kind in DIRECTED_KINDS)
         pred = rand_pred(rng, kind, g, len(g.edges) + 1)
         th = theory_for(g)
-        payload = pred_payload(kind, pred.args, g)
+        atom = binding(kind, pred_payload(kind, pred.args, g))
         m = len(g.edges)
         small = bytearray(rng.randint(0, 2) == 0 for _ in range(m))
         grown = bytearray(b or rng.randint(0, 1) for b in small)
-        lo = th.eval_concrete(kind, payload, small)
-        hi = th.eval_concrete(kind, payload, grown)
+        lo = th.evaluate(atom, small, {})
+        hi = th.evaluate(atom, grown, {})
         if kind == "mst_edge":
             assert not (hi and not lo), (kind, i)
         else:

@@ -241,8 +241,8 @@ def test_attach_theory_after_solving_rejected():
 class ConstantTheory(MonotonicTheory):
     """One predicate that is simply false on every completion."""
 
-    def eval_completion(self, maximal):
-        return [False] * len(self._preds), {}
+    def evaluate(self, pred, enabled, analysis, base=None):
+        return False
 
 
 def test_theory_conflict_at_level_zero():
@@ -282,14 +282,6 @@ def test_two_disjoint_graph_theories_match_oracle():
         assert status == want, "seed %d" % seed
         tested += 1
     assert tested >= 15
-
-
-def test_stats_line_mentions_counters():
-    solver, (a,) = fresh(1)
-    solver.add_clause([mk_lit(a)])
-    solver.solve()
-    line = solver.stats_line()
-    assert "conflicts=" in line and "decisions=" in line
 
 
 _ROGUE_THEORIES = """

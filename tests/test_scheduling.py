@@ -203,12 +203,13 @@ def test_add_task_validation():
         th.add_task(7, 0, 0, 1)
 
 
-def test_eval_concrete_matches_simulator():
+def test_evaluate_matches_simulator():
     th = ProcessorTheory(1)
     for i, (a, l, d) in enumerate([(0, 2, 2), (0, 2, 3)]):
         th.add_task(i + 1, a, l, d)
-    assert th.eval_concrete(bytearray([1, 0]))
-    assert not th.eval_concrete(bytearray([1, 1]))
+    atom = th.atom(th.add_schedulable(3))
+    assert th.evaluate(atom, bytearray([1, 0]), {})
+    assert not th.evaluate(atom, bytearray([1, 1]), {})
 
 
 # -- end-to-end clause shapes ------------------------------------------------------

@@ -5,6 +5,8 @@ and theory-clause logs of a small seeded solve. A change to the core that is
 meant to be faster but search the same (same trail order, decisions and
 learnt clauses) must leave every entry here unchanged; a change that alters
 the search, such as visiting watch lists in another order, shows up here.
+So does a theory explanation that names other literals or the same ones in
+another order.
 """
 
 import hashlib
@@ -13,6 +15,8 @@ import pytest
 
 from monosmt import generators, minimize
 from monosmt.build import solve_doc
+
+from instances import rand_doc
 
 
 def fingerprint(status, solver):
@@ -37,12 +41,24 @@ PINNED = {
         ("SAT", 28, 278, 393, 0, 0, "0c167720709045bb"),
     ("gen_flow(8, 8, seed=1)", 5):
         ("SAT", 30, 539, 709, 0, 0, "2fe6374504da1ac9"),
+    # Seed 0 makes 9 negative mst_edge explanations.
+    ("gen_maze(4, 4, 1)", 0):
+        ("SAT", 1020, 1572, 16869, 405, 5, "75e8528f30925e0b"),
+    ("gen_maze(4, 4, 1)", 5):
+        ("SAT", 74, 171, 1307, 64, 0, "588c43e563d01a70"),
+    # Each explains a false mst_weight_leq atom on a connected graph.
+    ("rand_doc('mst_weight_leq', 0)", 0):
+        ("UNSAT", 1, 0, 1, 0, 0, "90c5b62dc5e67994"),
+    ("rand_doc('mst_weight_leq', 14)", 0):
+        ("UNSAT", 1, 0, 2, 0, 0, "22bc31ce727cece2"),
+    ("rand_doc('mst_weight_leq', 54)", 0):
+        ("UNSAT", 1, 0, 1, 0, 0, "90c5b62dc5e67994"),
 }
 
 
 @pytest.mark.parametrize("call,seed", sorted(PINNED))
 def test_search_matches_pinned_counters(call, seed):
-    doc = eval("generators." + call)
+    doc = eval(call, {**vars(generators), "rand_doc": rand_doc})
     status, _, inst = solve_doc(doc, seed=seed, log_clauses=True)
     assert fingerprint(status, inst.solver) == PINNED[call, seed]
 

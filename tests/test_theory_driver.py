@@ -28,16 +28,12 @@ class ToyTheory(MonotonicTheory):
             slots.append(self.add_s_var(v))
         return self.register_predicate(pvar, polarity, kind, tuple(slots))
 
-    def eval_concrete(self, pred, enabled):
+    def evaluate(self, pred, enabled, analysis, base=None):
         bits = [enabled[slot] for slot in pred.payload]
         if pred.kind == "any":
             return any(bits)
         assert pred.kind == "not_all"
         return not all(bits)
-
-    def eval_completion(self, maximal):
-        enabled = self.completion(maximal).enabled
-        return [self.eval_concrete(p, enabled) for p in self._preds], {}
 
 
 def toy(kind, polarity, nargs=2, **kw):
