@@ -33,10 +33,8 @@ class Instance:
         self.ok = ok  # False when clause loading already hit a contradiction
 
 
-def build_instance(doc: GnfDocument, seed=0, log_clauses=False,
-                   validate_reasons=False) -> Instance:
-    solver = Solver(seed=seed, log_clauses=log_clauses,
-                    validate_reasons=validate_reasons)
+def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
+    solver = Solver(seed=seed, observer=observer)
     for _ in range(doc.nvars):
         solver.new_var()
     graph_theories = {}
@@ -88,15 +86,13 @@ def build_instance(doc: GnfDocument, seed=0, log_clauses=False,
     return Instance(doc, solver, graph_theories, proc_theories, atoms, ok)
 
 
-def solve_doc(doc: GnfDocument, seed=0, log_clauses=False,
-              validate_reasons=False, assumptions=()):
+def solve_doc(doc: GnfDocument, seed=0, observer=None):
     """Solve a document; returns (status, values, instance) where status is
     "SAT"/"UNSAT" and values is a 1-based bool list on SAT."""
-    inst = build_instance(doc, seed=seed, log_clauses=log_clauses,
-                          validate_reasons=validate_reasons)
+    inst = build_instance(doc, seed=seed, observer=observer)
     if not inst.ok:
         return "UNSAT", None, inst
-    res = inst.solver.solve([internal_lit(l) for l in assumptions])
+    res = inst.solver.solve()
     if res.status is SAT:
         return "SAT", [None] + res.model, inst
     return "UNSAT", None, inst

@@ -319,12 +319,11 @@ def serialize(doc: GnfDocument) -> str:
 def parse_model(text: str, nvars: int):
     """Read `v` lines from solver output into a var -> bool list (1-based)."""
     values = [None] * (nvars + 1)
-    for raw in text.splitlines():
+    for ln, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] != "v":
             continue
-        for tok in tokens[1:]:
-            lit = int(tok)
+        for lit in _ints(tokens[1:], ln, "model line"):
             if lit == 0:
                 continue
             var = abs(lit)

@@ -82,28 +82,30 @@ def dijkstra_tree(adj, weights, n, enabled, src):
     return dist, parent
 
 
+def find(parent, x):
+    """Union-find root of ``x``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class SpanResult:
     """Kruskal scan output: spanning forest in (weight, eid) order."""
 
-    __slots__ = ("components", "forest", "forest_set", "weight", "comp")
+    __slots__ = ("components", "forest", "forest_set", "weight", "parent")
 
-    def __init__(self, components, forest, weight, comp):
+    def __init__(self, components, forest, weight, parent):
         self.components = components
         self.forest = forest
         self.forest_set = set(forest)
         self.weight = weight
-        self.comp = comp  # node -> component root
+        # Union-find over nodes; each root is its component's smallest node.
+        self.parent = parent
 
 
 def span_scan(n, edges, order, enabled) -> SpanResult:
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     forest = []
     weight = 0
     components = n
@@ -111,14 +113,13 @@ def span_scan(n, edges, order, enabled) -> SpanResult:
         if not enabled[eid]:
             continue
         e = edges[eid]
-        ru, rv = find(e.u), find(e.v)
+        ru, rv = find(parent, e.u), find(parent, e.v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
             forest.append(eid)
             weight += e.weight
             components -= 1
-    comp = [find(v) for v in range(n)]
-    return SpanResult(components, forest, weight, comp)
+    return SpanResult(components, forest, weight, parent)
 
 
 class FlowResult:
@@ -459,10 +460,10 @@ class GraphTheory(MonotonicTheory):
 
     def _cross_component_lits(self, prefix):
         enabled, disabled, analysis = self.completion_before(True, prefix)
-        span = self._analysis(enabled, analysis, _SPAN)
+        parent = self._analysis(enabled, analysis, _SPAN).parent
         edges = self.graph.edges
         return [self._edge_lit(eid, False) for eid in sorted(disabled)
-                if span.comp[edges[eid].u] != span.comp[edges[eid].v]]
+                if find(parent, edges[eid].u) != find(parent, edges[eid].v)]
 
     def _mst_weight_neg_lits(self, pred, prefix):
         edges = self.graph.edges
@@ -470,28 +471,21 @@ class GraphTheory(MonotonicTheory):
         span = self._analysis(enabled, analysis, _SPAN)
         if span.components > 1:
             # Disconnected: a cut of disabled edges isolating one component.
+            comp = [find(span.parent, v) for v in range(self.graph.n)]
             cuts = {}
             for eid in sorted(disabled):
                 e = edges[eid]
-                cu, cv = span.comp[e.u], span.comp[e.v]
+                cu, cv = comp[e.u], comp[e.v]
                 if cu != cv:
                     cuts.setdefault(cu, []).append(eid)
                     cuts.setdefault(cv, []).append(eid)
-            best = min(set(span.comp),
-                       key=lambda r: (len(cuts.get(r, ())), r))
+            best = min(set(comp), key=lambda r: (len(cuts.get(r, ())), r))
             return [self._edge_lit(eid, False)
                     for eid in sorted(cuts.get(best, ()))]
         # Connected but too heavy: disabled edges that could lighten the
         # tree, those whose ends the forest joins only through a heavier
         # edge. Equal weight does not lighten it.
         parent = list(range(self.graph.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         forest = span.forest  # in (weight, eid) order
         merged = 0
         out = []
@@ -502,9 +496,9 @@ class GraphTheory(MonotonicTheory):
             while (merged < len(forest)
                    and edges[forest[merged]].weight <= e.weight):
                 f = edges[forest[merged]]
-                parent[find(f.u)] = find(f.v)
+                parent[find(parent, f.u)] = find(parent, f.v)
                 merged += 1
-            if find(e.u) != find(e.v):
+            if find(parent, e.u) != find(parent, e.v):
                 out.append(eid)
         return [self._edge_lit(eid, False) for eid in sorted(out)]
 

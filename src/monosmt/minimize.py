@@ -8,6 +8,7 @@ satisfiable, with its model.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 from .build import solve_doc
 from .gnf import GnfDocument
@@ -34,8 +35,9 @@ def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
     probes = []
 
     def probe(bound):
-        trial = copy.deepcopy(doc)
-        trial.preds[idx].args = (bound,)
+        trial = copy.copy(doc)  # shares all but the probed atom
+        trial.preds = doc.preds[:]
+        trial.preds[idx] = dataclasses.replace(doc.preds[idx], args=(bound,))
         status, values, _ = solve_doc(trial, seed=seed)
         probes.append((bound, status))
         return status == "SAT", values

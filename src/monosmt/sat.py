@@ -91,15 +91,15 @@ class Solver:
     entries outdated by a later bump are dropped when popped.
 
     ``seed`` perturbs initial variable activities for reproducible search
-    variation. ``log_clauses`` records learnt clauses and every
-    theory-produced clause. ``validate_reasons`` materializes each theory
-    reason eagerly and raises ``RuntimeError`` unless it is asserting at the
-    moment of implication (test instrumentation).
+    variation. ``observer``, if given, sees every clause the search makes,
+    each as a tuple of literals: ``observer.learnt(lits)`` for a clause
+    learnt by conflict analysis and ``observer.lemma(lits)`` for a theory
+    conflict or a theory reason that analysis expanded. Observing does not
+    change the search.
     """
 
-    def __init__(self, seed=0, log_clauses=False, validate_reasons=False):
-        self.log_clauses = log_clauses
-        self.validate_reasons = validate_reasons
+    def __init__(self, seed=0, observer=None):
+        self.observer = observer
         self.ok = True
 
         self.assigns = []          # var -> TRUE/FALSE/UNDEF
@@ -134,8 +134,6 @@ class Solver:
         self.propagations = 0
         self.theory_implications = 0
         self.restarts = 0
-        self.learned_log = [] if log_clauses else None
-        self.theory_clause_log = [] if log_clauses else None
 
         rng_state = (seed * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF
         self._seed_state = rng_state if seed else 0
@@ -390,10 +388,7 @@ class Solver:
                     continue
                 if val != UNDEF:
                     raise RuntimeError("theory implied an assigned literal")
-                reason = LazyReason(th, atom_id)
-                if self.validate_reasons:
-                    reason = self._materialize(th, atom_id, lit, check=True)
-                self._enqueue(lit, reason)
+                self._enqueue(lit, LazyReason(th, atom_id))
                 self.theory_implications += 1
                 progressed = True
             if progressed:
@@ -414,23 +409,18 @@ class Solver:
                 return confl
             t_confl, progressed = self._theory_pass()
             if t_confl is not None:
-                if self.theory_clause_log is not None:
-                    self.theory_clause_log.append(tuple(t_confl))
+                if self.observer is not None:
+                    self.observer.lemma(tuple(t_confl))
                 return list(t_confl)
             if not progressed:
                 return None
 
-    def _materialize(self, theory, atom_id, lit, check=False):
+    def _materialize(self, theory, atom_id, lit):
         lits = list(theory.explain(atom_id, lit))
         if lits[0] != lit:
             raise RuntimeError("explain must put the implied literal first")
-        if check:
-            for other in lits[1:]:
-                if self.lit_value(other) != FALSE:
-                    raise RuntimeError(
-                        "reason literal not false at implication time")
-        if self.theory_clause_log is not None:
-            self.theory_clause_log.append(tuple(lits))
+        if self.observer is not None:
+            self.observer.lemma(tuple(lits))
         return Clause(lits)
 
     def _reason_clause(self, var):
@@ -598,8 +588,8 @@ class Solver:
                 if top < len(self.trail_lim):
                     self._cancel_until(top)
                 learnt, bj = self._analyze(confl)
-                if self.learned_log is not None:
-                    self.learned_log.append(tuple(learnt))
+                if self.observer is not None:
+                    self.observer.learnt(tuple(learnt))
                 self._cancel_until(bj)
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)

@@ -1,4 +1,5 @@
-"""Seeded random instance builders shared across the test suite.
+"""Seeded random instance builders and solver instrumentation shared across
+the test suite.
 
 Every builder is a pure function of an integer seed, so a failure reproduces
 from the seed printed in the assertion message. Sizes stay inside the
@@ -6,9 +7,11 @@ brute-force budget: graphs get at most 5 nodes and 6 symbolic edges,
 schedulers at most 6 tasks, and documents at most 22 variables.
 """
 
+from monosmt.build import build_instance, dimacs_lit
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import (EdgeDecl, GnfDocument, GraphDecl, PredDecl, ProcDecl,
                          TaskDecl)
+from monosmt.sat import FALSE, UNDEF
 
 GRAPH_KINDS = ("reach", "distance_leq", "maxflow_geq", "components_leq",
                "mst_weight_leq", "mst_edge")
@@ -119,3 +122,67 @@ def rand_mixed_doc(seed):
     add_glue(rng, doc)
     assert doc.nvars <= 22
     return doc
+
+
+class Recorder:
+    """Solver observer keeping every learnt clause and theory lemma, each a
+    tuple of solver literals, in the order the search made them."""
+
+    def __init__(self):
+        self.learnts = []
+        self.lemmas = []
+
+    def learnt(self, lits):
+        self.learnts.append(lits)
+
+    def lemma(self, lits):
+        self.lemmas.append(lits)
+
+    def lemma_sets(self):
+        """The lemmas as sets of DIMACS literals."""
+        return [frozenset(dimacs_lit(l) for l in c) for c in self.lemmas]
+
+
+def check_reasons(solver, theories, recorder=None):
+    """Explain every theory implication when it is made, and check it.
+
+    Each theory's ``propagate`` is wrapped. For every implied literal still
+    unassigned, ``explain`` runs before the solver enqueues the literal, and
+    the clause must assert it: the implied literal first and every other
+    literal false. Each checked clause goes to ``recorder.lemma``, so a test
+    sees the explanations that conflict analysis never expanded.
+    """
+    for th in theories:
+        th.propagate = _checked(solver, th, th.propagate, recorder)
+
+
+def _checked(solver, th, propagate, recorder):
+    def checked():
+        implied, conflict = propagate()
+        if conflict is None:
+            for lit, atom_id in implied:
+                if solver.lit_value(lit) != UNDEF:
+                    continue
+                lits = tuple(th.explain(atom_id, lit))
+                if lits[0] != lit or any(solver.lit_value(other) != FALSE
+                                         for other in lits[1:]):
+                    raise AssertionError("reason %r does not assert %d"
+                                         % (lits, lit))
+                if recorder is not None:
+                    recorder.lemma(lits)
+        return implied, conflict
+    return checked
+
+
+def theories(inst):
+    return list(inst.graph_theories.values()) + list(inst.proc_theories.values())
+
+
+def solve_recorded(doc):
+    """Solve ``doc`` with every reason checked; returns (status, recorder)."""
+    recorder = Recorder()
+    inst = build_instance(doc, observer=recorder)
+    if not inst.ok:
+        return "UNSAT", recorder
+    check_reasons(inst.solver, theories(inst), recorder)
+    return inst.solver.solve().status, recorder

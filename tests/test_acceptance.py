@@ -15,7 +15,7 @@ from monosmt.minimize import minimize_bound
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import AtomBinding, POSITIVE
 
-from instances import ALL_KINDS, DIRECTED_KINDS, GRAPH_KINDS, rand_doc
+from instances import ALL_KINDS, DIRECTED_KINDS, Recorder, rand_doc
 
 
 @pytest.fixture(scope="session")
@@ -29,12 +29,13 @@ def theory_sweep():
     for kind in ALL_KINDS:
         for seed in range(1000):
             doc = rand_doc(kind, seed)
-            status, values, inst = solve_doc(doc, log_clauses=True)
+            recorder = Recorder()
+            status, _, _ = solve_doc(doc, observer=recorder)
             want, _ = oracle.brute_force_solve(doc)
             total += 1
             if status != want:
                 mismatches.append((kind, seed, status, want))
-            log = inst.solver.theory_clause_log
+            log = recorder.lemmas
             if log:
                 clause_batches.append(
                     (doc, [[dimacs_lit(l) for l in c] for c in log]))

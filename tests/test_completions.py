@@ -18,7 +18,8 @@ from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import NEGATIVE, POSITIVE
 
-from instances import ALL_KINDS, rand_doc, rand_mixed_doc
+from instances import (ALL_KINDS, check_reasons, rand_doc, rand_mixed_doc,
+                       theories)
 from test_theory_driver import ToyTheory
 
 
@@ -121,9 +122,10 @@ class Checker:
 
 
 def solve_checked(inst, seed=0):
-    theories = (list(inst.graph_theories.values())
-                + list(inst.proc_theories.values()))
-    checker = Checker(inst.solver, theories, seed)
+    """Solve with the completion checks and every theory reason checked."""
+    ths = theories(inst)
+    checker = Checker(inst.solver, ths, seed)
+    check_reasons(inst.solver, ths)
     res = inst.solver.solve()
     return res, checker
 
@@ -139,7 +141,7 @@ def test_generated_instances_through_restarts_and_backjumps():
             + [generators.gen_sched(30, 3, 4, 0)])
     restarts = conflicts = checks = stacked = 0
     for i, doc in enumerate(docs):
-        inst = build_instance(doc, validate_reasons=True)
+        inst = build_instance(doc)
         solver = inst.solver
         res, checker = solve_checked(inst, seed=i)
         assert res.status in ("SAT", "UNSAT")
@@ -157,7 +159,7 @@ def test_stacked_max_flows_match_cold_starts():
                                 demand=16)]
     restarts = conflicts = flows = 0
     for i, doc in enumerate(docs):
-        inst = build_instance(doc, validate_reasons=True)
+        inst = build_instance(doc)
         res, checker = solve_checked(inst, seed=i)
         assert res.status in ("SAT", "UNSAT")
         restarts += inst.solver.restarts
@@ -171,7 +173,7 @@ def test_random_documents_of_every_kind():
     docs += [rand_mixed_doc(seed) for seed in range(40)]
     checks = 0
     for i, doc in enumerate(docs):
-        inst = build_instance(doc, validate_reasons=True)
+        inst = build_instance(doc)
         if inst.ok:
             _, checker = solve_checked(inst, seed=i)
             checks += checker.checks
@@ -181,7 +183,7 @@ def test_random_documents_of_every_kind():
 def test_toy_instances_with_shared_argument_vars():
     for seed in range(30):
         rng = random.Random(seed)
-        solver = Solver(validate_reasons=True, seed=seed)
+        solver = Solver(seed=seed)
         vs = [solver.new_var() for _ in range(12)]
         args, atoms = vs[:8], vs[8:]
         th = ToyTheory()
@@ -194,6 +196,7 @@ def test_toy_instances_with_shared_argument_vars():
             solver.add_clause([mk_lit(rng.choice(vs), rng.random() < 0.5)
                                for _ in range(3)])
         checker = Checker(solver, [th], seed)
+        check_reasons(solver, [th])
         solver.solve()
         assert checker.checks > 0
         assert len(th.completion(False).enabled) == len(th.arg_vars)

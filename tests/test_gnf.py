@@ -189,3 +189,10 @@ def test_parse_model_reads_v_lines():
     with pytest.raises(GnfError) as info:
         parse_model("v 1 0\n", 2)
     assert "missing var 2" in str(info.value)
+
+
+def test_parse_model_reports_the_line_of_a_malformed_token():
+    with pytest.raises(GnfError) as info:
+        parse_model("c noise\nv 1 0\nv 2 x 0\n", 2)
+    assert info.value.line == 3
+    assert str(info.value).startswith("line 3: model line expects integers")

@@ -8,13 +8,14 @@ through the independent oracle.
 import pytest
 
 from monosmt import oracle
-from monosmt.build import dimacs_lit, run_solve, solve_doc
+from monosmt.build import run_solve
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.graphs import GraphTheory, SymbolicGraph, edmonds_karp, span_scan
 from monosmt.theory import AtomBinding, POSITIVE
 
-from instances import rand_graph, rand_pred, GRAPH_KINDS, DIRECTED_KINDS
+from instances import (rand_graph, rand_pred, solve_recorded, GRAPH_KINDS,
+                       DIRECTED_KINDS)
 
 
 def graph_doc(directed, n, edges, preds, clauses):
@@ -35,16 +36,9 @@ def binding(kind, payload):
     return AtomBinding(0, 0, POSITIVE, kind, payload)
 
 
-def solved_with_log(doc):
-    status, values, inst = solve_doc(doc, log_clauses=True,
-                                     validate_reasons=True)
-    clauses = [frozenset(dimacs_lit(l) for l in c)
-               for c in inst.solver.theory_clause_log]
-    return status, clauses
-
-
 def assert_theory_clause(doc, want_status, want_clause):
-    status, clauses = solved_with_log(doc)
+    status, recorder = solve_recorded(doc)
+    clauses = recorder.lemma_sets()
     assert status == want_status
     want = frozenset(want_clause)
     assert want in clauses, "expected %s in %s" % (sorted(want),

@@ -6,6 +6,7 @@ import pytest
 
 from monosmt import minimize
 from monosmt.build import solve_doc
+from monosmt.generators import gen_maze
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.minimize import minimize_bound
 
@@ -106,7 +107,13 @@ def test_other_atoms_refused():
 
 
 def test_original_document_is_untouched():
-    doc, atom = tree_doc([(0, 1, 1), (1, 2, 2), (0, 2, 3)])
-    before = copy.deepcopy(doc)
-    minimize_bound(doc, atom)
-    assert doc == before
+    # Probes share the caller's graphs and clauses; only the probed atom is
+    # replaced, in a list of the probe's own.
+    maze = gen_maze(3, 6, 2)
+    for doc, atom in (tree_doc([(0, 1, 1), (1, 2, 2), (0, 2, 3)]),
+                      (maze, next(p.var for p in maze.preds
+                                  if p.kind == "mst_weight_leq"))):
+        before = copy.deepcopy(doc)
+        preds = doc.preds
+        minimize_bound(doc, atom)
+        assert doc == before and doc.preds is preds

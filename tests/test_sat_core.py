@@ -17,7 +17,7 @@ from monosmt.oracle import brute_force_solve, check_clause_valid
 from monosmt.sat import UNDEF, Solver, mk_lit, neg
 from monosmt.theory import MonotonicTheory, POSITIVE
 
-from instances import rand_doc
+from instances import Recorder, rand_doc
 
 
 def fresh(n, **kw):
@@ -100,32 +100,35 @@ def test_random_3cnf_matches_enumeration():
 def test_first_uip_on_implication_chain():
     # Decide a, propagate a -> b -> c, conflict (-b | -c). The first UIP is
     # b, so the learned clause is the unit (-b) with a backjump to level 0.
-    solver, (a, b, c) = fresh(3, log_clauses=True)
+    recorder = Recorder()
+    solver, (a, b, c) = fresh(3, observer=recorder)
     solver.add_clause([mk_lit(a, True), mk_lit(b)])
     solver.add_clause([mk_lit(b, True), mk_lit(c)])
     solver.add_clause([mk_lit(b, True), mk_lit(c, True)])
     res = solver.solve([mk_lit(a)])
     assert res.status == "UNSAT"
-    assert solver.learned_log[0] == (mk_lit(b, True),)
+    assert recorder.learnts[0] == (mk_lit(b, True),)
     assert solver.solve().status == "SAT"
 
 
 def test_conflict_with_single_current_level_literal():
     # A conflict clause that is already asserting is learned as-is.
-    solver, (a, b) = fresh(2, log_clauses=True)
+    recorder = Recorder()
+    solver, (a, b) = fresh(2, observer=recorder)
     solver.add_clause([mk_lit(a, True), mk_lit(b)])
     solver.add_clause([mk_lit(a, True), mk_lit(b, True)])
     res = solver.solve([mk_lit(a)])
     assert res.status == "UNSAT"
-    assert solver.learned_log[0] == (mk_lit(a, True),)
+    assert recorder.learnts[0] == (mk_lit(a, True),)
 
 
 def test_learned_clauses_are_entailed():
     checked = 0
     for seed in range(20):
         doc = rand_cnf(8, 24, seed + 1000)
-        _, _, inst = solve_doc(doc, log_clauses=True)
-        for clause in inst.solver.learned_log:
+        recorder = Recorder()
+        solve_doc(doc, observer=recorder)
+        for clause in recorder.learnts:
             lits = [dimacs_lit(l) for l in clause]
             bad = check_clause_valid(doc, lits, include_cnf=True)
             assert bad is None, "seed %d clause %s" % (seed, lits)
@@ -289,12 +292,13 @@ from monosmt.sat import Solver, mk_lit
 
 
 class Rogue:
-    # Implies ``lit`` for atom 0 on every pass and explains it by ``reason``.
-    def __init__(self, lit, reason):
-        self.lit, self.reason = lit, reason
+    # Implies ``lit`` for atom 0 on every pass from decision level ``level``
+    # on, and explains it by ``reason``.
+    def __init__(self, lit, reason, level):
+        self.lit, self.reason, self.level = lit, reason, level
 
     def attach(self, solver, tid):
-        pass
+        self.solver = solver
 
     def on_assign(self, lit):
         pass
@@ -303,6 +307,8 @@ class Rogue:
         pass
 
     def propagate(self):
+        if len(self.solver.trail_lim) < self.level:
+            return (), None
         return ((self.lit, 0),), None
 
     def explain(self, atom_id, lit):
@@ -311,14 +317,17 @@ class Rogue:
 
 print(__debug__)
 # An implication of an already false literal; an explanation that puts the
-# implied literal second.
-for false_var, rogue, validate in ((0, Rogue(mk_lit(0), None), False),
-                                   (1, Rogue(mk_lit(0), [mk_lit(1),
-                                                         mk_lit(0)]), True)):
-    solver = Solver(validate_reasons=validate)
-    solver.new_var()
-    solver.new_var()
+# implied literal second. In the second, var 0 is decided false, var 2 is
+# implied and the clauses below then conflict on var 3, so conflict analysis
+# expands the reason for var 2.
+for false_var, rogue in ((0, Rogue(mk_lit(0), None, 0)),
+                         (1, Rogue(mk_lit(2), [mk_lit(1), mk_lit(2)], 1))):
+    solver = Solver()
+    for _ in range(4):
+        solver.new_var()
     solver.add_clause([mk_lit(false_var, True)])
+    solver.add_clause([mk_lit(2, True), mk_lit(0), mk_lit(3)])
+    solver.add_clause([mk_lit(2, True), mk_lit(0), mk_lit(3, True)])
     solver.attach_theory(rogue)
     try:
         print("returned", solver.solve().status)

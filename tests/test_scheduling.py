@@ -5,11 +5,12 @@ import random
 import pytest
 
 from monosmt import oracle
-from monosmt.build import dimacs_lit, run_solve, solve_doc
+from monosmt.build import run_solve
 from monosmt.gnf import GnfDocument, PredDecl, ProcDecl, TaskDecl
 from monosmt.scheduling import (ProcessorTheory, TaskSpec, busy_window_tasks,
                                 edf_simulate)
 
+from instances import solve_recorded
 from test_sat_core import run_optimized
 
 
@@ -214,16 +215,10 @@ def test_evaluate_matches_simulator():
 
 # -- end-to-end clause shapes ------------------------------------------------------
 
-def clause_sets(doc):
-    status, values, inst = solve_doc(doc, log_clauses=True,
-                                     validate_reasons=True)
-    return status, [frozenset(dimacs_lit(l) for l in c)
-                    for c in inst.solver.theory_clause_log]
-
-
 def test_overload_clause_names_busy_window():
     doc = sched_doc([(0, 2, 2), (0, 2, 3)], [[1], [2], [3]])
-    status, clauses = clause_sets(doc)
+    status, recorder = solve_recorded(doc)
+    clauses = recorder.lemma_sets()
     assert status == "UNSAT"
     assert frozenset((-1, -2, -3)) in clauses
     assert oracle.check_clause_valid(doc, [-1, -2, -3]) is None
@@ -231,7 +226,8 @@ def test_overload_clause_names_busy_window():
 
 def test_singleton_overload_clause():
     doc = sched_doc([(0, 5, 4)], [[1], [2]])
-    status, clauses = clause_sets(doc)
+    status, recorder = solve_recorded(doc)
+    clauses = recorder.lemma_sets()
     assert status == "UNSAT"
     assert frozenset((-1, -2)) in clauses
     assert oracle.check_clause_valid(doc, [-1, -2]) is None
@@ -239,7 +235,8 @@ def test_singleton_overload_clause():
 
 def test_feasible_clause_blames_disabled_tasks():
     doc = sched_doc([(0, 2, 2), (0, 2, 3)], [[1], [-2], [-3]])
-    status, clauses = clause_sets(doc)
+    status, recorder = solve_recorded(doc)
+    clauses = recorder.lemma_sets()
     assert status == "UNSAT"
     assert frozenset((2, 3)) in clauses
     assert oracle.check_clause_valid(doc, [2, 3]) is None
@@ -247,7 +244,8 @@ def test_feasible_clause_blames_disabled_tasks():
 
 def test_all_enabled_feasible_gives_unit_clause():
     doc = sched_doc([(0, 1, 2)], [[1], [-2]])
-    status, clauses = clause_sets(doc)
+    status, recorder = solve_recorded(doc)
+    clauses = recorder.lemma_sets()
     assert status == "UNSAT"
     assert frozenset((2,)) in clauses
 

@@ -1,7 +1,7 @@
 """The CDCL core's search, pinned.
 
-Each case records the verdict, the search counters and a hash of the learnt-
-and theory-clause logs of a small seeded solve. A change to the core that is
+Each case records the verdict, the search counters and a hash of the learnt
+clauses and theory lemmas a solver observer saw in a small seeded solve. A change to the core that is
 meant to be faster but search the same (same trail order, decisions and
 learnt clauses) must leave every entry here unchanged; a change that alters
 the search, such as visiting watch lists in another order, shows up here.
@@ -16,11 +16,11 @@ import pytest
 from monosmt import generators, minimize
 from monosmt.build import solve_doc
 
-from instances import rand_doc
+from instances import Recorder, rand_doc
 
 
-def fingerprint(status, solver):
-    log = repr((solver.learned_log, solver.theory_clause_log)).encode()
+def fingerprint(status, solver, recorder):
+    log = repr((recorder.learnts, recorder.lemmas)).encode()
     return (status, solver.conflicts, solver.decisions, solver.propagations,
             solver.theory_implications, solver.restarts,
             hashlib.sha256(log).hexdigest()[:16])
@@ -59,16 +59,18 @@ PINNED = {
 @pytest.mark.parametrize("call,seed", sorted(PINNED))
 def test_search_matches_pinned_counters(call, seed):
     doc = eval(call, {**vars(generators), "rand_doc": rand_doc})
-    status, _, inst = solve_doc(doc, seed=seed, log_clauses=True)
-    assert fingerprint(status, inst.solver) == PINNED[call, seed]
+    recorder = Recorder()
+    status, _, inst = solve_doc(doc, seed=seed, observer=recorder)
+    assert fingerprint(status, inst.solver, recorder) == PINNED[call, seed]
 
 
 def test_minimize_probes_match_pinned_counters(monkeypatch):
     probes = []
 
     def logged(doc, seed=0):
-        status, values, inst = solve_doc(doc, seed=seed, log_clauses=True)
-        probes.append(fingerprint(status, inst.solver))
+        recorder = Recorder()
+        status, values, inst = solve_doc(doc, seed=seed, observer=recorder)
+        probes.append(fingerprint(status, inst.solver, recorder))
         return status, values, inst
 
     monkeypatch.setattr(minimize, "solve_doc", logged)
@@ -79,3 +81,26 @@ def test_minimize_probes_match_pinned_counters(monkeypatch):
     digest = hashlib.sha256(repr(probes).encode()).hexdigest()[:16]
     assert (result.bound, len(probes), totals, digest) == \
         (4012, 15, [193, 488, 3111, 436, 0], "4e81b2923d5cabc8")
+
+
+# The first seed of each kind whose solve makes a decision, a conflict and a
+# theory implication.
+OBSERVED = ["gen_maze(6, 6, 1)", "gen_flow(8, 8, seed=1)",
+            "gen_sched(30, 3, 4, 2)", "rand_doc('reach', 10)",
+            "rand_doc('distance_leq', 3)", "rand_doc('maxflow_geq', 33)",
+            "rand_doc('components_leq', 10)", "rand_doc('mst_weight_leq', 47)",
+            "rand_doc('mst_edge', 3)", "rand_doc('schedulable', 12)"]
+
+
+@pytest.mark.parametrize("call", OBSERVED)
+def test_observer_does_not_change_search(call):
+    runs = []
+    for observer in (None, Recorder()):
+        doc = eval(call, {**vars(generators), "rand_doc": rand_doc})
+        status, values, inst = solve_doc(doc, observer=observer)
+        solver = inst.solver
+        runs.append((status, values, solver.conflicts, solver.decisions,
+                     solver.propagations, solver.theory_implications,
+                     solver.restarts))
+    assert runs[0] == runs[1]
+    assert observer.learnts or observer.lemmas

@@ -7,6 +7,7 @@ import pytest
 from monosmt.sat import Solver, mk_lit
 from monosmt.theory import MonotonicTheory, NEGATIVE, POSITIVE
 
+from instances import Recorder, check_reasons
 from test_sat_core import run_optimized
 
 
@@ -92,22 +93,24 @@ def test_negative_predicate_swaps_completions():
 
 
 def test_fallback_clause_negative_predicate():
-    solver, th, (a, b), p = toy("not_all", NEGATIVE, log_clauses=True)
+    recorder = Recorder()
+    solver, th, (a, b), p = toy("not_all", NEGATIVE, observer=recorder)
     solver.add_clause([mk_lit(a)])
     solver.add_clause([mk_lit(b)])
     solver.add_clause([mk_lit(p)])
     assert solver.solve().status == "UNSAT"
     want = {mk_lit(p, True), mk_lit(a, True), mk_lit(b, True)}
-    assert any(set(c) == want for c in solver.theory_clause_log)
+    assert any(set(c) == want for c in recorder.lemmas)
 
 
 def test_fallback_clause_positive_predicate():
-    solver, th, (a, b), p = toy("any", POSITIVE, log_clauses=True)
+    recorder = Recorder()
+    solver, th, (a, b), p = toy("any", POSITIVE, observer=recorder)
     solver.add_clause([mk_lit(a)])
     solver.add_clause([mk_lit(p, True)])
     assert solver.solve().status == "UNSAT"
     want = {mk_lit(p), mk_lit(a, True)}
-    assert any(set(c) == want for c in solver.theory_clause_log)
+    assert any(set(c) == want for c in recorder.lemmas)
 
 
 def test_propagate_is_idempotent_on_unchanged_trail():
@@ -149,13 +152,14 @@ def test_random_toy_instances_with_validated_reasons():
     import random
     for seed in range(40):
         rng = random.Random(seed)
-        solver = Solver(log_clauses=True, validate_reasons=True)
+        solver = Solver()
         vs = [solver.new_var() for _ in range(5)]
         a, b, c, p, q = vs
         th = ToyTheory()
         th.add_pred(p, POSITIVE, "any", (a, b, c))
         th.add_pred(q, NEGATIVE, "not_all", (a, c))
         solver.attach_theory(th)
+        check_reasons(solver, [th])
         clauses = []
         for _ in range(rng.randint(1, 5)):
             cl = [mk_lit(rng.choice(vs), rng.random() < 0.5)
