@@ -9,7 +9,7 @@ format; see the cli module or the README for the tour.
 
 from .sat import Solver, SolveResult, SAT, UNSAT, mk_lit, neg
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
-from .graphs import SymbolicGraph, GraphTheory
+from .graphs import GraphTheory
 from .scheduling import ProcessorTheory, TaskSpec, edf_simulate
 from .gnf import GnfDocument, GnfError, parse, serialize
 from .build import build_instance, solve_doc, run_solve
@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Solver", "SolveResult", "SAT", "UNSAT", "mk_lit", "neg",
     "MonotonicTheory", "POSITIVE", "NEGATIVE",
-    "SymbolicGraph", "GraphTheory",
-    "ProcessorTheory", "TaskSpec", "edf_simulate",
+    "GraphTheory", "ProcessorTheory", "TaskSpec", "edf_simulate",
     "GnfDocument", "GnfError", "parse", "serialize",
     "build_instance", "solve_doc", "run_solve",
     "encode_cardinality", "minimize_bound",

@@ -7,7 +7,7 @@ the two numbering schemes meet.
 from __future__ import annotations
 
 from .sat import Solver, SAT, mk_lit
-from .graphs import SymbolicGraph, GraphTheory
+from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
 from .gnf import GnfDocument
 
@@ -24,11 +24,10 @@ def dimacs_lit(lit: int) -> int:
 class Instance:
     """A document together with its solver and theory objects."""
 
-    def __init__(self, doc, solver, graph_theories, proc_theories, atoms, ok):
+    def __init__(self, doc, solver, theories, atoms, ok):
         self.doc = doc
         self.solver = solver
-        self.graph_theories = graph_theories
-        self.proc_theories = proc_theories
+        self.theories = theories  # graphs, then processors, in doc order
         self.atoms = atoms  # (theory, binding) per doc predicate
         self.ok = ok  # False when clause loading already hit a contradiction
 
@@ -37,45 +36,22 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
     solver = Solver(seed=seed, observer=observer)
     for _ in range(doc.nvars):
         solver.new_var()
-    graph_theories = {}
-    for gid, g in doc.graphs.items():
-        sg = SymbolicGraph(gid, g.directed, g.n)
-        for e in g.edges:
-            sg.add_edge(e.u, e.v, e.var - 1, e.weight)
-        graph_theories[gid] = GraphTheory(sg)
-    proc_theories = {}
-    for pid, p in doc.procs.items():
-        th = ProcessorTheory(pid)
-        for t in p.tasks:
-            th.add_task(t.var - 1, t.arrival, t.duration, t.deadline)
-        proc_theories[pid] = th
+    graphs = {gid: GraphTheory(gid, g.directed, g.n,
+                               [(e.u, e.v, e.var - 1, e.weight)
+                                for e in g.edges])
+              for gid, g in doc.graphs.items()}
+    procs = {pid: ProcessorTheory(pid, [(t.var - 1, t.arrival, t.duration,
+                                         t.deadline) for t in p.tasks])
+             for pid, p in doc.procs.items()}
     atoms = []
     for pred in doc.preds:
-        pvar = pred.var - 1
-        kind = pred.kind
-        if kind == "schedulable":
-            th = proc_theories[pred.owner]
-            aid = th.add_schedulable(pvar)
-        else:
-            th = graph_theories[pred.owner]
-            if kind == "reach":
-                aid = th.add_reach(pred.args[0], pred.args[1], pvar)
-            elif kind == "distance_leq":
-                aid = th.add_distance_leq(pred.args[0], pred.args[1],
-                                          pred.args[2], pvar)
-            elif kind == "maxflow_geq":
-                aid = th.add_maxflow_geq(pred.args[0], pred.args[1],
-                                         pred.args[2], pvar)
-            elif kind == "components_leq":
-                aid = th.add_components_leq(pred.args[0], pvar)
-            elif kind == "mst_weight_leq":
-                aid = th.add_mst_weight_leq(pred.args[0], pvar)
-            elif kind == "mst_edge":
-                aid = th.add_mst_edge(pred.args[0] - 1, pvar)
-            else:
-                raise AssertionError(kind)
-        atoms.append((th, th.atom(aid)))
-    for th in list(graph_theories.values()) + list(proc_theories.values()):
+        th = (procs if pred.kind == "schedulable" else graphs)[pred.owner]
+        # mst_edge names its edge by var, the only var among the arguments.
+        args = (pred.args[0] - 1,) if pred.kind == "mst_edge" else pred.args
+        atoms.append((th, th.atom(th.add_atom(pred.kind, args,
+                                              pred.var - 1))))
+    theories = list(graphs.values()) + list(procs.values())
+    for th in theories:
         solver.attach_theory(th)
     ok = True
     for clause in doc.clauses:  # internal_lit, inlined
@@ -83,7 +59,7 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
                                   for l in clause]):
             ok = False
             break
-    return Instance(doc, solver, graph_theories, proc_theories, atoms, ok)
+    return Instance(doc, solver, theories, atoms, ok)
 
 
 def solve_doc(doc: GnfDocument, seed=0, observer=None):

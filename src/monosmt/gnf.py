@@ -102,6 +102,8 @@ def parse(text: str) -> GnfDocument:
     doc = GnfDocument()
     declared_clauses = None
     declared_edges = {}
+    edge_vars = {}  # gid -> vars of the graph's edges so far
+    task_vars = {}  # pid -> vars of the processor's tasks so far
     svar_lines = {}  # var -> first declaring line
     pvar_lines = {}
 
@@ -179,6 +181,7 @@ def parse(text: str) -> GnfDocument:
                 raise GnfError("negative graph size", ln)
             doc.graphs[gid] = GraphDecl(gid, head == "digraph", n)
             declared_edges[gid] = m
+            edge_vars[gid] = set()
         elif head == "edge":
             if len(args) not in (4, 5):
                 raise GnfError("edge expects <gid> <u> <v> <var> [<w>]", ln)
@@ -193,10 +196,11 @@ def parse(text: str) -> GnfDocument:
                 raise GnfError("edge endpoint out of range", ln)
             if weight < 0:
                 raise GnfError("negative edge weight", ln)
-            if any(e.var == var for e in g.edges):
+            if var in edge_vars[gid]:
                 raise GnfError("var %d already an edge of graph %d"
                                % (var, gid), ln)
             new_svar(var, ln)
+            edge_vars[gid].add(var)
             g.edges.append(EdgeDecl(gid, u, v, var, weight))
         elif head in DIRECTED_PREDS:
             want = 4 if head == "reach" else 5
@@ -241,8 +245,8 @@ def parse(text: str) -> GnfDocument:
             if len(args) != 3:
                 raise GnfError("mst_edge expects <gid> <edgeVar> <var>", ln)
             gid, evar, var = _ints(args, ln, head)
-            g = get_graph(gid, ln, directed=False)
-            if not any(e.var == evar for e in g.edges):
+            get_graph(gid, ln, directed=False)
+            if evar not in edge_vars[gid]:
                 raise GnfError("var %d is not an edge of graph %d"
                                % (evar, gid), ln)
             new_pvar(var, ln)
@@ -254,6 +258,7 @@ def parse(text: str) -> GnfDocument:
             if pid in doc.procs:
                 raise GnfError("duplicate processor id %d" % pid, ln)
             doc.procs[pid] = ProcDecl(pid)
+            task_vars[pid] = set()
         elif head == "task":
             if len(args) != 5:
                 raise GnfError("task expects <pid> <A> <L> <D> <var>", ln)
@@ -263,10 +268,11 @@ def parse(text: str) -> GnfDocument:
                 raise GnfError("processor %d not declared" % pid, ln)
             if a < 0 or dur < 1:
                 raise GnfError("task needs A >= 0 and L >= 1", ln)
-            if any(t.var == var for t in proc.tasks):
+            if var in task_vars[pid]:
                 raise GnfError("var %d already a task on processor %d"
                                % (var, pid), ln)
             new_svar(var, ln)
+            task_vars[pid].add(var)
             proc.tasks.append(TaskDecl(pid, a, dur, dl, var))
         elif head == "schedulable":
             if len(args) != 2:

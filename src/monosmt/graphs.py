@@ -12,7 +12,7 @@ visit neighbors in (node id, edge id) order, spanning trees are built in
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gnf import DIRECTED_PREDS, UNDIRECTED_PREDS
 from .sat import mk_lit
@@ -23,24 +23,10 @@ INF = float("inf")
 
 @dataclass(frozen=True)
 class EdgeSpec:
-    eid: int
     u: int
     v: int
     var: int
-    weight: int = 1
-
-
-@dataclass
-class SymbolicGraph:
-    gid: int
-    directed: bool
-    n: int
-    edges: list = field(default_factory=list)
-
-    def add_edge(self, u: int, v: int, var: int, weight: int = 1) -> int:
-        eid = len(self.edges)
-        self.edges.append(EdgeSpec(eid, u, v, var, weight))
-        return eid
+    weight: int
 
 
 # ----------------------------------------------------------------------
@@ -243,88 +229,70 @@ _SPAN = ("span",)
 
 
 class GraphTheory(MonotonicTheory):
-    """Theory solver for the predicates of one symbolic graph."""
+    """Theory solver for the predicates of one symbolic graph.
 
-    def __init__(self, graph: SymbolicGraph):
+    ``edges`` lists (u, v, var, weight) tuples, ``var`` an internal solver
+    var; an edge's id is its position in the list.
+    """
+
+    def __init__(self, gid: int, directed: bool, n: int, edges):
         super().__init__()
-        self.graph = graph
-        for e in graph.edges:
-            if not (0 <= e.u < graph.n and 0 <= e.v < graph.n):
-                raise ValueError("edge %d endpoint out of range" % e.eid)
+        self.gid = gid
+        self.directed = directed
+        self.n = n
+        self.edges = [EdgeSpec(*e) for e in edges]
+        self._weights = [e.weight for e in self.edges]
+        self._adj = [[] for _ in range(n)]
+        self._flow_adj = [[] for _ in range(n)]
+        for eid, e in enumerate(self.edges):
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise ValueError("edge %d endpoint out of range" % eid)
             if e.weight < 0:
-                raise ValueError("edge %d has negative weight" % e.eid)
+                raise ValueError("edge %d has negative weight" % eid)
             if e.var in self._slots:
                 raise ValueError("edge var %d used twice in graph %d"
-                                 % (e.var, graph.gid))
+                                 % (e.var, gid))
             self.add_s_var(e.var)
-        m = len(graph.edges)
-        self._weights = [e.weight for e in graph.edges]
-        self._adj = [[] for _ in range(graph.n)]
-        self._flow_adj = [[] for _ in range(graph.n)]
-        for e in graph.edges:
-            self._adj[e.u].append((e.eid, e.v))
-            if not graph.directed:
-                self._adj[e.v].append((e.eid, e.u))
-            self._flow_adj[e.u].append((e.eid, e.v, True))
-            self._flow_adj[e.v].append((e.eid, e.u, False))
+            self._adj[e.u].append((eid, e.v))
+            if not directed:
+                self._adj[e.v].append((eid, e.u))
+            self._flow_adj[e.u].append((eid, e.v, True))
+            self._flow_adj[e.v].append((eid, e.u, False))
         for lst in self._adj:
             lst.sort(key=lambda p: (p[1], p[0]))
         for lst in self._flow_adj:
             lst.sort(key=lambda p: (p[1], p[0], not p[2]))
-        self._order = sorted(range(m),
+        self._order = sorted(range(len(self.edges)),
                              key=lambda i: (self._weights[i], i))
-        self._var_to_eid = {e.var: e.eid for e in graph.edges}
+        self._var_to_eid = {e.var: eid for eid, e in enumerate(self.edges)}
 
-    # -- predicate registration ------------------------------------------
-
-    def _add(self, kind, pvar, payload):
-        if self.graph.directed:
-            if kind in UNDIRECTED_PREDS:
+    def add_atom(self, kind: str, args, pvar: int) -> int:
+        """Register the GNF predicate ``kind`` with its arguments after the
+        graph id, an mst_edge naming its edge by internal var, on atom var
+        ``pvar``; returns the atom id."""
+        if kind in DIRECTED_PREDS:
+            if not self.directed:
+                raise ValueError("%s requires a directed graph" % kind)
+            for x in args[:2]:
+                if not 0 <= x < self.n:
+                    raise ValueError("node %d out of range" % x)
+            if kind != "reach" and args[2] < 0:
+                raise ValueError("%s bound must be non-negative" % kind)
+            if kind == "maxflow_geq" and args[0] == args[1]:
+                raise ValueError("max-flow source and sink must differ")
+        elif kind in UNDIRECTED_PREDS:
+            if self.directed:
                 raise ValueError("%s requires an undirected graph" % kind)
-        elif kind in DIRECTED_PREDS:
-            raise ValueError("%s requires a directed graph" % kind)
+            if kind == "mst_edge":
+                eid = self._var_to_eid.get(args[0])
+                if eid is None:
+                    raise ValueError("var %d is not an edge of graph %d"
+                                     % (args[0], self.gid))
+                args = (eid,)
+        else:
+            raise ValueError("unknown graph predicate %r" % kind)
         polarity = NEGATIVE if kind == "mst_edge" else POSITIVE
-        return self.register_predicate(pvar, polarity, kind, payload)
-
-    def _check_node(self, x):
-        if not 0 <= x < self.graph.n:
-            raise ValueError("node %d out of range" % x)
-
-    def add_reach(self, u, v, pvar):
-        self._check_node(u)
-        self._check_node(v)
-        return self._add("reach", pvar, (u, v))
-
-    def add_distance_leq(self, u, v, bound, pvar):
-        self._check_node(u)
-        self._check_node(v)
-        if bound < 0:
-            raise ValueError("distance bound must be non-negative")
-        return self._add("distance_leq", pvar, (u, v, bound))
-
-    def add_maxflow_geq(self, s, t, bound, pvar):
-        self._check_node(s)
-        self._check_node(t)
-        if s == t:
-            raise ValueError("max-flow source and sink must differ")
-        if bound < 0:
-            raise ValueError("flow bound must be non-negative")
-        return self._add("maxflow_geq", pvar, (s, t, bound))
-
-    def add_components_leq(self, bound, pvar):
-        return self._add("components_leq", pvar, (bound,))
-
-    def add_mst_weight_leq(self, bound, pvar):
-        """bound None means unbounded: the atom then just asserts
-        connectivity (a spanning tree of some finite weight exists)."""
-        return self._add("mst_weight_leq", pvar, (bound,))
-
-    def add_mst_edge(self, edge_var, pvar):
-        eid = self._var_to_eid.get(edge_var)
-        if eid is None:
-            raise ValueError("var %d is not an edge of graph %d"
-                             % (edge_var, self.graph.gid))
-        return self._add("mst_edge", pvar, (eid,))
+        return self.register_predicate(pvar, polarity, kind, args)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -335,9 +303,9 @@ class GraphTheory(MonotonicTheory):
         when that has one."""
         hit = analysis.get(key)
         if hit is None:
-            name, n = key[0], self.graph.n
+            name, n = key[0], self.n
             if name == "span":
-                hit = span_scan(n, self.graph.edges, self._order, enabled)
+                hit = span_scan(n, self.edges, self._order, enabled)
             elif name == "bfs":
                 hit = bfs_tree(self._adj, n, enabled, key[1])
             elif name == "dij":
@@ -405,11 +373,11 @@ class GraphTheory(MonotonicTheory):
         raise AssertionError(kind)
 
     def _edge_lit(self, eid, negated):
-        return mk_lit(self.graph.edges[eid].var, negated)
+        return mk_lit(self.edges[eid].var, negated)
 
     def _tree_path(self, parent, u, v):
         """Edge ids walking parent edges from v back to u."""
-        edges = self.graph.edges
+        edges = self.edges
         path = []
         node = v
         while node != u:
@@ -434,7 +402,7 @@ class GraphTheory(MonotonicTheory):
         completion; keeping them disabled keeps the target unreachable."""
         enabled, disabled, analysis = self.completion_before(True, prefix)
         visited, _ = self._analysis(enabled, analysis, ("bfs", u))
-        edges = self.graph.edges
+        edges = self.edges
         return [self._edge_lit(eid, False) for eid in sorted(disabled)
                 if visited[edges[eid].u] or visited[edges[eid].v]]
 
@@ -442,14 +410,14 @@ class GraphTheory(MonotonicTheory):
         s, t, bound = pred.payload
         if positive:
             enabled, _, _ = self.completion_before(False, prefix)
-            res = edmonds_karp(self._flow_adj, self._weights, self.graph.n,
+            res = edmonds_karp(self._flow_adj, self._weights, self.n,
                                enabled, s, t, target=bound)
             return [self._edge_lit(eid, True)
-                    for eid in range(len(self.graph.edges))
+                    for eid in range(len(self.edges))
                     if res.flow[eid] > 0]
         enabled, disabled, analysis = self.completion_before(True, prefix)
         side = self._analysis(enabled, analysis, ("flow", s, t)).cut_side
-        edges = self.graph.edges
+        edges = self.edges
         return [self._edge_lit(eid, False) for eid in sorted(disabled)
                 if side[edges[eid].u] and not side[edges[eid].v]]
 
@@ -461,17 +429,17 @@ class GraphTheory(MonotonicTheory):
     def _cross_component_lits(self, prefix):
         enabled, disabled, analysis = self.completion_before(True, prefix)
         parent = self._analysis(enabled, analysis, _SPAN).parent
-        edges = self.graph.edges
+        edges = self.edges
         return [self._edge_lit(eid, False) for eid in sorted(disabled)
                 if find(parent, edges[eid].u) != find(parent, edges[eid].v)]
 
     def _mst_weight_neg_lits(self, pred, prefix):
-        edges = self.graph.edges
+        edges = self.edges
         enabled, disabled, analysis = self.completion_before(True, prefix)
         span = self._analysis(enabled, analysis, _SPAN)
         if span.components > 1:
             # Disconnected: a cut of disabled edges isolating one component.
-            comp = [find(span.parent, v) for v in range(self.graph.n)]
+            comp = [find(span.parent, v) for v in range(self.n)]
             cuts = {}
             for eid in sorted(disabled):
                 e = edges[eid]
@@ -485,7 +453,7 @@ class GraphTheory(MonotonicTheory):
         # Connected but too heavy: disabled edges that could lighten the
         # tree, those whose ends the forest joins only through a heavier
         # edge. Equal weight does not lighten it.
-        parent = list(range(self.graph.n))
+        parent = list(range(self.n))
         forest = span.forest  # in (weight, eid) order
         merged = 0
         out = []
@@ -504,7 +472,7 @@ class GraphTheory(MonotonicTheory):
 
     def _mst_edge_lits(self, pred, positive, prefix):
         eid = pred.payload[0]
-        edges = self.graph.edges
+        edges = self.edges
         e = edges[eid]
         if positive:
             enabled, disabled, _ = self.completion_before(True, prefix)
@@ -516,7 +484,7 @@ class GraphTheory(MonotonicTheory):
             # path must cross out of the lighter-reachable region through a
             # currently disabled lighter edge: those edges are the witness.
             key = (e.weight, eid)
-            visited = bytearray(self.graph.n)
+            visited = bytearray(self.n)
             visited[e.u] = 1
             stack = [e.u]
             while stack:
@@ -541,7 +509,7 @@ class GraphTheory(MonotonicTheory):
         in_forest = bytearray(len(edges))
         for fid in self._analysis(enabled, analysis, _SPAN).forest:
             in_forest[fid] = 1
-        _, parent = bfs_tree(self._adj, self.graph.n, in_forest, e.u)
+        _, parent = bfs_tree(self._adj, self.n, in_forest, e.u)
         lits = [self._edge_lit(p, True)
                 for p in reversed(self._tree_path(parent, e.u, e.v))]
         lits.append(self._edge_lit(eid, True))
@@ -556,7 +524,7 @@ class GraphTheory(MonotonicTheory):
         ``analysis`` memoizes the analyses of the model's mask for the other
         atoms of this graph."""
         kind = pred.kind
-        edges = self.graph.edges
+        edges = self.edges
         if kind in ("reach", "distance_leq"):
             u, v = pred.payload[0], pred.payload[1]
             key = ("bfs" if kind == "reach" else "dij", u)

@@ -278,17 +278,21 @@ class Solver:
     def _attach_pending(self):
         """Safely insert clauses learned mid-search (theory conflicts).
 
-        Returns a conflicting clause if one is already falsified.
+        A pending clause is a theory conflict queued right after the
+        backjump below its highest level, so its literals of that level are
+        unassigned and at least one literal is not false.
         """
         while self._pending:
             c = self._pending.pop()
             lits = c.lits
             nonfalse = [l for l in lits if self.lit_value(l) != FALSE]
+            if not nonfalse:
+                raise RuntimeError("pending theory clause is still false")
             if len(nonfalse) >= 2:
                 lits.sort(key=lambda l: self.lit_value(l) == FALSE)
                 self.learnts.append(c)
                 self._watch(c)
-            elif len(nonfalse) == 1:
+            else:
                 l0 = nonfalse[0]
                 lits.remove(l0)
                 lits.sort(key=lambda l: -self.level[l >> 1])
@@ -298,13 +302,6 @@ class Solver:
                     self._watch(c)
                 if self.lit_value(l0) == UNDEF:
                     self._enqueue(l0, c)
-            else:
-                lits.sort(key=lambda l: -self.level[l >> 1])
-                self.learnts.append(c)
-                if len(lits) >= 2:
-                    self._watch(c)
-                return c
-        return None
 
     def _bcp(self):
         """Unit propagation to fixpoint; returns a falsified Clause or None.
@@ -401,9 +398,7 @@ class Solver:
         Returns None, a falsified Clause, or a list of theory conflict lits.
         """
         while True:
-            confl = self._attach_pending()
-            if confl is not None:
-                return confl
+            self._attach_pending()
             confl = self._bcp()
             if confl is not None:
                 return confl

@@ -120,26 +120,32 @@ def busy_window_tasks(tasks, enabled, result: EdfResult):
 
 
 class ProcessorTheory(MonotonicTheory):
-    """Theory solver for the schedulability atoms of one processor."""
+    """Theory solver for the schedulability atoms of one processor.
 
-    def __init__(self, pid: int):
+    ``tasks`` lists (var, arrival, duration, deadline) tuples, ``var`` an
+    internal solver var; a task's id is its position in the list.
+    """
+
+    def __init__(self, pid: int, tasks):
         super().__init__()
         self.pid = pid
         self.tasks = []
+        for var, arrival, duration, deadline in tasks:
+            if var in self._slots:
+                raise ValueError("task var %d used twice on processor %d"
+                                 % (var, pid))
+            if arrival < 0 or duration < 1:
+                raise ValueError("task needs arrival >= 0 and duration >= 1")
+            self.tasks.append(TaskSpec(len(self.tasks), var, arrival,
+                                       duration, deadline))
+            self.add_s_var(var)
 
-    def add_task(self, var, arrival, duration, deadline) -> int:
-        if var in self._slots:
-            raise ValueError("task var %d used twice on processor %d"
-                             % (var, self.pid))
-        if arrival < 0 or duration < 1:
-            raise ValueError("task needs arrival >= 0 and duration >= 1")
-        tid = len(self.tasks)
-        self.tasks.append(TaskSpec(tid, var, arrival, duration, deadline))
-        self.add_s_var(var)
-        return tid
-
-    def add_schedulable(self, pvar) -> int:
-        return self.register_predicate(pvar, NEGATIVE, "schedulable", ())
+    def add_atom(self, kind: str, args, pvar: int) -> int:
+        """Register a ``schedulable`` atom (no arguments) on atom var
+        ``pvar``; returns the atom id."""
+        if kind != "schedulable":
+            raise ValueError("unknown processor predicate %r" % kind)
+        return self.register_predicate(pvar, NEGATIVE, kind, ())
 
     # -- theory interface ------------------------------------------------------
 

@@ -174,15 +174,11 @@ def _checked(solver, th, propagate, recorder):
     return checked
 
 
-def theories(inst):
-    return list(inst.graph_theories.values()) + list(inst.proc_theories.values())
-
-
 def solve_recorded(doc):
     """Solve ``doc`` with every reason checked; returns (status, recorder)."""
     recorder = Recorder()
     inst = build_instance(doc, observer=recorder)
     if not inst.ok:
         return "UNSAT", recorder
-    check_reasons(inst.solver, theories(inst), recorder)
+    check_reasons(inst.solver, inst.theories, recorder)
     return inst.solver.solve().status, recorder

@@ -10,7 +10,7 @@ from monosmt import oracle
 from monosmt.build import dimacs_lit, solve_doc
 from monosmt.generators import Xorshift64Star, gen_flow, gen_maze, gen_sched
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
-from monosmt.graphs import GraphTheory, SymbolicGraph
+from monosmt.graphs import GraphTheory
 from monosmt.minimize import minimize_bound
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import AtomBinding, POSITIVE
@@ -74,11 +74,9 @@ def test_criterion_2_clause_validity(theory_sweep, acceptance):
 def rand_graph_setup(rng, kind):
     n = rng.randint(2, 5)
     m = rng.randint(1, 6)
-    g = SymbolicGraph(1, kind in DIRECTED_KINDS, n)
-    for eid in range(m):
-        g.add_edge(rng.randint(0, n - 1), rng.randint(0, n - 1), eid,
-                   rng.randint(1, 4))
-    th = GraphTheory(g)
+    th = GraphTheory(1, kind in DIRECTED_KINDS, n,
+                     [(rng.randint(0, n - 1), rng.randint(0, n - 1), eid,
+                       rng.randint(1, 4)) for eid in range(m)])
     if kind == "reach":
         payload = (rng.randint(0, n - 1), rng.randint(0, n - 1))
     elif kind == "distance_leq":
@@ -106,13 +104,14 @@ def test_criterion_3_monotone_evaluators(acceptance):
         done = 0
         while done < flips_per_kind:
             if kind == "schedulable":
-                th = ProcessorTheory(1)
                 size = rng.randint(1, 6)
+                tasks = []
                 for i in range(size):
                     a = rng.randint(0, 12)
-                    th.add_task(i + 1, a, rng.randint(1, 5),
-                                a + rng.randint(1, 8))
-                atom = th.atom(th.add_schedulable(size + 1))
+                    tasks.append((i + 1, a, rng.randint(1, 5),
+                                  a + rng.randint(1, 8)))
+                th = ProcessorTheory(1, tasks)
+                atom = th.atom(th.add_atom("schedulable", (), size + 1))
             else:
                 th, payload, size = rand_graph_setup(rng, kind)
                 atom = AtomBinding(0, 0, POSITIVE, kind, payload)

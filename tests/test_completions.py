@@ -18,14 +18,13 @@ from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import NEGATIVE, POSITIVE
 
-from instances import (ALL_KINDS, check_reasons, rand_doc, rand_mixed_doc,
-                       theories)
+from instances import ALL_KINDS, check_reasons, rand_doc, rand_mixed_doc
 from test_theory_driver import ToyTheory
 
 
 def slot_vars(th):
     if isinstance(th, GraphTheory):
-        return [e.var for e in th.graph.edges]
+        return [e.var for e in th.edges]
     if isinstance(th, ProcessorTheory):
         return [t.var for t in th.tasks]
     return th.arg_vars
@@ -36,7 +35,7 @@ def cold_flow(th, enabled, key, memo):
     hit = memo.get(memo_key)
     if hit is None:
         hit = memo[memo_key] = edmonds_karp(th._flow_adj, th._weights,
-                                            th.graph.n, enabled, *key[1:])
+                                            th.n, enabled, *key[1:])
     return hit
 
 
@@ -123,7 +122,7 @@ class Checker:
 
 def solve_checked(inst, seed=0):
     """Solve with the completion checks and every theory reason checked."""
-    ths = theories(inst)
+    ths = inst.theories
     checker = Checker(inst.solver, ths, seed)
     check_reasons(inst.solver, ths)
     res = inst.solver.solve()

@@ -11,8 +11,7 @@ from monosmt import oracle
 from monosmt.build import run_solve
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
-from monosmt.graphs import GraphTheory, SymbolicGraph, edmonds_karp, span_scan
-from monosmt.theory import AtomBinding, POSITIVE
+from monosmt.graphs import EdgeSpec, GraphTheory, edmonds_karp, span_scan
 
 from instances import (rand_graph, rand_pred, solve_recorded, GRAPH_KINDS,
                        DIRECTED_KINDS)
@@ -29,11 +28,6 @@ def graph_doc(directed, n, edges, preds, clauses):
         doc.preds.append(PredDecl(kind, 1, args, len(edges) + 1 + j))
     doc.clauses = [list(c) for c in clauses]
     return doc
-
-
-def binding(kind, payload):
-    """A predicate record for ``GraphTheory.evaluate``, outside any solver."""
-    return AtomBinding(0, 0, POSITIVE, kind, payload)
 
 
 def assert_theory_clause(doc, want_status, want_clause):
@@ -110,12 +104,11 @@ def test_components_negative_cross_edges():
 
 
 def test_components_count_isolated_vertices():
-    g = SymbolicGraph(1, False, 3)
-    g.add_edge(0, 0, 0, 1)  # self-loop joins nothing
-    th = GraphTheory(g)
-    assert th.evaluate(binding("components_leq", (3,)), bytearray([1]), {})
-    assert not th.evaluate(binding("components_leq", (2,)), bytearray([1]),
-                           {})
+    th = GraphTheory(1, False, 3, [(0, 0, 0, 1)])  # self-loop joins nothing
+    three = th.atom(th.add_atom("components_leq", (3,), 1))
+    two = th.atom(th.add_atom("components_leq", (2,), 2))
+    assert th.evaluate(three, bytearray([1]), {})
+    assert not th.evaluate(two, bytearray([1]), {})
 
 
 # -- maxflow_geq -------------------------------------------------------------
@@ -140,9 +133,7 @@ def test_maxflow_positive_two_path_support():
 
 
 def test_maxflow_early_stop_keeps_residual_cut_unset():
-    g = SymbolicGraph(1, True, 2)
-    g.add_edge(0, 1, 0, 5)
-    th = GraphTheory(g)
+    th = GraphTheory(1, True, 2, [(0, 1, 0, 5)])
     res = edmonds_karp(th._flow_adj, th._weights, 2, bytearray([1]), 0, 1,
                        target=3)
     assert res.value >= 3 and res.cut_side is None
@@ -214,73 +205,57 @@ def test_mst_edge_positive_cut_spans_components():
 
 
 def test_mst_edge_self_loop_never_in_tree():
-    g = SymbolicGraph(1, False, 2)
-    eid = g.add_edge(0, 0, 0, 1)
-    th = GraphTheory(g)
-    assert not th.evaluate(binding("mst_edge", (eid,)), bytearray([1]), {})
-    assert th.evaluate(binding("mst_edge", (eid,)), bytearray([0]), {})
+    th = GraphTheory(1, False, 2, [(0, 0, 0, 1)])
+    atom = th.atom(th.add_atom("mst_edge", (0,), 1))
+    assert not th.evaluate(atom, bytearray([1]), {})
+    assert th.evaluate(atom, bytearray([0]), {})
 
 
 # -- registration and validation ----------------------------------------------
 
-def test_directedness_rules_enforced():
-    directed = SymbolicGraph(1, True, 3)
-    directed.add_edge(0, 1, 0, 1)
-    th = GraphTheory(directed)
+def assert_rejected(th, kind, args):
     with pytest.raises(ValueError):
-        th.add_components_leq(1, 5)
-    with pytest.raises(ValueError):
-        th.add_mst_weight_leq(None, 5)
-    with pytest.raises(ValueError):
-        th.add_mst_edge(0, 5)
+        th.add_atom(kind, args, 5)
 
-    undirected = SymbolicGraph(1, False, 3)
-    undirected.add_edge(0, 1, 0, 1)
-    th = GraphTheory(undirected)
-    with pytest.raises(ValueError):
-        th.add_reach(0, 1, 5)
-    with pytest.raises(ValueError):
-        th.add_distance_leq(0, 1, 2, 5)
-    with pytest.raises(ValueError):
-        th.add_maxflow_geq(0, 1, 2, 5)
+
+def test_directedness_rules_enforced():
+    th = GraphTheory(1, True, 3, [(0, 1, 0, 1)])
+    assert_rejected(th, "components_leq", (1,))
+    assert_rejected(th, "mst_weight_leq", (None,))
+    assert_rejected(th, "mst_edge", (0,))
+
+    th = GraphTheory(1, False, 3, [(0, 1, 0, 1)])
+    assert_rejected(th, "reach", (0, 1))
+    assert_rejected(th, "distance_leq", (0, 1, 2))
+    assert_rejected(th, "maxflow_geq", (0, 1, 2))
 
 
 def test_argument_validation():
-    g = SymbolicGraph(1, True, 2)
-    g.add_edge(0, 1, 0, 1)
-    th = GraphTheory(g)
+    th = GraphTheory(1, True, 2, [(0, 1, 0, 1)])
+    assert_rejected(th, "reach", (0, 2))
+    assert_rejected(th, "distance_leq", (0, 1, -1))
+    assert_rejected(th, "maxflow_geq", (0, 0, 1))
+    assert_rejected(th, "schedulable", ())  # not a graph kind
+    th = GraphTheory(1, False, 2, [(0, 1, 0, 1)])
+    assert_rejected(th, "mst_edge", (1,))  # var 1 is no edge
     with pytest.raises(ValueError):
-        th.add_reach(0, 2, 5)
+        GraphTheory(2, True, 2, [(0, 1, 0, 1), (1, 0, 0, 1)])  # var twice
     with pytest.raises(ValueError):
-        th.add_distance_leq(0, 1, -1, 5)
-    with pytest.raises(ValueError):
-        th.add_maxflow_geq(0, 0, 1, 5)
-    bad = SymbolicGraph(2, True, 2)
-    bad.add_edge(0, 1, 0, 1)
-    bad.add_edge(1, 0, 0, 1)  # same var twice
-    with pytest.raises(ValueError):
-        GraphTheory(bad)
-    neg = SymbolicGraph(3, True, 2)
-    neg.add_edge(0, 1, 0, -2)
-    with pytest.raises(ValueError):
-        GraphTheory(neg)
+        GraphTheory(3, True, 2, [(0, 1, 0, -2)])
 
 
 # -- pure helpers ---------------------------------------------------------------
 
 def test_span_scan_tie_break_by_edge_id():
-    g = SymbolicGraph(1, False, 3)
-    for u, v in ((0, 1), (1, 2), (0, 2)):
-        g.add_edge(u, v, len(g.edges), 1)
-    span = span_scan(3, g.edges, [0, 1, 2], bytearray([1, 1, 1]))
+    edges = [EdgeSpec(u, v, i, 1)
+             for i, (u, v) in enumerate(((0, 1), (1, 2), (0, 2)))]
+    span = span_scan(3, edges, [0, 1, 2], bytearray([1, 1, 1]))
     assert sorted(span.forest) == [0, 1]
     assert span.components == 1 and span.weight == 2
 
 
 def test_span_scan_counts_isolated_nodes():
-    g = SymbolicGraph(1, False, 4)
-    g.add_edge(0, 1, 0, 2)
-    span = span_scan(4, g.edges, [0], bytearray([1]))
+    span = span_scan(4, [EdgeSpec(0, 1, 0, 2)], [0], bytearray([1]))
     assert span.components == 3
     assert span.weight == 2 and list(span.forest) == [0]
 
@@ -312,18 +287,12 @@ def oracle_truth(g, kind, args, enabled):
     return not enabled[eid] or eid in oracle.mst_prim(n, edges, enabled)[2]
 
 
-def theory_for(g):
-    sg = SymbolicGraph(g.gid, g.directed, g.n)
-    for e in g.edges:
-        sg.add_edge(e.u, e.v, e.var - 1, e.weight)
-    return GraphTheory(sg)
-
-
-def pred_payload(kind, args, g):
-    if kind == "mst_edge":
-        eid = next(i for i, e in enumerate(g.edges) if e.var == args[0])
-        return (eid,)
-    return args
+def theory_atom(g, pred):
+    """The theory of ``g`` and the atom of ``pred`` in it, both keeping
+    their GNF var numbers, which no solver reads here."""
+    th = GraphTheory(g.gid, g.directed, g.n,
+                     [(e.u, e.v, e.var, e.weight) for e in g.edges])
+    return th, th.atom(th.add_atom(pred.kind, pred.args, pred.var))
 
 
 def test_evaluators_agree_with_oracle_family():
@@ -332,8 +301,7 @@ def test_evaluators_agree_with_oracle_family():
         kind = GRAPH_KINDS[i % len(GRAPH_KINDS)]
         g = rand_graph(rng, kind in DIRECTED_KINDS)
         pred = rand_pred(rng, kind, g, len(g.edges) + 1)
-        th = theory_for(g)
-        atom = binding(kind, pred_payload(kind, pred.args, g))
+        th, atom = theory_atom(g, pred)
         for _ in range(8):
             enabled = bytearray(rng.randint(0, 1)
                                 for _ in range(len(g.edges)))
@@ -350,8 +318,7 @@ def test_monotone_bracketing_on_nested_masks():
         kind = GRAPH_KINDS[i % len(GRAPH_KINDS)]
         g = rand_graph(rng, kind in DIRECTED_KINDS)
         pred = rand_pred(rng, kind, g, len(g.edges) + 1)
-        th = theory_for(g)
-        atom = binding(kind, pred_payload(kind, pred.args, g))
+        th, atom = theory_atom(g, pred)
         m = len(g.edges)
         small = bytearray(rng.randint(0, 2) == 0 for _ in range(m))
         grown = bytearray(b or rng.randint(0, 1) for b in small)

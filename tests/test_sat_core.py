@@ -257,7 +257,7 @@ def test_theory_conflict_at_level_zero():
     assert solver.solve().status == "UNSAT"
 
 
-def test_two_disjoint_graph_theories_match_oracle():
+def test_two_disjoint_graphs_match_oracle():
     # Two independent graphs in one document; propagation must interleave
     # without interference, so the status has to match the oracle.
     tested = 0

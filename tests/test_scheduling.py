@@ -193,22 +193,18 @@ def test_busy_window_subset_is_infeasible_alone():
 
 # -- theory registration ----------------------------------------------------------
 
-def test_add_task_validation():
-    th = ProcessorTheory(1)
-    th.add_task(5, 0, 1, 1)
+def test_registration_validation():
+    th = ProcessorTheory(1, [(5, 0, 1, 1)])
+    for bad in ((5, 0, 1, 1), (6, -1, 1, 1), (7, 0, 0, 1)):
+        with pytest.raises(ValueError):
+            ProcessorTheory(1, [(5, 0, 1, 1), bad])
     with pytest.raises(ValueError):
-        th.add_task(5, 0, 1, 1)
-    with pytest.raises(ValueError):
-        th.add_task(6, -1, 1, 1)
-    with pytest.raises(ValueError):
-        th.add_task(7, 0, 0, 1)
+        th.add_atom("reach", (0, 1), 6)  # a graph kind
 
 
 def test_evaluate_matches_simulator():
-    th = ProcessorTheory(1)
-    for i, (a, l, d) in enumerate([(0, 2, 2), (0, 2, 3)]):
-        th.add_task(i + 1, a, l, d)
-    atom = th.atom(th.add_schedulable(3))
+    th = ProcessorTheory(1, [(1, 0, 2, 2), (2, 0, 2, 3)])
+    atom = th.atom(th.add_atom("schedulable", (), 3))
     assert th.evaluate(atom, bytearray([1, 0]), {})
     assert not th.evaluate(atom, bytearray([1, 1]), {})
 

@@ -174,17 +174,15 @@ def test_random_toy_instances_with_validated_reasons():
 
 
 _WRONG_ATOM = """
-from monosmt.graphs import GraphTheory, SymbolicGraph
+from monosmt.graphs import GraphTheory
 from monosmt.sat import Solver, mk_lit
 
 print(__debug__)
 solver = Solver()
 edge, p, q = solver.new_var(), solver.new_var(), solver.new_var()
-graph = SymbolicGraph(0, True, 2)
-graph.add_edge(0, 1, edge)
-th = GraphTheory(graph)
-th.add_reach(0, 1, p)
-th.add_reach(1, 0, q)
+th = GraphTheory(0, True, 2, [(0, 1, edge, 1)])
+th.add_atom("reach", (0, 1), p)
+th.add_atom("reach", (1, 0), q)
 solver.add_clause([mk_lit(edge)])
 solver.attach_theory(th)
 try:

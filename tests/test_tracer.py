@@ -28,8 +28,15 @@ for name, (calls, _, _) in sorted(rec.span_totals().items()):
     print(name, calls)
 """
 
-SPANS = ("theory.propagate", "graphs.eval_completion", "graphs.span_scan",
-         "graphs.edmonds_karp", "scheduling.eval_completion")
+SPANS = ("build.build_instance", "sat.add_clause", "sat.solve",
+         "theory.propagate", "theory.on_assign", "theory.on_backjump",
+         "graphs.eval_completion", "graphs.span_scan", "graphs.dijkstra_tree",
+         "graphs.edmonds_karp", "graphs.witness_lits",
+         "scheduling.eval_completion", "scheduling.edf_simulate",
+         "scheduling.busy_window_tasks") + tuple(
+    "theory.explain." + kind for kind in ("distance_leq", "maxflow_geq",
+                                          "mst_edge", "mst_weight_leq",
+                                          "schedulable"))
 
 
 def test_tracer_records_every_layer_span():

@@ -9,8 +9,7 @@ edges that carry flow in ``prev`` on s-t paths or on cycles.
 import random
 
 from monosmt import graphs, oracle
-from monosmt.graphs import (FlowResult, GraphTheory, SymbolicGraph,
-                            edmonds_karp)
+from monosmt.graphs import FlowResult, GraphTheory, edmonds_karp
 
 
 def rand_flow_graph(rng):
@@ -86,10 +85,8 @@ def test_warm_start_matches_cold_start_and_oracle(monkeypatch):
     rng = random.Random(20150125)
     for _ in range(300):
         n, edges = rand_flow_graph(rng)
-        graph = SymbolicGraph(0, True, n)
-        for eid, (u, v, cap) in enumerate(edges):
-            graph.add_edge(u, v, eid, cap)
-        th = GraphTheory(graph)
+        th = GraphTheory(0, True, n, [(u, v, eid, cap) for eid, (u, v, cap)
+                                      in enumerate(edges)])
         adj, caps, m = th._flow_adj, th._weights, len(edges)
         s, t = rng.sample(range(n), 2)
         enabled = bytearray(rng.random() < 0.7 for _ in range(m))
