@@ -29,8 +29,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-DIRECTED_PREDS = ("reach", "distance_leq", "maxflow_geq")
-UNDIRECTED_PREDS = ("components_leq", "mst_weight_leq", "mst_edge")
+# Predicate kind -> (the declaration of its owner, the names of its
+# arguments between the owner id and the atom var). A bound is named C, and
+# C|inf where it may be "inf".
+PREDICATES = {
+    "reach": ("digraph", ("u", "v")),
+    "distance_leq": ("digraph", ("u", "v", "C")),
+    "maxflow_geq": ("digraph", ("s", "t", "C")),
+    "components_leq": ("ugraph", ("C",)),
+    "mst_weight_leq": ("ugraph", ("C|inf",)),
+    "mst_edge": ("ugraph", ("edgeVar",)),
+    "schedulable": ("processor", ()),
+}
 
 
 class GnfError(Exception):
@@ -91,6 +101,50 @@ class GnfDocument:
     meta: dict = field(default_factory=dict)
 
 
+def _usage(kind):
+    owner, names = PREDICATES[kind]
+    words = ["pid" if owner == "processor" else "gid", *names, "var"]
+    return "%s expects %s" % (kind, " ".join("<%s>" % w for w in words))
+
+
+def check_edge(n, u, v, weight):
+    """Reject an edge of an n-node graph that GNF does not allow."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError("edge endpoint out of range")
+    if weight < 0:
+        raise ValueError("negative edge weight")
+
+
+def check_task(arrival, duration):
+    """Reject a task that GNF does not allow."""
+    if arrival < 0 or duration < 1:
+        raise ValueError("task needs A >= 0 and L >= 1")
+
+
+def check_pred(kind, args, owner, oid, n=0):
+    """Reject predicate ``kind`` with ``args``, its arguments between the
+    owner id and the atom var, on owner ``oid``: a "digraph" or "ugraph"
+    of ``n`` nodes, or a "processor". An mst_edge's edge is checked by the
+    caller, which knows the owner's edges."""
+    if kind not in PREDICATES:
+        raise ValueError("unknown predicate %r" % kind)
+    want, names = PREDICATES[kind]
+    if owner != want:
+        if "processor" in (owner, want):
+            raise ValueError("%s is not a predicate of a %s" % (kind, owner))
+        raise ValueError("graph %d is %s" % (
+            oid, "directed" if owner == "digraph" else "undirected"))
+    if len(args) != len(names):
+        raise ValueError(_usage(kind))
+    for name, x in zip(names, args):
+        if name in ("u", "v", "s", "t") and not 0 <= x < n:
+            raise ValueError("node %d out of range" % x)
+        if name[0] == "C" and x is not None and x < 0:
+            raise ValueError("negative bound")
+    if kind == "maxflow_geq" and args[0] == args[1]:
+        raise ValueError("flow source equals sink")
+
+
 def _ints(tokens, ln, what):
     try:
         return [int(t) for t in tokens]
@@ -128,15 +182,92 @@ def parse(text: str) -> GnfDocument:
                            % (v, pvar_lines[v]), ln)
         pvar_lines[v] = ln
 
-    def get_graph(gid, ln, directed=None):
+    def get_graph(gid, ln):
         g = doc.graphs.get(gid)
         if g is None:
             raise GnfError("graph %d not declared" % gid, ln)
-        if directed is True and not g.directed:
-            raise GnfError("graph %d is undirected" % gid, ln)
-        if directed is False and g.directed:
-            raise GnfError("graph %d is directed" % gid, ln)
         return g
+
+    def declare(head, args, ln):
+        """Read one declaration line. The shared ``check_*`` rules raise
+        ValueError, which the caller reports at line ``ln``."""
+        if head in ("digraph", "ugraph"):
+            if len(args) != 3:
+                raise GnfError("%s expects <n> <m> <gid>" % head, ln)
+            n, m, gid = _ints(args, ln, head)
+            if gid in doc.graphs:
+                raise GnfError("duplicate graph id %d" % gid, ln)
+            if n < 0 or m < 0:
+                raise GnfError("negative graph size", ln)
+            doc.graphs[gid] = GraphDecl(gid, head == "digraph", n)
+            declared_edges[gid] = m
+            edge_vars[gid] = set()
+        elif head == "edge":
+            if len(args) not in (4, 5):
+                raise GnfError("edge expects <gid> <u> <v> <var> [<w>]", ln)
+            vals = _ints(args, ln, "edge")
+            gid, u, v, var = vals[:4]
+            weight = vals[4] if len(vals) == 5 else 1
+            g = get_graph(gid, ln)
+            if len(g.edges) >= declared_edges[gid]:
+                raise GnfError("graph %d declared %d edges"
+                               % (gid, declared_edges[gid]), ln)
+            check_edge(g.n, u, v, weight)
+            if var in edge_vars[gid]:
+                raise GnfError("var %d already an edge of graph %d"
+                               % (var, gid), ln)
+            new_svar(var, ln)
+            edge_vars[gid].add(var)
+            g.edges.append(EdgeDecl(gid, u, v, var, weight))
+        elif head in PREDICATES:
+            owner, names = PREDICATES[head]
+            if len(args) != len(names) + 2:
+                raise GnfError(_usage(head), ln)
+            try:
+                oid, *vals, var = [
+                    None if t == "inf" and name == "C|inf" else int(t)
+                    for t, name in zip(args, ("id", *names, "var"))]
+            except ValueError:
+                raise GnfError("%s expects integers, got %r" % (head, args),
+                               ln)
+            n = 0
+            if owner == "processor":
+                if oid not in doc.procs:
+                    raise GnfError("processor %d not declared" % oid, ln)
+            else:
+                g = get_graph(oid, ln)
+                owner = "digraph" if g.directed else "ugraph"
+                n = g.n
+            check_pred(head, vals, owner, oid, n)
+            if head == "mst_edge" and vals[0] not in edge_vars[oid]:
+                raise GnfError("var %d is not an edge of graph %d"
+                               % (vals[0], oid), ln)
+            new_pvar(var, ln)
+            doc.preds.append(PredDecl(head, oid, tuple(vals), var))
+        elif head == "processor":
+            if len(args) != 1:
+                raise GnfError("processor expects <pid>", ln)
+            pid = _ints(args, ln, head)[0]
+            if pid in doc.procs:
+                raise GnfError("duplicate processor id %d" % pid, ln)
+            doc.procs[pid] = ProcDecl(pid)
+            task_vars[pid] = set()
+        elif head == "task":
+            if len(args) != 5:
+                raise GnfError("task expects <pid> <A> <L> <D> <var>", ln)
+            pid, a, dur, dl, var = _ints(args, ln, head)
+            proc = doc.procs.get(pid)
+            if proc is None:
+                raise GnfError("processor %d not declared" % pid, ln)
+            check_task(a, dur)
+            if var in task_vars[pid]:
+                raise GnfError("var %d already a task on processor %d"
+                               % (var, pid), ln)
+            new_svar(var, ln)
+            task_vars[pid].add(var)
+            proc.tasks.append(TaskDecl(pid, a, dur, dl, var))
+        else:
+            raise GnfError("unknown declaration %r" % head, ln)
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -162,128 +293,18 @@ def parse(text: str) -> GnfDocument:
             raise GnfError("content before 'p gnf' header", ln)
         if head.lstrip("-").isdigit():
             lits = _ints(tokens, ln, "clause")
-            if lits[-1] != 0:
+            if lits.pop() != 0:
                 raise GnfError("clause not terminated by 0", ln)
-            if 0 in lits[:-1]:
+            if 0 in lits:
                 raise GnfError("0 inside clause", ln)
-            for lit in lits[:-1]:
-                check_var(abs(lit), ln)
-            doc.clauses.append(lits[:-1])
+            if lits and (max(lits) > doc.nvars or min(lits) < -doc.nvars):
+                check_var(next(abs(l) for l in lits if abs(l) > doc.nvars), ln)
+            doc.clauses.append(lits)
             continue
-        args = tokens[1:]
-        if head in ("digraph", "ugraph"):
-            if len(args) != 3:
-                raise GnfError("%s expects <n> <m> <gid>" % head, ln)
-            n, m, gid = _ints(args, ln, head)
-            if gid in doc.graphs:
-                raise GnfError("duplicate graph id %d" % gid, ln)
-            if n < 0 or m < 0:
-                raise GnfError("negative graph size", ln)
-            doc.graphs[gid] = GraphDecl(gid, head == "digraph", n)
-            declared_edges[gid] = m
-            edge_vars[gid] = set()
-        elif head == "edge":
-            if len(args) not in (4, 5):
-                raise GnfError("edge expects <gid> <u> <v> <var> [<w>]", ln)
-            vals = _ints(args, ln, "edge")
-            gid, u, v, var = vals[:4]
-            weight = vals[4] if len(vals) == 5 else 1
-            g = get_graph(gid, ln)
-            if len(g.edges) >= declared_edges[gid]:
-                raise GnfError("graph %d declared %d edges"
-                               % (gid, declared_edges[gid]), ln)
-            if not (0 <= u < g.n and 0 <= v < g.n):
-                raise GnfError("edge endpoint out of range", ln)
-            if weight < 0:
-                raise GnfError("negative edge weight", ln)
-            if var in edge_vars[gid]:
-                raise GnfError("var %d already an edge of graph %d"
-                               % (var, gid), ln)
-            new_svar(var, ln)
-            edge_vars[gid].add(var)
-            g.edges.append(EdgeDecl(gid, u, v, var, weight))
-        elif head in DIRECTED_PREDS:
-            want = 4 if head == "reach" else 5
-            if len(args) != want:
-                raise GnfError("%s expects %d arguments" % (head, want), ln)
-            vals = _ints(args, ln, head)
-            gid, var = vals[0], vals[-1]
-            g = get_graph(gid, ln, directed=True)
-            nodes = vals[1:3]
-            for x in nodes:
-                if not 0 <= x < g.n:
-                    raise GnfError("node %d out of range" % x, ln)
-            if want == 5 and vals[3] < 0:
-                raise GnfError("negative bound", ln)
-            if head == "maxflow_geq" and nodes[0] == nodes[1]:
-                raise GnfError("flow source equals sink", ln)
-            new_pvar(var, ln)
-            doc.preds.append(PredDecl(head, gid, tuple(vals[1:-1]), var))
-        elif head == "components_leq":
-            if len(args) != 3:
-                raise GnfError("components_leq expects <gid> <C> <var>", ln)
-            gid, bound, var = _ints(args, ln, head)
-            get_graph(gid, ln, directed=False)
-            if bound < 0:
-                raise GnfError("negative bound", ln)
-            new_pvar(var, ln)
-            doc.preds.append(PredDecl(head, gid, (bound,), var))
-        elif head == "mst_weight_leq":
-            if len(args) != 3:
-                raise GnfError("mst_weight_leq expects <gid> <C|inf> <var>",
-                               ln)
-            gid, var = _ints([args[0], args[2]], ln, head)
-            bound = None
-            if args[1] != "inf":
-                bound = _ints([args[1]], ln, head)[0]
-                if bound < 0:
-                    raise GnfError("negative bound", ln)
-            get_graph(gid, ln, directed=False)
-            new_pvar(var, ln)
-            doc.preds.append(PredDecl(head, gid, (bound,), var))
-        elif head == "mst_edge":
-            if len(args) != 3:
-                raise GnfError("mst_edge expects <gid> <edgeVar> <var>", ln)
-            gid, evar, var = _ints(args, ln, head)
-            get_graph(gid, ln, directed=False)
-            if evar not in edge_vars[gid]:
-                raise GnfError("var %d is not an edge of graph %d"
-                               % (evar, gid), ln)
-            new_pvar(var, ln)
-            doc.preds.append(PredDecl(head, gid, (evar,), var))
-        elif head == "processor":
-            if len(args) != 1:
-                raise GnfError("processor expects <pid>", ln)
-            pid = _ints(args, ln, head)[0]
-            if pid in doc.procs:
-                raise GnfError("duplicate processor id %d" % pid, ln)
-            doc.procs[pid] = ProcDecl(pid)
-            task_vars[pid] = set()
-        elif head == "task":
-            if len(args) != 5:
-                raise GnfError("task expects <pid> <A> <L> <D> <var>", ln)
-            pid, a, dur, dl, var = _ints(args, ln, head)
-            proc = doc.procs.get(pid)
-            if proc is None:
-                raise GnfError("processor %d not declared" % pid, ln)
-            if a < 0 or dur < 1:
-                raise GnfError("task needs A >= 0 and L >= 1", ln)
-            if var in task_vars[pid]:
-                raise GnfError("var %d already a task on processor %d"
-                               % (var, pid), ln)
-            new_svar(var, ln)
-            task_vars[pid].add(var)
-            proc.tasks.append(TaskDecl(pid, a, dur, dl, var))
-        elif head == "schedulable":
-            if len(args) != 2:
-                raise GnfError("schedulable expects <pid> <var>", ln)
-            pid, var = _ints(args, ln, head)
-            if pid not in doc.procs:
-                raise GnfError("processor %d not declared" % pid, ln)
-            new_pvar(var, ln)
-            doc.preds.append(PredDecl(head, pid, (), var))
-        else:
-            raise GnfError("unknown declaration %r" % head, ln)
+        try:
+            declare(head, tokens[1:], ln)
+        except ValueError as exc:
+            raise GnfError(str(exc), ln) from None
 
     if declared_clauses is None:
         raise GnfError("missing 'p gnf' header")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .gnf import DIRECTED_PREDS, UNDIRECTED_PREDS
+from .gnf import check_edge, check_pred
 from .sat import mk_lit
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 
@@ -245,14 +245,11 @@ class GraphTheory(MonotonicTheory):
         self._adj = [[] for _ in range(n)]
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValueError("edge %d endpoint out of range" % eid)
-            if e.weight < 0:
-                raise ValueError("edge %d has negative weight" % eid)
+            check_edge(n, e.u, e.v, e.weight)
             if e.var in self._slots:
                 raise ValueError("edge var %d used twice in graph %d"
                                  % (e.var, gid))
-            self.add_s_var(e.var)
+            self.add_s_var(e.var)  # its slot is eid
             self._adj[e.u].append((eid, e.v))
             if not directed:
                 self._adj[e.v].append((eid, e.u))
@@ -264,33 +261,19 @@ class GraphTheory(MonotonicTheory):
             lst.sort(key=lambda p: (p[1], p[0], not p[2]))
         self._order = sorted(range(len(self.edges)),
                              key=lambda i: (self._weights[i], i))
-        self._var_to_eid = {e.var: eid for eid, e in enumerate(self.edges)}
 
     def add_atom(self, kind: str, args, pvar: int) -> int:
         """Register the GNF predicate ``kind`` with its arguments after the
         graph id, an mst_edge naming its edge by internal var, on atom var
         ``pvar``; returns the atom id."""
-        if kind in DIRECTED_PREDS:
-            if not self.directed:
-                raise ValueError("%s requires a directed graph" % kind)
-            for x in args[:2]:
-                if not 0 <= x < self.n:
-                    raise ValueError("node %d out of range" % x)
-            if kind != "reach" and args[2] < 0:
-                raise ValueError("%s bound must be non-negative" % kind)
-            if kind == "maxflow_geq" and args[0] == args[1]:
-                raise ValueError("max-flow source and sink must differ")
-        elif kind in UNDIRECTED_PREDS:
-            if self.directed:
-                raise ValueError("%s requires an undirected graph" % kind)
-            if kind == "mst_edge":
-                eid = self._var_to_eid.get(args[0])
-                if eid is None:
-                    raise ValueError("var %d is not an edge of graph %d"
-                                     % (args[0], self.gid))
-                args = (eid,)
-        else:
-            raise ValueError("unknown graph predicate %r" % kind)
+        check_pred(kind, args, "digraph" if self.directed else "ugraph",
+                   self.gid, self.n)
+        if kind == "mst_edge":
+            eid = self._slots.get(args[0])
+            if eid is None:
+                raise ValueError("var %d is not an edge of graph %d"
+                                 % (args[0], self.gid))
+            args = (eid,)
         polarity = NEGATIVE if kind == "mst_edge" else POSITIVE
         return self.register_predicate(pvar, polarity, kind, args)
 

@@ -2,8 +2,8 @@
 
 Variables are dense 0-based ints. A literal packs a variable and a sign into one
 int: ``2*v`` asserts variable ``v``, ``2*v + 1`` negates it, so negation is
-``lit ^ 1``. Assignment values are 1 (true), -1 (false), 0 (unassigned); they
-are kept per variable and, for propagation, per literal.
+``lit ^ 1``. Assignment values are 1 (true), -1 (false), 0 (unassigned),
+kept per literal: the value of variable ``v`` is that of literal ``2*v``.
 
 Attached theories are driven to fixpoint after every unit-propagation fixpoint.
 A theory implication is enqueued with an opaque lazy reason; the reason clause
@@ -82,8 +82,8 @@ class Solver:
     activities with decay 0.95, phase saving, Luby restarts (base 100) and
     activity-based deletion of learnt clauses.
 
-    Values live in two tables kept in step: ``assigns[var]``, which theories
-    read, and ``_val[lit]``, the value of a literal, which propagation reads.
+    ``value[lit]`` is the value of a literal; propagation and theories
+    read the same table.
     The next decision is the unassigned variable of highest activity, lowest
     index on ties. ``_order`` is a lazy heap of ``(-activity, var)`` in which
     every unassigned variable has exactly one entry carrying its current
@@ -102,8 +102,7 @@ class Solver:
         self.observer = observer
         self.ok = True
 
-        self.assigns = []          # var -> TRUE/FALSE/UNDEF
-        self._val = []             # lit -> TRUE/FALSE/UNDEF
+        self.value = []            # lit -> TRUE/FALSE/UNDEF
         self.level = []            # var -> decision level
         self.reason = []           # var -> Clause | LazyReason | None
         self.pos = []              # var -> trail index, -1 if unassigned
@@ -116,7 +115,6 @@ class Solver:
         self.clauses = []
         self.learnts = []
         self.watches = []          # lit -> list[Clause]
-        self._pending = []         # clauses to attach at next propagation
 
         self._theories = []
         self._var_theories = []    # var -> tuple of theories watching it
@@ -142,9 +140,8 @@ class Solver:
     # problem construction
 
     def new_var(self) -> int:
-        v = len(self.assigns)
-        self.assigns.append(UNDEF)
-        self._val += (UNDEF, UNDEF)
+        v = len(self.level)
+        self.value += (UNDEF, UNDEF)
         self.level.append(0)
         self.reason.append(None)
         self.pos.append(-1)
@@ -170,12 +167,12 @@ class Solver:
         if self.trail_lim:
             raise ValueError("add_clause requires decision level 0")
         lits = sorted(lits)
-        if lits and (lits[0] < 0 or lits[-1] >= len(self._val)):
+        if lits and (lits[0] < 0 or lits[-1] >= len(self.value)):
             bad = lits[0] if lits[0] < 0 else lits[-1]
             raise ValueError("unknown variable in clause: lit %d" % bad)
         if not self.ok:
             return False
-        val = self._val
+        val = self.value
         out = []
         prev = -1
         for lit in lits:  # sorted: duplicates and x, -x sit side by side
@@ -203,27 +200,15 @@ class Solver:
         self._watch(c)
         return True
 
-    def attach_theory(self, theory) -> int:
+    def attach_theory(self, theory) -> None:
         if self._solving:
             raise ValueError("cannot attach a theory after solving has begun")
-        tid = len(self._theories)
         self._theories.append(theory)
-        theory.attach(self, tid)
-        return tid
+        theory.attach(self)
 
     def watch_var(self, var: int, theory) -> None:
         """Route future assignments of ``var`` to ``theory.on_assign``."""
         self._var_theories[var] += (theory,)
-
-    # ------------------------------------------------------------------
-    # state inspection (also the trail view theories read)
-
-    def lit_value(self, lit: int) -> int:
-        return self._val[lit]
-
-    def assigned_lit(self, var: int) -> int:
-        """The literal currently true for an assigned var."""
-        return var * 2 if self.assigns[var] == TRUE else var * 2 + 1
 
     # ------------------------------------------------------------------
     # trail operations
@@ -231,9 +216,8 @@ class Solver:
     def _enqueue(self, lit, reason) -> None:
         """Assign ``lit`` true. ``_bcp`` repeats these steps inline."""
         v = lit >> 1
-        self._val[lit] = TRUE
-        self._val[lit ^ 1] = FALSE
-        self.assigns[v] = FALSE if lit & 1 else TRUE
+        self.value[lit] = TRUE
+        self.value[lit ^ 1] = FALSE
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.pos[v] = len(self.trail)
@@ -246,13 +230,12 @@ class Solver:
             return
         bound = self.trail_lim[lvl]
         trail = self.trail
-        assigns, val, phase = self.assigns, self._val, self.phase
+        val, phase = self.value, self.phase
         reason, pos = self.reason, self.pos
         activity, queued, order = self.activity, self._queued, self._order
         for lit in trail[bound:]:
             v = lit >> 1
             phase[v] = not lit & 1
-            assigns[v] = UNDEF
             val[lit] = UNDEF
             val[lit ^ 1] = UNDEF
             reason[v] = None
@@ -260,7 +243,7 @@ class Solver:
             if not queued[v]:
                 queued[v] = 1
                 heapq.heappush(order, (-activity[v], v))
-        if len(order) > 2 * len(assigns):
+        if len(order) > len(val):  # two literals per var
             self._rebuild_order()  # shed the entries outdated by bumps
         del trail[bound:]
         del self.trail_lim[lvl:]
@@ -275,34 +258,6 @@ class Solver:
         self.watches[c.lits[0] ^ 1].append(c)
         self.watches[c.lits[1] ^ 1].append(c)
 
-    def _attach_pending(self):
-        """Safely insert clauses learned mid-search (theory conflicts).
-
-        A pending clause is a theory conflict queued right after the
-        backjump below its highest level, so its literals of that level are
-        unassigned and at least one literal is not false.
-        """
-        while self._pending:
-            c = self._pending.pop()
-            lits = c.lits
-            nonfalse = [l for l in lits if self.lit_value(l) != FALSE]
-            if not nonfalse:
-                raise RuntimeError("pending theory clause is still false")
-            if len(nonfalse) >= 2:
-                lits.sort(key=lambda l: self.lit_value(l) == FALSE)
-                self.learnts.append(c)
-                self._watch(c)
-            else:
-                l0 = nonfalse[0]
-                lits.remove(l0)
-                lits.sort(key=lambda l: -self.level[l >> 1])
-                lits.insert(0, l0)
-                self.learnts.append(c)
-                if len(lits) >= 2:
-                    self._watch(c)
-                if self.lit_value(l0) == UNDEF:
-                    self._enqueue(l0, c)
-
     def _bcp(self):
         """Unit propagation to fixpoint; returns a falsified Clause or None.
 
@@ -311,9 +266,8 @@ class Solver:
         """
         trail = self.trail
         watches = self.watches
-        val = self._val
-        assigns, level, reason, pos = (self.assigns, self.level, self.reason,
-                                       self.pos)
+        val = self.value
+        level, reason, pos = self.level, self.reason, self.pos
         var_theories = self._var_theories
         lvl = len(self.trail_lim)
         qhead = start = self.qhead
@@ -358,7 +312,6 @@ class Solver:
                     v = first >> 1
                     val[first] = TRUE
                     val[first ^ 1] = FALSE
-                    assigns[v] = FALSE if first & 1 else TRUE
                     level[v] = lvl
                     reason[v] = c
                     pos[v] = len(trail)
@@ -380,7 +333,7 @@ class Solver:
                 return conflict, False
             progressed = False
             for lit, atom_id in implied:
-                val = self.lit_value(lit)
+                val = self.value[lit]
                 if val == TRUE:
                     continue
                 if val != UNDEF:
@@ -398,7 +351,6 @@ class Solver:
         Returns None, a falsified Clause, or a list of theory conflict lits.
         """
         while True:
-            self._attach_pending()
             confl = self._bcp()
             if confl is not None:
                 return confl
@@ -421,7 +373,8 @@ class Solver:
     def _reason_clause(self, var):
         r = self.reason[var]
         if isinstance(r, LazyReason):
-            r = self._materialize(r.theory, r.atom_id, self.assigned_lit(var))
+            r = self._materialize(r.theory, r.atom_id,
+                                  self.trail[self.pos[var]])
             self.reason[var] = r
         return r
 
@@ -436,18 +389,18 @@ class Solver:
                 self.activity[i] *= 1e-100
             self._var_inc *= 1e-100
             self._rebuild_order()
-        elif self.assigns[v] == UNDEF:
+        elif self.value[2 * v] == UNDEF:
             heapq.heappush(self._order, (-act, v))
         else:
             self._queued[v] = 0  # its entry is outdated; re-queued on unassign
 
     def _rebuild_order(self):
         """Rebuild ``_order`` with one entry per unassigned var."""
-        activity, assigns = self.activity, self.assigns
-        self._order = [(-activity[v], v) for v in range(len(assigns))
-                       if assigns[v] == UNDEF]
+        activity, val = self.activity, self.value
+        self._order = [(-activity[v], v) for v in range(len(activity))
+                       if val[2 * v] == UNDEF]
         heapq.heapify(self._order)
-        self._queued = bytearray(a == UNDEF for a in assigns)
+        self._queued = bytearray(a == UNDEF for a in val[::2])
 
     def _bump_clause(self, c):
         c.activity += self._cla_inc
@@ -506,7 +459,7 @@ class Solver:
 
     def _decide(self, assumptions):
         for a in assumptions:
-            v = self.lit_value(a)
+            v = self.value[a]
             if v == FALSE:
                 return None, True  # assumption contradicted
             if v == UNDEF:
@@ -517,12 +470,31 @@ class Solver:
             if -negact != activity[v]:
                 continue  # outdated by a later bump
             queued[v] = 0
-            if self.assigns[v] == UNDEF:
+            if self.value[2 * v] == UNDEF:
                 return mk_lit(v, not self.phase[v]), False
         return None, False  # nothing left (callers guard on trail size)
 
     # ------------------------------------------------------------------
     # learnt-clause management
+
+    def _keep_theory_clause(self, c):
+        """Learn a theory conflict clause once the clause learnt from it is
+        asserted. Its literals above the backjump level are no longer false;
+        a lone one is the asserting literal, already true."""
+        lits = c.lits
+        val = self.value
+        nonfalse = [l for l in lits if val[l] != FALSE]
+        if not nonfalse:
+            raise RuntimeError("theory conflict clause is still false")
+        if len(nonfalse) >= 2:
+            lits.sort(key=lambda l: val[l] == FALSE)
+        else:
+            lits.remove(nonfalse[0])
+            lits.sort(key=lambda l: -self.level[l >> 1])
+            lits.insert(0, nonfalse[0])
+        self.learnts.append(c)
+        if len(lits) >= 2:
+            self._watch(c)
 
     def _reduce_db(self):
         """Delete the learnt clauses in the less active half that are longer
@@ -535,7 +507,7 @@ class Solver:
         dead = set()
         for i, c in enumerate(self.learnts):
             locked = self.reason[c.lits[0] >> 1] is c and \
-                self._val[c.lits[0]] == TRUE
+                self.value[c.lits[0]] == TRUE
             if i < keep_from and len(c.lits) > 2 and not locked:
                 dead.add(c)
             else:
@@ -555,9 +527,9 @@ class Solver:
         self._solving = True
         assumptions = list(assumptions)
         for a in assumptions:
-            if not 0 <= a < len(self._val):
+            if not 0 <= a < len(self.value):
                 raise ValueError("unknown variable in assumption")
-        nvars = len(self.assigns)
+        nvars = len(self.level)
         self._max_learnts = max(self._max_learnts,
                                 max(len(self.clauses) // 3, 100))
         budget = 100 * luby(2, 1)
@@ -594,8 +566,6 @@ class Solver:
                     self._watch(c)
                     self._bump_clause(c)
                     self._enqueue(learnt[0], c)
-                if theory_clause is not None:
-                    self._pending.append(theory_clause)
                 self._var_inc /= 0.95
                 self._cla_inc /= 0.999
                 if len(self.learnts) >= self._max_learnts + len(self.trail):
@@ -605,6 +575,8 @@ class Solver:
                     since_restart = 0
                     budget = 100 * luby(2, self.restarts + 1)
                     self._cancel_until(0)
+                if theory_clause is not None:
+                    self._keep_theory_clause(theory_clause)
             else:
                 lit, failed = self._decide(assumptions)
                 if failed:
@@ -615,7 +587,7 @@ class Solver:
                     # assumption was checked satisfied along the way.
                     if len(self.trail) != nvars:
                         raise RuntimeError("model has unassigned vars")
-                    model = [self.assigns[v] == TRUE for v in range(nvars)]
+                    model = [x == TRUE for x in self.value[::2]]
                     self._cancel_until(0)
                     return SolveResult(SAT, model)
                 self.decisions += 1

@@ -2,7 +2,7 @@
 
 Each task of a processor is guarded by a solver variable; a schedulable atom
 states that the selected task set meets every deadline under preemptive
-earliest-deadline-first dispatch. The predicate is negative monotone: adding
+earliest-deadline-first dispatch. The predicate is monotone decreasing: adding
 tasks can only introduce misses, so a miss under the tasks assigned true is
 final while feasibility of the full candidate set settles the atom positively.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .gnf import check_pred, check_task
 from .sat import mk_lit
 from .theory import MonotonicTheory, NEGATIVE
 
@@ -134,8 +135,7 @@ class ProcessorTheory(MonotonicTheory):
             if var in self._slots:
                 raise ValueError("task var %d used twice on processor %d"
                                  % (var, pid))
-            if arrival < 0 or duration < 1:
-                raise ValueError("task needs arrival >= 0 and duration >= 1")
+            check_task(arrival, duration)
             self.tasks.append(TaskSpec(len(self.tasks), var, arrival,
                                        duration, deadline))
             self.add_s_var(var)
@@ -143,8 +143,7 @@ class ProcessorTheory(MonotonicTheory):
     def add_atom(self, kind: str, args, pvar: int) -> int:
         """Register a ``schedulable`` atom (no arguments) on atom var
         ``pvar``; returns the atom id."""
-        if kind != "schedulable":
-            raise ValueError("unknown processor predicate %r" % kind)
+        check_pred(kind, args, "processor", self.pid)
         return self.register_predicate(pvar, NEGATIVE, kind, ())
 
     # -- theory interface ------------------------------------------------------

@@ -54,7 +54,7 @@ class AtomBinding:
 
 
 class Completion:
-    """One extreme completion of the current trail, kept in step with it.
+    """One extreme completion of the current trail, updated with it.
 
     ``enabled`` has one byte per S-atom slot, 1 where the S-atom is in the
     completion. ``log`` lists the slots the trail has moved off the fill
@@ -89,7 +89,6 @@ class MonotonicTheory:
 
     def __init__(self):
         self.solver = None
-        self.tid = -1
         self._preds: list[AtomBinding] = []
         self._pvars: dict[int, int] = {}  # pvar -> atom_id
         self._slots: dict[int, int] = {}  # S-var -> mask slot
@@ -127,9 +126,8 @@ class MonotonicTheory:
         self._pvars[pvar] = atom_id
         return atom_id
 
-    def attach(self, solver, tid: int) -> None:
+    def attach(self, solver) -> None:
         self.solver = solver
-        self.tid = tid
         for v in self._slots:
             solver.watch_var(v, self)
         for v in self._pvars:
@@ -161,13 +159,13 @@ class MonotonicTheory:
             comp.log.append(slot)
 
     def on_backjump(self, level: int) -> None:
-        assigns = self.solver.assigns
+        value = self.solver.value
         slot_vars = self._slot_vars
         for comp in self._ext:
             log, enabled = comp.log, comp.enabled
             fill = 1 if comp.maximal else 0
             n = len(log)
-            while n and assigns[slot_vars[log[n - 1]]] == UNDEF:
+            while n and value[2 * slot_vars[log[n - 1]]] == UNDEF:
                 n -= 1
                 enabled[log[n]] = fill
             if n < len(log):
@@ -198,11 +196,12 @@ class MonotonicTheory:
         self._full = False
         self._scanned = gens
         self._assigned.clear()
-        assigns = self.solver.assigns
+        value = self.solver.value
         values = [None, None]  # per extreme, fetched on first use
         implied = []
         for pred in preds:
-            val = assigns[pred.pvar]
+            lit = 2 * pred.pvar  # the atom asserted
+            val = value[lit]
             if val != TRUE:
                 # Truth on this extreme survives every completion.
                 sure = pred.polarity == NEGATIVE
@@ -212,9 +211,8 @@ class MonotonicTheory:
                 if got[pred.atom_id]:
                     if val == FALSE:
                         self._full = True
-                        return (), self.explain(pred.atom_id,
-                                                mk_lit(pred.pvar))
-                    implied.append((mk_lit(pred.pvar), pred.atom_id))
+                        return (), self.explain(pred.atom_id, lit)
+                    implied.append((lit, pred.atom_id))
                     continue
             if val != FALSE:
                 sure = pred.polarity == POSITIVE
@@ -224,9 +222,8 @@ class MonotonicTheory:
                 if not got[pred.atom_id]:
                     if val == TRUE:
                         self._full = True
-                        return (), self.explain(pred.atom_id,
-                                                mk_lit(pred.pvar, True))
-                    implied.append((mk_lit(pred.pvar, True), pred.atom_id))
+                        return (), self.explain(pred.atom_id, lit + 1)
+                    implied.append((lit + 1, pred.atom_id))
         return tuple(implied), None
 
     def eval_completion(self, maximal: bool):
@@ -262,7 +259,7 @@ class MonotonicTheory:
         positive = not (lit & 1)
         solver = self.solver
         p = solver.pos[pred.pvar]
-        if p >= 0 and solver.lit_value(lit) == TRUE:
+        if p >= 0 and solver.value[lit] == TRUE:
             prefix = p  # explaining the trail assignment itself
         else:
             prefix = len(solver.trail)  # contradiction with the current trail

@@ -161,10 +161,10 @@ def _checked(solver, th, propagate, recorder):
         implied, conflict = propagate()
         if conflict is None:
             for lit, atom_id in implied:
-                if solver.lit_value(lit) != UNDEF:
+                if solver.value[lit] != UNDEF:
                     continue
                 lits = tuple(th.explain(atom_id, lit))
-                if lits[0] != lit or any(solver.lit_value(other) != FALSE
+                if lits[0] != lit or any(solver.value[other] != FALSE
                                          for other in lits[1:]):
                     raise AssertionError("reason %r does not assert %d"
                                          % (lits, lit))

@@ -1,7 +1,7 @@
 """Trail-restored completions checked against masks rebuilt from the solver.
 
 After every ``propagate`` call, each theory's two completion masks must equal
-the masks rebuilt from ``solver.assigns``, and every evaluation still on a
+the masks rebuilt from ``solver.value``, and every evaluation still on a
 completion's stack must match ``evaluate``, the theories' one evaluation
 hook, on the mask rebuilt from the trail prefix it belongs to. So must every max flow in a stacked analysis,
 which was warm-started from an older one: its value and residual cut side
@@ -94,8 +94,8 @@ class Checker:
         for maximal in (False, True):
             comp = th.completion(maximal)
             live = bytearray(
-                (solver.assigns[v] != FALSE) if maximal
-                else (solver.assigns[v] == TRUE) for v in svars)
+                (solver.value[2 * v] != FALSE) if maximal
+                else (solver.value[2 * v] == TRUE) for v in svars)
             assert comp.enabled == live
             assert len(comp.enabled) == len(svars)
             # Where each stacked generation sits in the trail.

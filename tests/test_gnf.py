@@ -4,6 +4,8 @@ import pytest
 
 from monosmt.generators import gen_flow, gen_maze, gen_sched
 from monosmt.gnf import GnfError, parse, parse_model, serialize
+from monosmt.graphs import GraphTheory
+from monosmt.scheduling import ProcessorTheory
 
 
 def err(text):
@@ -89,6 +91,8 @@ def test_clause_errors():
     assert "not terminated" in str(err("p gnf 2 1\n1 2\n"))
     assert "0 inside clause" in str(err("p gnf 2 1\n1 0 2 0\n"))
     assert "out of range" in str(err("p gnf 1 1\n2 0\n"))
+    e = err("p gnf 2 2\n1 0\n-1 3 -4 0\n")  # the first bad var is named
+    assert str(e) == "line 3: var 3 out of range 1..2" and e.line == 3
     assert "declared 2 clauses, found 1" in str(err("p gnf 1 2\n1 0\n"))
 
 
@@ -139,6 +143,39 @@ def test_task_errors():
         "p gnf 1 0\nprocessor 1\ntask 1 0 1 1 1\ntask 1 0 1 1 1\n"))
 
 
+def test_arity_errors_name_the_declaration():
+    for line in ("digraph 2 0", "ugraph 2 0 1 1", "edge 1 0 1",
+                 "edge 1 0 1 1 1 1", "reach 1 0 1", "distance_leq 1 0 1 1",
+                 "maxflow_geq 1 0 1 1 1 1", "components_leq 1 1",
+                 "mst_weight_leq 1 inf", "mst_edge 1 1 1 1", "processor",
+                 "processor 1 2", "task 1 0 1 1", "schedulable 1"):
+        e = err("p gnf 1 0\n" + line + "\n")
+        assert "line 2: %s expects" % line.split()[0] in str(e), line
+        assert e.line == 2
+
+
+def test_negative_sizes_and_bounds():
+    for text, line in (("p gnf 0 0\nugraph -1 0 1\n", 2),
+                       ("p gnf 0 0\ndigraph 2 -1 1\n", 2),
+                       ("p gnf 1 0\nugraph 2 0 1\ncomponents_leq 1 -1 1\n",
+                        3),
+                       ("p gnf 1 0\nugraph 2 0 1\nmst_weight_leq 1 -1 1\n",
+                        3)):
+        e = err(text)
+        assert "negative" in str(e) and e.line == line, text
+
+
+def test_mst_weight_finite_bound():
+    doc = parse("""p gnf 2 0
+ugraph 2 1 1
+edge 1 0 1 1
+mst_weight_leq 1 7 2
+""")
+    assert doc.preds[0].args == (7,)
+    assert "mst_weight_leq 1 7 2" in serialize(doc)
+    assert parse(serialize(doc)) == doc
+
+
 def test_var_role_collisions_report_first_line():
     e = err("p gnf 2 0\nugraph 2 1 1\nedge 1 0 1 1\ncomponents_leq 1 1 1\n")
     assert "already an edge or task var (line 3)" in str(e)
@@ -148,6 +185,61 @@ def test_var_role_collisions_report_first_line():
     e = err("p gnf 2 0\nugraph 2 0 1\n"
             "components_leq 1 1 1\ncomponents_leq 1 1 1\n")
     assert "already a predicate atom (line 3)" in str(e)
+
+
+# Each graph and the processor have room for one more member; every line
+# of BAD_DECLARATIONS, appended as line 8, breaks one declaration rule.
+ROOM = """p gnf 9 0
+digraph 3 2 1
+edge 1 0 1 1
+ugraph 3 2 2
+edge 2 0 1 2
+processor 3
+task 3 0 1 2 3
+"""
+BAD_DECLARATIONS = [
+    "edge 1 0 3 4",
+    "edge 2 -1 1 4",
+    "edge 2 0 1 4 -1",
+    "task 3 -1 1 2 4",
+    "task 3 0 0 2 4",
+    "reach 1 0 3 5",
+    "reach 2 0 1 5",  # an undirected graph
+    "distance_leq 1 0 1 -1 5",
+    "maxflow_geq 1 0 1 -1 5",
+    "maxflow_geq 1 1 1 2 5",
+    "components_leq 1 1 5",  # a directed graph
+    "components_leq 2 -1 5",
+    "mst_weight_leq 2 -1 5",
+    "mst_edge 2 1 5",  # var 1 is an edge of graph 1 only
+]
+
+
+def declare_on_theory(line):
+    """Make the declaration on the theories of ROOM, with GNF var numbers
+    as solver vars."""
+    head, *tokens = line.split()
+    oid, *args = [int(t) for t in tokens]
+    if head == "edge":
+        u, v, var, *weight = args
+        GraphTheory(oid, oid == 1, 3, [(0, 1, oid, 1),
+                                       (u, v, var, *(weight or [1]))])
+    elif head == "task":
+        arrival, duration, deadline, var = args
+        ProcessorTheory(oid, [(3, 0, 1, 2), (var, arrival, duration,
+                                             deadline)])
+    else:
+        graph = GraphTheory(oid, oid == 1, 3, [(0, 1, oid, 1)])
+        graph.add_atom(head, tuple(args[:-1]), args[-1])
+
+
+@pytest.mark.parametrize("line", BAD_DECLARATIONS)
+def test_parser_and_theories_apply_the_same_rules(line):
+    e = err(ROOM + line + "\n")
+    assert e.line == 8
+    with pytest.raises(ValueError) as info:
+        declare_on_theory(line)
+    assert str(e) == "line 8: %s" % info.value
 
 
 def test_same_edge_var_allowed_across_graphs():

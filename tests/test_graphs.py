@@ -242,6 +242,9 @@ def test_argument_validation():
         GraphTheory(2, True, 2, [(0, 1, 0, 1), (1, 0, 0, 1)])  # var twice
     with pytest.raises(ValueError):
         GraphTheory(3, True, 2, [(0, 1, 0, -2)])
+    for u, v in ((0, 2), (-1, 1)):
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            GraphTheory(4, True, 2, [(u, v, 0, 1)])
 
 
 # -- pure helpers ---------------------------------------------------------------

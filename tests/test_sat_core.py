@@ -164,7 +164,7 @@ def test_solve_rejects_assumptions_of_unknown_vars():
                          ids=["cnf", "maze"])
 def test_decisions_follow_activity_through_rescaling(doc):
     solver = build_instance(doc).solver
-    nvars = len(solver.assigns)
+    nvars = len(solver.level)
     decide = solver._decide
     rescales = Counter()
 
@@ -180,7 +180,7 @@ def test_decisions_follow_activity_through_rescaling(doc):
 
     def checked(assumptions):
         activity = solver.activity
-        unassigned = [v for v in range(nvars) if solver.assigns[v] == UNDEF]
+        unassigned = [v for v in range(nvars) if solver.value[2 * v] == UNDEF]
         current = Counter(v for negact, v in solver._order
                           if -negact == activity[v])
         assert all(current[v] == 1 for v in unassigned)
@@ -297,7 +297,7 @@ class Rogue:
     def __init__(self, lit, reason, level):
         self.lit, self.reason, self.level = lit, reason, level
 
-    def attach(self, solver, tid):
+    def attach(self, solver):
         self.solver = solver
 
     def on_assign(self, lit):

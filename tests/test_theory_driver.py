@@ -1,13 +1,18 @@
 """The generic propagation driver, exercised through a tiny toy theory."""
 
 import itertools
+import random
 
 import pytest
 
-from monosmt.sat import Solver, mk_lit
+from monosmt.build import internal_lit
+from monosmt.graphs import GraphTheory
+from monosmt.oracle import brute_force_solve
+from monosmt.scheduling import ProcessorTheory
+from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.theory import MonotonicTheory, NEGATIVE, POSITIVE
 
-from instances import Recorder, check_reasons
+from instances import Recorder, check_reasons, rand_mixed_doc
 from test_sat_core import run_optimized
 
 
@@ -171,6 +176,44 @@ def test_random_toy_instances_with_validated_reasons():
             (q, lambda bits: not (bits[a] and bits[c])),
         ])
         assert solver.solve().status == want, "seed %d" % seed
+
+
+def test_attach_replays_assignments_made_before_it():
+    # Level-0 units on edge, task and atom vars go in before the theories
+    # are attached, so the theories learn of them only from the trail.
+    for seed in range(40):
+        doc = rand_mixed_doc(seed)
+        rng = random.Random(seed)
+        g, proc = doc.graphs[1], doc.procs[1]
+        svars = [e.var for e in g.edges] + [t.var for t in proc.tasks]
+        for v in rng.sample(svars, 2):
+            doc.clauses.append([rng.choice((v, -v))])
+        solver = Solver()
+        for _ in range(doc.nvars):
+            solver.new_var()
+        units = [c for c in doc.clauses if len(c) == 1]
+        ok = all(solver.add_clause([internal_lit(c[0])]) for c in units)
+        graph = GraphTheory(1, g.directed, g.n, [
+            (e.u, e.v, e.var - 1, e.weight) for e in g.edges])
+        cpu = ProcessorTheory(1, [(t.var - 1, t.arrival, t.duration,
+                                   t.deadline) for t in proc.tasks])
+        for pred in doc.preds:
+            th = cpu if pred.kind == "schedulable" else graph
+            args = ((pred.args[0] - 1,) if pred.kind == "mst_edge"
+                    else pred.args)
+            th.add_atom(pred.kind, args, pred.var - 1)
+        solver.attach_theory(graph)
+        solver.attach_theory(cpu)
+        for th, decls in ((graph, g.edges), (cpu, proc.tasks)):
+            lits = [mk_lit(d.var - 1) for d in decls]
+            assert th.completion(False).enabled == bytearray(
+                solver.value[l] == TRUE for l in lits)
+            assert th.completion(True).enabled == bytearray(
+                solver.value[l] != FALSE for l in lits)
+        ok = ok and all(solver.add_clause([internal_lit(l) for l in c])
+                        for c in doc.clauses if len(c) > 1)
+        status = solver.solve().status if ok else "UNSAT"
+        assert status == brute_force_solve(doc)[0], "seed %d" % seed
 
 
 _WRONG_ATOM = """
