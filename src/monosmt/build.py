@@ -9,7 +9,7 @@ from __future__ import annotations
 from .sat import Solver, SAT, mk_lit
 from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
-from .gnf import GnfDocument
+from .gnf import GnfDocument, PREDICATES
 
 
 def internal_lit(dimacs: int) -> int:
@@ -45,7 +45,8 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
              for pid, p in doc.procs.items()}
     atoms = []
     for pred in doc.preds:
-        th = (procs if pred.kind == "schedulable" else graphs)[pred.owner]
+        on_proc = PREDICATES[pred.kind][0] == "processor"
+        th = (procs if on_proc else graphs)[pred.owner]
         # mst_edge names its edge by var, the only var among the arguments.
         args = (pred.args[0] - 1,) if pred.kind == "mst_edge" else pred.args
         atoms.append((th, th.atom(th.add_atom(pred.kind, args,
@@ -89,7 +90,7 @@ def witness_lines(inst: Instance, values):
             continue
         model = models.get(th)
         if model is None:
-            if pred.kind == "schedulable":
+            if PREDICATES[pred.kind][0] == "processor":
                 decls = inst.doc.procs[pred.owner].tasks
             else:
                 decls = inst.doc.graphs[pred.owner].edges

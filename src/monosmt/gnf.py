@@ -107,6 +107,12 @@ def _usage(kind):
     return "%s expects %s" % (kind, " ".join("<%s>" % w for w in words))
 
 
+def check_graph(n, m):
+    """Reject a graph of n nodes and m edges that GNF does not allow."""
+    if n < 0 or m < 0:
+        raise ValueError("negative graph size")
+
+
 def check_edge(n, u, v, weight):
     """Reject an edge of an n-node graph that GNF does not allow."""
     if not (0 <= u < n and 0 <= v < n):
@@ -197,8 +203,7 @@ def parse(text: str) -> GnfDocument:
             n, m, gid = _ints(args, ln, head)
             if gid in doc.graphs:
                 raise GnfError("duplicate graph id %d" % gid, ln)
-            if n < 0 or m < 0:
-                raise GnfError("negative graph size", ln)
+            check_graph(n, m)
             doc.graphs[gid] = GraphDecl(gid, head == "digraph", n)
             declared_edges[gid] = m
             edge_vars[gid] = set()

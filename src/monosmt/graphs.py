@@ -8,13 +8,18 @@ on the maximal completion all edges not assigned false.
 Determinism rules used throughout: breadth-first and shortest-path traversal
 visit neighbors in (node id, edge id) order, spanning trees are built in
 (weight, edge id) order, which also makes the minimum spanning tree unique.
+
+A completion's spanning forest and shortest-path trees are carried over
+from its previous evaluation where the edges moved since cannot change
+them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
+run exactly: forest order, union-find roots, distances and parent edges.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 
-from .gnf import check_edge, check_pred
+from .gnf import check_edge, check_graph, check_pred
 from .sat import mk_lit
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 
@@ -91,6 +96,8 @@ class SpanResult:
 
 
 def span_scan(n, edges, order, enabled) -> SpanResult:
+    """Kruskal's scan of the enabled edges in ``order``, stopping once one
+    component is left."""
     parent = list(range(n))
     forest = []
     weight = 0
@@ -99,12 +106,21 @@ def span_scan(n, edges, order, enabled) -> SpanResult:
         if not enabled[eid]:
             continue
         e = edges[eid]
-        ru, rv = find(parent, e.u), find(parent, e.v)
+        ru = e.u  # find, inlined
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        rv = e.v
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
         if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+            if ru > rv:
+                ru, rv = rv, ru
+            parent[rv] = ru
             forest.append(eid)
             weight += e.weight
             components -= 1
+            if components == 1:
+                break
     return SpanResult(components, forest, weight, parent)
 
 
@@ -237,6 +253,7 @@ class GraphTheory(MonotonicTheory):
 
     def __init__(self, gid: int, directed: bool, n: int, edges):
         super().__init__()
+        check_graph(n, len(edges))
         self.gid = gid
         self.directed = directed
         self.n = n
@@ -261,6 +278,10 @@ class GraphTheory(MonotonicTheory):
             lst.sort(key=lambda p: (p[1], p[0], not p[2]))
         self._order = sorted(range(len(self.edges)),
                              key=lambda i: (self._weights[i], i))
+        self._rank = sorted(range(len(self.edges)),  # eid -> its place
+                            key=self._order.__getitem__)
+        self._mst_atoms = []  # (atom id, eid), evaluated as one group
+        self._atoms = []  # every other atom, through evaluate
 
     def add_atom(self, kind: str, args, pvar: int) -> int:
         """Register the GNF predicate ``kind`` with its arguments after the
@@ -275,15 +296,79 @@ class GraphTheory(MonotonicTheory):
                                  % (args[0], self.gid))
             args = (eid,)
         polarity = NEGATIVE if kind == "mst_edge" else POSITIVE
-        return self.register_predicate(pvar, polarity, kind, args)
+        aid = self.register_predicate(pvar, polarity, kind, args)
+        if kind == "mst_edge":
+            self._mst_atoms.append((aid, args[0]))
+        else:
+            self._atoms.append(self._preds[aid])
+        return aid
 
     # -- evaluation ---------------------------------------------------------
 
-    def _analysis(self, enabled, analysis, key, base=None):
+    def eval_completion(self, maximal: bool):
+        """Every atom evaluated on one extreme: the mst_edge atoms as one
+        group over the forest, the rest through ``evaluate``, on analyses
+        carried over from the newest stacked evaluation where they can be
+        (``_carried``)."""
+        comp = self._ext[maximal]
+        enabled = comp.enabled
+        gen, _, base = comp.stack[-1] if comp.stack else (0, None, {})
+        moved = comp.log[gen:]
+        analysis = {}
+        for key, old in base.items():
+            new = self._carried(key, old, enabled, moved, maximal)
+            if new is not None:
+                analysis[key] = new
+        values = [False] * len(self._preds)
+        if self._mst_atoms:
+            forest = self._analysis(enabled, analysis, _SPAN).forest_set
+            for aid, eid in self._mst_atoms:
+                values[aid] = not enabled[eid] or eid in forest
+        for pred in self._atoms:
+            values[pred.atom_id] = self.evaluate(pred, enabled, analysis)
+        return values, analysis
+
+    def _carried(self, key, old, enabled, moved, maximal):
+        """Analysis ``key`` of ``enabled`` from ``old``, the one from before
+        the edges ``moved`` changed, or None when a cold run is needed. A
+        max flow is augmented from the old one. The minimal completion
+        gains edges: the forest gains them all while each joins two
+        components, and a tree stands while no edge (a, b) has
+        d[a] + w <= d[b] (a tie may change a parent edge). The maximal
+        completion loses edges: the forest stands while it loses none, a
+        tree while no parent edge is lost."""
+        edges = self.edges
+        if key[0] == "flow":
+            return edmonds_karp(self._flow_adj, self._weights, self.n,
+                                enabled, key[1], key[2], start=old)
+        if key == _SPAN:
+            if maximal:
+                return old if old.forest_set.isdisjoint(moved) else None
+            parent, weight = old.parent[:], old.weight
+            for eid in moved:
+                e = edges[eid]
+                ru, rv = find(parent, e.u), find(parent, e.v)
+                if ru == rv:
+                    return None
+                parent[max(ru, rv)] = min(ru, rv)
+                weight += e.weight
+            return SpanResult(old.components - len(moved),
+                              sorted(old.forest + moved,
+                                     key=self._rank.__getitem__),
+                              weight, parent)
+        if key[0] != "dij":
+            return None  # a BFS tree
+        dist, parent = old  # of a distance_leq atom, so on a digraph
+        for eid in moved:
+            e = edges[eid]
+            if (parent[e.v] == eid if maximal else dist[e.u] != INF
+                    and dist[e.u] + e.weight <= dist[e.v]):
+                return None
+        return old
+
+    def _analysis(self, enabled, analysis, key):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
-        ("span",), ("bfs", src), ("dij", src) or ("flow", s, t). A max flow
-        starts from the flow in ``base``, the analysis of another mask,
-        when that has one."""
+        ("span",), ("bfs", src), ("dij", src) or ("flow", s, t)."""
         hit = analysis.get(key)
         if hit is None:
             name, n = key[0], self.n
@@ -296,12 +381,11 @@ class GraphTheory(MonotonicTheory):
                                     key[1])
             else:
                 hit = edmonds_karp(self._flow_adj, self._weights, n, enabled,
-                                   key[1], key[2],
-                                   start=base.get(key) if base else None)
+                                   key[1], key[2])
             analysis[key] = hit
         return hit
 
-    def evaluate(self, pred, enabled, analysis, base=None):
+    def evaluate(self, pred, enabled, analysis):
         kind, payload = pred.kind, pred.payload
         if kind == "mst_edge":
             eid = payload[0]
@@ -316,7 +400,7 @@ class GraphTheory(MonotonicTheory):
         if kind == "maxflow_geq":
             s, t, bound = payload
             return bound <= 0 or self._analysis(
-                enabled, analysis, ("flow", s, t), base).value >= bound
+                enabled, analysis, ("flow", s, t)).value >= bound
         span = self._analysis(enabled, analysis, _SPAN)
         if kind == "components_leq":
             return span.components <= payload[0]

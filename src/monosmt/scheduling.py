@@ -148,7 +148,7 @@ class ProcessorTheory(MonotonicTheory):
 
     # -- theory interface ------------------------------------------------------
 
-    def evaluate(self, pred, enabled, analysis, base=None):
+    def evaluate(self, pred, enabled, analysis):
         return self._edf(enabled, analysis).feasible
 
     def witness_lits(self, pred, positive, prefix):

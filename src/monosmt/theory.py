@@ -28,7 +28,10 @@ stacked analysis of that generation when there is one.
 A theory supplies one evaluation hook, ``MonotonicTheory.evaluate``: the
 truth of one predicate on one enabled mask. ``eval_completion`` calls it
 for every predicate on an extreme, and explanations reuse the analyses it
-memoized.
+memoized. A theory may override ``eval_completion`` to evaluate atoms in
+groups that share an analysis and to reuse the newest stacked evaluation's
+analyses, at generation ``gen``, when the slots moved since, ``log[gen:]``,
+cannot have changed them; ``GraphTheory`` does so.
 """
 from __future__ import annotations
 
@@ -76,15 +79,15 @@ class Completion:
 class MonotonicTheory:
     """Base class driving under/over-approximation propagation.
 
-    Subclasses supply one hook, ``evaluate(pred, enabled, analysis, base)``,
-    the truth of one predicate on an enabled mask. It memoizes the analyses
+    Subclasses supply one hook, ``evaluate(pred, enabled, analysis)``, the
+    truth of one predicate on an enabled mask. It memoizes the analyses
     behind the value (a spanning forest, a max flow) in the ``analysis``
-    dict, shared by every predicate evaluated on the same mask; ``base`` is
-    the analysis of an older mask of the same completion, or None.
+    dict, shared by every predicate evaluated on the same mask.
     ``eval_completion`` applies it to every predicate on one extreme of the
-    current trail. Subclasses may override ``witness_lits`` to produce
-    algorithm-specific reason clauses; the base falls back to the
-    justification-set clause built from one polarity of S-atom assignments.
+    current trail; a subclass may override it to evaluate atoms in groups.
+    Subclasses may override ``witness_lits`` to produce algorithm-specific
+    reason clauses; the base falls back to the justification-set clause
+    built from one polarity of S-atom assignments.
     """
 
     def __init__(self):
@@ -230,12 +233,9 @@ class MonotonicTheory:
         """Every predicate evaluated on one extreme of the current trail;
         returns ``(values, analysis)``, a bool per atom id and the analyses
         that produced them."""
-        comp = self._ext[maximal]
-        # The newest stacked evaluation is for a prefix of the current log.
-        base = comp.stack[-1][2] if comp.stack else None
-        enabled = comp.enabled
+        enabled = self._ext[maximal].enabled
         analysis = {}
-        return [self.evaluate(p, enabled, analysis, base)
+        return [self.evaluate(p, enabled, analysis)
                 for p in self._preds], analysis
 
     def _values(self, maximal: bool):
@@ -323,6 +323,6 @@ class MonotonicTheory:
         """Algorithm-specific clause tail, or None to use the fallback."""
         return None
 
-    def evaluate(self, pred, enabled, analysis, base=None) -> bool:
+    def evaluate(self, pred, enabled, analysis) -> bool:
         """Truth of ``pred`` on the ``enabled`` mask."""
         raise NotImplementedError

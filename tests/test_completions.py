@@ -5,15 +5,21 @@ the masks rebuilt from ``solver.value``, and every evaluation still on a
 completion's stack must match ``evaluate``, the theories' one evaluation
 hook, on the mask rebuilt from the trail prefix it belongs to. So must every max flow in a stacked analysis,
 which was warm-started from an older one: its value and residual cut side
-must be those of a cold ``edmonds_karp`` on that mask. The checks run
-through restarts and backjumps.
+must be those of a cold ``edmonds_karp`` on that mask. Every stacked
+spanning forest and shortest-path tree, which may be carried over from an
+older generation or extended from one, must equal a cold ``span_scan`` or
+``dijkstra_tree`` on its own generation's mask in every field the search
+reads. The checks run through restarts and backjumps.
 """
 
 import random
+from collections import Counter
 
-from monosmt import generators
+from monosmt import generators, graphs
 from monosmt.build import build_instance
-from monosmt.graphs import GraphTheory, edmonds_karp
+from monosmt.generators import Xorshift64Star
+from monosmt.graphs import (GraphTheory, SpanResult, dijkstra_tree,
+                            edmonds_karp, find, span_scan)
 from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import NEGATIVE, POSITIVE
@@ -30,13 +36,32 @@ def slot_vars(th):
     return th.arg_vars
 
 
-def cold_flow(th, enabled, key, memo):
+def cold(th, enabled, key, memo):
+    """Analysis ``key`` of ``enabled`` run from scratch, memoized."""
     memo_key = (bytes(enabled), key)
     hit = memo.get(memo_key)
     if hit is None:
-        hit = memo[memo_key] = edmonds_karp(th._flow_adj, th._weights,
-                                            th.n, enabled, *key[1:])
+        if key[0] == "span":
+            hit = span_scan(th.n, th.edges, th._order, enabled)
+        elif key[0] == "dij":
+            hit = dijkstra_tree(th._adj, th._weights, th.n, enabled, key[1])
+        else:
+            hit = edmonds_karp(th._flow_adj, th._weights, th.n, enabled,
+                               *key[1:])
+        memo[memo_key] = hit
     return hit
+
+
+def assert_same_tree(th, got, want):
+    """A stacked forest or shortest-path tree equals a cold one."""
+    if isinstance(want, SpanResult):
+        assert got.forest == want.forest
+        assert got.forest_set == want.forest_set
+        assert (got.components, got.weight) == (want.components, want.weight)
+        assert ([find(got.parent, x) for x in range(th.n)]
+                == [find(want.parent, x) for x in range(th.n)])
+    else:
+        assert got == want  # (dist, parent)
 
 
 def concrete_values(th, enabled, memo):
@@ -78,6 +103,9 @@ class Checker:
         self.checks = 0
         self.stacked = 0
         self.flows = set()  # stacked max flows checked so far
+        # (id, mask) -> stacked forest or tree checked on that mask
+        self.trees = {}
+        self.reused = Counter()  # "span"/"dij": carried over unchanged
         for th in theories:
             th.propagate = self._wrap(th, th.propagate)
 
@@ -103,15 +131,24 @@ class Checker:
                         if gen < len(comp.log) else len(solver.trail)
                         for gen, _, _ in comp.stack]
             masks = masks_at(th, maximal, prefixes)
+            older = {}
             for (_, values, analysis), mask in zip(comp.stack, masks):
                 assert values == concrete_values(th, mask, self.memo[th])
                 self.stacked += 1
                 for key, res in analysis.items():
                     if key[0] == "flow" and res not in self.flows:
-                        cold = cold_flow(th, mask, key, self.memo[th])
-                        assert res.value == cold.value
-                        assert bytes(res.cut_side) == bytes(cold.cut_side)
+                        want = cold(th, mask, key, self.memo[th])
+                        assert res.value == want.value
+                        assert bytes(res.cut_side) == bytes(want.cut_side)
                         self.flows.add(res)
+                    elif (key[0] in ("span", "dij")
+                          and (id(res), bytes(mask)) not in self.trees):
+                        want = cold(th, mask, key, self.memo[th])
+                        assert_same_tree(th, res, want)
+                        self.trees[id(res), bytes(mask)] = res
+                        if res is older.get(key):
+                            self.reused[key[0]] += 1
+                older = analysis
             prefix = self.rng.randint(0, len(solver.trail))
             enabled, moved, _ = th.completion_before(maximal, prefix)
             assert enabled == masks_at(th, maximal, [prefix])[0]
@@ -129,7 +166,14 @@ def solve_checked(inst, seed=0):
     return res, checker
 
 
-def test_generated_instances_through_restarts_and_backjumps():
+def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
+    scanned = []  # every forest a theory scanned cold
+
+    def recorded(*args):
+        scanned.append(span_scan(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(graphs, "span_scan", recorded)
     docs = ([generators.gen_maze(4, 4, s) for s in range(3)]
             + [generators.gen_maze(5, 5, 7)]
             + [generators.gen_flow(5, 5, mode="unit", seed=s, demand=2)
@@ -138,7 +182,8 @@ def test_generated_instances_through_restarts_and_backjumps():
                for s in range(2)]
             + [generators.gen_sched(20, 2, 2, s) for s in range(2)]
             + [generators.gen_sched(30, 3, 4, 0)])
-    restarts = conflicts = checks = stacked = 0
+    restarts = conflicts = checks = stacked = extended = 0
+    reused = Counter()
     for i, doc in enumerate(docs):
         inst = build_instance(doc)
         solver = inst.solver
@@ -148,8 +193,14 @@ def test_generated_instances_through_restarts_and_backjumps():
         conflicts += solver.conflicts  # each one backjumps
         checks += checker.checks
         stacked += checker.stacked
+        reused += checker.reused
+        cold_ids = {id(span) for span in scanned}
+        extended += len({id(t) for t in checker.trees.values()
+                         if isinstance(t, SpanResult)} - cold_ids)
     assert restarts >= 5 and conflicts >= 1000
     assert checks > 1000 and stacked > checks
+    # Each way of skipping a cold run was taken, and checked.
+    assert reused["span"] > 0 and reused["dij"] > 0 and extended > 0
 
 
 def test_stacked_max_flows_match_cold_starts():
@@ -165,6 +216,44 @@ def test_stacked_max_flows_match_cold_starts():
         conflicts += inst.solver.conflicts
         flows += len(checker.flows)
     assert restarts >= 2 and conflicts >= 200 and flows >= 2000
+
+
+def test_carried_analyses_match_cold_runs_on_random_edge_orders():
+    # Edges move one at a time in random order, with no solver: dense
+    # graphs of weights 1 and 2 give many equal-length paths and equal-weight
+    # forests, where a gained edge can take over a parent edge.
+    reused = Counter()
+    for seed in range(300):
+        rng = Xorshift64Star(seed)
+        directed = seed % 2 == 0
+        n, m = rng.randint(2, 8), rng.randint(1, 24)
+        th = GraphTheory(1, directed, n, [
+            (rng.randint(0, n - 1), rng.randint(0, n - 1), i,
+             rng.randint(1, 2)) for i in range(m)])
+        if directed:
+            keys = [("dij", 0), ("dij", 1)]
+            for j, key in enumerate(keys):
+                th.add_atom("distance_leq", (key[1], n - 1, 3), m + j)
+        else:
+            keys = [("span",)]
+            th.add_atom("mst_edge", (0,), m)
+            th.add_atom("components_leq", (1,), m + 1)
+        order = list(range(m))
+        for i in range(m - 1, 0, -1):
+            j = rng.randint(0, i)
+            order[i], order[j] = order[j], order[i]
+        for var in order:
+            th.on_assign(2 * var + rng.randint(0, 1))
+            for maximal in (False, True):
+                comp = th.completion(maximal)
+                older = comp.stack[-1][2] if comp.stack else {}
+                th._values(maximal)
+                analysis = comp.stack[-1][2]
+                for key in keys:
+                    assert_same_tree(th, analysis[key],
+                                     cold(th, comp.enabled, key, {}))
+                    reused[key[0]] += analysis[key] is older.get(key)
+    assert reused["span"] > 0 and reused["dij"] > 0
 
 
 def test_random_documents_of_every_kind():

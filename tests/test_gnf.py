@@ -212,6 +212,7 @@ BAD_DECLARATIONS = [
     "components_leq 2 -1 5",
     "mst_weight_leq 2 -1 5",
     "mst_edge 2 1 5",  # var 1 is an edge of graph 1 only
+    "digraph -2 0 4",
 ]
 
 
@@ -220,7 +221,10 @@ def declare_on_theory(line):
     as solver vars."""
     head, *tokens = line.split()
     oid, *args = [int(t) for t in tokens]
-    if head == "edge":
+    if head in ("digraph", "ugraph"):
+        n, gid = oid, args[1]  # a theory takes its edges, not m
+        GraphTheory(gid, head == "digraph", n, [])
+    elif head == "edge":
         u, v, var, *weight = args
         GraphTheory(oid, oid == 1, 3, [(0, 1, oid, 1),
                                        (u, v, var, *(weight or [1]))])

@@ -11,7 +11,8 @@ from monosmt import oracle
 from monosmt.build import run_solve
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
-from monosmt.graphs import EdgeSpec, GraphTheory, edmonds_karp, span_scan
+from monosmt.graphs import (EdgeSpec, GraphTheory, edmonds_karp, find,
+                            span_scan)
 
 from instances import (rand_graph, rand_pred, solve_recorded, GRAPH_KINDS,
                        DIRECTED_KINDS)
@@ -261,6 +262,39 @@ def test_span_scan_counts_isolated_nodes():
     span = span_scan(4, [EdgeSpec(0, 1, 0, 2)], [0], bytearray([1]))
     assert span.components == 3
     assert span.weight == 2 and list(span.forest) == [0]
+
+
+def reference_kruskal(n, edges, enabled):
+    """Plain Kruskal in (weight, eid) order, with component labels kept as
+    the smallest node of each component."""
+    label = list(range(n))
+    forest, weight = [], 0
+    for eid in sorted(range(len(edges)), key=lambda i: (edges[i].weight, i)):
+        e = edges[eid]
+        a, b = label[e.u], label[e.v]
+        if enabled[eid] and a != b:
+            label = [min(a, b) if x in (a, b) else x for x in label]
+            forest.append(eid)
+            weight += e.weight
+    return forest, len(set(label)), weight, label
+
+
+def test_span_scan_matches_reference_kruskal():
+    for i in range(300):
+        rng = Xorshift64Star(i + 900)
+        n = rng.randint(1, 9)
+        edges = [EdgeSpec(rng.randint(0, n - 1), rng.randint(0, n - 1), j,
+                          rng.randint(0, 2))  # many ties, some self-loops
+                 for j in range(rng.randint(0, 20))]
+        order = sorted(range(len(edges)), key=lambda j: (edges[j].weight, j))
+        enabled = bytearray(rng.randint(0, 3) > 0 for _ in edges)
+        span = span_scan(n, edges, order, enabled)
+        forest, components, weight, label = reference_kruskal(n, edges,
+                                                              enabled)
+        assert span.forest == forest, i
+        assert span.forest_set == set(forest)
+        assert (span.components, span.weight) == (components, weight)
+        assert [find(span.parent, x) for x in range(n)] == label, i
 
 
 # -- randomized dual-route checks ----------------------------------------------

@@ -244,7 +244,7 @@ def test_attach_theory_after_solving_rejected():
 class ConstantTheory(MonotonicTheory):
     """One predicate that is simply false on every completion."""
 
-    def evaluate(self, pred, enabled, analysis, base=None):
+    def evaluate(self, pred, enabled, analysis):
         return False
 
 

@@ -34,7 +34,7 @@ class ToyTheory(MonotonicTheory):
             slots.append(self.add_s_var(v))
         return self.register_predicate(pvar, polarity, kind, tuple(slots))
 
-    def evaluate(self, pred, enabled, analysis, base=None):
+    def evaluate(self, pred, enabled, analysis):
         bits = [enabled[slot] for slot in pred.payload]
         if pred.kind == "any":
             return any(bits)
