@@ -53,6 +53,11 @@ PINNED = {
         ("UNSAT", 1, 0, 2, 0, 0, "22bc31ce727cece2"),
     ("rand_doc('mst_weight_leq', 54)", 0):
         ("UNSAT", 1, 0, 1, 0, 0, "90c5b62dc5e67994"),
+    ("gen_maze(8, 8, 3000)", 0):
+        ("SAT", 125, 300, 2206, 210, 1, "a715298598036b01"),
+    # Edge weights 1 to 3: shortest paths through the heap.
+    ("rand_doc('distance_leq', 14)", 0):
+        ("SAT", 1, 7, 10, 1, 0, "e8f35a0a948f6305"),
 }
 
 
