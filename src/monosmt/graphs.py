@@ -6,13 +6,16 @@ select. Evaluation on the minimal completion uses only edges assigned true,
 on the maximal completion all edges not assigned false.
 
 Determinism rules used throughout: breadth-first and shortest-path traversal
-visit neighbors in (node id, edge id) order, spanning trees are built in
+visit neighbors in (node id, edge id) order, shortest-path trees settle
+nodes in (distance, node id) order, by heap or, when every edge weighs 1,
+by BFS levels each visited in node-id order, and spanning trees are built in
 (weight, edge id) order, which also makes the minimum spanning tree unique.
 
 A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
 them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
 run exactly: forest order, union-find roots, distances and parent edges.
+Each evaluation lists the atoms whose value moved since the previous one.
 """
 from __future__ import annotations
 
@@ -53,10 +56,24 @@ def bfs_tree(adj, n, enabled, src):
 
 
 def dijkstra_tree(adj, weights, n, enabled, src):
-    """Shortest-path distances and parent edges from src."""
+    """Shortest-path distances and parent edges from src. ``weights`` None
+    weighs every edge 1 and runs a BFS that visits each level in node-id
+    order, the heap's (distance, node id) pop order, so the same tree."""
     dist = [INF] * n
     parent = [-1] * n
     dist[src] = 0
+    if weights is None:
+        level = [src]
+        while level:
+            nxt = []
+            for u in level:
+                for eid, w in adj[u]:
+                    if dist[w] is INF and enabled[eid]:  # unreached
+                        dist[w] = dist[u] + 1
+                        parent[w] = eid
+                        nxt.append(w)
+            level = sorted(nxt)
+        return dist, parent
     heap = [(0, src)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -259,6 +276,8 @@ class GraphTheory(MonotonicTheory):
         self.n = n
         self.edges = [EdgeSpec(*e) for e in edges]
         self._weights = [e.weight for e in self.edges]
+        self._dij_weights = (None if all(w == 1 for w in self._weights)
+                             else self._weights)
         self._adj = [[] for _ in range(n)]
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
@@ -280,7 +299,7 @@ class GraphTheory(MonotonicTheory):
                              key=lambda i: (self._weights[i], i))
         self._rank = sorted(range(len(self.edges)),  # eid -> its place
                             key=self._order.__getitem__)
-        self._mst_atoms = []  # (atom id, eid), evaluated as one group
+        self._mst_atoms = {}  # eid -> its mst_edge atom ids, one group
         self._atoms = []  # every other atom, through evaluate
 
     def add_atom(self, kind: str, args, pvar: int) -> int:
@@ -298,7 +317,7 @@ class GraphTheory(MonotonicTheory):
         polarity = NEGATIVE if kind == "mst_edge" else POSITIVE
         aid = self.register_predicate(pvar, polarity, kind, args)
         if kind == "mst_edge":
-            self._mst_atoms.append((aid, args[0]))
+            self._mst_atoms.setdefault(args[0], []).append(aid)
         else:
             self._atoms.append(self._preds[aid])
         return aid
@@ -306,27 +325,40 @@ class GraphTheory(MonotonicTheory):
     # -- evaluation ---------------------------------------------------------
 
     def eval_completion(self, maximal: bool):
-        """Every atom evaluated on one extreme: the mst_edge atoms as one
-        group over the forest, the rest through ``evaluate``, on analyses
-        carried over from the newest stacked evaluation where they can be
-        (``_carried``)."""
+        """Every atom evaluated on one extreme, on analyses carried over
+        from the newest stacked evaluation where they can be (``_carried``),
+        and the atoms whose value moved since: of the mst_edge group, read
+        off one forest, only those of moved edges or forest changes can."""
         comp = self._ext[maximal]
         enabled = comp.enabled
-        gen, _, base = comp.stack[-1] if comp.stack else (0, None, {})
+        gen, values, base, _ = (comp.stack[-1] if comp.stack else
+                                (0, [None] * len(self._preds), {}, None))
+        values = values[:]
         moved = comp.log[gen:]
         analysis = {}
         for key, old in base.items():
             new = self._carried(key, old, enabled, moved, maximal)
             if new is not None:
                 analysis[key] = new
-        values = [False] * len(self._preds)
+        changed = []
         if self._mst_atoms:
-            forest = self._analysis(enabled, analysis, _SPAN).forest_set
-            for aid, eid in self._mst_atoms:
-                values[aid] = not enabled[eid] or eid in forest
+            span = self._analysis(enabled, analysis, _SPAN)
+            forest = span.forest_set
+            old = base.get(_SPAN)
+            for eid in (self._mst_atoms if old is None else moved
+                        if old is span else
+                        (forest ^ old.forest_set).union(moved)):
+                val = not enabled[eid] or eid in forest
+                for aid in self._mst_atoms.get(eid, ()):
+                    if values[aid] != val:
+                        values[aid] = val
+                        changed.append(aid)
         for pred in self._atoms:
-            values[pred.atom_id] = self.evaluate(pred, enabled, analysis)
-        return values, analysis
+            val = self.evaluate(pred, enabled, analysis)
+            if values[pred.atom_id] != val:
+                values[pred.atom_id] = val
+                changed.append(pred.atom_id)
+        return values, analysis, changed
 
     def _carried(self, key, old, enabled, moved, maximal):
         """Analysis ``key`` of ``enabled`` from ``old``, the one from before
@@ -336,7 +368,7 @@ class GraphTheory(MonotonicTheory):
         components, and a tree stands while no edge (a, b) has
         d[a] + w <= d[b] (a tie may change a parent edge). The maximal
         completion loses edges: the forest stands while it loses none, a
-        tree while no parent edge is lost."""
+        tree while no parent edge is lost. A new forest is diffed with it."""
         edges = self.edges
         if key[0] == "flow":
             return edmonds_karp(self._flow_adj, self._weights, self.n,
@@ -368,7 +400,8 @@ class GraphTheory(MonotonicTheory):
 
     def _analysis(self, enabled, analysis, key):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
-        ("span",), ("bfs", src), ("dij", src) or ("flow", s, t)."""
+        ("span",), ("bfs", src), ("dij", src) or ("flow", s, t). A "dij"
+        tree of a graph whose edges all weigh 1 is a BFS in level order."""
         hit = analysis.get(key)
         if hit is None:
             name, n = key[0], self.n
@@ -377,8 +410,8 @@ class GraphTheory(MonotonicTheory):
             elif name == "bfs":
                 hit = bfs_tree(self._adj, n, enabled, key[1])
             elif name == "dij":
-                hit = dijkstra_tree(self._adj, self._weights, n, enabled,
-                                    key[1])
+                hit = dijkstra_tree(self._adj, self._dij_weights, n,
+                                    enabled, key[1])
             else:
                 hit = edmonds_karp(self._flow_adj, self._weights, n, enabled,
                                    key[1], key[2])

@@ -25,13 +25,17 @@ it restores, so the level it returns to keeps its evaluation. Explanations
 read the mask of an earlier trail prefix off the same log, and reuse the
 stacked analysis of that generation when there is one.
 
+Propagation is change-driven: when evaluations list the atoms whose value
+moved, a scan visits only those and the newly assigned atoms, in id order.
+
 A theory supplies one evaluation hook, ``MonotonicTheory.evaluate``: the
 truth of one predicate on one enabled mask. ``eval_completion`` calls it
 for every predicate on an extreme, and explanations reuse the analyses it
 memoized. A theory may override ``eval_completion`` to evaluate atoms in
 groups that share an analysis and to reuse the newest stacked evaluation's
 analyses, at generation ``gen``, when the slots moved since, ``log[gen:]``,
-cannot have changed them; ``GraphTheory`` does so.
+cannot have changed them, and to list the atoms whose value moved since;
+``GraphTheory`` does so.
 """
 from __future__ import annotations
 
@@ -39,8 +43,6 @@ from .sat import TRUE, FALSE, UNDEF, mk_lit
 
 POSITIVE = 1
 NEGATIVE = -1
-
-_NO_RESULT = ((), None)
 
 
 class AtomBinding:
@@ -63,8 +65,10 @@ class Completion:
     completion. ``log`` lists the slots the trail has moved off the fill
     value (set true for the minimal completion, false for the maximal one)
     in trail order; its length is the generation. ``stack`` holds
-    ``(generation, values, analysis)`` evaluations made along the current
-    trail, oldest first, all for prefixes of ``log``.
+    ``(generation, values, analysis, changed)`` evaluations made along the
+    current trail, oldest first, all for prefixes of ``log``; ``changed``
+    lists the atom ids whose value differs from the entry below, or is
+    None for all.
     """
 
     __slots__ = ("maximal", "enabled", "log", "stack")
@@ -98,9 +102,7 @@ class MonotonicTheory:
         self._slot_vars: list[int] = []   # mask slot -> S-var
         # Indexed by ``maximal``: (minimal, maximal).
         self._ext = (Completion(False), Completion(True))
-        self._assigned: list[int] = []  # atom ids assigned since last scan
-        self._full = True  # next scan must visit every atom
-        self._scanned = (-1, -1)  # generations seen by the last scan
+        self._dirty = None  # atom ids the next scan visits; None: all
 
     # -- registration ---------------------------------------------------
 
@@ -151,7 +153,8 @@ class MonotonicTheory:
     def on_assign(self, lit: int) -> None:
         slot = self._slots.get(lit >> 1)
         if slot is None:
-            self._assigned.append(self._pvars[lit >> 1])
+            if self._dirty is not None:
+                self._dirty.add(self._pvars[lit >> 1])
         elif lit & 1:
             comp = self._ext[1]  # the maximal completion loses a member
             comp.enabled[slot] = 0
@@ -177,28 +180,38 @@ class MonotonicTheory:
                 while stack and stack[-1][0] > n:
                     stack.pop()
         # Implied atoms can be unassigned without any S-atom changing.
-        self._full = True
-        self._assigned.clear()
+        self._dirty = None
 
     def propagate(self):
         """Scan the predicates; returns (implied, conflict_lits).
 
         ``implied`` is a tuple of (literal, atom_id) pairs over currently
         unassigned atoms; ``conflict_lits`` is a falsified clause when an
-        implication contradicts an existing atom assignment. When neither
-        completion changed since the last scan, only the atoms assigned
-        since then are checked.
+        implication contradicts an existing atom assignment.
+
+        Visits in atom-id order the atoms assigned since the last scan and
+        those whose value changed since each extreme was last read, which
+        is evaluated now if it moved: the rest still give nothing. After a
+        backjump or a conflict, or without change lists, visits them all.
         """
-        gens = (len(self._ext[0].log), len(self._ext[1].log))
-        if self._full or gens != self._scanned:
-            preds = self._preds
-        elif self._assigned:
-            preds = [self._preds[i] for i in sorted(self._assigned)]
-        else:
-            return _NO_RESULT
-        self._full = False
-        self._scanned = gens
-        self._assigned.clear()
+        dirty = self._dirty
+        for comp in self._ext if dirty is not None else ():
+            stack = comp.stack  # empty: unread, so no clean atom needs it
+            if stack and stack[-1][0] != len(comp.log):
+                if stack[-1][3] is None:
+                    dirty = None
+                    break
+                self._values(comp.maximal)
+                dirty.update(stack[-1][3])
+        implied, conflict = self._scan(
+            self._preds if dirty is None
+            else [self._preds[i] for i in sorted(dirty)])
+        self._dirty = set() if conflict is None else None
+        return implied, conflict
+
+    def _scan(self, preds):
+        """Checks ``preds`` against both extremes, in order; returns
+        ``propagate``'s pair."""
         value = self.solver.value
         values = [None, None]  # per extreme, fetched on first use
         implied = []
@@ -213,7 +226,6 @@ class MonotonicTheory:
                     got = values[sure] = self._values(sure)
                 if got[pred.atom_id]:
                     if val == FALSE:
-                        self._full = True
                         return (), self.explain(pred.atom_id, lit)
                     implied.append((lit, pred.atom_id))
                     continue
@@ -224,27 +236,26 @@ class MonotonicTheory:
                     got = values[sure] = self._values(sure)
                 if not got[pred.atom_id]:
                     if val == TRUE:
-                        self._full = True
                         return (), self.explain(pred.atom_id, lit + 1)
                     implied.append((lit + 1, pred.atom_id))
         return tuple(implied), None
 
     def eval_completion(self, maximal: bool):
         """Every predicate evaluated on one extreme of the current trail;
-        returns ``(values, analysis)``, a bool per atom id and the analyses
-        that produced them."""
+        returns ``(values, analysis, changed)``: a bool per atom id, the
+        analyses that produced them, and the ids of the atoms whose value
+        differs from the newest stacked evaluation, or None for all."""
         enabled = self._ext[maximal].enabled
         analysis = {}
         return [self.evaluate(p, enabled, analysis)
-                for p in self._preds], analysis
+                for p in self._preds], analysis, None
 
     def _values(self, maximal: bool):
         """Per-atom values on one extreme, evaluated once per generation."""
         comp = self._ext[maximal]
         stack = comp.stack
         if not stack or stack[-1][0] != len(comp.log):
-            values, analysis = self.eval_completion(maximal)
-            stack.append((len(comp.log), values, analysis))
+            stack.append((len(comp.log),) + self.eval_completion(maximal))
         return stack[-1][1]
 
     def explain(self, atom_id: int, lit: int) -> list[int]:
@@ -298,7 +309,7 @@ class MonotonicTheory:
             for slot in log[k:]:
                 enabled[slot] = fill
         analysis = {}
-        for gen, _, stacked in reversed(comp.stack):
+        for gen, _, stacked, _ in reversed(comp.stack):
             if gen <= k:
                 if gen == k:
                     analysis = stacked

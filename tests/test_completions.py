@@ -9,7 +9,10 @@ must be those of a cold ``edmonds_karp`` on that mask. Every stacked
 spanning forest and shortest-path tree, which may be carried over from an
 older generation or extended from one, must equal a cold ``span_scan`` or
 ``dijkstra_tree`` on its own generation's mask in every field the search
-reads. The checks run through restarts and backjumps.
+reads. Each stacked change list must name exactly the atoms whose value
+differs from the evaluation below it, and every scan that visits only the
+dirty atoms must imply and conflict exactly as a full rescan of the same
+trail does. The checks run through restarts and backjumps.
 """
 
 import random
@@ -106,13 +109,24 @@ class Checker:
         # (id, mask) -> stacked forest or tree checked on that mask
         self.trees = {}
         self.reused = Counter()  # "span"/"dij": carried over unchanged
+        self.partial = 0  # scans that visited fewer than all atoms
         for th in theories:
             th.propagate = self._wrap(th, th.propagate)
+            th._scan = self._wrap_scan(th, th._scan)
 
     def _wrap(self, th, propagate):
         def checked():
             result = propagate()
             self.check(th)
+            return result
+        return checked
+
+    def _wrap_scan(self, th, scan):
+        def checked(preds):
+            result = scan(preds)
+            if len(preds) < len(th._preds):
+                self.partial += 1
+                assert scan(th._preds) == result
             return result
         return checked
 
@@ -129,11 +143,17 @@ class Checker:
             # Where each stacked generation sits in the trail.
             prefixes = [solver.pos[svars[comp.log[gen]]]
                         if gen < len(comp.log) else len(solver.trail)
-                        for gen, _, _ in comp.stack]
+                        for gen, _, _, _ in comp.stack]
             masks = masks_at(th, maximal, prefixes)
             older = {}
-            for (_, values, analysis), mask in zip(comp.stack, masks):
+            below = [None] * len(th._preds)
+            for (_, values, analysis, changed), mask in zip(comp.stack,
+                                                             masks):
                 assert values == concrete_values(th, mask, self.memo[th])
+                if changed is not None:
+                    assert sorted(changed) == [
+                        i for i, v in enumerate(values) if v != below[i]]
+                below = values
                 self.stacked += 1
                 for key, res in analysis.items():
                     if key[0] == "flow" and res not in self.flows:
@@ -182,7 +202,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
                for s in range(2)]
             + [generators.gen_sched(20, 2, 2, s) for s in range(2)]
             + [generators.gen_sched(30, 3, 4, 0)])
-    restarts = conflicts = checks = stacked = extended = 0
+    restarts = conflicts = checks = stacked = extended = partial = 0
     reused = Counter()
     for i, doc in enumerate(docs):
         inst = build_instance(doc)
@@ -193,12 +213,13 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
         conflicts += solver.conflicts  # each one backjumps
         checks += checker.checks
         stacked += checker.stacked
+        partial += checker.partial
         reused += checker.reused
         cold_ids = {id(span) for span in scanned}
         extended += len({id(t) for t in checker.trees.values()
                          if isinstance(t, SpanResult)} - cold_ids)
     assert restarts >= 5 and conflicts >= 1000
-    assert checks > 1000 and stacked > checks
+    assert checks > 1000 and stacked > checks and partial > 0
     # Each way of skipping a cold run was taken, and checked.
     assert reused["span"] > 0 and reused["dij"] > 0 and extended > 0
 

@@ -11,8 +11,8 @@ from monosmt import oracle
 from monosmt.build import run_solve
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
-from monosmt.graphs import (EdgeSpec, GraphTheory, edmonds_karp, find,
-                            span_scan)
+from monosmt.graphs import (EdgeSpec, GraphTheory, dijkstra_tree,
+                            edmonds_karp, find, span_scan)
 
 from instances import (rand_graph, rand_pred, solve_recorded, GRAPH_KINDS,
                        DIRECTED_KINDS)
@@ -295,6 +295,31 @@ def test_span_scan_matches_reference_kruskal():
         assert span.forest_set == set(forest)
         assert (span.components, span.weight) == (components, weight)
         assert [find(span.parent, x) for x in range(n)] == label, i
+
+
+def test_unit_weight_trees_match_heap_dijkstra():
+    # Self-loops and parallel edges, both directednesses, random masks: the
+    # level-by-level run gives the heap's distances and parent edges.
+    for i in range(1200):
+        rng = Xorshift64Star(i + 4000)
+        n = rng.randint(1, 10)
+        m = rng.randint(0, 3 * n)
+        th = GraphTheory(1, i % 2 == 0, n, [
+            (rng.randint(0, n - 1), rng.randint(0, n - 1), j, 1)
+            for j in range(m)])
+        enabled = bytearray(rng.randint(0, 2) > 0 for _ in range(m))
+        src = rng.randint(0, n - 1)
+        assert (dijkstra_tree(th._adj, None, n, enabled, src)
+                == dijkstra_tree(th._adj, [1] * m, n, enabled, src)), i
+
+
+@pytest.mark.parametrize("weights,unit", [
+    ((), True), ((1, 1, 1), True), ((1, 0, 1), False), ((1, 2, 1), False),
+    ((0, 0, 0), False)])
+def test_only_all_unit_weights_skip_the_heap(weights, unit):
+    th = GraphTheory(1, True, 3, [(j, (j + 1) % 3, j, w)
+                                  for j, w in enumerate(weights)])
+    assert th._dij_weights is (None if unit else th._weights)
 
 
 # -- randomized dual-route checks ----------------------------------------------
