@@ -58,6 +58,9 @@ PINNED = {
     # Edge weights 1 to 3: shortest paths through the heap.
     ("rand_doc('distance_leq', 14)", 0):
         ("SAT", 1, 7, 10, 1, 0, "e8f35a0a948f6305"),
+    # Reach atoms, one of them refuted by a theory lemma.
+    ("rand_doc('reach', 10)", 0):
+        ("SAT", 1, 2, 6, 2, 0, "9867baf4e6fce957"),
 }
 
 
