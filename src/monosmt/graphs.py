@@ -5,11 +5,11 @@ atom then constrains a property of whichever subgraph the true edge variables
 select. Evaluation on the minimal completion uses only edges assigned true,
 on the maximal completion all edges not assigned false.
 
-Determinism rules used throughout: breadth-first and shortest-path traversal
-visit neighbors in (node id, edge id) order, shortest-path trees settle
-nodes in (distance, node id) order, by heap or, when every edge weighs 1,
-by BFS levels each visited in node-id order, and spanning trees are built in
-(weight, edge id) order, which also makes the minimum spanning tree unique.
+Determinism rules used throughout: traversals visit neighbors in (node id,
+edge id) order, shortest-path trees (one per source, read by its reach and
+distance_leq atoms alike) settle nodes in (distance, node id) order, and
+spanning trees are built in (weight, edge id) order, which also makes the
+minimum spanning tree unique.
 
 A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
@@ -41,39 +41,33 @@ class EdgeSpec:
 # pure algorithms over an enabled-edge mask
 
 def bfs_tree(adj, n, enabled, src):
-    """Breadth-first tree from src. Returns (visited, parent_edge)."""
-    visited = bytearray(n)
+    """Breadth-first distances and parent edges from src, visiting each
+    level in node-id order. Returns (dist, parent)."""
+    dist = [INF] * n
     parent = [-1] * n
-    visited[src] = 1
-    queue = [src]
-    for u in queue:
-        for eid, w in adj[u]:
-            if enabled[eid] and not visited[w]:
-                visited[w] = 1
-                parent[w] = eid
-                queue.append(w)
-    return visited, parent
+    dist[src] = 0
+    level = [src]
+    while level:
+        nxt = []
+        for u in level:
+            for eid, w in adj[u]:
+                if dist[w] is INF and enabled[eid]:  # unreached
+                    dist[w] = dist[u] + 1
+                    parent[w] = eid
+                    nxt.append(w)
+        level = sorted(nxt)
+    return dist, parent
 
 
 def dijkstra_tree(adj, weights, n, enabled, src):
     """Shortest-path distances and parent edges from src. ``weights`` None
-    weighs every edge 1 and runs a BFS that visits each level in node-id
-    order, the heap's (distance, node id) pop order, so the same tree."""
+    weighs every edge 1: ``bfs_tree``'s node-id order within a level is the
+    heap's (distance, node id) pop order, so it gives the same tree."""
+    if weights is None:
+        return bfs_tree(adj, n, enabled, src)
     dist = [INF] * n
     parent = [-1] * n
     dist[src] = 0
-    if weights is None:
-        level = [src]
-        while level:
-            nxt = []
-            for u in level:
-                for eid, w in adj[u]:
-                    if dist[w] is INF and enabled[eid]:  # unreached
-                        dist[w] = dist[u] + 1
-                        parent[w] = eid
-                        nxt.append(w)
-            level = sorted(nxt)
-        return dist, parent
     heap = [(0, src)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -388,9 +382,7 @@ class GraphTheory(MonotonicTheory):
                               sorted(old.forest + moved,
                                      key=self._rank.__getitem__),
                               weight, parent)
-        if key[0] != "dij":
-            return None  # a BFS tree
-        dist, parent = old  # of a distance_leq atom, so on a digraph
+        dist, parent = old  # a ("dij", src) tree, so of a digraph
         for eid in moved:
             e = edges[eid]
             if (parent[e.v] == eid if maximal else dist[e.u] != INF
@@ -400,15 +392,13 @@ class GraphTheory(MonotonicTheory):
 
     def _analysis(self, enabled, analysis, key):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
-        ("span",), ("bfs", src), ("dij", src) or ("flow", s, t). A "dij"
-        tree of a graph whose edges all weigh 1 is a BFS in level order."""
+        ("span",), ("dij", src), the one shortest-path tree that reach and
+        distance_leq atoms of ``src`` read, or ("flow", s, t)."""
         hit = analysis.get(key)
         if hit is None:
             name, n = key[0], self.n
             if name == "span":
                 hit = span_scan(n, self.edges, self._order, enabled)
-            elif name == "bfs":
-                hit = bfs_tree(self._adj, n, enabled, key[1])
             elif name == "dij":
                 hit = dijkstra_tree(self._adj, self._dij_weights, n,
                                     enabled, key[1])
@@ -426,7 +416,7 @@ class GraphTheory(MonotonicTheory):
                 enabled, analysis, _SPAN).forest_set)
         if kind == "reach":
             u, v = payload
-            return bool(self._analysis(enabled, analysis, ("bfs", u))[0][v])
+            return self._analysis(enabled, analysis, ("dij", u))[0][v] != INF
         if kind == "distance_leq":
             u, v, bound = payload
             return self._analysis(enabled, analysis, ("dij", u))[0][v] <= bound
@@ -448,15 +438,9 @@ class GraphTheory(MonotonicTheory):
 
     def witness_lits(self, pred, positive, prefix):
         kind = pred.kind
-        if kind == "reach":
+        if kind in ("reach", "distance_leq"):
             if positive:
-                return self._path_lits(pred.payload[0], pred.payload[1],
-                                       prefix, shortest=False)
-            return self._cut_lits(pred.payload[0], prefix)
-        if kind == "distance_leq":
-            if positive:
-                return self._path_lits(pred.payload[0], pred.payload[1],
-                                       prefix, shortest=True)
+                return self._path_lits(*pred.payload[:2], prefix)
             return self._cut_lits(pred.payload[0], prefix)
         if kind == "maxflow_geq":
             return self._flow_lits(pred, positive, prefix)
@@ -489,11 +473,10 @@ class GraphTheory(MonotonicTheory):
             node = e.u if e.v == node else e.v
         return path
 
-    def _path_lits(self, u, v, prefix, shortest):
-        """Negated vars of a u-v path in the minimal completion."""
+    def _path_lits(self, u, v, prefix):
+        """Negated vars of a shortest u-v path in the minimal completion."""
         enabled, _, analysis = self.completion_before(False, prefix)
-        _, parent = self._analysis(enabled, analysis,
-                                   ("dij" if shortest else "bfs", u))
+        _, parent = self._analysis(enabled, analysis, ("dij", u))
         return [self._edge_lit(eid, True)
                 for eid in self._tree_path(parent, u, v)]
 
@@ -501,10 +484,10 @@ class GraphTheory(MonotonicTheory):
         """Disabled edges incident to the set reachable in the maximal
         completion; keeping them disabled keeps the target unreachable."""
         enabled, disabled, analysis = self.completion_before(True, prefix)
-        visited, _ = self._analysis(enabled, analysis, ("bfs", u))
+        dist, _ = self._analysis(enabled, analysis, ("dij", u))
         edges = self.edges
         return [self._edge_lit(eid, False) for eid in sorted(disabled)
-                if visited[edges[eid].u] or visited[edges[eid].v]]
+                if dist[edges[eid].u] != INF or dist[edges[eid].v] != INF]
 
     def _flow_lits(self, pred, positive, prefix):
         s, t, bound = pred.payload
@@ -627,8 +610,7 @@ class GraphTheory(MonotonicTheory):
         edges = self.edges
         if kind in ("reach", "distance_leq"):
             u, v = pred.payload[0], pred.payload[1]
-            key = ("bfs" if kind == "reach" else "dij", u)
-            _, parent = self._analysis(enabled, analysis, key)
+            _, parent = self._analysis(enabled, analysis, ("dij", u))
             nodes = [v]
             for eid in self._tree_path(parent, u, v):
                 e = edges[eid]

@@ -25,8 +25,8 @@ it restores, so the level it returns to keeps its evaluation. Explanations
 read the mask of an earlier trail prefix off the same log, and reuse the
 stacked analysis of that generation when there is one.
 
-Propagation is change-driven: when evaluations list the atoms whose value
-moved, a scan visits only those and the newly assigned atoms, in id order.
+Propagation is change-driven: each evaluation lists the atoms whose value
+moved, and a scan visits those and the newly assigned atoms, in id order.
 
 A theory supplies one evaluation hook, ``MonotonicTheory.evaluate``: the
 truth of one predicate on one enabled mask. ``eval_completion`` calls it
@@ -34,8 +34,8 @@ for every predicate on an extreme, and explanations reuse the analyses it
 memoized. A theory may override ``eval_completion`` to evaluate atoms in
 groups that share an analysis and to reuse the newest stacked evaluation's
 analyses, at generation ``gen``, when the slots moved since, ``log[gen:]``,
-cannot have changed them, and to list the atoms whose value moved since;
-``GraphTheory`` does so.
+cannot have changed them, and to find the atoms whose value moved since
+without comparing every value; ``GraphTheory`` does so.
 """
 from __future__ import annotations
 
@@ -67,8 +67,8 @@ class Completion:
     in trail order; its length is the generation. ``stack`` holds
     ``(generation, values, analysis, changed)`` evaluations made along the
     current trail, oldest first, all for prefixes of ``log``; ``changed``
-    lists the atom ids whose value differs from the entry below, or is
-    None for all.
+    lists the atom ids whose value differs from the entry below (all of
+    them for the first entry).
     """
 
     __slots__ = ("maximal", "enabled", "log", "stack")
@@ -192,15 +192,12 @@ class MonotonicTheory:
         Visits in atom-id order the atoms assigned since the last scan and
         those whose value changed since each extreme was last read, which
         is evaluated now if it moved: the rest still give nothing. After a
-        backjump or a conflict, or without change lists, visits them all.
+        backjump or a conflict, visits them all.
         """
         dirty = self._dirty
         for comp in self._ext if dirty is not None else ():
             stack = comp.stack  # empty: unread, so no clean atom needs it
             if stack and stack[-1][0] != len(comp.log):
-                if stack[-1][3] is None:
-                    dirty = None
-                    break
                 self._values(comp.maximal)
                 dirty.update(stack[-1][3])
         implied, conflict = self._scan(
@@ -244,11 +241,14 @@ class MonotonicTheory:
         """Every predicate evaluated on one extreme of the current trail;
         returns ``(values, analysis, changed)``: a bool per atom id, the
         analyses that produced them, and the ids of the atoms whose value
-        differs from the newest stacked evaluation, or None for all."""
-        enabled = self._ext[maximal].enabled
+        differs from the newest stacked evaluation (all on the first)."""
+        comp = self._ext[maximal]
         analysis = {}
-        return [self.evaluate(p, enabled, analysis)
-                for p in self._preds], analysis, None
+        values = [self.evaluate(p, comp.enabled, analysis)
+                  for p in self._preds]
+        old = comp.stack[-1][1] if comp.stack else [None] * len(values)
+        return values, analysis, [i for i, val in enumerate(values)
+                                  if val != old[i]]
 
     def _values(self, maximal: bool):
         """Per-atom values on one extreme, evaluated once per generation."""

@@ -7,7 +7,7 @@ through the independent oracle.
 
 import pytest
 
-from monosmt import oracle
+from monosmt import graphs, oracle
 from monosmt.build import run_solve
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
@@ -65,6 +65,25 @@ def test_reach_negative_single_edge_cut():
 def test_reach_isolated_target_empty_cut():
     doc = graph_doc(True, 2, [], [("reach", (0, 1))], [[1]])
     assert_theory_clause(doc, "UNSAT", (-1,))
+
+
+def test_reach_and_distance_read_one_tree_per_source(monkeypatch):
+    # Weighted, so the heap runs; no extreme builds a second tree of 0.
+    runs = []
+    for name in ("bfs_tree", "dijkstra_tree"):
+        def counted(*args, name=name, run=getattr(graphs, name)):
+            runs.append(name)
+            return run(*args)
+        monkeypatch.setattr(graphs, name, counted)
+    th = GraphTheory(1, True, 3, [(0, 1, 0, 2), (1, 2, 1, 1), (0, 2, 2, 5)])
+    reach = th.add_atom("reach", (0, 2), 3)
+    dist = th.add_atom("distance_leq", (0, 2, 3), 4)
+    for maximal in (False, True):
+        runs.clear()
+        values = th._values(maximal)
+        assert list(th.completion(maximal).stack[-1][2]) == [("dij", 0)]
+        assert runs == ["dijkstra_tree"]
+        assert values[reach] == values[dist] == maximal
 
 
 # -- distance_leq ------------------------------------------------------------
@@ -400,6 +419,12 @@ def test_witness_lines_payloads():
     assert lines[0] == "s SATISFIABLE"
     assert lines[1] == "v 1 2 3 0"
     assert lines[2] == "w reach 1 0 2 : 0 1 2"
+
+    # A least-weight path: 0 -> 1 -> 2 weighs 2, the edge 0 -> 2 weighs 5.
+    doc = graph_doc(True, 3, [(0, 2, 5), (0, 1, 1), (1, 2, 1)],
+                    [("reach", (0, 2))], [[1], [2], [3], [4]])
+    code, lines = run_solve(doc, witness=True)
+    assert lines[1:] == ["v 1 2 3 4 0", "w reach 1 0 2 : 0 1 2"]
 
     doc = graph_doc(False, 3, [(0, 1, 2), (1, 2, 4), (0, 2, 9)],
                     [("mst_weight_leq", (6,))], [[1], [2], [-3], [4]])

@@ -31,7 +31,7 @@ for name, (calls, _, _) in sorted(rec.span_totals().items()):
 SPANS = ("build.build_instance", "sat.add_clause", "sat.solve",
          "theory.propagate", "theory.on_assign", "theory.on_backjump",
          "graphs.eval_completion", "graphs.span_scan", "graphs.dijkstra_tree",
-         "graphs.edmonds_karp", "graphs.witness_lits",
+         "graphs.bfs_tree", "graphs.edmonds_karp", "graphs.witness_lits",
          "scheduling.eval_completion", "scheduling.edf_simulate",
          "scheduling.busy_window_tasks") + tuple(
     "theory.explain." + kind for kind in ("distance_leq", "maxflow_geq",
