@@ -2,13 +2,14 @@
 the test suite.
 
 Every builder is a pure function of an integer seed, so a failure reproduces
-from the seed printed in the assertion message. Sizes stay inside the
-brute-force budget: graphs get at most 5 nodes and 6 symbolic edges,
-schedulers at most 6 tasks, and documents at most 22 variables.
+from the seed printed in the assertion message. The random builders stay
+inside the brute-force budget: graphs get at most 5 nodes and 6 symbolic
+edges, schedulers at most 6 tasks, and documents at most 22 variables.
+``squeeze_flow`` builds on a generated grid and is larger.
 """
 
 from monosmt.build import build_instance, dimacs_lit
-from monosmt.generators import Xorshift64Star
+from monosmt.generators import Xorshift64Star, gen_flow
 from monosmt.gnf import (EdgeDecl, GnfDocument, GraphDecl, PredDecl, ProcDecl,
                          TaskDecl)
 from monosmt.sat import FALSE, UNDEF
@@ -121,6 +122,28 @@ def rand_mixed_doc(seed):
     doc.nvars = var
     add_glue(rng, doc)
     assert doc.nvars <= 22
+    return doc
+
+
+def squeeze_flow(width, height, seed, demand):
+    """A ``gen_flow`` grid of capacities 1 to 4 whose flow is pinned to
+    ``demand``: the generated ``maxflow_geq demand`` atom is asserted, a
+    second atom ``maxflow_geq demand + 1`` is refuted, and one clause
+    (a or b) per free edge, over random free edges, turns edges on. Each
+    refutation of the second atom is explained by a positive flow witness,
+    which no generated workload makes."""
+    doc = gen_flow(width, height, mode="random1to4", seed=seed, demand=demand)
+    source, sink, _ = doc.preds[0].args
+    doc.nvars += 1
+    doc.preds.append(PredDecl("maxflow_geq", 1, (source, sink, demand + 1),
+                              doc.nvars))
+    doc.clauses.append([-doc.nvars])
+    forced = {abs(c[0]) for c in doc.clauses if len(c) == 1}
+    free = [e.var for e in doc.graphs[1].edges if e.var not in forced]
+    rng = Xorshift64Star(seed)
+    for _ in free:
+        doc.clauses.append([free[rng.randint(0, len(free) - 1)]
+                            for _ in range(2)])
     return doc
 
 

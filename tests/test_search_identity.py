@@ -16,7 +16,11 @@ import pytest
 from monosmt import generators, minimize
 from monosmt.build import solve_doc
 
-from instances import Recorder, rand_doc
+from instances import Recorder, rand_doc, squeeze_flow
+
+# The names a PINNED or OBSERVED call may use.
+CALLS = {**vars(generators), "rand_doc": rand_doc,
+         "squeeze_flow": squeeze_flow}
 
 
 def fingerprint(status, solver, recorder):
@@ -61,12 +65,15 @@ PINNED = {
     # Reach atoms, one of them refuted by a theory lemma.
     ("rand_doc('reach', 10)", 0):
         ("SAT", 1, 2, 6, 2, 0, "9867baf4e6fce957"),
+    # Eight positive maxflow_geq explanations, of 25 to 28 literals.
+    ("squeeze_flow(7, 7, 133, 2)", 0):
+        ("SAT", 11, 81, 241, 0, 0, "e832112692ec0e22"),
 }
 
 
 @pytest.mark.parametrize("call,seed", sorted(PINNED))
 def test_search_matches_pinned_counters(call, seed):
-    doc = eval(call, {**vars(generators), "rand_doc": rand_doc})
+    doc = eval(call, CALLS)
     recorder = Recorder()
     status, _, inst = solve_doc(doc, seed=seed, observer=recorder)
     assert fingerprint(status, inst.solver, recorder) == PINNED[call, seed]
@@ -104,7 +111,7 @@ OBSERVED = ["gen_maze(6, 6, 1)", "gen_flow(8, 8, seed=1)",
 def test_observer_does_not_change_search(call):
     runs = []
     for observer in (None, Recorder()):
-        doc = eval(call, {**vars(generators), "rand_doc": rand_doc})
+        doc = eval(call, CALLS)
         status, values, inst = solve_doc(doc, observer=observer)
         solver = inst.solver
         runs.append((status, values, solver.conflicts, solver.decisions,
