@@ -90,12 +90,8 @@ def witness_lines(inst: Instance, values):
             continue
         model = models.get(th)
         if model is None:
-            if PREDICATES[pred.kind][0] == "processor":
-                decls = inst.doc.procs[pred.owner].tasks
-            else:
-                decls = inst.doc.graphs[pred.owner].edges
             model = models[th] = (
-                bytearray(1 if values[d.var] else 0 for d in decls), {})
+                bytearray(values[v + 1] for v in th.slot_vars), {})
         payload = th.model_witness(binding, *model)
         if pred.kind == "mst_weight_leq":
             payload = [v + 1 for v in payload]  # internal vars back to GNF

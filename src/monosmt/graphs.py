@@ -9,13 +9,15 @@ Determinism rules used throughout: traversals visit neighbors in (node id,
 edge id) order, shortest-path trees (one per source, read by its reach and
 distance_leq atoms alike) settle nodes in (distance, node id) order, and
 spanning trees are built in (weight, edge id) order, which also makes the
-minimum spanning tree unique.
+minimum spanning tree unique. Unit-weight graphs build those trees with
+``bfs_tree``, others with ``dijkstra_tree``; on unit weights both agree.
 
 A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
 them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
 run exactly: forest order, union-find roots, distances and parent edges.
 Each evaluation lists the atoms whose value moved since the previous one.
+An explanation reads the path, cut or flow stacked for its trail prefix.
 """
 from __future__ import annotations
 
@@ -60,11 +62,9 @@ def bfs_tree(adj, n, enabled, src):
 
 
 def dijkstra_tree(adj, weights, n, enabled, src):
-    """Shortest-path distances and parent edges from src. ``weights`` None
-    weighs every edge 1: ``bfs_tree``'s node-id order within a level is the
-    heap's (distance, node id) pop order, so it gives the same tree."""
-    if weights is None:
-        return bfs_tree(adj, n, enabled, src)
+    """Shortest-path distances and parent edges from src, settled off a
+    heap in (distance, node id) order, so on unit weights ``bfs_tree``'s
+    tree. Returns (dist, parent)."""
     dist = [INF] * n
     parent = [-1] * n
     dist[src] = 0
@@ -141,12 +141,11 @@ class FlowResult:
     def __init__(self, value, flow, cut_side):
         self.value = value
         self.flow = flow
-        self.cut_side = cut_side  # residual-reachable nodes, None on early stop
+        self.cut_side = cut_side  # nodes residual-reachable from s
 
 
-def edmonds_karp(flow_adj, caps, n, enabled, s, t, target=None,
-                 start=None) -> FlowResult:
-    """Max flow by shortest augmenting paths; stops once target is reached.
+def edmonds_karp(flow_adj, caps, n, enabled, s, t, start=None) -> FlowResult:
+    """Max flow by shortest augmenting paths.
 
     ``start`` is a flow of the same graph under another mask, usually the
     previous evaluation of the same completion, to augment from instead of
@@ -205,8 +204,6 @@ def edmonds_karp(flow_adj, caps, n, enabled, s, t, target=None,
             flow[eid] += bottleneck if fwd else -bottleneck
             node = prev
         value += bottleneck
-        if target is not None and value >= target:
-            return FlowResult(value, flow, None)
 
 
 def _cancel(flow_adj, flow, n, s, t, value, eid, u, v):
@@ -270,8 +267,7 @@ class GraphTheory(MonotonicTheory):
         self.n = n
         self.edges = [EdgeSpec(*e) for e in edges]
         self._weights = [e.weight for e in self.edges]
-        self._dij_weights = (None if all(w == 1 for w in self._weights)
-                             else self._weights)
+        self._unit = all(w == 1 for w in self._weights)
         self._adj = [[] for _ in range(n)]
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
@@ -318,30 +314,25 @@ class GraphTheory(MonotonicTheory):
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_completion(self, maximal: bool):
-        """Every atom evaluated on one extreme, on analyses carried over
-        from the newest stacked evaluation where they can be (``_carried``),
-        and the atoms whose value moved since: of the mst_edge group, read
-        off one forest, only those of moved edges or forest changes can."""
-        comp = self._ext[maximal]
-        enabled = comp.enabled
-        gen, values, base, _ = (comp.stack[-1] if comp.stack else
-                                (0, [None] * len(self._preds), {}, None))
-        values = values[:]
-        moved = comp.log[gen:]
+    def eval_completion(self, maximal, enabled, moved, old, base):
+        """Every atom evaluated on one extreme, on the analyses of ``base``
+        carried over where they can be (``_carried``), and the atoms whose
+        value differs from ``old``: of the mst_edge group, read off one
+        forest, only those of moved edges or forest changes can."""
+        values = old[:]
         analysis = {}
-        for key, old in base.items():
-            new = self._carried(key, old, enabled, moved, maximal)
+        for key, prev in base.items():
+            new = self._carried(key, prev, enabled, moved, maximal)
             if new is not None:
                 analysis[key] = new
         changed = []
         if self._mst_atoms:
             span = self._analysis(enabled, analysis, _SPAN)
             forest = span.forest_set
-            old = base.get(_SPAN)
-            for eid in (self._mst_atoms if old is None else moved
-                        if old is span else
-                        (forest ^ old.forest_set).union(moved)):
+            prev = base.get(_SPAN)
+            for eid in (self._mst_atoms if prev is None else moved
+                        if prev is span else
+                        (forest ^ prev.forest_set).union(moved)):
                 val = not enabled[eid] or eid in forest
                 for aid in self._mst_atoms.get(eid, ()):
                     if values[aid] != val:
@@ -400,8 +391,9 @@ class GraphTheory(MonotonicTheory):
             if name == "span":
                 hit = span_scan(n, self.edges, self._order, enabled)
             elif name == "dij":
-                hit = dijkstra_tree(self._adj, self._dij_weights, n,
-                                    enabled, key[1])
+                hit = (bfs_tree(self._adj, n, enabled, key[1]) if self._unit
+                       else dijkstra_tree(self._adj, self._weights, n,
+                                          enabled, key[1]))
             else:
                 hit = edmonds_karp(self._flow_adj, self._weights, n, enabled,
                                    key[1], key[2])
@@ -490,16 +482,16 @@ class GraphTheory(MonotonicTheory):
                 if dist[edges[eid].u] != INF or dist[edges[eid].v] != INF]
 
     def _flow_lits(self, pred, positive, prefix):
-        s, t, bound = pred.payload
+        """The edges that carry the minimal completion's max flow, or the
+        disabled edges that leave the maximal completion's residual cut."""
+        key = ("flow", *pred.payload[:2])
         if positive:
-            enabled, _, _ = self.completion_before(False, prefix)
-            res = edmonds_karp(self._flow_adj, self._weights, self.n,
-                               enabled, s, t, target=bound)
+            enabled, _, analysis = self.completion_before(False, prefix)
+            flow = self._analysis(enabled, analysis, key).flow
             return [self._edge_lit(eid, True)
-                    for eid in range(len(self.edges))
-                    if res.flow[eid] > 0]
+                    for eid, f in enumerate(flow) if f > 0]
         enabled, disabled, analysis = self.completion_before(True, prefix)
-        side = self._analysis(enabled, analysis, ("flow", s, t)).cut_side
+        side = self._analysis(enabled, analysis, key).cut_side
         edges = self.edges
         return [self._edge_lit(eid, False) for eid in sorted(disabled)
                 if side[edges[eid].u] and not side[edges[eid].v]]

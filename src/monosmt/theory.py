@@ -31,11 +31,12 @@ moved, and a scan visits those and the newly assigned atoms, in id order.
 A theory supplies one evaluation hook, ``MonotonicTheory.evaluate``: the
 truth of one predicate on one enabled mask. ``eval_completion`` calls it
 for every predicate on an extreme, and explanations reuse the analyses it
-memoized. A theory may override ``eval_completion`` to evaluate atoms in
-groups that share an analysis and to reuse the newest stacked evaluation's
-analyses, at generation ``gen``, when the slots moved since, ``log[gen:]``,
-cannot have changed them, and to find the atoms whose value moved since
-without comparing every value; ``GraphTheory`` does so.
+memoized. Only the driver touches the stack: it hands ``eval_completion``
+the newest stacked evaluation and the slots moved since. A theory may
+override ``eval_completion`` to evaluate atoms in groups that share an
+analysis, to reuse the analyses that those slots cannot have changed, and
+to find the atoms whose value moved without comparing every value;
+``GraphTheory`` does so.
 """
 from __future__ import annotations
 
@@ -65,10 +66,8 @@ class Completion:
     completion. ``log`` lists the slots the trail has moved off the fill
     value (set true for the minimal completion, false for the maximal one)
     in trail order; its length is the generation. ``stack`` holds
-    ``(generation, values, analysis, changed)`` evaluations made along the
-    current trail, oldest first, all for prefixes of ``log``; ``changed``
-    lists the atom ids whose value differs from the entry below (all of
-    them for the first entry).
+    ``(generation, values, analysis)`` evaluations made along the current
+    trail, oldest first, all for prefixes of ``log``.
     """
 
     __slots__ = ("maximal", "enabled", "log", "stack")
@@ -89,9 +88,10 @@ class MonotonicTheory:
     dict, shared by every predicate evaluated on the same mask.
     ``eval_completion`` applies it to every predicate on one extreme of the
     current trail; a subclass may override it to evaluate atoms in groups.
-    Subclasses may override ``witness_lits`` to produce algorithm-specific
-    reason clauses; the base falls back to the justification-set clause
-    built from one polarity of S-atom assignments.
+    ``slot_vars`` lists the S-var of each mask slot. Subclasses may
+    override ``witness_lits`` to produce algorithm-specific reason clauses;
+    the base falls back to the justification-set clause built from one
+    polarity of S-atom assignments.
     """
 
     def __init__(self):
@@ -99,7 +99,7 @@ class MonotonicTheory:
         self._preds: list[AtomBinding] = []
         self._pvars: dict[int, int] = {}  # pvar -> atom_id
         self._slots: dict[int, int] = {}  # S-var -> mask slot
-        self._slot_vars: list[int] = []   # mask slot -> S-var
+        self.slot_vars: list[int] = []  # mask slot -> S-var
         # Indexed by ``maximal``: (minimal, maximal).
         self._ext = (Completion(False), Completion(True))
         self._dirty = None  # atom ids the next scan visits; None: all
@@ -113,8 +113,8 @@ class MonotonicTheory:
             raise ValueError("var %d is already a predicate atom" % var)
         slot = self._slots.get(var)
         if slot is None:
-            slot = self._slots[var] = len(self._slot_vars)
-            self._slot_vars.append(var)
+            slot = self._slots[var] = len(self.slot_vars)
+            self.slot_vars.append(var)
             self._ext[0].enabled.append(0)
             self._ext[1].enabled.append(1)
         return slot
@@ -166,7 +166,7 @@ class MonotonicTheory:
 
     def on_backjump(self, level: int) -> None:
         value = self.solver.value
-        slot_vars = self._slot_vars
+        slot_vars = self.slot_vars
         for comp in self._ext:
             log, enabled = comp.log, comp.enabled
             fill = 1 if comp.maximal else 0
@@ -190,16 +190,15 @@ class MonotonicTheory:
         implication contradicts an existing atom assignment.
 
         Visits in atom-id order the atoms assigned since the last scan and
-        those whose value changed since each extreme was last read, which
-        is evaluated now if it moved: the rest still give nothing. After a
-        backjump or a conflict, visits them all.
+        those whose value changed since each extreme was last read: each
+        extreme read before is evaluated now if it moved, which adds its
+        changed atoms (see ``_values``). The rest still give nothing. After
+        a backjump or a conflict, visits them all.
         """
         dirty = self._dirty
         for comp in self._ext if dirty is not None else ():
-            stack = comp.stack  # empty: unread, so no clean atom needs it
-            if stack and stack[-1][0] != len(comp.log):
+            if comp.stack:  # empty: unread, so no clean atom needs it
                 self._values(comp.maximal)
-                dirty.update(stack[-1][3])
         implied, conflict = self._scan(
             self._preds if dirty is None
             else [self._preds[i] for i in sorted(dirty)])
@@ -237,25 +236,30 @@ class MonotonicTheory:
                     implied.append((lit + 1, pred.atom_id))
         return tuple(implied), None
 
-    def eval_completion(self, maximal: bool):
-        """Every predicate evaluated on one extreme of the current trail;
+    def eval_completion(self, maximal, enabled, moved, old, base):
+        """Every predicate evaluated on one extreme's live ``enabled`` mask;
         returns ``(values, analysis, changed)``: a bool per atom id, the
-        analyses that produced them, and the ids of the atoms whose value
-        differs from the newest stacked evaluation (all on the first)."""
-        comp = self._ext[maximal]
+        analyses behind them, and the ids of the atoms whose value differs
+        from ``old``. ``old`` and ``base`` are the newest stacked values and
+        analyses (None each and {} when none), ``moved`` the slots since."""
         analysis = {}
-        values = [self.evaluate(p, comp.enabled, analysis)
-                  for p in self._preds]
-        old = comp.stack[-1][1] if comp.stack else [None] * len(values)
+        values = [self.evaluate(p, enabled, analysis) for p in self._preds]
         return values, analysis, [i for i, val in enumerate(values)
                                   if val != old[i]]
 
     def _values(self, maximal: bool):
-        """Per-atom values on one extreme, evaluated once per generation."""
+        """Per-atom values on one extreme, evaluated once per generation
+        and stacked; the atoms whose value moved join a pending scan."""
         comp = self._ext[maximal]
         stack = comp.stack
         if not stack or stack[-1][0] != len(comp.log):
-            stack.append((len(comp.log),) + self.eval_completion(maximal))
+            gen, old, base = (stack[-1] if stack else
+                              (0, [None] * len(self._preds), {}))
+            values, analysis, changed = self.eval_completion(
+                maximal, comp.enabled, comp.log[gen:], old, base)
+            stack.append((len(comp.log), values, analysis))
+            if self._dirty is not None:
+                self._dirty.update(changed)
         return stack[-1][1]
 
     def explain(self, atom_id: int, lit: int) -> list[int]:
@@ -297,7 +301,7 @@ class MonotonicTheory:
         comp = self._ext[maximal]
         log = comp.log
         pos = self.solver.pos
-        slot_vars = self._slot_vars
+        slot_vars = self.slot_vars
         k = len(log)
         while k and pos[slot_vars[log[k - 1]]] >= prefix:
             k -= 1
@@ -309,7 +313,7 @@ class MonotonicTheory:
             for slot in log[k:]:
                 enabled[slot] = fill
         analysis = {}
-        for gen, _, stacked, _ in reversed(comp.stack):
+        for gen, _, stacked in reversed(comp.stack):
             if gen <= k:
                 if gen == k:
                     analysis = stacked
@@ -328,7 +332,7 @@ class MonotonicTheory:
         # The minimal completion's log holds the S-atoms assigned true.
         _, moved, _ = self.completion_before(not use_true, prefix)
         return [mk_lit(v, use_true)
-                for v in sorted(self._slot_vars[s] for s in moved)]
+                for v in sorted(self.slot_vars[s] for s in moved)]
 
     def witness_lits(self, pred, positive: bool, prefix: int):
         """Algorithm-specific clause tail, or None to use the fallback."""

@@ -8,6 +8,7 @@ edges, schedulers at most 6 tasks, and documents at most 22 variables.
 ``squeeze_flow`` builds on a generated grid and is larger.
 """
 
+from monosmt import generators, oracle
 from monosmt.build import build_instance, dimacs_lit
 from monosmt.generators import Xorshift64Star, gen_flow
 from monosmt.gnf import (EdgeDecl, GnfDocument, GraphDecl, PredDecl, ProcDecl,
@@ -17,6 +18,7 @@ from monosmt.sat import FALSE, UNDEF
 GRAPH_KINDS = ("reach", "distance_leq", "maxflow_geq", "components_leq",
                "mst_weight_leq", "mst_edge")
 ALL_KINDS = GRAPH_KINDS + ("schedulable",)
+NEGATIVE_KINDS = ("mst_edge", "schedulable")  # monotone decreasing
 DIRECTED_KINDS = ("reach", "distance_leq", "maxflow_geq")
 
 
@@ -147,6 +149,11 @@ def squeeze_flow(width, height, seed, demand):
     return doc
 
 
+# The names a document builder call written as text may use.
+CALLS = {**vars(generators), "rand_doc": rand_doc,
+         "squeeze_flow": squeeze_flow}
+
+
 class Recorder:
     """Solver observer keeping every learnt clause and theory lemma, each a
     tuple of solver literals, in the order the search made them."""
@@ -164,6 +171,34 @@ class Recorder:
     def lemma_sets(self):
         """The lemmas as sets of DIMACS literals."""
         return [frozenset(dimacs_lit(l) for l in c) for c in self.lemmas]
+
+
+def lemma_checker(doc):
+    """A check of one theory lemma of ``doc`` at any size, by one oracle
+    evaluation. It takes the lemma as solver literals, the atom first, and
+    returns None when the lemma is valid, else the S-var mask (in the
+    oracle's order) on which it fails.
+
+    The lemma asserts its atom literal unless one of its other literals, on
+    that atom's S-vars, holds. Those are falsified, and every other S-var of
+    the atom gets the extreme least favourable to the atom literal: false
+    where it asserts a positive predicate true or a negative one false, true
+    otherwise. The predicate is monotonic, so if it agrees with the atom
+    literal on that completion, it does on every completion.
+    """
+    preds = {decl.var: (decl.kind, pred) for decl, pred in
+             zip(doc.preds, oracle._build_preds(doc))}
+
+    def check(lits):
+        head, *rest = (dimacs_lit(lit) for lit in lits)
+        kind, pred = preds[abs(head)]
+        fill = (head > 0) == (kind in NEGATIVE_KINDS)
+        value = {abs(lit): lit < 0 for lit in rest}
+        mask = bytes(value.pop(v, fill) for v in pred.svars)
+        if value or pred.fn(mask) != (head > 0):
+            return mask  # a literal off the atom's S-vars, or a failure
+        return None
+    return check
 
 
 def check_reasons(solver, theories, recorder=None):

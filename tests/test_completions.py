@@ -9,10 +9,11 @@ must be those of a cold ``edmonds_karp`` on that mask. Every stacked
 spanning forest and shortest-path tree, which may be carried over from an
 older generation or extended from one, must equal a cold ``span_scan`` or
 ``dijkstra_tree`` on its own generation's mask in every field the search
-reads. Each stacked change list must name exactly the atoms whose value
-differs from the evaluation below it, and every scan that visits only the
-dirty atoms must imply and conflict exactly as a full rescan of the same
-trail does. The checks run through restarts and backjumps.
+reads. Each evaluation must get the newest stacked one as its base, and
+the change list it returns must name exactly the atoms whose value differs
+from that base. Every scan that visits only the dirty atoms must imply and
+conflict exactly as a full rescan of the same trail does. The checks run
+through restarts and backjumps.
 """
 
 import random
@@ -29,14 +30,6 @@ from monosmt.theory import NEGATIVE, POSITIVE
 
 from instances import ALL_KINDS, check_reasons, rand_doc, rand_mixed_doc
 from test_theory_driver import ToyTheory
-
-
-def slot_vars(th):
-    if isinstance(th, GraphTheory):
-        return [e.var for e in th.edges]
-    if isinstance(th, ProcessorTheory):
-        return [t.var for t in th.tasks]
-    return th.arg_vars
 
 
 def cold(th, enabled, key, memo):
@@ -79,7 +72,7 @@ def concrete_values(th, enabled, memo):
 def masks_at(th, maximal, prefixes):
     """One extreme rebuilt from the first ``p`` trail literals, for each
     ``p`` of the ascending ``prefixes``."""
-    svars = slot_vars(th)
+    svars = th.slot_vars
     slot = {v: i for i, v in enumerate(svars)}
     fill = 1 if maximal else 0
     mask = bytearray([fill]) * len(svars)
@@ -104,6 +97,7 @@ class Checker:
         self.rng = random.Random(seed)
         self.memo = {th: {} for th in theories}
         self.checks = 0
+        self.evals = 0
         self.stacked = 0
         self.flows = set()  # stacked max flows checked so far
         # (id, mask) -> stacked forest or tree checked on that mask
@@ -114,6 +108,7 @@ class Checker:
         for th in theories:
             th.propagate = self._wrap(th, th.propagate)
             th._scan = self._wrap_scan(th, th._scan)
+            th.eval_completion = self._wrap_eval(th, th.eval_completion)
 
     def _wrap(self, th, propagate):
         def checked():
@@ -131,9 +126,24 @@ class Checker:
             return result
         return checked
 
+    def _wrap_eval(self, th, eval_completion):
+        def checked(maximal, enabled, moved, old, base):
+            comp = th.completion(maximal)
+            gen, values, analysis = (comp.stack[-1] if comp.stack else
+                                     (0, [None] * len(th._preds), {}))
+            assert enabled is comp.enabled and moved == comp.log[gen:]
+            assert old == values and base == analysis
+            result = eval_completion(maximal, enabled, moved, old, base)
+            values, _, changed = result
+            assert sorted(changed) == [
+                i for i, v in enumerate(values) if v != old[i]]
+            self.evals += 1
+            return result
+        return checked
+
     def check(self, th):
         solver = self.solver
-        svars = slot_vars(th)
+        svars = th.slot_vars
         for maximal in (False, True):
             comp = th.completion(maximal)
             live = bytearray(
@@ -144,16 +154,11 @@ class Checker:
             # Where each stacked generation sits in the trail.
             prefixes = [solver.pos[svars[comp.log[gen]]]
                         if gen < len(comp.log) else len(solver.trail)
-                        for gen, _, _, _ in comp.stack]
+                        for gen, _, _ in comp.stack]
             masks = masks_at(th, maximal, prefixes)
             older = {}
-            below = [None] * len(th._preds)
-            for (_, values, analysis, changed), mask in zip(comp.stack,
-                                                             masks):
+            for (_, values, analysis), mask in zip(comp.stack, masks):
                 assert values == concrete_values(th, mask, self.memo[th])
-                assert sorted(changed) == [
-                    i for i, v in enumerate(values) if v != below[i]]
-                below = values
                 self.stacked += 1
                 for key, res in analysis.items():
                     if key[0] == "flow" and res not in self.flows:
@@ -202,7 +207,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
                for s in range(2)]
             + [generators.gen_sched(20, 2, 2, s) for s in range(2)]
             + [generators.gen_sched(30, 3, 4, 0)])
-    restarts = conflicts = checks = stacked = extended = 0
+    restarts = conflicts = checks = evals = stacked = extended = 0
     reused, partial = Counter(), Counter()
     for i, doc in enumerate(docs):
         inst = build_instance(doc)
@@ -212,6 +217,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
         restarts += solver.restarts
         conflicts += solver.conflicts  # each one backjumps
         checks += checker.checks
+        evals += checker.evals
         stacked += checker.stacked
         partial += checker.partial
         reused += checker.reused
@@ -219,7 +225,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
         extended += len({id(t) for t in checker.trees.values()
                          if isinstance(t, SpanResult)} - cold_ids)
     assert restarts >= 5 and conflicts >= 1000
-    assert checks > 1000 and stacked > checks
+    assert checks > 1000 and evals > checks and stacked > checks
     # Every theory class lists its changes, so each scans partially.
     assert partial[GraphTheory] > 0 and partial[ProcessorTheory] > 0
     # Each way of skipping a cold run was taken, and checked.

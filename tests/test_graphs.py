@@ -8,14 +8,15 @@ through the independent oracle.
 import pytest
 
 from monosmt import graphs, oracle
-from monosmt.build import run_solve
+from monosmt.build import run_solve, solve_doc
 from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
-from monosmt.graphs import (EdgeSpec, GraphTheory, dijkstra_tree,
+from monosmt.graphs import (EdgeSpec, GraphTheory, bfs_tree, dijkstra_tree,
                             edmonds_karp, find, span_scan)
+from monosmt.sat import mk_lit
 
-from instances import (rand_graph, rand_pred, solve_recorded, GRAPH_KINDS,
-                       DIRECTED_KINDS)
+from instances import (rand_graph, rand_pred, solve_recorded, squeeze_flow,
+                       GRAPH_KINDS, DIRECTED_KINDS)
 
 
 def graph_doc(directed, n, edges, preds, clauses):
@@ -67,14 +68,20 @@ def test_reach_isolated_target_empty_cut():
     assert_theory_clause(doc, "UNSAT", (-1,))
 
 
-def test_reach_and_distance_read_one_tree_per_source(monkeypatch):
-    # Weighted, so the heap runs; no extreme builds a second tree of 0.
+def count_tree_runs(monkeypatch):
+    """The names of the tree routines run from now on, in call order."""
     runs = []
     for name in ("bfs_tree", "dijkstra_tree"):
         def counted(*args, name=name, run=getattr(graphs, name)):
             runs.append(name)
             return run(*args)
         monkeypatch.setattr(graphs, name, counted)
+    return runs
+
+
+def test_reach_and_distance_read_one_tree_per_source(monkeypatch):
+    # Weighted, so the heap runs; no extreme builds a second tree of 0.
+    runs = count_tree_runs(monkeypatch)
     th = GraphTheory(1, True, 3, [(0, 1, 0, 2), (1, 2, 1, 1), (0, 2, 2, 5)])
     reach = th.add_atom("reach", (0, 2), 3)
     dist = th.add_atom("distance_leq", (0, 2, 3), 4)
@@ -152,13 +159,33 @@ def test_maxflow_positive_two_path_support():
     assert_theory_clause(doc, "UNSAT", (-1, -2, -3, -4, 5))
 
 
-def test_maxflow_early_stop_keeps_residual_cut_unset():
+def test_maxflow_sets_residual_cut_side():
     th = GraphTheory(1, True, 2, [(0, 1, 0, 5)])
-    res = edmonds_karp(th._flow_adj, th._weights, 2, bytearray([1]), 0, 1,
-                       target=3)
-    assert res.value >= 3 and res.cut_side is None
     full = edmonds_karp(th._flow_adj, th._weights, 2, bytearray([1]), 0, 1)
     assert full.value == 5 and full.cut_side[0] and not full.cut_side[1]
+
+
+def test_positive_flow_witness_reads_the_stacked_flow(monkeypatch):
+    # Each witness lists exactly the edges that carry flow in the max flow
+    # stacked on the minimal completion for the generation it explains.
+    seen = []
+    flow_lits = GraphTheory._flow_lits
+
+    def checked(th, pred, positive, prefix):
+        lits = flow_lits(th, pred, positive, prefix)
+        if positive:
+            comp, pos = th.completion(False), th.solver.pos
+            gen = sum(pos[th.slot_vars[slot]] < prefix for slot in comp.log)
+            analysis = next(a for g, _, a in comp.stack if g == gen)
+            flow = analysis[("flow", *pred.payload[:2])].flow
+            assert lits == [mk_lit(th.edges[eid].var, True)
+                            for eid, f in enumerate(flow) if f > 0]
+            seen.append(gen)
+        return lits
+
+    monkeypatch.setattr(GraphTheory, "_flow_lits", checked)
+    assert solve_doc(squeeze_flow(7, 7, 133, 2))[0] == "SAT"
+    assert len(seen) > 3
 
 
 # -- mst_weight_leq ----------------------------------------------------------
@@ -328,17 +355,21 @@ def test_unit_weight_trees_match_heap_dijkstra():
             for j in range(m)])
         enabled = bytearray(rng.randint(0, 2) > 0 for _ in range(m))
         src = rng.randint(0, n - 1)
-        assert (dijkstra_tree(th._adj, None, n, enabled, src)
+        assert (bfs_tree(th._adj, n, enabled, src)
                 == dijkstra_tree(th._adj, [1] * m, n, enabled, src)), i
 
 
 @pytest.mark.parametrize("weights,unit", [
     ((), True), ((1, 1, 1), True), ((1, 0, 1), False), ((1, 2, 1), False),
     ((0, 0, 0), False)])
-def test_only_all_unit_weights_skip_the_heap(weights, unit):
+def test_only_all_unit_weights_skip_the_heap(monkeypatch, weights, unit):
+    runs = count_tree_runs(monkeypatch)
     th = GraphTheory(1, True, 3, [(j, (j + 1) % 3, j, w)
                                   for j, w in enumerate(weights)])
-    assert th._dij_weights is (None if unit else th._weights)
+    th.add_atom("reach", (0, 2), 3)
+    th._values(True)
+    assert th._unit is unit
+    assert runs == ["bfs_tree" if unit else "dijkstra_tree"]
 
 
 # -- randomized dual-route checks ----------------------------------------------

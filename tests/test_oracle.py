@@ -1,10 +1,14 @@
-"""Reference-checker behavior: budget, model checking, clause validity."""
+"""Reference-checker behavior: budget, model checking, clause validity,
+and theory lemmas checked at any size."""
 
 import pytest
 
 from monosmt import oracle
-from monosmt.build import solve_doc
+from monosmt.build import dimacs_lit, solve_doc
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
+
+from instances import (ALL_KINDS, CALLS, lemma_checker, rand_doc,
+                       solve_recorded)
 
 
 def chain_doc(length, kind="reach"):
@@ -91,6 +95,55 @@ def test_clause_validity_can_consult_cnf():
     doc.clauses = [[1], [2]]
     assert oracle.check_clause_valid(doc, [3]) is not None
     assert oracle.check_clause_valid(doc, [3], include_cnf=True) is None
+
+
+# -- theory lemmas at any size ----------------------------------------------
+
+def test_lemma_checker_catches_a_missing_literal():
+    doc = chain_doc(2)  # reach(0, 2) is var 3; lemmas in solver literals
+    check = lemma_checker(doc)
+    assert check([4, 1, 3]) is None  # reach or not e1 or not e2
+    assert check([4, 1]) == bytes([1, 0])
+    assert check([5, 0]) is None  # not reach or e1
+    assert check([5]) == bytes([1, 1])
+
+
+def test_lemma_checker_agrees_with_brute_force():
+    # Every lemma, which must be valid, and every lemma less its last
+    # literal, on documents small enough to enumerate.
+    checked = refuted = 0
+    for kind in ALL_KINDS:
+        for seed in range(40):
+            doc = rand_doc(kind, seed)
+            if doc.nvars > 12:
+                continue
+            check = lemma_checker(doc)
+            for lits in set(solve_recorded(doc)[1].lemmas):
+                for clause in (lits, lits[:-1]) if len(lits) > 1 else (lits,):
+                    valid = oracle.check_clause_valid(
+                        doc, [dimacs_lit(lit) for lit in clause]) is None
+                    assert (check(clause) is None) == valid, (kind, seed)
+                    assert valid or clause is not lits, (kind, seed)
+                    checked += 1
+                    refuted += not valid
+    assert checked > 200 and refuted > 20
+
+
+LARGE = ["gen_maze(8, 8, 0)", "gen_maze(8, 8, 1)", "gen_flow(10, 10, seed=0)",
+         "gen_flow(10, 10, mode='random1to4', seed=0)",
+         "gen_sched(30, 3, 4, 0)", "gen_sched(30, 3, 4, 2)",
+         "squeeze_flow(7, 7, 133, 2)"]
+
+
+@pytest.mark.parametrize("call", LARGE)
+def test_every_lemma_holds_beyond_the_brute_force_budget(call):
+    doc = eval(call, CALLS)
+    assert doc.nvars > oracle.BUDGET
+    _, recorder = solve_recorded(doc)
+    check = lemma_checker(doc)
+    assert recorder.lemmas
+    for lits in recorder.lemmas:
+        assert check(lits) is None, lits
 
 
 # -- evaluator spot checks -------------------------------------------------

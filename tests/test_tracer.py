@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` rebinds layer functions and methods by name from
 outside the program, so renaming one would silently empty its metrics. This
 runs it in a subprocess (it patches classes process-wide) on tiny maze, flow
-and sched instances and checks that every span it relies on was recorded.
+and sched instances, and on a weighted distance document for the heap that a
+unit-weight maze never reaches, and checks that every span it relies on was
+recorded.
 """
 
 import os
@@ -14,15 +16,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _SCRIPT = """
-from monosmt import generators
+from monosmt import generators, gnf
 from monosmt.build import solve_doc
 import tracer
+
+WEIGHTED = '''p gnf 4 1
+digraph 3 3 1
+edge 1 0 1 1 1
+edge 1 1 2 2 1
+edge 1 0 2 3 3
+distance_leq 1 0 2 2 4
+4 0
+'''
 
 rec = tracer.SpanRecorder()
 tracer.install(rec)
 for doc in (generators.gen_maze(3, 3, 0),
             generators.gen_flow(4, 4, mode="unit", seed=0, demand=2),
-            generators.gen_sched(20, 2, 2, 0)):
+            generators.gen_sched(20, 2, 2, 0), gnf.parse(WEIGHTED)):
     solve_doc(doc)
 for name, (calls, _, _) in sorted(rec.span_totals().items()):
     print(name, calls)
