@@ -6,6 +6,8 @@ the two numbering schemes meet.
 """
 from __future__ import annotations
 
+import gc
+
 from .sat import Solver, SAT, mk_lit
 from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
@@ -33,6 +35,18 @@ class Instance:
 
 
 def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
+    # A build allocates many small objects and frees few, so the cyclic
+    # collector's passes over them find nothing; it is paused meanwhile.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build(doc, seed, observer)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build(doc, seed, observer):
     solver = Solver(seed=seed, observer=observer)
     for _ in range(doc.nvars):
         solver.new_var()

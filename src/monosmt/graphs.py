@@ -483,9 +483,13 @@ class GraphTheory(MonotonicTheory):
 
     def _flow_lits(self, pred, positive, prefix):
         """The edges that carry the minimal completion's max flow, or the
-        disabled edges that leave the maximal completion's residual cut."""
-        key = ("flow", *pred.payload[:2])
+        disabled edges that leave the maximal completion's residual cut.
+        A bound of at most 0 holds on every mask and needs no edge."""
+        s, t, bound = pred.payload
+        key = ("flow", s, t)
         if positive:
+            if bound <= 0:
+                return []
             enabled, _, analysis = self.completion_before(False, prefix)
             flow = self._analysis(enabled, analysis, key).flow
             return [self._edge_lit(eid, True)

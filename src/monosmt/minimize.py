@@ -1,17 +1,28 @@
 """Bound minimization for spanning-tree weight atoms.
 
-The search rewrites one mst_weight_leq atom's bound and re-solves the
-document from scratch per probe. Feasibility is monotone in the bound, which
-binary search exploits; the caller gets the smallest bound that stays
-satisfiable, with its model.
+Feasibility is monotone in an mst_weight_leq atom's bound, which binary
+search exploits; the caller gets the smallest bound that stays satisfiable,
+with its model. Every probe goes to one solver (``BoundProbes``), built from
+the document without the probed atom, so that its var is a plain var. Each
+probed bound gets an atom of its own on the owning graph, tied to that var
+by clauses guarded by a selector literal, and is solved under the selector
+as an assumption (Een and Sorensson, "Temporal induction by incremental SAT
+solving", BMC 2003). The selector is then set false for good. What a probe
+learnt stays valid for the next: its clauses follow from the document, or
+contain a retired selector. The bound atoms are chained, ``w <= b`` implying
+``w <= b'`` for ``b < b'``.
 """
 from __future__ import annotations
 
 import copy
-import dataclasses
 
-from .build import solve_doc
+from . import build
 from .gnf import GnfDocument
+from .graphs import GraphTheory
+from .sat import SAT, mk_lit
+
+# Never called here; perfbench/tracer.py patches this name.
+from .build import solve_doc  # noqa: F401
 
 
 class MinimizeResult:
@@ -24,6 +35,45 @@ class MinimizeResult:
         self.probes = probes  # (bound, status) in probe order
 
 
+class BoundProbes:
+    """One solver answering, bound by bound, whether ``doc`` is satisfiable
+    with its predicate ``doc.preds[idx]``, an mst_weight_leq atom, at that
+    bound."""
+
+    def __init__(self, doc: GnfDocument, idx: int, seed=0):
+        pred = doc.preds[idx]
+        rest = copy.copy(doc)  # shares all but the probed atom
+        rest.preds = doc.preds[:idx] + doc.preds[idx + 1:]
+        inst = build.build_instance(rest, seed=seed)
+        self.solver = inst.solver
+        self.theory = next(th for th in inst.theories
+                           if isinstance(th, GraphTheory)
+                           and th.gid == pred.owner)
+        self.pvar = pred.var - 1
+        self.nvars = doc.nvars
+        self.atoms = []  # (bound, atom var) per probe so far
+
+    def solve(self, bound):
+        """(status, values) of the document with the atom at ``bound``;
+        values is a 1-based bool list over the document's vars on SAT."""
+        solver = self.solver
+        q = solver.new_var()
+        self.theory.add_atom("mst_weight_leq", (bound,), q)
+        s = solver.new_var()
+        off = mk_lit(s, True)
+        solver.add_clause([off, mk_lit(self.pvar, True), mk_lit(q)])
+        solver.add_clause([off, mk_lit(self.pvar), mk_lit(q, True)])
+        for b, v in self.atoms:
+            lo, hi = (q, v) if bound < b else (v, q)
+            solver.add_clause([mk_lit(lo, True), mk_lit(hi)])
+        self.atoms.append((bound, q))
+        res = solver.solve([mk_lit(s)])
+        solver.add_clause([off])
+        if res.status is SAT:
+            return "SAT", [None] + res.model[:self.nvars]
+        return "UNSAT", None
+
+
 def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
     """Smallest satisfiable bound for the mst_weight_leq atom on bound_var,
     searched over [0, total edge weight]."""
@@ -32,13 +82,11 @@ def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
     if idx is None:
         raise ValueError("var %d is not an mst_weight_leq atom" % bound_var)
     total = sum(e.weight for e in doc.graphs[doc.preds[idx].owner].edges)
+    search = BoundProbes(doc, idx, seed=seed)
     probes = []
 
     def probe(bound):
-        trial = copy.copy(doc)  # shares all but the probed atom
-        trial.preds = doc.preds[:]
-        trial.preds[idx] = dataclasses.replace(doc.preds[idx], args=(bound,))
-        status, values, _ = solve_doc(trial, seed=seed)
+        status, values = search.solve(bound)
         probes.append((bound, status))
         return status == "SAT", values
 

@@ -121,6 +121,13 @@ class MonotonicTheory:
 
     def register_predicate(self, pvar: int, polarity: int, kind: str,
                            payload) -> int:
+        """Bind ``pvar`` to a predicate; returns its atom id.
+
+        On a theory already attached to a solver, which must then be at
+        decision level 0 (between solves), the var is watched at once, the
+        stacked evaluations are dropped, as their value lists have no entry
+        for the new atom, and the next scan visits every atom.
+        """
         if pvar in self._slots:
             raise ValueError("atom var %d is already an argument var" % pvar)
         if pvar in self._pvars:
@@ -129,6 +136,11 @@ class MonotonicTheory:
         binding = AtomBinding(atom_id, pvar, polarity, kind, payload)
         self._preds.append(binding)
         self._pvars[pvar] = atom_id
+        if self.solver is not None:
+            self.solver.watch_var(pvar, self)
+            for comp in self._ext:
+                comp.stack.clear()
+            self._dirty = None
         return atom_id
 
     def attach(self, solver) -> None:

@@ -146,6 +146,16 @@ def test_maxflow_zero_demand_unit_witness():
     assert_theory_clause(doc, "UNSAT", (2,))
 
 
+def test_maxflow_zero_demand_names_no_flow_edge():
+    # A bound of 0 holds on every mask, so the lemma that refutes it names
+    # no edge, even with edge 0 -> 1 forced on and carrying flow.
+    doc = graph_doc(True, 2, [(0, 1, 1)],
+                    [("maxflow_geq", (0, 1, 0))], [[1], [-2]])
+    status, recorder = solve_recorded(doc)
+    assert status == "UNSAT"
+    assert recorder.lemma_sets() == [frozenset((2,))]
+
+
 def test_maxflow_negative_single_cut_edge():
     doc = graph_doc(True, 2, [(0, 1, 3)],
                     [("maxflow_geq", (0, 1, 1))], [[-1], [2]])

@@ -6,9 +6,12 @@ import pytest
 
 from monosmt import minimize
 from monosmt.build import solve_doc
-from monosmt.generators import gen_maze
+from monosmt.generators import Xorshift64Star, gen_maze
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.minimize import minimize_bound
+from monosmt.oracle import check_model
+
+from instances import rand_doc
 
 
 def tree_doc(edges, forced=(), bound=None):
@@ -77,13 +80,16 @@ def test_non_monotone_answers_still_give_an_ordered_probe_log(monkeypatch):
     # an UNSAT probe above a SAT one.
     doc, atom = tree_doc([(0, 1, 5), (1, 2, 6), (0, 2, 7), (2, 3, 9)])
 
-    def non_monotone(trial, seed=0):
-        sat = trial.preds[0].args[0] % 3 != 1
-        return ("SAT", [None] * (trial.nvars + 1), None) if sat else (
-            "UNSAT", None, None)
+    asked = []
 
-    monkeypatch.setattr(minimize, "solve_doc", non_monotone)
+    def non_monotone(search, bound):
+        asked.append(bound)
+        return ("SAT", [None] * (search.nvars + 1)) if bound % 3 != 1 else (
+            "UNSAT", None)
+
+    monkeypatch.setattr(minimize.BoundProbes, "solve", non_monotone)
     res = minimize_bound(doc, atom)
+    assert [b for b, _ in res.probes] == asked
     sat_bounds = [b for b, s in res.probes if s == "SAT"]
     unsat_bounds = [b for b, s in res.probes if s == "UNSAT"]
     assert len(res.probes) > 3 and sat_bounds and unsat_bounds
@@ -117,3 +123,73 @@ def test_original_document_is_untouched():
         preds = doc.preds
         minimize_bound(doc, atom)
         assert doc == before and doc.preds is preds
+
+
+def scratch_minimize(doc, atom):
+    """The same binary search, with a document copy and a solver of its own
+    per probe; returns (bound, probes), the bound None when infeasible."""
+    owner = next(p.owner for p in doc.preds if p.var == atom)
+    total = sum(e.weight for e in doc.graphs[owner].edges)
+    probes = [(total, reprobe(doc, atom, total))]
+    if probes[0][1] == "UNSAT":
+        return None, probes
+    lo, hi = 0, total
+    while lo < hi:
+        mid = (lo + hi) // 2
+        status = reprobe(doc, atom, mid)
+        probes.append((mid, status))
+        if status == "SAT":
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi, probes
+
+
+def bound_doc(seed, forced):
+    """``rand_doc('mst_weight_leq', seed)`` whose first atom a has no unit
+    clause but sits in clauses of both signs over other vars x, y, z of
+    random sign. Forced: (a or x), (a or not x) and (not a or y or z), so a
+    holds. Otherwise a is free in (a or x or y) and (not a or z), and each
+    edge is forced on with probability 1/2."""
+    doc = rand_doc("mst_weight_leq", seed)
+    atom = doc.preds[0].var
+    rng = Xorshift64Star(seed)
+    doc.clauses = [c for c in doc.clauses if c not in ([atom], [-atom])]
+    x, y, z = ((v + (v >= atom)) * (-1) ** rng.randint(0, 1)
+               for v in (rng.randint(1, doc.nvars - 1) for _ in range(3)))
+    if forced:
+        doc.clauses += [[atom, x], [atom, -x], [-atom, y, z]]
+    else:
+        doc.clauses += [[atom, x, y], [-atom, z]]
+        doc.clauses += [[e.var] for e in doc.graphs[1].edges
+                        if rng.randint(0, 1)]
+    return doc, atom
+
+
+def assert_same_search(doc, atom):
+    bound, probes = scratch_minimize(doc, atom)
+    res = minimize_bound(doc, atom)
+    assert (res.bound, res.probes) == (bound, probes)
+    if res.feasible:
+        probed = copy.deepcopy(doc)
+        next(p for p in probed.preds if p.var == atom).args = (bound,)
+        assert check_model(probed, res.values) is None
+    return res
+
+
+def test_one_solver_searches_as_a_solver_per_probe_on_mazes():
+    for k in range(6):
+        doc = gen_maze(3, 6, k)
+        assert_same_search(doc, next(p.var for p in doc.preds
+                                     if p.kind == "mst_weight_leq"))
+
+
+def test_one_solver_searches_as_a_solver_per_probe_on_random_documents():
+    both = free = 0  # searches with both answers; optima with atom false
+    for seed in range(150):
+        for forced in (True, False):
+            doc, atom = bound_doc(seed, forced)
+            res = assert_same_search(doc, atom)
+            both += len({status for _, status in res.probes}) == 2
+            free += res.feasible and not res.values[atom]
+    assert both >= 50 and free >= 50

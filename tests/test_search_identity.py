@@ -76,22 +76,30 @@ def test_search_matches_pinned_counters(call, seed):
 
 
 def test_minimize_probes_match_pinned_counters(monkeypatch):
+    # Every probe goes to one solver; each is fingerprinted by the counters
+    # it added and by the clauses a recorder of its own saw.
     probes = []
+    solve = minimize.BoundProbes.solve
 
-    def logged(doc, seed=0):
-        recorder = Recorder()
-        status, values, inst = solve_doc(doc, seed=seed, observer=recorder)
-        probes.append(fingerprint(status, inst.solver, recorder))
-        return status, values, inst
+    def logged(search, bound):
+        solver = search.solver
+        solver.observer = recorder = Recorder()
+        before = fingerprint(None, solver, recorder)
+        status, values = solve(search, bound)
+        after = fingerprint(status, solver, recorder)
+        probes.append((status,) + tuple(a - b for a, b in
+                                        zip(after[1:6], before[1:6]))
+                      + after[6:])
+        return status, values
 
-    monkeypatch.setattr(minimize, "solve_doc", logged)
+    monkeypatch.setattr(minimize.BoundProbes, "solve", logged)
     doc = generators.gen_maze(3, 6, 2)
     bound_var = next(p.var for p in doc.preds if p.kind == "mst_weight_leq")
     result = minimize.minimize_bound(doc, bound_var)
     totals = [sum(probe[k] for probe in probes) for k in range(1, 6)]
     digest = hashlib.sha256(repr(probes).encode()).hexdigest()[:16]
     assert (result.bound, len(probes), totals, digest) == \
-        (4012, 15, [193, 488, 3111, 436, 0], "4e81b2923d5cabc8")
+        (4012, 15, [74, 352, 1762, 144, 0], "8410fa65d43745f1")
 
 
 # The first seed of each kind whose solve makes a decision, a conflict and a

@@ -1,18 +1,20 @@
 """The generic propagation driver, exercised through a tiny toy theory."""
 
+import copy
 import itertools
 import random
 
 import pytest
 
-from monosmt.build import internal_lit
+from monosmt.build import build_instance, internal_lit
 from monosmt.graphs import GraphTheory
-from monosmt.oracle import brute_force_solve
+from monosmt.oracle import brute_force_solve, check_model
 from monosmt.scheduling import ProcessorTheory
 from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.theory import MonotonicTheory, NEGATIVE, POSITIVE
 
-from instances import Recorder, check_reasons, rand_mixed_doc
+from instances import (GRAPH_KINDS, Recorder, check_reasons, lemma_checker,
+                       rand_doc, rand_mixed_doc)
 from test_sat_core import run_optimized
 
 
@@ -214,6 +216,43 @@ def test_attach_replays_assignments_made_before_it():
                         for c in doc.clauses if len(c) > 1)
         status = solver.solve().status if ok else "UNSAT"
         assert status == brute_force_solve(doc)[0], "seed %d" % seed
+
+
+def test_atom_registered_after_a_solve_is_watched_scanned_and_explained():
+    # Each document is solved without its last atom, whose var is then a
+    # plain var. The atom is registered on the attached graph and solved for
+    # true and then false, each under an assumption.
+    late_lemmas = 0
+    for kind in GRAPH_KINDS:
+        for seed in range(30):
+            doc = rand_doc(kind, seed)
+            late = doc.preds[-1]
+            early = copy.copy(doc)
+            early.preds = doc.preds[:-1]
+            recorder = Recorder()
+            inst = build_instance(early, observer=recorder)
+            solver, (th,) = inst.solver, inst.theories
+            check_reasons(solver, [th], recorder)
+            first = solver.solve().status if inst.ok else "UNSAT"
+            assert first == brute_force_solve(early)[0]
+            args = (late.args[0] - 1,) if kind == "mst_edge" else late.args
+            th.add_atom(kind, args, late.var - 1)
+            assert th in solver._var_theories[late.var - 1]
+            for want in (True, False):
+                asked = copy.copy(doc)
+                asked.clauses = doc.clauses + [[late.var if want
+                                                else -late.var]]
+                res = solver.solve([mk_lit(late.var - 1, not want)])
+                where = "%s seed %d, atom %s" % (kind, seed, want)
+                assert res.status == brute_force_solve(asked)[0], where
+                if res.status == "SAT":
+                    assert check_model(asked, [None] + res.model) is None
+            check = lemma_checker(doc)
+            for lits in recorder.lemmas:
+                assert check(lits) is None, (kind, seed, lits)
+            late_lemmas += sum(lits[0] >> 1 == late.var - 1
+                               for lits in recorder.lemmas)
+    assert late_lemmas >= 50
 
 
 _WRONG_ATOM = """
