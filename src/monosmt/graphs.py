@@ -16,6 +16,10 @@ A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
 them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
 run exactly: forest order, union-find roots, distances and parent edges.
+So does a max flow of the maximal completion while no lost edge carried
+flow or starts in its residual cut side. Any other max flow is augmented
+from the previous one, after cancelling the flow on the lost edges; its
+value and cut side equal a cold run's.
 Each evaluation lists the atoms whose value moved since the previous one.
 An explanation reads the path, cut or flow stacked for its trail prefix.
 """
@@ -144,17 +148,21 @@ class FlowResult:
         self.cut_side = cut_side  # nodes residual-reachable from s
 
 
-def edmonds_karp(flow_adj, caps, n, enabled, s, t, start=None) -> FlowResult:
+def edmonds_karp(flow_adj, caps, n, enabled, s, t, start=None,
+                 lost=()) -> FlowResult:
     """Max flow by shortest augmenting paths.
 
     ``start`` is a flow of the same graph under another mask, usually the
     previous evaluation of the same completion, to augment from instead of
-    the zero flow. Its ``flow`` list is copied, never changed. First every
-    unit it sends through an edge disabled in ``enabled`` is cancelled (see
-    ``_cancel``), which leaves a valid flow of this mask; then the same
-    augmenting loop runs as for a cold start. The value and ``cut_side``
-    (the nodes residual-reachable from s) are the same for every maximum
-    flow, so they do not depend on the start; only ``flow`` itself does.
+    the zero flow. Its ``flow`` list is copied, never changed. ``lost``
+    lists, as (u, v, eid) triples, the edges disabled in ``enabled`` that
+    ``start``'s mask had enabled: only they can carry flow now. First every
+    unit they carry is cancelled (see ``_cancel``), edge by edge in
+    (u, v, eid) order, which leaves a valid flow of this mask; then the
+    same augmenting loop runs as for a cold start. The value and
+    ``cut_side`` (the nodes residual-reachable from s) are the same for
+    every maximum flow, so they do not depend on the start; only ``flow``
+    itself does.
     """
     if start is None:
         flow = [0] * len(caps)
@@ -162,11 +170,9 @@ def edmonds_karp(flow_adj, caps, n, enabled, s, t, start=None) -> FlowResult:
     else:
         flow = start.flow[:]
         value = start.value
-        for u, arcs in enumerate(flow_adj):
-            for eid, v, fwd in arcs:
-                while fwd and flow[eid] and not enabled[eid]:
-                    value -= _cancel(flow_adj, flow, n, s, t, value, eid,
-                                     u, v)
+        for u, v, eid in sorted(lost):
+            while flow[eid]:
+                value -= _cancel(flow_adj, flow, n, s, t, value, eid, u, v)
     while True:
         parent = [None] * n
         visited = bytearray(n)
@@ -347,17 +353,29 @@ class GraphTheory(MonotonicTheory):
 
     def _carried(self, key, old, enabled, moved, maximal):
         """Analysis ``key`` of ``enabled`` from ``old``, the one from before
-        the edges ``moved`` changed, or None when a cold run is needed. A
-        max flow is augmented from the old one. The minimal completion
-        gains edges: the forest gains them all while each joins two
-        components, and a tree stands while no edge (a, b) has
-        d[a] + w <= d[b] (a tie may change a parent edge). The maximal
-        completion loses edges: the forest stands while it loses none, a
-        tree while no parent edge is lost. A new forest is diffed with it."""
+        the edges ``moved`` changed, or None when a cold run is needed. The
+        minimal completion gains edges: the forest gains them all while
+        each joins two components, a tree stands while no edge (a, b) has
+        d[a] + w <= d[b] (a tie may change a parent edge), and a max flow
+        is augmented from the old one. The maximal completion loses edges:
+        the forest stands while it loses none, a tree while no parent edge
+        is lost, and a max flow while no lost edge carried flow or starts
+        in its cut side: that flow is still valid, so still maximal, and
+        every residual arc lost starts unreachable from s. Otherwise the
+        flow on the lost edges is cancelled and the rest augmented. The
+        gaining side's match, a flow standing while every gained edge
+        starts outside its cut side, is not built: no shipped workload
+        carries a minimal-completion flow. A new forest is diffed with the
+        old one."""
         edges = self.edges
         if key[0] == "flow":
+            lost = ([(edges[eid].u, edges[eid].v, eid) for eid in moved]
+                    if maximal else ())
+            if maximal and not any(old.flow[eid] or old.cut_side[u]
+                                   for u, _, eid in lost):
+                return old
             return edmonds_karp(self._flow_adj, self._weights, self.n,
-                                enabled, key[1], key[2], start=old)
+                                enabled, key[1], key[2], start=old, lost=lost)
         if key == _SPAN:
             if maximal:
                 return old if old.forest_set.isdisjoint(moved) else None

@@ -26,7 +26,7 @@ read the mask of an earlier trail prefix off the same log, and reuse the
 stacked analysis of that generation when there is one.
 
 Propagation is change-driven: each evaluation lists the atoms whose value
-moved, and a scan visits those and the newly assigned atoms, in id order.
+moved, and a scan visits those, in id order.
 
 A theory supplies one evaluation hook, ``MonotonicTheory.evaluate``: the
 truth of one predicate on one enabled mask. ``eval_completion`` calls it
@@ -165,9 +165,8 @@ class MonotonicTheory:
     def on_assign(self, lit: int) -> None:
         slot = self._slots.get(lit >> 1)
         if slot is None:
-            if self._dirty is not None:
-                self._dirty.add(self._pvars[lit >> 1])
-        elif lit & 1:
+            return  # an atom var (see ``propagate``)
+        if lit & 1:
             comp = self._ext[1]  # the maximal completion loses a member
             comp.enabled[slot] = 0
             comp.log.append(slot)
@@ -201,11 +200,13 @@ class MonotonicTheory:
         unassigned atoms; ``conflict_lits`` is a falsified clause when an
         implication contradicts an existing atom assignment.
 
-        Visits in atom-id order the atoms assigned since the last scan and
-        those whose value changed since each extreme was last read: each
-        extreme read before is evaluated now if it moved, which adds its
-        changed atoms (see ``_values``). The rest still give nothing. After
-        a backjump or a conflict, visits them all.
+        Visits in atom-id order the atoms whose value changed since each
+        extreme was last read: each extreme read before is evaluated now if
+        it moved, which adds its changed atoms (see ``_values``). The rest
+        still give nothing. An atom the last scan left unassigned was forced
+        by neither extreme, so its own assignment since forces nothing
+        until an extreme's value moves. After a backjump or a conflict,
+        visits them all.
         """
         dirty = self._dirty
         for comp in self._ext if dirty is not None else ():

@@ -3,9 +3,10 @@
 After every ``propagate`` call, each theory's two completion masks must equal
 the masks rebuilt from ``solver.value``, and every evaluation still on a
 completion's stack must match ``evaluate``, the theories' one evaluation
-hook, on the mask rebuilt from the trail prefix it belongs to. So must every max flow in a stacked analysis,
-which was warm-started from an older one: its value and residual cut side
-must be those of a cold ``edmonds_karp`` on that mask. Every stacked
+hook, on the mask rebuilt from the trail prefix it belongs to. So must
+every max flow in a stacked analysis, which was warm-started from an older
+one or kept from it: on each mask it is stacked for, its value and
+residual cut side must be those of a cold ``edmonds_karp``. Every stacked
 spanning forest and shortest-path tree, which may be carried over from an
 older generation or extended from one, must equal a cold ``span_scan`` or
 ``dijkstra_tree`` on its own generation's mask in every field the search
@@ -99,10 +100,11 @@ class Checker:
         self.checks = 0
         self.evals = 0
         self.stacked = 0
-        self.flows = set()  # stacked max flows checked so far
-        # (id, mask) -> stacked forest or tree checked on that mask
+        # (id, mask) -> stacked max flow, forest or tree checked on that
+        # mask; holding each keeps its id from being reused
+        self.flows = {}
         self.trees = {}
-        self.reused = Counter()  # "span"/"dij": carried over unchanged
+        self.reused = Counter()  # "flow"/"span"/"dij": carried unchanged
         # Per theory class: scans that visited fewer than all atoms.
         self.partial = Counter()
         for th in theories:
@@ -161,18 +163,20 @@ class Checker:
                 assert values == concrete_values(th, mask, self.memo[th])
                 self.stacked += 1
                 for key, res in analysis.items():
-                    if key[0] == "flow" and res not in self.flows:
-                        want = cold(th, mask, key, self.memo[th])
+                    checked = (self.flows if key[0] == "flow" else
+                               self.trees if key[0] in ("span", "dij")
+                               else None)
+                    if checked is None or (id(res), bytes(mask)) in checked:
+                        continue
+                    want = cold(th, mask, key, self.memo[th])
+                    if key[0] == "flow":
                         assert res.value == want.value
                         assert bytes(res.cut_side) == bytes(want.cut_side)
-                        self.flows.add(res)
-                    elif (key[0] in ("span", "dij")
-                          and (id(res), bytes(mask)) not in self.trees):
-                        want = cold(th, mask, key, self.memo[th])
+                    else:
                         assert_same_tree(th, res, want)
-                        self.trees[id(res), bytes(mask)] = res
-                        if res is older.get(key):
-                            self.reused[key[0]] += 1
+                    checked[id(res), bytes(mask)] = res
+                    if res is older.get(key):
+                        self.reused[key[0]] += 1
                 older = analysis
             prefix = self.rng.randint(0, len(solver.trail))
             enabled, moved, _ = th.completion_before(maximal, prefix)
@@ -235,8 +239,10 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
 def test_stacked_max_flows_match_cold_starts():
     docs = [generators.gen_flow(12, 12, mode="unit", seed=0, demand=11),
             generators.gen_flow(12, 12, mode="random1to4", seed=1,
-                                demand=16)]
-    restarts = conflicts = flows = 0
+                                demand=16),
+            generators.gen_flow(10, 10, mode="random1to4", seed=2,
+                                demand=14)]
+    restarts = conflicts = flows = kept = 0
     for i, doc in enumerate(docs):
         inst = build_instance(doc)
         res, checker = solve_checked(inst, seed=i)
@@ -244,7 +250,10 @@ def test_stacked_max_flows_match_cold_starts():
         restarts += inst.solver.restarts
         conflicts += inst.solver.conflicts
         flows += len(checker.flows)
+        kept += checker.reused["flow"]
+    # Flows kept from an older generation are checked again on each mask.
     assert restarts >= 2 and conflicts >= 200 and flows >= 2000
+    assert kept > 0
 
 
 def test_carried_analyses_match_cold_runs_on_random_edge_orders():
