@@ -10,6 +10,13 @@ Explanations for misses use a busy-window argument: walking left from the
 missed deadline through the region continuously covered by pending tasks with
 deadlines at or before it yields a window that those tasks alone overload, so
 the clause blaming just them is valid no matter what else runs.
+
+Beyond the atom propagation of ``MonotonicTheory``, a true atom also implies
+task literals: a task whose ``arrival + duration`` exceeds its deadline
+misses even when it runs alone, so while the atom holds it is off in every
+completion, and ``propagate`` implies it false with the reason
+``(not x_t or not atom)``. The test is O(1) per task, and at decision level 0
+it finds every such task at the first scan.
 """
 from __future__ import annotations
 
@@ -17,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 
 from .gnf import check_pred, check_task
-from .sat import mk_lit
+from .sat import TRUE, UNDEF, mk_lit
 from .theory import MonotonicTheory, NEGATIVE
 
 
@@ -139,6 +146,9 @@ class ProcessorTheory(MonotonicTheory):
             self.tasks.append(TaskSpec(len(self.tasks), var, arrival,
                                        duration, deadline))
             self.add_s_var(var)
+        # Tasks that miss alone: off while an atom of this processor holds.
+        self._misses_alone = [t.var for t in self.tasks
+                              if t.arrival + t.duration > t.deadline]
 
     def add_atom(self, kind: str, args, pvar: int) -> int:
         """Register a ``schedulable`` atom (no arguments) on atom var
@@ -147,6 +157,20 @@ class ProcessorTheory(MonotonicTheory):
         return self.register_predicate(pvar, NEGATIVE, kind, ())
 
     # -- theory interface ------------------------------------------------------
+
+    def propagate(self):
+        """The atom scan, then ``not x_t`` for each unassigned task that
+        misses alone while an atom is true, tagged with that atom."""
+        implied, conflict = super().propagate()
+        if conflict is None and self._misses_alone:
+            value = self.solver.value
+            for pred in self._preds:
+                if value[2 * pred.pvar] == TRUE:
+                    implied += tuple((2 * v + 1, pred.atom_id)
+                                     for v in self._misses_alone
+                                     if value[2 * v] == UNDEF)
+                    break
+        return implied, conflict
 
     def evaluate(self, pred, enabled, analysis):
         return self._edf(enabled, analysis).feasible

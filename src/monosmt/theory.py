@@ -11,7 +11,15 @@ extremes: the *minimal* completion assigns false to every unassigned S-atom
 and the *maximal* completion assigns true. For a positive predicate, truth on
 the minimal completion forces the atom true everywhere and falsity on the
 maximal completion forces it false; a negative predicate swaps which extreme
-guarantees which polarity. That pair of checks is the whole propagation rule.
+guarantees which polarity. That pair of checks is the paper's propagation
+rule, and it assigns atoms only.
+
+A theory may also imply an S-literal from an atom's value alone, as a
+DPLL(T) theory may imply any literal (Nieuwenhuis, Oliveras & Tinelli, JACM
+2006). ``ProcessorTheory`` does: while a ``schedulable`` atom is true, a
+task that misses its deadline even when it runs alone is off. The reason of
+such an implied literal ``l`` is ``(l or not a)``, where ``a`` is the atom's
+literal on the trail, and ``explain`` builds it only when asked.
 
 Each extreme is a trail-restored ``Completion``: an enabled mask updated in
 place as S-atoms are assigned, plus a log of the changed S-atoms in trail
@@ -124,9 +132,9 @@ class MonotonicTheory:
         """Bind ``pvar`` to a predicate; returns its atom id.
 
         On a theory already attached to a solver, which must then be at
-        decision level 0 (between solves), the var is watched at once, the
-        stacked evaluations are dropped, as their value lists have no entry
-        for the new atom, and the next scan visits every atom.
+        decision level 0 (between solves), the stacked evaluations are
+        dropped, as their value lists have no entry for the new atom, and
+        the next scan visits every atom.
         """
         if pvar in self._slots:
             raise ValueError("atom var %d is already an argument var" % pvar)
@@ -137,21 +145,19 @@ class MonotonicTheory:
         self._preds.append(binding)
         self._pvars[pvar] = atom_id
         if self.solver is not None:
-            self.solver.watch_var(pvar, self)
             for comp in self._ext:
                 comp.stack.clear()
             self._dirty = None
         return atom_id
 
     def attach(self, solver) -> None:
+        """Watch the S-vars. Atom vars are not watched: ``propagate`` reads
+        their values from the solver."""
         self.solver = solver
         for v in self._slots:
             solver.watch_var(v, self)
-        for v in self._pvars:
-            solver.watch_var(v, self)
         for lit in solver.trail:  # assignments made before attaching
-            v = lit >> 1
-            if v in self._slots or v in self._pvars:
+            if lit >> 1 in self._slots:
                 self.on_assign(lit)
 
     def atom(self, atom_id: int) -> AtomBinding:
@@ -163,9 +169,7 @@ class MonotonicTheory:
     # -- solver callbacks ------------------------------------------------
 
     def on_assign(self, lit: int) -> None:
-        slot = self._slots.get(lit >> 1)
-        if slot is None:
-            return  # an atom var (see ``propagate``)
+        slot = self._slots[lit >> 1]
         if lit & 1:
             comp = self._ext[1]  # the maximal completion loses a member
             comp.enabled[slot] = 0
@@ -197,16 +201,18 @@ class MonotonicTheory:
         """Scan the predicates; returns (implied, conflict_lits).
 
         ``implied`` is a tuple of (literal, atom_id) pairs over currently
-        unassigned atoms; ``conflict_lits`` is a falsified clause when an
+        unassigned vars: atom literals here, and in a subclass also
+        S-literals forced by the value of atom ``atom_id`` (see
+        ``explain``). ``conflict_lits`` is a falsified clause when an
         implication contradicts an existing atom assignment.
 
         Visits in atom-id order the atoms whose value changed since each
         extreme was last read: each extreme read before is evaluated now if
         it moved, which adds its changed atoms (see ``_values``). The rest
         still give nothing. An atom the last scan left unassigned was forced
-        by neither extreme, so its own assignment since forces nothing
-        until an extreme's value moves. After a backjump or a conflict,
-        visits them all.
+        by neither extreme, so its own assignment since forces no atom
+        until an extreme's value moves; atom vars are therefore not watched.
+        After a backjump or a conflict, visits them all.
         """
         dirty = self._dirty
         for comp in self._ext if dirty is not None else ():
@@ -276,16 +282,20 @@ class MonotonicTheory:
         return stack[-1][1]
 
     def explain(self, atom_id: int, lit: int) -> list[int]:
-        """Reason clause for an implied atom literal, implied literal first.
+        """Reason clause for an implied literal, implied literal first.
 
         Every other literal is false under the trail prefix that precedes the
-        implication (the full trail for a fresh conflict).
+        implication (the full trail for a fresh conflict). An S-literal
+        implied by the value of atom ``atom_id`` alone gets ``[lit, not a]``,
+        ``a`` being the atom's literal on the trail.
         """
         pred = self._preds[atom_id]
-        if lit >> 1 != pred.pvar:
-            raise RuntimeError("explain asked for another atom's literal")
-        positive = not (lit & 1)
         solver = self.solver
+        if lit >> 1 != pred.pvar:
+            if lit >> 1 not in self._slots:
+                raise RuntimeError("explain asked for another atom's literal")
+            return [lit, 2 * pred.pvar + (solver.value[2 * pred.pvar] == TRUE)]
+        positive = not (lit & 1)
         p = solver.pos[pred.pvar]
         if p >= 0 and solver.value[lit] == TRUE:
             prefix = p  # explaining the trail assignment itself

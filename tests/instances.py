@@ -175,22 +175,29 @@ class Recorder:
 
 def lemma_checker(doc):
     """A check of one theory lemma of ``doc`` at any size, by one oracle
-    evaluation. It takes the lemma as solver literals, the atom first, and
-    returns None when the lemma is valid, else the S-var mask (in the
-    oracle's order) on which it fails.
+    evaluation. It takes the lemma as solver literals, with one literal on
+    an atom var anywhere in it, and returns None when the lemma is valid,
+    else the S-var mask (in the oracle's order) on which it fails.
 
     The lemma asserts its atom literal unless one of its other literals, on
     that atom's S-vars, holds. Those are falsified, and every other S-var of
     the atom gets the extreme least favourable to the atom literal: false
     where it asserts a positive predicate true or a negative one false, true
     otherwise. The predicate is monotonic, so if it agrees with the atom
-    literal on that completion, it does on every completion.
+    literal on that completion, it does on every completion. A clause with
+    no atom literal is never a valid lemma, as S-vars are unconstrained;
+    the check returns the values that falsify its literals.
     """
     preds = {decl.var: (decl.kind, pred) for decl, pred in
              zip(doc.preds, oracle._build_preds(doc))}
 
     def check(lits):
-        head, *rest = (dimacs_lit(lit) for lit in lits)
+        rest = [dimacs_lit(lit) for lit in lits]
+        heads = [lit for lit in rest if abs(lit) in preds]
+        if not heads:
+            return bytes(lit < 0 for lit in rest)
+        (head,) = heads
+        rest.remove(head)
         kind, pred = preds[abs(head)]
         fill = (head > 0) == (kind in NEGATIVE_KINDS)
         value = {abs(lit): lit < 0 for lit in rest}

@@ -5,7 +5,8 @@ import pytest
 
 from monosmt import oracle
 from monosmt.build import dimacs_lit, solve_doc
-from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
+from monosmt.gnf import (EdgeDecl, GnfDocument, GraphDecl, PredDecl, ProcDecl,
+                         TaskDecl)
 
 from instances import (ALL_KINDS, CALLS, lemma_checker, rand_doc,
                        solve_recorded)
@@ -108,17 +109,32 @@ def test_lemma_checker_catches_a_missing_literal():
     assert check([5]) == bytes([1, 1])
 
 
+def test_lemma_checker_accepts_a_task_literal_first():
+    # Task 1 (var 1) misses alone, task 2 (var 2) fits alone; schedulable is
+    # var 3. Lemmas in solver literals, the implied task literal first.
+    proc = ProcDecl(1)
+    proc.tasks += [TaskDecl(1, 0, 5, 4, 1), TaskDecl(1, 0, 2, 4, 2)]
+    doc = GnfDocument(nvars=3)
+    doc.procs[1] = proc
+    doc.preds.append(PredDecl("schedulable", 1, (), 3))
+    check = lemma_checker(doc)
+    assert check([1, 5]) is None  # not x1 or not schedulable
+    assert check([3, 5]) == bytes([0, 1])  # not x2 or not schedulable
+
+
 def test_lemma_checker_agrees_with_brute_force():
     # Every lemma, which must be valid, and every lemma less its last
     # literal, on documents small enough to enumerate.
-    checked = refuted = 0
+    checked = refuted = task_first = 0
     for kind in ALL_KINDS:
         for seed in range(40):
             doc = rand_doc(kind, seed)
             if doc.nvars > 12:
                 continue
             check = lemma_checker(doc)
+            atoms = {pred.var for pred in doc.preds}
             for lits in set(solve_recorded(doc)[1].lemmas):
+                task_first += abs(dimacs_lit(lits[0])) not in atoms
                 for clause in (lits, lits[:-1]) if len(lits) > 1 else (lits,):
                     valid = oracle.check_clause_valid(
                         doc, [dimacs_lit(lit) for lit in clause]) is None
@@ -126,7 +142,7 @@ def test_lemma_checker_agrees_with_brute_force():
                     assert valid or clause is not lits, (kind, seed)
                     checked += 1
                     refuted += not valid
-    assert checked > 200 and refuted > 20
+    assert checked > 200 and refuted > 20 and task_first > 0
 
 
 LARGE = ["gen_maze(8, 8, 0)", "gen_maze(8, 8, 1)", "gen_flow(10, 10, seed=0)",

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from monosmt import oracle
-from monosmt.build import run_solve
+from monosmt.build import dimacs_lit, run_solve
+from monosmt.generators import gen_sched
 from monosmt.gnf import GnfDocument, PredDecl, ProcDecl, TaskDecl
 from monosmt.scheduling import (ProcessorTheory, TaskSpec, busy_window_tasks,
                                 edf_simulate)
 
-from instances import solve_recorded
+from instances import lemma_checker, solve_recorded
 from test_sat_core import run_optimized
 
 
@@ -244,6 +245,30 @@ def test_all_enabled_feasible_gives_unit_clause():
     clauses = recorder.lemma_sets()
     assert status == "UNSAT"
     assert frozenset((2,)) in clauses
+
+
+def test_true_atom_implies_a_task_that_misses_alone_off():
+    # Task 1 misses alone; task 2 fits alone and stays free.
+    doc = sched_doc([(0, 5, 4), (0, 2, 4)], [[3]])
+    status, recorder = solve_recorded(doc)
+    assert status == "SAT"
+    assert [tuple(map(dimacs_lit, c)) for c in recorder.lemmas] == [(-1, -3)]
+    assert oracle.check_clause_valid(doc, [-1, -3]) is None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_task_reasons_hold_on_generated_schedules(seed):
+    # solve_recorded checks every reason when it is made, the implied
+    # literal first; some of them imply a task literal.
+    doc = gen_sched(30, 3, 4, seed)
+    _, recorder = solve_recorded(doc)
+    check = lemma_checker(doc)
+    atoms = {pred.var for pred in doc.preds}
+    task_first = [lits for lits in recorder.lemmas
+                  if abs(dimacs_lit(lits[0])) not in atoms]
+    assert task_first
+    for lits in recorder.lemmas:
+        assert check(lits) is None, lits
 
 
 def test_schedule_witness_merges_resumed_segments():

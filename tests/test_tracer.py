@@ -33,7 +33,7 @@ rec = tracer.SpanRecorder()
 tracer.install(rec)
 for doc in (generators.gen_maze(3, 3, 0),
             generators.gen_flow(4, 4, mode="unit", seed=0, demand=2),
-            generators.gen_sched(20, 2, 2, 0), gnf.parse(WEIGHTED)):
+            generators.gen_sched(30, 2, 6, 0), gnf.parse(WEIGHTED)):
     solve_doc(doc)
 for name, (calls, _, _) in sorted(rec.span_totals().items()):
     print(name, calls)
