@@ -210,7 +210,9 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
             + [generators.gen_flow(5, 5, mode="random1to4", seed=s)
                for s in range(2)]
             + [generators.gen_sched(20, 2, 2, s) for s in range(2)]
-            + [generators.gen_sched(30, 3, 4, 0)])
+            + [generators.gen_sched(30, 3, 4, 0)]
+            # The sched documents above end at level 0; this one backjumps.
+            + [generators.gen_sched(30, 2, 6, 0)])
     restarts = conflicts = checks = evals = stacked = extended = 0
     reused, partial = Counter(), Counter()
     for i, doc in enumerate(docs):
