@@ -96,6 +96,30 @@ def test_clause_errors():
     assert "declared 2 clauses, found 1" in str(err("p gnf 1 2\n1 0\n"))
 
 
+def test_clause_line_with_a_non_integer_token():
+    e = err("p gnf 1 2\n1 0\n1 x 0\n")
+    assert "clause expects integers" in str(e) and e.line == 3
+
+
+def test_plus_sign_does_not_start_a_clause():
+    e = err("p gnf 1 1\n+1 0\n")
+    assert "unknown declaration '+1'" in str(e) and e.line == 2
+
+
+def test_clause_line_whitespace():
+    doc = parse("p gnf 3 3\n1\t-2\t0\n   -3 2 0\n\t 3  \t-1 0  \n")
+    assert doc.clauses == [[1, -2], [-3, 2], [3, -1]]
+
+
+def test_lone_zero_is_an_empty_clause():
+    assert parse("p gnf 1 2\n0\n1 0\n").clauses == [[], [1]]
+
+
+def test_comment_between_clause_lines():
+    doc = parse("p gnf 2 2\n1 2 0\nc -1 0\n-2 0\n")
+    assert doc.clauses == [[1, 2], [-2]]
+
+
 def test_graph_errors():
     assert "duplicate graph id" in str(err(
         "p gnf 0 0\nugraph 1 0 1\nugraph 1 0 1\n"))
