@@ -48,8 +48,7 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
 
 def _build(doc, seed, observer):
     solver = Solver(seed=seed, observer=observer)
-    for _ in range(doc.nvars):
-        solver.new_var()
+    solver.new_vars(doc.nvars)
     graphs = {gid: GraphTheory(gid, g.directed, g.n,
                                [(e.u, e.v, e.var - 1, e.weight)
                                 for e in g.edges])

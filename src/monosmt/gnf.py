@@ -274,11 +274,26 @@ def parse(text: str) -> GnfDocument:
         else:
             raise GnfError("unknown declaration %r" % head, ln)
 
+    add_clause = doc.clauses.append
     for ln, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
         head = tokens[0]
+        # Most lines are clauses; one before the header is reported below.
+        if head.lstrip("-").isdigit() and declared_clauses is not None:
+            try:
+                lits = list(map(int, tokens))
+            except ValueError:
+                raise GnfError("clause expects integers, got %r" % tokens, ln)
+            if lits.pop() != 0:
+                raise GnfError("clause not terminated by 0", ln)
+            if 0 in lits:
+                raise GnfError("0 inside clause", ln)
+            if lits and (max(lits) > nvars or min(lits) < -nvars):
+                check_var(next(abs(l) for l in lits if abs(l) > nvars), ln)
+            add_clause(lits.copy())  # an exact-size copy of an 8-slot list
+            continue
         if head == "c":
             if len(tokens) >= 3 and tokens[1] == "meta":
                 doc.meta[tokens[2]] = tokens[3:]
@@ -296,16 +311,6 @@ def parse(text: str) -> GnfDocument:
             continue
         if declared_clauses is None:
             raise GnfError("content before 'p gnf' header", ln)
-        if head.lstrip("-").isdigit():
-            lits = _ints(tokens, ln, "clause")
-            if lits.pop() != 0:
-                raise GnfError("clause not terminated by 0", ln)
-            if 0 in lits:
-                raise GnfError("0 inside clause", ln)
-            if lits and (max(lits) > doc.nvars or min(lits) < -doc.nvars):
-                check_var(next(abs(l) for l in lits if abs(l) > doc.nvars), ln)
-            doc.clauses.append(lits)
-            continue
         try:
             declare(head, tokens[1:], ln)
         except ValueError as exc:

@@ -140,64 +140,85 @@ class Solver:
     # problem construction
 
     def new_var(self) -> int:
-        v = len(self.level)
-        self.value += (UNDEF, UNDEF)
-        self.level.append(0)
-        self.reason.append(None)
-        self.pos.append(-1)
-        self.phase.append(False)
-        noise = 0.0
-        if self._seed_state:
+        return self.new_vars(1)
+
+    def new_vars(self, n: int) -> int:
+        """Add ``n`` vars; returns the first. Their seed noise is drawn in
+        var order, as ``n`` calls of ``new_var`` draw it."""
+        v0 = len(self.level)
+        self.value += [UNDEF] * (2 * n)
+        self.level += [0] * n
+        self.reason += [None] * n
+        self.pos += [-1] * n
+        self.phase += [False] * n
+        noise = [0.0] * n
+        for i in range(n if self._seed_state else 0):
             self._seed_state = (self._seed_state * 1103515245 + 12345) & 0xFFFFFFFF
-            noise = (self._seed_state % 1000) * 1e-6
-        self.activity.append(noise)
-        self.watches += ([], [])
-        self._seen.append(0)
-        self._var_theories.append(())
-        self._queued.append(1)
-        heapq.heappush(self._order, (-self.activity[v], v))
-        return v
+            noise[i] = (self._seed_state % 1000) * 1e-6
+        self.activity += noise
+        self.watches += [[] for _ in range(2 * n)]
+        self._seen += bytes(n)
+        self._var_theories += [()] * n
+        self._queued += b"\1" * n
+        for v, a in enumerate(noise, v0):
+            heapq.heappush(self._order, (-a, v))
+        return v0
 
     def add_clause(self, lits) -> bool:
         """Add a clause over existing vars; returns False on a root conflict.
 
         Must be called at decision level 0. Tautologies are dropped, duplicate
-        literals merged, and literals already false at level 0 removed.
+        literals merged, and literals already false at level 0 removed. Two
+        or three unassigned literals of different vars, the common clauses,
+        need none of that and are watched as they are.
         """
         if self.trail_lim:
             raise ValueError("add_clause requires decision level 0")
         lits = sorted(lits)
-        if lits and (lits[0] < 0 or lits[-1] >= len(self.value)):
+        val = self.value
+        if lits and (lits[0] < 0 or lits[-1] >= len(val)):
             bad = lits[0] if lits[0] < 0 else lits[-1]
             raise ValueError("unknown variable in clause: lit %d" % bad)
         if not self.ok:
             return False
-        val = self.value
-        out = []
-        prev = -1
-        for lit in lits:  # sorted: duplicates and x, -x sit side by side
-            if lit == prev:
-                continue
-            if lit == prev ^ 1:
-                return True  # tautology
-            prev = lit
-            v = val[lit]
-            if v == TRUE:
-                return True
-            if v == UNDEF:
-                out.append(lit)  # a literal false at level 0 is dropped
-        if not out:
-            self.ok = False
-            return False
-        if len(out) == 1:
-            self._enqueue(out[0], None)
-            if self._bcp() is not None:
+        n = len(lits)
+        if n == 2:  # sorted: x ^ y > 1 when x and y are of different vars
+            x, y = lits
+            simple = x ^ y > 1 and not (val[x] or val[y])
+        elif n == 3:
+            x, y, z = lits
+            simple = x ^ y > 1 and y ^ z > 1 and not (val[x] or val[y]
+                                                      or val[z])
+        else:
+            simple = False
+        if simple:
+            out = lits
+        else:
+            out = []
+            prev = -1
+            for lit in lits:  # sorted: duplicates and x, -x sit side by side
+                if lit == prev:
+                    continue
+                if lit == prev ^ 1:
+                    return True  # tautology
+                prev = lit
+                v = val[lit]
+                if v == TRUE:
+                    return True
+                if v == UNDEF:
+                    out.append(lit)  # a literal false at level 0 is dropped
+            if not out:
                 self.ok = False
                 return False
-            return True
+            if len(out) == 1:
+                self._enqueue(out[0], None)
+                self.ok = self._bcp() is None
+                return self.ok
         c = Clause(out)
         self.clauses.append(c)
-        self._watch(c)
+        watches = self.watches
+        watches[out[0] ^ 1].append(c)
+        watches[out[1] ^ 1].append(c)
         return True
 
     def attach_theory(self, theory) -> None:

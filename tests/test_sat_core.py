@@ -1,6 +1,7 @@
 """CDCL core behavior, frozen conflict-analysis shapes, and oracle agreement
 on pure CNF."""
 
+import heapq
 import os
 import subprocess
 import sys
@@ -149,6 +150,37 @@ def test_add_clause_reads_an_iterator_once():
     solver, (a, b) = fresh(2)
     assert solver.add_clause(iter([mk_lit(a), mk_lit(b)]))
     assert solver.ok and len(solver.clauses) == 1
+
+
+def pop_order(solver):
+    heap = list(solver._order)
+    return [heapq.heappop(heap) for _ in range(len(heap))]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_new_vars_matches_new_var_calls(seed):
+    one_by_one, bulk = Solver(seed=seed), Solver(seed=seed)
+    assert [one_by_one.new_var() for _ in range(300)] == list(range(300))
+    assert bulk.new_vars(300) == 0
+    # The noise stream written out: one draw per var, in var order; none at
+    # seed 0.
+    state = (seed * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF
+    noise = []
+    for _ in range(300):
+        state = (state * 1103515245 + 12345) & 0xFFFFFFFF
+        noise.append((state % 1000) * 1e-6 if seed else 0.0)
+    assert bulk.activity == noise
+    assert len(set(noise)) > (200 if seed else 0)
+    # Vars added later, as minimize's probe vars are, continue the stream.
+    for solver in (one_by_one, bulk):
+        assert solver.new_var() == 300 and solver.new_vars(2) == 301
+    for solver in (one_by_one, bulk):
+        assert len(solver.value) == 2 * 303 and len(solver.watches) == 606
+    assert one_by_one.activity == bulk.activity
+    assert one_by_one._seed_state == bulk._seed_state
+    assert pop_order(one_by_one) == pop_order(bulk)
+    assert [v for _, v in pop_order(bulk)] == sorted(
+        range(303), key=lambda v: (-bulk.activity[v], v))
 
 
 def test_solve_rejects_assumptions_of_unknown_vars():
