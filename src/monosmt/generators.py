@@ -151,13 +151,6 @@ def gen_flow(width, height, mode="unit", seed=0, demand=None) -> GnfDocument:
     return doc
 
 
-def _group_size(half):
-    for g in range(min(half, 10), 0, -1):
-        if half % g == 0:
-            return g
-    return 1
-
-
 def gen_sched(n_tasks, n_procs, slack, seed) -> GnfDocument:
     """Task placement: each task may run on at most one processor, whose
     speed scales the duration; consecutive tasks form all-or-none groups;
@@ -195,15 +188,12 @@ def gen_sched(n_tasks, n_procs, slack, seed) -> GnfDocument:
                 doc.clauses.append([-x(i, p), -x(i, q)])
     half = n_tasks // 2
     if half:
-        group = _group_size(half)
+        # group divides half, so at most the last task is left ungrouped
+        group = next(g for g in range(min(half, 10), 0, -1) if half % g == 0)
         for base in range(0, n_tasks - group + 1, group):
             for i in range(base, base + group - 1):
                 doc.clauses.append([-s(i), s(i + 1)])
                 doc.clauses.append([s(i), -s(i + 1)])
-        leftover = n_tasks % group
-        for i in range(n_tasks - leftover, n_tasks - 1):
-            doc.clauses.append([-s(i), s(i + 1)])
-            doc.clauses.append([s(i), -s(i + 1)])
         more, nxt = encode_cardinality([s(i) for i in range(n_tasks)],
                                        half, "=", nvars + 1)
         doc.clauses.extend(more)

@@ -244,7 +244,9 @@ def _graph_fn(g, kind, args):
     raise AssertionError(kind)
 
 
-def _build_preds(doc: GnfDocument):
+def predicates(doc: GnfDocument):
+    """One reference predicate per ``doc.preds`` entry, in order: its atom
+    ``var``, its ``svars`` in mask order, and ``fn(enabled)`` on a mask."""
     preds = []
     for p in doc.preds:
         if p.kind == "schedulable":
@@ -258,6 +260,37 @@ def _build_preds(doc: GnfDocument):
             fn = _graph_fn(g, p.kind, p.args)
         preds.append(_Pred(p.var, svars, fn))
     return preds
+
+
+DECREASING = ("mst_edge", "schedulable")  # the negative monotone kinds
+
+
+def check_lemma(doc: GnfDocument):
+    """A check of one theory lemma of ``doc``, in DIMACS literals, at any
+    size: None when it is valid, else the S-var mask it fails on.
+
+    Its one atom literal must hold once its other literals, all on that
+    atom's S-vars, are false. Every other S-var gets the value least
+    favourable to the atom literal; the predicate is monotonic, so agreeing
+    there means agreeing on every completion. A clause with no atom literal,
+    or more than one, is reported invalid.
+    """
+    preds = {decl.var: (decl.kind, pred)
+             for decl, pred in zip(doc.preds, predicates(doc))}
+
+    def check(clause):
+        heads = [lit for lit in clause if abs(lit) in preds]
+        if len(heads) != 1:
+            return bytes(lit < 0 for lit in clause)
+        (head,) = heads
+        kind, pred = preds[abs(head)]
+        fill = (head > 0) == (kind in DECREASING)
+        value = {abs(lit): lit < 0 for lit in clause if lit != head}
+        mask = bytes(value.pop(v, fill) for v in pred.svars)
+        if value or pred.fn(mask) != (head > 0):
+            return mask  # a literal off the atom's S-vars, or a failure
+        return None
+    return check
 
 
 def _clause_masks(doc: GnfDocument):
@@ -287,26 +320,8 @@ def brute_force_solve(doc: GnfDocument):
 
     Returns ("SAT", values) with a 1-based bool list, or ("UNSAT", None).
     """
-    if doc.nvars > BUDGET:
-        raise ValueError("instance exceeds the %d-var oracle budget" % BUDGET)
-    masks = _clause_masks(doc)
-    preds = _build_preds(doc)
-    full = ~0
-    for bits in range(1 << doc.nvars):
-        inv = full ^ bits
-        if any(not (bits & pos or inv & neg) for pos, neg in masks):
-            continue
-        ok = True
-        for p in preds:
-            have = bool((bits >> (p.var - 1)) & 1)
-            if have != p.truth(bits):
-                ok = False
-                break
-        if ok:
-            values = [None] + [bool((bits >> i) & 1)
-                               for i in range(doc.nvars)]
-            return "SAT", values
-    return "UNSAT", None
+    values = check_clause_valid(doc, [], include_cnf=True)
+    return ("UNSAT", None) if values is None else ("SAT", values)
 
 
 def check_model(doc: GnfDocument, values):
@@ -319,7 +334,7 @@ def check_model(doc: GnfDocument, values):
     for idx, (pos, neg) in enumerate(_clause_masks(doc)):
         if not (bits & pos or inv & neg):
             return "clause %d falsified: %s" % (idx, doc.clauses[idx])
-    for decl, p in zip(doc.preds, _build_preds(doc)):
+    for decl, p in zip(doc.preds, predicates(doc)):
         have = values[p.var]
         want = p.truth(bits)
         if have != want:
@@ -335,30 +350,24 @@ def check_clause_valid(doc: GnfDocument, clause, include_cnf=False):
     """
     if doc.nvars > BUDGET:
         raise ValueError("instance exceeds the %d-var oracle budget" % BUDGET)
-    forced = {}
+    base = fixed = 0
     for lit in clause:
-        var = abs(lit)
-        want = lit < 0  # falsifying the clause means negating each literal
-        if forced.get(var, want) != want:
+        bit = 1 << (abs(lit) - 1)
+        want = bit if lit < 0 else 0  # falsifying a literal negates it
+        if fixed & bit and (base & bit) != want:
             return None  # clause contains x and not-x: a tautology
-        forced[var] = want
-    free = [v for v in range(1, doc.nvars + 1) if v not in forced]
-    base = 0
-    for var, val in forced.items():
-        if val:
-            base |= 1 << (var - 1)
+        fixed |= bit
+        base |= want
+    free = ((1 << doc.nvars) - 1) & ~fixed
     masks = _clause_masks(doc) if include_cnf else []
-    preds = _build_preds(doc)
-    for combo in range(1 << len(free)):
-        bits = base
-        for i, var in enumerate(free):
-            if (combo >> i) & 1:
-                bits |= 1 << (var - 1)
-        inv = ~0 ^ bits
-        if any(not (bits & pos or inv & neg) for pos, neg in masks):
-            continue
-        if all(bool((bits >> (p.var - 1)) & 1) == p.truth(bits)
-               for p in preds):
-            return [None] + [bool((bits >> i) & 1)
-                             for i in range(doc.nvars)]
-    return None
+    preds = predicates(doc)
+    sub = 0
+    while True:
+        bits = base | sub  # the free vars count up in binary
+        inv = ~bits
+        if all(bits & pos or inv & neg for pos, neg in masks) and all(
+                ((bits >> (p.var - 1)) & 1) == p.truth(bits) for p in preds):
+            return [None] + [bool((bits >> i) & 1) for i in range(doc.nvars)]
+        if sub == free:
+            return None
+        sub = (sub - free) & free  # the next subset of free, in order

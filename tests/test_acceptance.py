@@ -97,7 +97,6 @@ def rand_graph_setup(rng, kind):
 
 def test_criterion_3_monotone_evaluators(acceptance):
     flips_per_kind = 10000
-    negative = ("mst_edge", "schedulable")
     violations = []
     for kind_index, kind in enumerate(ALL_KINDS):
         rng = Xorshift64Star(kind_index + 1)
@@ -128,7 +127,7 @@ def test_criterion_3_monotone_evaluators(acceptance):
                 flipped[zeros[rng.randint(0, len(zeros) - 1)]] = 1
                 after = evaluate(flipped)
                 done += 1
-                if kind in negative:
+                if kind in oracle.DECREASING:
                     if after and not before:
                         violations.append((kind, bytes(mask)))
                 elif before and not after:

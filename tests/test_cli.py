@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import monosmt
+from monosmt import build
 from monosmt.cli import main
 from monosmt.gnf import parse
 
@@ -157,6 +158,18 @@ def test_verify_beyond_budget_checks_model(tmp_path, capsys):
     assert code == 0
     assert out == ["verify: ok (SAT, 99 vars beyond oracle budget,"
                    " model checked)"]
+
+
+@pytest.mark.parametrize("text,solved,want", [
+    (SAT_CHAIN, ("SAT", [None, False, True, True], None),
+     "verify: FAIL model check: clause 0 falsified: [1]"),
+    (UNSAT_CHAIN, ("SAT", None, None),
+     "verify: FAIL solver says SAT, oracle says UNSAT")])
+def test_verify_fails_on_a_wrong_answer(tmp_path, capsys, monkeypatch, text,
+                                        solved, want):
+    monkeypatch.setattr(build, "solve_doc", lambda doc, seed: solved)
+    code, out, _ = run(capsys, "verify", write(tmp_path, "x.gnf", text))
+    assert (code, out) == (1, [want])
 
 
 def test_render_pipeline(tmp_path, capsys):

@@ -120,6 +120,17 @@ def test_comment_between_clause_lines():
     assert doc.clauses == [[1, 2], [-2]]
 
 
+def test_blank_lines_between_clause_lines():
+    doc = parse("p gnf 2 2\n1 2 0\n\n \t \n-2 0\n\n")
+    assert doc.clauses == [[1, 2], [-2]]
+
+
+@pytest.mark.parametrize("line", ["distance_leq 1 0 2 inf 3", "reach 1 0 x 3"])
+def test_predicate_with_a_non_integer_argument(line):
+    e = err("p gnf 3 0\ndigraph 3 0 1\n%s\n" % line)
+    assert "%s expects integers" % line.split()[0] in str(e) and e.line == 3
+
+
 def test_graph_errors():
     assert "duplicate graph id" in str(err(
         "p gnf 0 0\nugraph 1 0 1\nugraph 1 0 1\n"))

@@ -384,31 +384,6 @@ def test_only_all_unit_weights_skip_the_heap(monkeypatch, weights, unit):
 
 # -- randomized dual-route checks ----------------------------------------------
 
-def oracle_truth(g, kind, args, enabled):
-    edges = [(e.u, e.v, e.weight) for e in g.edges]
-    n = g.n
-    if kind == "reach":
-        return oracle.reach_dfs(n, g.directed, edges, enabled, *args)
-    if kind == "distance_leq":
-        u, v, bound = args
-        return oracle.dist_bellman_ford(n, g.directed, edges, enabled,
-                                        u)[v] <= bound
-    if kind == "maxflow_geq":
-        s, t, bound = args
-        return bound <= 0 or oracle.maxflow_dfs(n, edges, enabled,
-                                                s, t) >= bound
-    if kind == "components_leq":
-        return oracle.components_count_dfs(n, edges, enabled) <= args[0]
-    if kind == "mst_weight_leq":
-        comps, total, _ = oracle.mst_prim(n, edges, enabled)
-        if comps > 1:
-            return False
-        return True if args[0] is None else total <= args[0]
-    assert kind == "mst_edge"
-    eid = next(i for i, e in enumerate(g.edges) if e.var == args[0])
-    return not enabled[eid] or eid in oracle.mst_prim(n, edges, enabled)[2]
-
-
 def theory_atom(g, pred):
     """The theory of ``g`` and the atom of ``pred`` in it, both keeping
     their GNF var numbers, which no solver reads here."""
@@ -424,12 +399,12 @@ def test_evaluators_agree_with_oracle_family():
         g = rand_graph(rng, kind in DIRECTED_KINDS)
         pred = rand_pred(rng, kind, g, len(g.edges) + 1)
         th, atom = theory_atom(g, pred)
+        (ref,) = oracle.predicates(GnfDocument(graphs={1: g}, preds=[pred]))
         for _ in range(8):
             enabled = bytearray(rng.randint(0, 1)
                                 for _ in range(len(g.edges)))
             got = th.evaluate(atom, enabled, {})
-            want = oracle_truth(g, kind, pred.args, enabled)
-            assert got == want, (kind, i, list(enabled))
+            assert got == ref.fn(enabled), (kind, i, list(enabled))
 
 
 def test_monotone_bracketing_on_nested_masks():

@@ -8,8 +8,7 @@ from monosmt.build import dimacs_lit, solve_doc
 from monosmt.gnf import (EdgeDecl, GnfDocument, GraphDecl, PredDecl, ProcDecl,
                          TaskDecl)
 
-from instances import (ALL_KINDS, CALLS, lemma_checker, rand_doc,
-                       solve_recorded)
+from instances import ALL_KINDS, CALLS, rand_doc, solve_recorded
 
 
 def chain_doc(length, kind="reach"):
@@ -101,25 +100,39 @@ def test_clause_validity_can_consult_cnf():
 # -- theory lemmas at any size ----------------------------------------------
 
 def test_lemma_checker_catches_a_missing_literal():
-    doc = chain_doc(2)  # reach(0, 2) is var 3; lemmas in solver literals
-    check = lemma_checker(doc)
-    assert check([4, 1, 3]) is None  # reach or not e1 or not e2
-    assert check([4, 1]) == bytes([1, 0])
-    assert check([5, 0]) is None  # not reach or e1
-    assert check([5]) == bytes([1, 1])
+    doc = chain_doc(2)  # reach(0, 2) is var 3
+    check = oracle.check_lemma(doc)
+    assert check([3, -1, -2]) is None  # reach or not e1 or not e2
+    assert check([3, -1]) == bytes([1, 0])
+    assert check([-3, 1]) is None  # not reach or e1
+    assert check([-3]) == bytes([1, 1])
 
 
 def test_lemma_checker_accepts_a_task_literal_first():
     # Task 1 (var 1) misses alone, task 2 (var 2) fits alone; schedulable is
-    # var 3. Lemmas in solver literals, the implied task literal first.
+    # var 3. The implied task literal comes first.
     proc = ProcDecl(1)
     proc.tasks += [TaskDecl(1, 0, 5, 4, 1), TaskDecl(1, 0, 2, 4, 2)]
     doc = GnfDocument(nvars=3)
     doc.procs[1] = proc
     doc.preds.append(PredDecl("schedulable", 1, (), 3))
-    check = lemma_checker(doc)
-    assert check([1, 5]) is None  # not x1 or not schedulable
-    assert check([3, 5]) == bytes([0, 1])  # not x2 or not schedulable
+    check = oracle.check_lemma(doc)
+    assert check([-1, -3]) is None  # not x1 or not schedulable
+    assert check([-2, -3]) == bytes([0, 1])  # not x2 or not schedulable
+
+
+def test_lemma_checker_reports_clauses_not_of_lemma_form():
+    # reach(0, 2) is var 3 and reach(0, 1) var 4; var 5 is no S-var. Each
+    # clause below is valid, but none has exactly one atom literal whose
+    # other literals all sit on that atom's S-vars.
+    doc = chain_doc(2)
+    doc.preds.append(PredDecl("reach", 1, (0, 1), 4))
+    doc.nvars = 5
+    check = oracle.check_lemma(doc)
+    assert check([3, -1, -2]) is None
+    assert check([3, -1, -2, -4]) is not None  # two atom literals
+    assert check([-1, 1]) is not None  # no atom literal
+    assert check([3, -1, -2, 5]) is not None  # var 5 is off the S-vars
 
 
 def test_lemma_checker_agrees_with_brute_force():
@@ -131,13 +144,13 @@ def test_lemma_checker_agrees_with_brute_force():
             doc = rand_doc(kind, seed)
             if doc.nvars > 12:
                 continue
-            check = lemma_checker(doc)
+            check = oracle.check_lemma(doc)
             atoms = {pred.var for pred in doc.preds}
             for lits in set(solve_recorded(doc)[1].lemmas):
-                task_first += abs(dimacs_lit(lits[0])) not in atoms
+                lits = [dimacs_lit(lit) for lit in lits]
+                task_first += abs(lits[0]) not in atoms
                 for clause in (lits, lits[:-1]) if len(lits) > 1 else (lits,):
-                    valid = oracle.check_clause_valid(
-                        doc, [dimacs_lit(lit) for lit in clause]) is None
+                    valid = oracle.check_clause_valid(doc, clause) is None
                     assert (check(clause) is None) == valid, (kind, seed)
                     assert valid or clause is not lits, (kind, seed)
                     checked += 1
@@ -156,10 +169,10 @@ def test_every_lemma_holds_beyond_the_brute_force_budget(call):
     doc = eval(call, CALLS)
     assert doc.nvars > oracle.BUDGET
     _, recorder = solve_recorded(doc)
-    check = lemma_checker(doc)
+    check = oracle.check_lemma(doc)
     assert recorder.lemmas
     for lits in recorder.lemmas:
-        assert check(lits) is None, lits
+        assert check([dimacs_lit(lit) for lit in lits]) is None, lits
 
 
 # -- evaluator spot checks -------------------------------------------------

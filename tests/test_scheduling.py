@@ -11,7 +11,7 @@ from monosmt.gnf import GnfDocument, PredDecl, ProcDecl, TaskDecl
 from monosmt.scheduling import (ProcessorTheory, TaskSpec, busy_window_tasks,
                                 edf_simulate)
 
-from instances import lemma_checker, solve_recorded
+from instances import solve_recorded
 from test_sat_core import run_optimized
 
 
@@ -262,13 +262,13 @@ def test_task_reasons_hold_on_generated_schedules(seed):
     # literal first; some of them imply a task literal.
     doc = gen_sched(30, 3, 4, seed)
     _, recorder = solve_recorded(doc)
-    check = lemma_checker(doc)
+    check = oracle.check_lemma(doc)
     atoms = {pred.var for pred in doc.preds}
     task_first = [lits for lits in recorder.lemmas
                   if abs(dimacs_lit(lits[0])) not in atoms]
     assert task_first
     for lits in recorder.lemmas:
-        assert check(lits) is None, lits
+        assert check([dimacs_lit(lit) for lit in lits]) is None, lits
 
 
 def test_schedule_witness_merges_resumed_segments():

@@ -6,15 +6,15 @@ import random
 
 import pytest
 
-from monosmt.build import build_instance, internal_lit
+from monosmt.build import build_instance, dimacs_lit, internal_lit
 from monosmt.graphs import GraphTheory
-from monosmt.oracle import brute_force_solve, check_model
+from monosmt.oracle import brute_force_solve, check_lemma, check_model
 from monosmt.scheduling import ProcessorTheory
 from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.theory import MonotonicTheory, NEGATIVE, POSITIVE
 
-from instances import (GRAPH_KINDS, Recorder, check_reasons, lemma_checker,
-                       rand_doc, rand_mixed_doc)
+from instances import (GRAPH_KINDS, Recorder, check_reasons, rand_doc,
+                       rand_mixed_doc)
 from test_sat_core import run_optimized
 
 
@@ -248,9 +248,10 @@ def test_atom_registered_after_a_solve_is_scanned_and_explained():
                 assert res.status == brute_force_solve(asked)[0], where
                 if res.status == "SAT":
                     assert check_model(asked, [None] + res.model) is None
-            check = lemma_checker(doc)
+            check = check_lemma(doc)
             for lits in recorder.lemmas:
-                assert check(lits) is None, (kind, seed, lits)
+                assert check([dimacs_lit(lit) for lit in lits]) is None, (
+                    kind, seed, lits)
             late_lemmas += sum(lits[0] >> 1 == late.var - 1
                                for lits in recorder.lemmas)
     assert late_lemmas >= 50
