@@ -2,11 +2,18 @@
 
 Feasibility is monotone in an mst_weight_leq atom's bound, which binary
 search exploits; the caller gets the smallest bound that stays satisfiable,
-with its model. Every probe goes to one solver (``BoundProbes``), built from
-the document without the probed atom, so that its var is a plain var. Each
-probed bound gets an atom of its own on the owning graph, tied to that var
-by clauses guarded by a selector literal, and is solved under the selector
-as an assumption (Een and Sorensson, "Temporal induction by incremental SAT
+with its model. The theory bounds the search from both sides (Bayless,
+Bayless, Hoos, Hu, "SAT Modulo Monotonic Theories", AAAI 2015). A model with
+the atom true satisfies the document at its own spanning-tree weight, which
+becomes the upper end. When the atom is true at level 0, no model's tree is
+lighter than the tree of the level-0 maximal completion, whose weight
+becomes the lower end and is probed first.
+
+Every probe goes to one solver (``BoundProbes``), built from the document
+without the probed atom, so that its var is a plain var. Each probed bound
+gets an atom of its own on the owning graph, tied to that var by clauses
+guarded by a selector literal, and is solved under the selector as an
+assumption (Een and Sorensson, "Temporal induction by incremental SAT
 solving", BMC 2003). The selector is then set false for good. What a probe
 learnt stays valid for the next: its clauses follow from the document, or
 contain a retired selector. The bound atoms are chained, ``w <= b`` implying
@@ -19,7 +26,7 @@ import copy
 from . import build
 from .gnf import GnfDocument
 from .graphs import GraphTheory
-from .sat import SAT, mk_lit
+from .sat import SAT, TRUE, mk_lit
 
 # Never called here; perfbench/tracer.py patches this name.
 from .build import solve_doc  # noqa: F401
@@ -73,10 +80,29 @@ class BoundProbes:
             return "SAT", [None] + res.model[:self.nvars]
         return "UNSAT", None
 
+    def tree_weight(self, values):
+        """Spanning-tree weight of the owning graph under ``values``, a
+        1-based bool list over the document's vars."""
+        mask = bytearray(values[v + 1] for v in self.theory.slot_vars)
+        return self.theory._analysis(mask, {}, ("span",)).weight
+
+    def floor(self):
+        """A bound below which every probe is UNSAT: the spanning-tree weight
+        of the level-0 maximal completion, the edges not false at level 0,
+        when the probed var is true at level 0, else 0. Level-0 facts hold
+        in every model of the document, and adding edges never makes a
+        tree heavier. Read between probes, when the trail is at level 0."""
+        if self.solver.value[mk_lit(self.pvar)] != TRUE:
+            return 0
+        mask = self.theory.completion(True).enabled
+        return self.theory._analysis(mask, {}, ("span",)).weight
+
 
 def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
     """Smallest satisfiable bound for the mst_weight_leq atom on bound_var,
-    searched over [0, total edge weight]."""
+    searched over [0, total edge weight]: after a first probe at the total,
+    bisection between ``BoundProbes.floor``, probed first, and the lightest
+    tree of a model with the atom true."""
     idx = next((i for i, p in enumerate(doc.preds)
                 if p.var == bound_var and p.kind == "mst_weight_leq"), None)
     if idx is None:
@@ -86,21 +112,25 @@ def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
     probes = []
 
     def probe(bound):
+        """None on UNSAT, else a bound the model satisfies, and the model:
+        its tree weight when the atom is true in it."""
         status, values = search.solve(bound)
         probes.append((bound, status))
-        return status == "SAT", values
+        if status != "SAT":
+            return None
+        return (search.tree_weight(values) if values[bound_var]
+                else bound), values
 
-    sat, values = probe(total)
-    if not sat:
+    got = probe(total)
+    if got is None:
         return MinimizeResult(False, None, None, probes)
-    lo, hi = 0, total
-    best = values
+    hi, best = got
+    lo = mid = search.floor()
     while lo < hi:
-        mid = (lo + hi) // 2
-        sat, values = probe(mid)
-        if sat:
-            hi = mid
-            best = values
-        else:
+        got = probe(mid)
+        if got is None:
             lo = mid + 1
+        else:
+            hi, best = got
+        mid = (lo + hi) // 2
     return MinimizeResult(True, hi, best, probes)

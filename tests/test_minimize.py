@@ -1,4 +1,4 @@
-"""Binary-search minimization of spanning-tree weight bounds."""
+"""Minimization of spanning-tree weight bounds."""
 
 import copy
 
@@ -9,7 +9,7 @@ from monosmt.build import solve_doc
 from monosmt.generators import Xorshift64Star, gen_maze
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.minimize import minimize_bound
-from monosmt.oracle import check_model
+from monosmt.oracle import check_model, mst_prim
 
 from instances import rand_doc
 
@@ -74,20 +74,28 @@ def test_probe_log_is_a_monotone_search():
 
 
 def test_non_monotone_answers_still_give_an_ordered_probe_log(monkeypatch):
-    # Binary search only probes between its last UNSAT and its last SAT
-    # bound, so the probe log stays ordered whatever the answers are: an
-    # answer that is not monotone in the bound yields a wrong bound, never
-    # an UNSAT probe above a SAT one.
-    doc, atom = tree_doc([(0, 1, 5), (1, 2, 6), (0, 2, 7), (2, 3, 9)])
-
+    # Bisection only probes between its last UNSAT and its last SAT bound,
+    # so the probe log stays ordered whatever the answers are: an answer
+    # that is not monotone in the bound yields a wrong bound, never an
+    # UNSAT probe above a SAT one.
     asked = []
 
-    def non_monotone(search, bound):
-        asked.append(bound)
-        return ("SAT", [None] * (search.nvars + 1)) if bound % 3 != 1 else (
-            "UNSAT", None)
+    def answers(unsat_mod):
+        def solve(search, bound):
+            asked.append(bound)
+            return (("SAT", [None] * (search.nvars + 1))
+                    if bound % 3 != unsat_mod else ("UNSAT", None))
+        return solve
 
-    monkeypatch.setattr(minimize.BoundProbes, "solve", non_monotone)
+    # The asserted atom starts the search at the level-0 floor, 5 + 6 + 9.
+    doc, atom = tree_doc([(0, 1, 5), (1, 2, 6), (0, 2, 7), (2, 3, 9)])
+    monkeypatch.setattr(minimize.BoundProbes, "solve", answers(1))
+    assert minimize_bound(doc, atom).probes == [(27, "SAT"), (20, "SAT")]
+    # An unforced atom starts it at 0.
+    asked.clear()
+    doc, atom = tree_doc([(0, 1, 5), (1, 2, 6), (0, 2, 7), (2, 3, 11)])
+    doc.clauses = []
+    monkeypatch.setattr(minimize.BoundProbes, "solve", answers(0))
     res = minimize_bound(doc, atom)
     assert [b for b, _ in res.probes] == asked
     sat_bounds = [b for b, s in res.probes if s == "SAT"]
@@ -126,8 +134,9 @@ def test_original_document_is_untouched():
 
 
 def scratch_minimize(doc, atom):
-    """The same binary search, with a document copy and a solver of its own
-    per probe; returns (bound, probes), the bound None when infeasible."""
+    """Plain bisection over [0, total edge weight], with a document copy
+    and a solver of its own per probe; returns (bound, probes), the bound
+    None when infeasible."""
     owner = next(p.owner for p in doc.preds if p.var == atom)
     total = sum(e.weight for e in doc.graphs[owner].edges)
     probes = [(total, reprobe(doc, atom, total))]
@@ -166,30 +175,123 @@ def bound_doc(seed, forced):
     return doc, atom
 
 
-def assert_same_search(doc, atom):
-    bound, probes = scratch_minimize(doc, atom)
+def at_bound(doc, atom, bound):
+    probed = copy.deepcopy(doc)
+    next(p for p in probed.preds if p.var == atom).args = (bound,)
+    return probed
+
+
+def tree_weight(doc, atom, values):
+    """The spanning-tree weight of the atom's graph under a model, by
+    ``oracle.mst_prim``."""
+    g = doc.graphs[next(p.owner for p in doc.preds if p.var == atom)]
+    return mst_prim(g.n, [(e.u, e.v, e.weight) for e in g.edges],
+                    [values[e.var] for e in g.edges])[1]
+
+
+def logged_search(monkeypatch, doc, atom):
+    """``minimize_bound`` with each probe's (bound, status, values)."""
+    seen = []
+    solve = minimize.BoundProbes.solve
+
+    def logged(search, bound):
+        status, values = solve(search, bound)
+        seen.append((bound, status, values))
+        return status, values
+
+    monkeypatch.setattr(minimize.BoundProbes, "solve", logged)
     res = minimize_bound(doc, atom)
-    assert (res.bound, res.probes) == (bound, probes)
+    assert res.probes == [(bound, status) for bound, status, _ in seen]
+    return res, seen
+
+
+def assert_same_answers(monkeypatch, doc, atom):
+    """The optimum is ``scratch_minimize``'s, a solver of its own gives
+    each probe's answer at that bound, and every model passes the model
+    check at its bound. Which bounds are probed after the first depends on
+    the models found, so on what the solver learnt before."""
+    bound, _ = scratch_minimize(doc, atom)
+    res, seen = logged_search(monkeypatch, doc, atom)
+    assert res.bound == bound
+    for probed, status, values in seen:
+        assert reprobe(doc, atom, probed) == status
+        if status == "SAT":
+            assert check_model(at_bound(doc, atom, probed), values) is None
     if res.feasible:
-        probed = copy.deepcopy(doc)
-        next(p for p in probed.preds if p.var == atom).args = (bound,)
-        assert check_model(probed, res.values) is None
+        assert check_model(at_bound(doc, atom, bound), res.values) is None
     return res
 
 
-def test_one_solver_searches_as_a_solver_per_probe_on_mazes():
-    for k in range(6):
-        doc = gen_maze(3, 6, k)
-        assert_same_search(doc, next(p.var for p in doc.preds
-                                     if p.kind == "mst_weight_leq"))
+def mazes():
+    """``gen_maze(3, 6, k)`` for k < 6, each with its mst_weight_leq atom."""
+    return [(doc, next(p.var for p in doc.preds if p.kind == "mst_weight_leq"))
+            for doc in (gen_maze(3, 6, k) for k in range(6))]
 
 
-def test_one_solver_searches_as_a_solver_per_probe_on_random_documents():
-    both = free = 0  # searches with both answers; optima with atom false
-    for seed in range(150):
+def test_one_solver_searches_as_a_solver_per_probe_on_mazes(monkeypatch):
+    for doc, atom in mazes():
+        assert_same_answers(monkeypatch, doc, atom)
+
+
+def test_one_solver_searches_as_a_solver_per_probe_on_random_documents(
+        monkeypatch):
+    # Searches with both answers; optima with the atom false. Bounds from
+    # models end most searches without an UNSAT probe, hence 300 seeds.
+    both = free = 0
+    for seed in range(300):
         for forced in (True, False):
             doc, atom = bound_doc(seed, forced)
-            res = assert_same_search(doc, atom)
+            res = assert_same_answers(monkeypatch, doc, atom)
             both += len({status for _, status in res.probes}) == 2
             free += res.feasible and not res.values[atom]
     assert both >= 50 and free >= 50
+
+
+def level_zero_floor(doc, atom):
+    """``BoundProbes.floor`` after a first probe at the total weight, and
+    that probe's model; both None when it is UNSAT."""
+    idx = next(i for i, p in enumerate(doc.preds) if p.var == atom)
+    search = minimize.BoundProbes(doc, idx)
+    total = sum(e.weight for e in doc.graphs[doc.preds[idx].owner].edges)
+    status, values = search.solve(total)
+    return (search.floor(), values) if status == "SAT" else (None, None)
+
+
+def test_level_zero_floor_is_a_lower_bound():
+    floored = 0
+    for doc, atom in [bound_doc(seed, True) for seed in range(150)] + mazes():
+        floor, _ = level_zero_floor(doc, atom)
+        if floor:
+            floored += 1
+            assert reprobe(doc, atom, floor - 1) == "UNSAT"
+    assert floored >= 25
+
+
+def test_atom_true_in_a_model_but_not_at_level_zero_gets_no_floor():
+    # Its first model has the atom true, yet a model with the atom false
+    # satisfies the document at bound 0. Flooring the search at the tree of
+    # the level-0 maximal completion would return that tree's weight, 9.
+    doc, atom = bound_doc(6, False)
+    floor, values = level_zero_floor(doc, atom)
+    assert values[atom] is True and floor == 0
+    res = minimize_bound(doc, atom)
+    assert res.bound == scratch_minimize(doc, atom)[0] == 0
+
+
+def test_no_probe_reaches_the_tree_of_a_model_with_the_atom_true(
+        monkeypatch):
+    lowered = 0  # models whose tree lowered the ceiling below their probe
+    docs = [bound_doc(seed, forced) for seed in range(150)
+            for forced in (True, False)]
+    for doc, atom in docs + mazes():
+        _, seen = logged_search(monkeypatch, doc, atom)
+        ceiling = None
+        for bound, status, values in seen:
+            assert ceiling is None or bound < ceiling
+            if status == "SAT" and values[atom]:
+                weight = tree_weight(doc, atom, values)
+                assert weight <= bound
+                if ceiling is None or weight < ceiling:
+                    lowered += weight < bound
+                    ceiling = weight
+    assert lowered >= 50
