@@ -71,8 +71,6 @@ def edf_simulate(tasks, enabled) -> EdfResult:
             t = jobs[i]
             heapq.heappush(heap, (t.deadline, t.arrival, t.tid))
             i += 1
-        if not heap:
-            continue
         d, a, tid = heap[0]
         finish = now + rem[tid]
         next_arr = jobs[i].arrival if i < n else None
