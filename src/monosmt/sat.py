@@ -403,6 +403,9 @@ class Solver:
     # conflict analysis
 
     def _bump_var(self, v):
+        """Raise the activity of ``v``, an assigned var: ``_analyze`` bumps
+        only the vars of false literals. Its heap entry is outdated now, so
+        it is queued again when unassigned."""
         act = self.activity[v] + self._var_inc
         self.activity[v] = act
         if act > 1e100:
@@ -410,10 +413,8 @@ class Solver:
                 self.activity[i] *= 1e-100
             self._var_inc *= 1e-100
             self._rebuild_order()
-        elif self.value[2 * v] == UNDEF:
-            heapq.heappush(self._order, (-act, v))
         else:
-            self._queued[v] = 0  # its entry is outdated; re-queued on unassign
+            self._queued[v] = 0
 
     def _rebuild_order(self):
         """Rebuild ``_order`` with one entry per unassigned var."""
