@@ -491,13 +491,15 @@ class GraphTheory(MonotonicTheory):
                 for eid in self._tree_path(parent, u, v)]
 
     def _cut_lits(self, u, prefix):
-        """Disabled edges incident to the set reachable in the maximal
-        completion; keeping them disabled keeps the target unreachable."""
+        """Disabled edges leaving the set reachable in the maximal
+        completion; keeping them disabled keeps the target unreachable, or
+        as far. Reach and distance atoms live on digraphs, where only an
+        edge whose tail is reached can reach further."""
         enabled, disabled, analysis = self.completion_before(True, prefix)
         dist, _ = self._analysis(enabled, analysis, ("dij", u))
         edges = self.edges
         return [self._edge_lit(eid, False) for eid in sorted(disabled)
-                if dist[edges[eid].u] != INF or dist[edges[eid].v] != INF]
+                if dist[edges[eid].u] != INF]
 
     def _flow_lits(self, pred, positive, prefix):
         """The edges that carry the minimal completion's max flow, or the

@@ -103,11 +103,13 @@ def test_distance_positive_shortest_path_witness():
 
 
 def test_distance_negative_incident_cut():
-    # Only the weight-3 edge enabled: every assignment keeping e01 and e12
-    # disabled leaves the distance above 2.
+    # Only the weight-3 edge enabled: every assignment keeping e01 disabled
+    # leaves the distance above 2. The disabled e12 starts at node 1, which
+    # is unreached, so it is not in the cut.
     doc = graph_doc(True, 3, [(0, 1, 1), (1, 2, 1), (0, 2, 3)],
                     [("distance_leq", (0, 2, 2))], [[-1], [-2], [3], [4]])
-    assert_theory_clause(doc, "UNSAT", (1, 2, -4))
+    assert_theory_clause(doc, "UNSAT", (1, -4))
+    assert oracle.check_lemma(doc)([1, -4]) is None
 
 
 def test_distance_zero_bound_reflexive():
