@@ -492,9 +492,10 @@ class GraphTheory(MonotonicTheory):
 
     def _cut_lits(self, u, prefix):
         """Disabled edges leaving the set reachable in the maximal
-        completion; keeping them disabled keeps the target unreachable, or
-        as far. Reach and distance atoms live on digraphs, where only an
-        edge whose tail is reached can reach further."""
+        completion: while they stay disabled, no distance from ``u`` falls
+        below the maximal completion's. Reach and distance atoms live on
+        digraphs, where only an edge whose tail is reached can shorten a
+        path."""
         enabled, disabled, analysis = self.completion_before(True, prefix)
         dist, _ = self._analysis(enabled, analysis, ("dij", u))
         edges = self.edges

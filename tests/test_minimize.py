@@ -28,11 +28,14 @@ def tree_doc(edges, forced=(), bound=None):
     return doc, atom
 
 
+def at_bound(doc, atom, bound):
+    probed = copy.deepcopy(doc)
+    next(p for p in probed.preds if p.var == atom).args = (bound,)
+    return probed
+
+
 def reprobe(doc, atom, bound):
-    trial = copy.deepcopy(doc)
-    idx = next(i for i, p in enumerate(trial.preds) if p.var == atom)
-    trial.preds[idx].args = (bound,)
-    return solve_doc(trial)[0]
+    return solve_doc(at_bound(doc, atom, bound))[0]
 
 
 def test_triangle_minimum_is_two_lightest_edges():
@@ -173,12 +176,6 @@ def bound_doc(seed, forced):
         doc.clauses += [[e.var] for e in doc.graphs[1].edges
                         if rng.randint(0, 1)]
     return doc, atom
-
-
-def at_bound(doc, atom, bound):
-    probed = copy.deepcopy(doc)
-    next(p for p in probed.preds if p.var == atom).args = (bound,)
-    return probed
 
 
 def tree_weight(doc, atom, values):
