@@ -71,6 +71,19 @@ PINNED = {
     # Seven positive maxflow_geq explanations, of 25 to 30 literals.
     ("squeeze_flow(7, 7, 133, 2)", 0):
         ("SAT", 10, 82, 243, 0, 0, "e297766c91bf9b72"),
+    # Four positive components_leq explanations (a forest) and one
+    # negative (the disabled edges between components).
+    ("rand_doc('components_leq', 125)", 0):
+        ("UNSAT", 5, 8, 18, 0, 0, "2a4aca7c6d0c3906"),
+    # A true mst_weight_leq atom, explained by its forest.
+    ("rand_doc('mst_weight_leq', 32)", 0):
+        ("UNSAT", 2, 1, 7, 0, 0, "64928a7dfa3540d0"),
+    # A true reach atom, explained by its path.
+    ("rand_doc('reach', 5)", 0):
+        ("UNSAT", 1, 0, 3, 0, 0, "eec4670a0d56b4db"),
+    # A true schedulable atom, explained by the tasks assigned false.
+    ("rand_doc('schedulable', 0)", 0):
+        ("SAT", 1, 1, 4, 0, 0, "0b6c3f472eb8747f"),
 }
 
 
