@@ -29,7 +29,6 @@ import heapq
 from dataclasses import dataclass
 
 from .gnf import check_edge, check_graph, check_pred
-from .sat import mk_lit
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 
 INF = float("inf")
@@ -446,28 +445,53 @@ class GraphTheory(MonotonicTheory):
 
     # -- witnesses ------------------------------------------------------------
 
-    def witness_lits(self, pred, positive, prefix):
-        kind = pred.kind
-        if kind in ("reach", "distance_leq"):
-            if positive:
-                return self._path_lits(*pred.payload[:2], prefix)
-            return self._cut_lits(pred.payload[0], prefix)
-        if kind == "maxflow_geq":
-            return self._flow_lits(pred, positive, prefix)
-        if kind == "components_leq":
-            if positive:
-                return self._forest_lits(prefix)
-            return self._cross_component_lits(prefix)
-        if kind == "mst_weight_leq":
-            if positive:
-                return self._forest_lits(prefix)
-            return self._mst_weight_neg_lits(pred, prefix)
+    def witness_slots(self, pred, positive, enabled, moved, analysis):
+        """Edge ids, an edge's slot being its id. A true atom names its
+        support on the minimal completion, a false one the disabled edges
+        of the maximal completion that could make it true; an mst_edge
+        atom, whose predicate is negative, the reverse."""
+        kind, payload = pred.kind, pred.payload
         if kind == "mst_edge":
-            return self._mst_edge_lits(pred, positive, prefix)
-        raise AssertionError(kind)
+            return self._mst_edge_slots(payload[0], positive, enabled, moved,
+                                        analysis)
+        if positive:
+            if kind == "maxflow_geq" and payload[2] <= 0:
+                return []  # holds on every mask
+            return self._support(pred, enabled, analysis)
+        if kind == "mst_weight_leq":
+            return self._mst_weight_neg_slots(enabled, moved, analysis)
+        # Reach and distance atoms live on digraphs, where only a disabled
+        # edge whose tail is reached can shorten a path from u; a flow can
+        # only grow through one leaving the residual cut side, and the
+        # components only merge through one joining two of them.
+        edges = self.edges
+        if kind == "maxflow_geq":
+            side = self._analysis(enabled, analysis,
+                                  ("flow", payload[0], payload[1])).cut_side
+            return [eid for eid in sorted(moved)
+                    if side[edges[eid].u] and not side[edges[eid].v]]
+        if kind == "components_leq":
+            root = self._analysis(enabled, analysis, _SPAN).parent
+            return [eid for eid in sorted(moved)
+                    if find(root, edges[eid].u) != find(root, edges[eid].v)]
+        dist = self._analysis(enabled, analysis, ("dij", payload[0]))[0]
+        return [eid for eid in sorted(moved) if dist[edges[eid].u] != INF]
 
-    def _edge_lit(self, eid, negated):
-        return mk_lit(self.edges[eid].var, negated)
+    def _support(self, pred, enabled, analysis):
+        """Edge ids that make a reach, distance, flow or spanning-tree atom
+        hold on ``enabled``: the shortest path from v back to u, the edges
+        carrying the max flow in id order, or the forest in (weight, eid)
+        order."""
+        kind, payload = pred.kind, pred.payload
+        if kind in ("reach", "distance_leq"):
+            u, v = payload[0], payload[1]
+            _, parent = self._analysis(enabled, analysis, ("dij", u))
+            return self._tree_path(parent, u, v)
+        if kind == "maxflow_geq":
+            flow = self._analysis(enabled, analysis,
+                                  ("flow", payload[0], payload[1])).flow
+            return [eid for eid, f in enumerate(flow) if f > 0]
+        return self._analysis(enabled, analysis, _SPAN).forest
 
     def _tree_path(self, parent, u, v):
         """Edge ids walking parent edges from v back to u."""
@@ -483,59 +507,8 @@ class GraphTheory(MonotonicTheory):
             node = e.u if e.v == node else e.v
         return path
 
-    def _path_lits(self, u, v, prefix):
-        """Negated vars of a shortest u-v path in the minimal completion."""
-        enabled, _, analysis = self.completion_before(False, prefix)
-        _, parent = self._analysis(enabled, analysis, ("dij", u))
-        return [self._edge_lit(eid, True)
-                for eid in self._tree_path(parent, u, v)]
-
-    def _cut_lits(self, u, prefix):
-        """Disabled edges leaving the set reachable in the maximal
-        completion: while they stay disabled, no distance from ``u`` falls
-        below the maximal completion's. Reach and distance atoms live on
-        digraphs, where only an edge whose tail is reached can shorten a
-        path."""
-        enabled, disabled, analysis = self.completion_before(True, prefix)
-        dist, _ = self._analysis(enabled, analysis, ("dij", u))
+    def _mst_weight_neg_slots(self, enabled, disabled, analysis):
         edges = self.edges
-        return [self._edge_lit(eid, False) for eid in sorted(disabled)
-                if dist[edges[eid].u] != INF]
-
-    def _flow_lits(self, pred, positive, prefix):
-        """The edges that carry the minimal completion's max flow, or the
-        disabled edges that leave the maximal completion's residual cut.
-        A bound of at most 0 holds on every mask and needs no edge."""
-        s, t, bound = pred.payload
-        key = ("flow", s, t)
-        if positive:
-            if bound <= 0:
-                return []
-            enabled, _, analysis = self.completion_before(False, prefix)
-            flow = self._analysis(enabled, analysis, key).flow
-            return [self._edge_lit(eid, True)
-                    for eid, f in enumerate(flow) if f > 0]
-        enabled, disabled, analysis = self.completion_before(True, prefix)
-        side = self._analysis(enabled, analysis, key).cut_side
-        edges = self.edges
-        return [self._edge_lit(eid, False) for eid in sorted(disabled)
-                if side[edges[eid].u] and not side[edges[eid].v]]
-
-    def _forest_lits(self, prefix):
-        enabled, _, analysis = self.completion_before(False, prefix)
-        span = self._analysis(enabled, analysis, _SPAN)
-        return [self._edge_lit(eid, True) for eid in span.forest]
-
-    def _cross_component_lits(self, prefix):
-        enabled, disabled, analysis = self.completion_before(True, prefix)
-        parent = self._analysis(enabled, analysis, _SPAN).parent
-        edges = self.edges
-        return [self._edge_lit(eid, False) for eid in sorted(disabled)
-                if find(parent, edges[eid].u) != find(parent, edges[eid].v)]
-
-    def _mst_weight_neg_lits(self, pred, prefix):
-        edges = self.edges
-        enabled, disabled, analysis = self.completion_before(True, prefix)
         span = self._analysis(enabled, analysis, _SPAN)
         if span.components > 1:
             # Disconnected: a cut of disabled edges isolating one component.
@@ -548,8 +521,7 @@ class GraphTheory(MonotonicTheory):
                     cuts.setdefault(cu, []).append(eid)
                     cuts.setdefault(cv, []).append(eid)
             best = min(set(comp), key=lambda r: (len(cuts.get(r, ())), r))
-            return [self._edge_lit(eid, False)
-                    for eid in sorted(cuts.get(best, ()))]
+            return sorted(cuts.get(best, ()))
         # Connected but too heavy: disabled edges that could lighten the
         # tree, those whose ends the forest joins only through a heavier
         # edge. Equal weight does not lighten it.
@@ -568,16 +540,14 @@ class GraphTheory(MonotonicTheory):
                 merged += 1
             if find(parent, e.u) != find(parent, e.v):
                 out.append(eid)
-        return [self._edge_lit(eid, False) for eid in sorted(out)]
+        return sorted(out)
 
-    def _mst_edge_lits(self, pred, positive, prefix):
-        eid = pred.payload[0]
+    def _mst_edge_slots(self, eid, positive, enabled, moved, analysis):
         edges = self.edges
         e = edges[eid]
         if positive:
-            enabled, disabled, _ = self.completion_before(True, prefix)
             if not enabled[eid]:
-                return [self._edge_lit(eid, False)]
+                return [eid]
             # Edge is in the tree of the maximal completion, which means no
             # path of strictly lighter edges joins its endpoints there. It
             # stays in every tree unless such a path opens up, and any such
@@ -596,24 +566,17 @@ class GraphTheory(MonotonicTheory):
                         stack.append(y)
             if visited[e.v]:
                 raise RuntimeError("edge not in the completion tree")
-            out = []
-            for fid in sorted(disabled):
-                f = edges[fid]
-                if (f.weight, fid) < key and visited[f.u] != visited[f.v]:
-                    out.append(self._edge_lit(fid, False))
-            return out
+            return [fid for fid in sorted(moved)
+                    if (edges[fid].weight, fid) < key
+                    and visited[edges[fid].u] != visited[edges[fid].v]]
         # Negative: the edge is enabled yet outside the minimal-completion
         # tree, so the tree path between its endpoints plus the edge itself
         # pins it out of every extension's tree.
-        enabled, _, analysis = self.completion_before(False, prefix)
         in_forest = bytearray(len(edges))
         for fid in self._analysis(enabled, analysis, _SPAN).forest:
             in_forest[fid] = 1
         _, parent = bfs_tree(self._adj, self.n, in_forest, e.u)
-        lits = [self._edge_lit(p, True)
-                for p in reversed(self._tree_path(parent, e.u, e.v))]
-        lits.append(self._edge_lit(eid, True))
-        return lits
+        return self._tree_path(parent, e.u, e.v)[::-1] + [eid]
 
     # -- model witnesses ---------------------------------------------------------
 
@@ -624,29 +587,22 @@ class GraphTheory(MonotonicTheory):
         ``analysis`` memoizes the analyses of the model's mask for the other
         atoms of this graph."""
         kind = pred.kind
-        edges = self.edges
-        if kind in ("reach", "distance_leq"):
-            u, v = pred.payload[0], pred.payload[1]
-            _, parent = self._analysis(enabled, analysis, ("dij", u))
-            nodes = [v]
-            for eid in self._tree_path(parent, u, v):
-                e = edges[eid]
-                nodes.append(e.u if e.v == nodes[-1] else e.v)
-            nodes.reverse()
-            return nodes
-        if kind == "maxflow_geq":
-            s, t, _ = pred.payload
-            res = self._analysis(enabled, analysis, ("flow", s, t))
-            out = []
-            for eid, f in enumerate(res.flow):
-                if f > 0:
-                    out.extend((edges[eid].u, edges[eid].v, f))
-            return out
         if kind == "mst_edge":
             return ["tree" if enabled[pred.payload[0]] else "disabled"]
-        span = self._analysis(enabled, analysis, _SPAN)
         if kind == "components_leq":
-            return [span.components]
+            return [self._analysis(enabled, analysis, _SPAN).components]
+        edges = self.edges
+        support = self._support(pred, enabled, analysis)
         if kind == "mst_weight_leq":
-            return [edges[eid].var for eid in span.forest]
-        raise AssertionError(kind)
+            return [edges[eid].var for eid in support]
+        if kind == "maxflow_geq":
+            s, t, _ = pred.payload
+            flow = self._analysis(enabled, analysis, ("flow", s, t)).flow
+            return [x for eid in support
+                    for x in (edges[eid].u, edges[eid].v, flow[eid])]
+        nodes = [pred.payload[1]]
+        for eid in support:
+            e = edges[eid]
+            nodes.append(e.u if e.v == nodes[-1] else e.v)
+        nodes.reverse()
+        return nodes

@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 
 from .gnf import check_pred, check_task
-from .sat import TRUE, UNDEF, mk_lit
+from .sat import TRUE, UNDEF
 from .theory import MonotonicTheory, NEGATIVE
 
 
@@ -173,15 +173,16 @@ class ProcessorTheory(MonotonicTheory):
     def evaluate(self, pred, enabled, analysis):
         return self._edf(enabled, analysis).feasible
 
-    def witness_lits(self, pred, positive, prefix):
+    def witness_slots(self, pred, positive, enabled, moved, analysis):
+        """Task ids, a task's slot being its id: a miss names its busy
+        window; feasibility names every task assigned false."""
         if positive:
-            return None  # fall back to the disabled-task clause
-        enabled, _, analysis = self.completion_before(False, prefix)
+            return super().witness_slots(pred, positive, enabled, moved,
+                                         analysis)
         result = self._edf(enabled, analysis)
         if result.feasible:
             raise RuntimeError("witness requested without a miss")
-        return [mk_lit(self.tasks[tid].var, True)
-                for tid in busy_window_tasks(self.tasks, enabled, result)]
+        return busy_window_tasks(self.tasks, enabled, result)
 
     def _edf(self, enabled, analysis):
         """EDF run of the enabled mask, memoized in ``analysis``."""

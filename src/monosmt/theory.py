@@ -96,10 +96,11 @@ class MonotonicTheory:
     dict, shared by every predicate evaluated on the same mask.
     ``eval_completion`` applies it to every predicate on one extreme of the
     current trail; a subclass may override it to evaluate atoms in groups.
-    ``slot_vars`` lists the S-var of each mask slot. Subclasses may
-    override ``witness_lits`` to produce algorithm-specific reason clauses;
-    the base falls back to the justification-set clause built from one
-    polarity of S-atom assignments.
+    ``slot_vars`` lists the S-var of each mask slot. ``witness_lits``
+    alone picks the extreme and the literal signs of a reason clause; a
+    subclass may override ``witness_slots`` to pick which of that extreme's
+    moved S-atoms the clause names, and in what order. The base names them
+    all, which is the paper's justification set.
     """
 
     def __init__(self):
@@ -301,10 +302,7 @@ class MonotonicTheory:
             prefix = p  # explaining the trail assignment itself
         else:
             prefix = len(solver.trail)  # contradiction with the current trail
-        rest = self.witness_lits(pred, positive, prefix)
-        if rest is None:
-            rest = self.fallback_lits(pred, positive, prefix)
-        return [lit] + rest
+        return [lit] + self.witness_lits(pred, positive, prefix)
 
     # Never called by the solver; perfbench/tracer.py patches this name.
     def decide_hint(self):
@@ -343,23 +341,27 @@ class MonotonicTheory:
                 break
         return enabled, log[:k], analysis
 
-    def fallback_lits(self, pred, positive: bool, prefix: int) -> list[int]:
-        """Justification-set clause tail from one polarity of assignments.
-
-        For a positive predicate an implied-true atom is justified by the
-        S-atoms assigned true (their loss could only weaken the predicate),
-        and an implied-false atom by those assigned false; a negative
-        predicate swaps the roles.
-        """
+    def witness_lits(self, pred, positive: bool, prefix: int) -> list[int]:
+        """Clause tail justifying the atom of ``pred`` (true when
+        ``positive``) before trail index ``prefix``. For a positive
+        predicate an implied-true atom is justified by the S-atoms assigned
+        true, the minimal completion's moved slots (their loss could only
+        weaken the predicate), and an implied-false one by those assigned
+        false, the maximal's; a negative predicate swaps the roles. Each
+        slot ``witness_slots`` picks enters as the literal its assignment
+        falsifies."""
         use_true = positive == (pred.polarity == POSITIVE)
-        # The minimal completion's log holds the S-atoms assigned true.
-        _, moved, _ = self.completion_before(not use_true, prefix)
-        return [mk_lit(v, use_true)
-                for v in sorted(self.slot_vars[s] for s in moved)]
+        enabled, moved, analysis = self.completion_before(not use_true, prefix)
+        slot_vars = self.slot_vars
+        return [mk_lit(slot_vars[slot], use_true) for slot in
+                self.witness_slots(pred, positive, enabled, moved, analysis)]
 
-    def witness_lits(self, pred, positive: bool, prefix: int):
-        """Algorithm-specific clause tail, or None to use the fallback."""
-        return None
+    def witness_slots(self, pred, positive: bool, enabled, moved, analysis):
+        """The slots of ``moved`` that a witness names, in clause order.
+        ``enabled``, ``moved`` and ``analysis`` are ``completion_before``'s
+        reading of the extreme ``witness_lits`` chose. The base names every
+        moved slot, in var order."""
+        return sorted(moved, key=self.slot_vars.__getitem__)
 
     def evaluate(self, pred, enabled, analysis) -> bool:
         """Truth of ``pred`` on the ``enabled`` mask."""

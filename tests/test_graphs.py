@@ -13,7 +13,6 @@ from monosmt.generators import Xorshift64Star
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.graphs import (EdgeSpec, GraphTheory, bfs_tree, dijkstra_tree,
                             edmonds_karp, find, span_scan)
-from monosmt.sat import mk_lit
 
 from instances import (rand_graph, rand_pred, solve_recorded, squeeze_flow,
                        GRAPH_KINDS, DIRECTED_KINDS)
@@ -181,21 +180,20 @@ def test_positive_flow_witness_reads_the_stacked_flow(monkeypatch):
     # Each witness lists exactly the edges that carry flow in the max flow
     # stacked on the minimal completion for the generation it explains.
     seen = []
-    flow_lits = GraphTheory._flow_lits
+    witness_slots = GraphTheory.witness_slots
 
-    def checked(th, pred, positive, prefix):
-        lits = flow_lits(th, pred, positive, prefix)
+    def checked(th, pred, positive, enabled, moved, analysis):
+        slots = witness_slots(th, pred, positive, enabled, moved, analysis)
         if positive:
-            comp, pos = th.completion(False), th.solver.pos
-            gen = sum(pos[th.slot_vars[slot]] < prefix for slot in comp.log)
-            analysis = next(a for g, _, a in comp.stack if g == gen)
-            flow = analysis[("flow", *pred.payload[:2])].flow
-            assert lits == [mk_lit(th.edges[eid].var, True)
-                            for eid, f in enumerate(flow) if f > 0]
+            gen = len(moved)  # the minimal completion's log up to the prefix
+            stacked = next(a for g, _, a in th.completion(False).stack
+                           if g == gen)
+            flow = stacked[("flow", *pred.payload[:2])].flow
+            assert slots == [eid for eid, f in enumerate(flow) if f > 0]
             seen.append(gen)
-        return lits
+        return slots
 
-    monkeypatch.setattr(GraphTheory, "_flow_lits", checked)
+    monkeypatch.setattr(GraphTheory, "witness_slots", checked)
     assert solve_doc(squeeze_flow(7, 7, 133, 2))[0] == "SAT"
     assert len(seen) > 3
 
