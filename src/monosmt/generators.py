@@ -107,6 +107,8 @@ def gen_flow(width, height, mode="unit", seed=0, demand=None) -> GnfDocument:
         raise ValueError("flow grid needs width and height >= 1")
     if mode not in ("unit", "random1to4"):
         raise ValueError("mode must be unit or random1to4")
+    if demand is not None and demand < 0:
+        raise ValueError("demand must be >= 0")
     rng = Xorshift64Star(seed)
     n = width * height
     source, sink = n, n + 1

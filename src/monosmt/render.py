@@ -15,9 +15,14 @@ def render_maze(doc: GnfDocument, values) -> str:
     if meta is None:
         raise GnfError("document carries no maze metadata")
     width, height, g2_gid, start, finish = (int(x) for x in meta)
-    g2 = doc.graphs[g2_gid]
+    g2 = doc.graphs.get(g2_gid)
+    cells = width * height
+    if (g2 is None or not g2.directed or min(width, height) < 1
+            or g2.n != cells or not 0 <= start < cells
+            or not 0 <= finish < cells):
+        raise GnfError("maze metadata does not match graph %d" % g2_gid)
     rows = [bytearray(b"#" * (2 * width + 1)) for _ in range(2 * height + 1)]
-    for node in range(width * height):
+    for node in range(cells):
         r, c = divmod(node, width)
         rows[2 * r + 1][2 * c + 1] = ord(" ")
     for e in g2.edges:

@@ -135,6 +135,10 @@ def test_gen_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "gen", "maze", "1", "3")
     assert code == 1
     assert "width and height >= 2" in err
+    # The parser rejects a negative bound, so gen refuses to write one.
+    code, out, err = run(capsys, "gen", "flow", "3", "3", "--demand", "-1")
+    assert code == 1 and out == []
+    assert "demand must be >= 0" in err
 
 
 def test_verify_agrees_with_oracle(tmp_path, capsys):
@@ -193,6 +197,19 @@ def test_render_rejects_non_maze(tmp_path, capsys):
     code, _, err = run(capsys, "render", path, model)
     assert code == 1
     assert "no maze metadata" in err
+    maze = tmp_path / "maze.gnf"
+    assert main(["gen", "maze", "4", "4", "-o", str(maze)]) == 0
+    assert main(["solve", str(maze)]) == 10
+    model = write(tmp_path, "model.txt", capsys.readouterr().out)
+    text = maze.read_text()
+    assert "c meta maze 4 4 2 0 15\n" in text
+    # No graph 9; a finish off the grid; a 9x9 grid over 16 nodes.
+    for meta in ("4 4 9 0 15", "4 4 2 0 99", "9 9 2 0 15"):
+        path = write(tmp_path, "bad.gnf", text.replace(
+            "c meta maze 4 4 2 0 15", "c meta maze " + meta))
+        code, out, err = run(capsys, "render", path, model)
+        assert code == 1 and out == []
+        assert "maze metadata does not match graph" in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -128,6 +128,8 @@ def test_flow_validation():
         gen_flow(0, 3, "unit", 0)
     with pytest.raises(ValueError):
         gen_flow(3, 3, "best", 0)
+    with pytest.raises(ValueError):
+        gen_flow(3, 3, "unit", 0, demand=-1)
 
 
 # -- sched -----------------------------------------------------------------------
