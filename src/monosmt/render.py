@@ -3,7 +3,8 @@
 A width x height maze renders as a (2*height+1) x (2*width+1) character
 grid: '#' walls, ' ' corridors, 'S'/'F' on the start and finish cells. A
 wall between two adjacent cells opens exactly when the model makes the
-corresponding directed-copy arc true.
+corresponding directed-copy arc true; a true arc between cells that are not
+neighbours is an error.
 """
 from __future__ import annotations
 
@@ -30,6 +31,9 @@ def render_maze(doc: GnfDocument, values) -> str:
             continue
         ru, cu = divmod(e.u, width)
         rv, cv = divmod(e.v, width)
+        if abs(ru - rv) + abs(cu - cv) != 1:
+            raise GnfError("true arc %d -> %d of graph %d joins no two "
+                           "neighbouring cells" % (e.u, e.v, g2_gid))
         rows[ru + rv + 1][cu + cv + 1] = ord(" ")
     for node, mark in ((start, b"S"), (finish, b"F")):
         r, c = divmod(node, width)

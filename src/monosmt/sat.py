@@ -10,6 +10,12 @@ A theory implication is enqueued with an opaque lazy reason; the reason clause
 is only materialized (via the theory's ``explain``) if conflict analysis
 touches it, and the materialized clause is cached on the trail slot until a
 backjump discards it.
+
+Each solve seeds the saved phases once, at the level-0 fixpoint before its
+first decision: the S-vars of a theory whose level-0 atoms all hold on one
+extreme completion (``agreed_fill``) get that extreme's value, true for the
+maximal and false for the minimal, unless another theory's fill differs.
+Phase saving then runs as usual.
 """
 from __future__ import annotations
 
@@ -496,6 +502,21 @@ class Solver:
                 return mk_lit(v, not self.phase[v]), False
         return None, False  # nothing left (callers guard on trail size)
 
+    def _seed_phases(self):
+        """Point the saved phase of each theory's S-vars at the extreme all
+        its atoms hold on (``agreed_fill``); a var that two theories would
+        point different ways keeps its phase."""
+        fills = {}
+        for th in self._theories:
+            fill = th.agreed_fill()
+            if fill is not None:
+                for v in th.slot_vars:
+                    fills[v] = fill if fills.get(v, fill) == fill else None
+        phase = self.phase
+        for v, fill in fills.items():
+            if fill is not None:
+                phase[v] = fill
+
     # ------------------------------------------------------------------
     # learnt-clause management
 
@@ -556,6 +577,7 @@ class Solver:
                                 max(len(self.clauses) // 3, 100))
         budget = 100 * luby(2, 1)
         since_restart = 0
+        seeded = False
         while True:
             confl = self._propagate_all()
             if confl is not None:
@@ -600,6 +622,9 @@ class Solver:
                 if theory_clause is not None:
                     self._keep_theory_clause(theory_clause)
             else:
+                if not seeded:  # the level-0 fixpoint, before any decision
+                    seeded = True
+                    self._seed_phases()
                 lit, failed = self._decide(assumptions)
                 if failed:
                     self._cancel_until(0)

@@ -34,7 +34,13 @@ read the mask of an earlier trail prefix off the same log, and reuse the
 stacked analysis of that generation when there is one.
 
 Propagation is change-driven: each evaluation lists the atoms whose value
-moved, and a scan visits those, in id order.
+moved, and a scan visits those, in id order; with none, there is no scan.
+
+``agreed_fill`` names the extreme on which every atom holds at decision level
+0: a true positive or false negative atom holds on the maximal completion, a
+false positive or true negative one on the minimal. The solver decides the
+S-vars of a theory whose atoms all agree toward that extreme, which can
+never turn one of them against the trail.
 
 A theory supplies one evaluation hook, ``MonotonicTheory.evaluate``: the
 truth of one predicate on one enabled mask. ``eval_completion`` calls it
@@ -210,15 +216,18 @@ class MonotonicTheory:
         Visits in atom-id order the atoms whose value changed since each
         extreme was last read: each extreme read before is evaluated now if
         it moved, which adds its changed atoms (see ``_values``). The rest
-        still give nothing. An atom the last scan left unassigned was forced
-        by neither extreme, so its own assignment since forces no atom
-        until an extreme's value moves; atom vars are therefore not watched.
-        After a backjump or a conflict, visits them all.
+        still give nothing, so with no changed atom there is no scan. An
+        atom the last scan left unassigned was forced by neither extreme, so
+        its own assignment since forces no atom until an extreme's value
+        moves; atom vars are therefore not watched. After a backjump or a
+        conflict, visits them all.
         """
         dirty = self._dirty
         for comp in self._ext if dirty is not None else ():
             if comp.stack:  # empty: unread, so no clean atom needs it
                 self._values(comp.maximal)
+        if dirty is not None and not dirty:
+            return (), None
         implied, conflict = self._scan(
             self._preds if dirty is None
             else [self._preds[i] for i in sorted(dirty)])
@@ -303,6 +312,26 @@ class MonotonicTheory:
         else:
             prefix = len(solver.trail)  # contradiction with the current trail
         return [lit] + self.witness_lits(pred, positive, prefix)
+
+    def agreed_fill(self):
+        """The extreme on which every atom holds as the trail has it: True
+        for the maximal completion, False for the minimal, None when an
+        atom is unassigned, when two atoms disagree, or when there is none.
+        A true positive or false negative atom holds on the maximal
+        completion, a false positive or true negative one on the minimal.
+        """
+        value = self.solver.value
+        fill = None
+        for pred in self._preds:
+            val = value[2 * pred.pvar]
+            if val == UNDEF:
+                return None
+            holds = (val == TRUE) == (pred.polarity == POSITIVE)
+            if fill is None:
+                fill = holds
+            elif fill != holds:
+                return None
+        return fill
 
     # Never called by the solver; perfbench/tracer.py patches this name.
     def decide_hint(self):

@@ -5,7 +5,8 @@ Every builder is a pure function of an integer seed, so a failure reproduces
 from the seed printed in the assertion message. The random builders stay
 inside the brute-force budget: graphs get at most 5 nodes and 6 symbolic
 edges, schedulers at most 6 tasks, and documents at most 22 variables.
-``squeeze_flow`` builds on a generated grid and is larger.
+``squeeze_flow`` and ``free_atom_flow`` build on a generated grid and are
+larger.
 """
 
 from monosmt import generators
@@ -148,9 +149,22 @@ def squeeze_flow(width, height, seed, demand):
     return doc
 
 
+def free_atom_flow(*args, **kwargs):
+    """``gen_flow(*args, **kwargs)`` with a second ``maxflow_geq`` atom of
+    the same source, sink and demand on a fresh var that no clause names.
+    The free atom is unassigned at decision level 0, so the theory has no
+    agreed fill (``MonotonicTheory.agreed_fill``) and the edges start at
+    phase False: the search still conflicts, where the plain document is
+    decided toward the maximal completion and solves without a conflict."""
+    doc = gen_flow(*args, **kwargs)
+    doc.nvars += 1
+    doc.preds.append(PredDecl("maxflow_geq", 1, doc.preds[0].args, doc.nvars))
+    return doc
+
+
 # The names a document builder call written as text may use.
 CALLS = {**vars(generators), "rand_doc": rand_doc,
-         "squeeze_flow": squeeze_flow}
+         "squeeze_flow": squeeze_flow, "free_atom_flow": free_atom_flow}
 
 
 class Recorder:

@@ -210,6 +210,16 @@ def test_render_rejects_non_maze(tmp_path, capsys):
         code, out, err = run(capsys, "render", path, model)
         assert code == 1 and out == []
         assert "maze metadata does not match graph" in err
+    # Arc 0 -> 1, var 49, edited to the diagonal 0 -> 5 and made true.
+    assert "\nedge 2 0 1 49 1\n" in text
+    path = write(tmp_path, "bad.gnf", text.replace("\nedge 2 0 1 49 1\n",
+                                                   "\nedge 2 0 5 49 1\n"))
+    solved = (tmp_path / "model.txt").read_text()
+    assert " -49 " in solved
+    model = write(tmp_path, "m2.txt", solved.replace(" -49 ", " 49 "))
+    code, out, err = run(capsys, "render", path, model)
+    assert code == 1 and out == []
+    assert "true arc 0 -> 5 of graph 2 joins no two neighbouring cells" in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

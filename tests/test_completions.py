@@ -29,7 +29,8 @@ from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import NEGATIVE, POSITIVE
 
-from instances import ALL_KINDS, check_reasons, rand_doc, rand_mixed_doc
+from instances import (ALL_KINDS, check_reasons, free_atom_flow, rand_doc,
+                       rand_mixed_doc)
 from test_theory_driver import ToyTheory
 
 
@@ -105,8 +106,10 @@ class Checker:
         self.flows = {}
         self.trees = {}
         self.reused = Counter()  # "flow"/"span"/"dij": carried unchanged
-        # Per theory class: scans that visited fewer than all atoms.
+        # Per theory class: scans that visited fewer than all atoms,
+        # counting a propagate that returned without a scan.
         self.partial = Counter()
+        self.scans = 0
         for th in theories:
             th.propagate = self._wrap(th, th.propagate)
             th._scan = self._wrap_scan(th, th._scan)
@@ -114,13 +117,20 @@ class Checker:
 
     def _wrap(self, th, propagate):
         def checked():
+            scans = self.scans
             result = propagate()
+            if self.scans == scans:  # no atom to visit: returned early
+                self.partial[type(th)] += 1
+                assert result == ((), None)
+                assert th._scan(th._preds) == result
+                th._dirty = set()  # as the early return left it
             self.check(th)
             return result
         return checked
 
     def _wrap_scan(self, th, scan):
         def checked(preds):
+            self.scans += 1
             result = scan(preds)
             if len(preds) < len(th._preds):
                 self.partial[type(th)] += 1
@@ -239,11 +249,11 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
 
 
 def test_stacked_max_flows_match_cold_starts():
-    docs = [generators.gen_flow(12, 12, mode="unit", seed=0, demand=11),
-            generators.gen_flow(12, 12, mode="random1to4", seed=1,
-                                demand=16),
-            generators.gen_flow(10, 10, mode="random1to4", seed=2,
-                                demand=14)]
+    # Each has a free atom, so its edges are not decided toward the
+    # maximal completion and the search conflicts.
+    docs = [free_atom_flow(12, 12, mode="unit", seed=0, demand=11),
+            free_atom_flow(12, 12, mode="random1to4", seed=1, demand=16),
+            free_atom_flow(10, 10, mode="random1to4", seed=2, demand=14)]
     restarts = conflicts = flows = kept = 0
     for i, doc in enumerate(docs):
         inst = build_instance(doc)

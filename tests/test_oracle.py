@@ -158,8 +158,9 @@ def test_lemma_checker_agrees_with_brute_force():
     assert checked > 200 and refuted > 20 and task_first > 0
 
 
-LARGE = ["gen_maze(8, 8, 0)", "gen_maze(8, 8, 1)", "gen_flow(10, 10, seed=0)",
-         "gen_flow(10, 10, mode='random1to4', seed=0)",
+LARGE = ["gen_maze(8, 8, 0)", "gen_maze(8, 8, 1)",
+         "free_atom_flow(10, 10, seed=0)",
+         "free_atom_flow(10, 10, mode='random1to4', seed=0)",
          "gen_sched(30, 3, 4, 0)", "gen_sched(30, 3, 4, 2)",
          "squeeze_flow(7, 7, 133, 2)"]
 

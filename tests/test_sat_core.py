@@ -338,6 +338,9 @@ class Rogue:
     def on_backjump(self, level):
         pass
 
+    def agreed_fill(self):
+        return None
+
     def propagate(self):
         if len(self.solver.trail_lim) < self.level:
             return (), None

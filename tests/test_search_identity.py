@@ -44,10 +44,12 @@ PINNED = {
         ("SAT", 110, 247, 1811, 131, 1, "5d0905fa717791a9"),
     ("gen_maze(6, 6, 1)", 5):
         ("SAT", 37, 246, 1620, 205, 0, "9a3702aa64c8bba2"),
+    # The one true maxflow_geq atom holds on the maximal completion, so the
+    # edges are decided on and nothing conflicts.
     ("gen_flow(8, 8, seed=1)", 0):
-        ("SAT", 28, 278, 393, 0, 0, "0c167720709045bb"),
+        ("SAT", 0, 113, 185, 0, 0, "1391876e63685b7d"),
     ("gen_flow(8, 8, seed=1)", 5):
-        ("SAT", 30, 539, 709, 0, 0, "2fe6374504da1ac9"),
+        ("SAT", 0, 113, 185, 0, 0, "1391876e63685b7d"),
     # Seed 0 makes 9 negative mst_edge explanations.
     ("gen_maze(4, 4, 1)", 0):
         ("SAT", 1020, 1572, 16869, 405, 5, "75e8528f30925e0b"),
@@ -81,9 +83,13 @@ PINNED = {
     # A true reach atom, explained by its path.
     ("rand_doc('reach', 5)", 0):
         ("UNSAT", 1, 0, 3, 0, 0, "eec4670a0d56b4db"),
-    # A true schedulable atom, explained by the tasks assigned false.
+    # A false schedulable atom holds on the maximal completion, so its tasks
+    # are decided on and nothing conflicts.
     ("rand_doc('schedulable', 0)", 0):
-        ("SAT", 1, 1, 4, 0, 0, "0b6c3f472eb8747f"),
+        ("SAT", 0, 1, 3, 0, 0, "1391876e63685b7d"),
+    # A true schedulable atom, explained by the task assigned false.
+    ("rand_doc('schedulable', 39)", 0):
+        ("UNSAT", 1, 0, 2, 0, 0, "39fe193c17571398"),
 }
 
 
@@ -123,8 +129,10 @@ def test_minimize_probes_match_pinned_counters(monkeypatch):
 
 
 # The first seed of each kind whose solve makes a decision, a conflict and a
-# theory implication.
-OBSERVED = ["gen_maze(6, 6, 1)", "gen_flow(8, 8, seed=1)",
+# theory implication. The flow document has a free atom: without it, its
+# edges are decided toward the maximal completion and it solves with no
+# conflict.
+OBSERVED = ["gen_maze(6, 6, 1)", "free_atom_flow(8, 8, seed=1)",
             "gen_sched(30, 2, 6, 0)", "rand_doc('reach', 10)",
             "rand_doc('distance_leq', 3)", "rand_doc('maxflow_geq', 33)",
             "rand_doc('components_leq', 10)", "rand_doc('mst_weight_leq', 47)",

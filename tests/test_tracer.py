@@ -3,9 +3,9 @@
 ``perfbench/tracer.py`` rebinds layer functions and methods by name from
 outside the program, so renaming one would silently empty its metrics. This
 runs it in a subprocess (it patches classes process-wide) on tiny maze, flow
-and sched instances, and on a weighted distance document for the heap that a
-unit-weight maze never reaches, and checks that every span it relies on was
-recorded.
+(with a free atom, so that it conflicts) and sched instances, and on a
+weighted distance document for the heap that a unit-weight maze never
+reaches, and checks that every span it relies on was recorded.
 """
 
 import os
@@ -19,6 +19,7 @@ _SCRIPT = """
 from monosmt import generators, gnf
 from monosmt.build import solve_doc
 import tracer
+from instances import free_atom_flow
 
 WEIGHTED = '''p gnf 4 1
 digraph 3 3 1
@@ -32,7 +33,7 @@ distance_leq 1 0 2 2 4
 rec = tracer.SpanRecorder()
 tracer.install(rec)
 for doc in (generators.gen_maze(3, 3, 0),
-            generators.gen_flow(4, 4, mode="unit", seed=0, demand=2),
+            free_atom_flow(4, 4, mode="unit", seed=0, demand=2),
             generators.gen_sched(30, 2, 6, 0), gnf.parse(WEIGHTED)):
     solve_doc(doc)
 for name, (calls, _, _) in sorted(rec.span_totals().items()):
@@ -51,7 +52,7 @@ SPANS = ("build.build_instance", "sat.add_clause", "sat.solve",
 
 
 def test_tracer_records_every_layer_span():
-    path = [str(ROOT / "src"), str(ROOT / "perfbench"),
+    path = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests"),
             os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, path)))
