@@ -7,7 +7,11 @@ Bayless, Hoos, Hu, "SAT Modulo Monotonic Theories", AAAI 2015). A model with
 the atom true satisfies the document at its own spanning-tree weight, which
 becomes the upper end. When the atom is true at level 0, no model's tree is
 lighter than the tree of the level-0 maximal completion, whose weight
-becomes the lower end and is probed first.
+becomes the lower end and is probed first. Enabling an edge never makes a
+connected graph's tree heavier, so the owning graph's edges are decided on:
+their saved phase is set true once, and phase saving carries the light
+model from probe to probe. The first model's tree is light, and on many
+mazes it weighs the lower end, which ends the search.
 
 Every probe goes to one solver (``BoundProbes``), built from the document
 without the probed atom, so that its var is a plain var. Each probed bound
@@ -59,6 +63,8 @@ class BoundProbes:
         self.pvar = pred.var - 1
         self.nvars = doc.nvars
         self.atoms = []  # (bound, atom var) per probe so far
+        for v in self.theory.slot_vars:
+            self.solver.phase[v] = True  # edges on: light trees first
 
     def solve(self, bound):
         """(status, values) of the document with the atom at ``bound``;
@@ -102,7 +108,9 @@ def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
     """Smallest satisfiable bound for the mst_weight_leq atom on bound_var,
     searched over [0, total edge weight]: after a first probe at the total,
     bisection between ``BoundProbes.floor``, probed first, and the lightest
-    tree of a model with the atom true."""
+    tree of a model with the atom true. The probes decide edges on, so the
+    first model's tree is light and the ceiling starts low; when it meets
+    the floor, the search ends after that one probe."""
     idx = next((i for i, p in enumerate(doc.preds)
                 if p.var == bound_var and p.kind == "mst_weight_leq"), None)
     if idx is None:

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from monosmt import minimize
+from monosmt import build, minimize
 from monosmt.build import solve_doc
 from monosmt.generators import Xorshift64Star, gen_maze
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
@@ -67,13 +67,15 @@ def test_infeasible_document_reports_no_bound():
 
 
 def test_probe_log_is_a_monotone_search():
+    # The optimum need not be probed: a model whose tree weighs the
+    # level-0 floor ends the search at once.
     doc, atom = tree_doc([(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     res = minimize_bound(doc, atom)
     assert res.probes[0] == (6, "SAT")
-    sat_bounds = [b for b, s in res.probes if s == "SAT"]
-    unsat_bounds = [b for b, s in res.probes if s == "UNSAT"]
-    assert min(sat_bounds) == res.bound
-    assert all(b < res.bound for b in unsat_bounds)
+    assert res.bound == scratch_minimize(doc, atom)[0]
+    assert all(b >= res.bound for b, s in res.probes if s == "SAT")
+    assert all(b < res.bound for b, s in res.probes if s == "UNSAT")
+    assert check_model(at_bound(doc, atom, res.bound), res.values) is None
 
 
 def test_non_monotone_answers_still_give_an_ordered_probe_log(monkeypatch):
@@ -256,7 +258,9 @@ def level_zero_floor(doc, atom):
 
 def test_level_zero_floor_is_a_lower_bound():
     floored = 0
-    for doc, atom in [bound_doc(seed, True) for seed in range(150)] + mazes():
+    # A first probe with few conflicts seldom learns the atom true at
+    # level 0, which the floor needs; hence 600 seeds.
+    for doc, atom in [bound_doc(seed, True) for seed in range(600)] + mazes():
         floor, _ = level_zero_floor(doc, atom)
         if floor:
             floored += 1
@@ -292,3 +296,42 @@ def test_no_probe_reaches_the_tree_of_a_model_with_the_atom_true(
                     lowered += weight < bound
                     ceiling = weight
     assert lowered >= 50
+
+
+def test_probes_decide_the_owning_graphs_edges_on():
+    # The maze's second graph, a directed one with vars of its own, keeps
+    # the phases a plain build leaves.
+    doc = gen_maze(3, 6, 2)
+    idx = next(i for i, p in enumerate(doc.preds)
+               if p.kind == "mst_weight_leq")
+    search = minimize.BoundProbes(doc, idx)
+    rest = copy.copy(doc)
+    rest.preds = doc.preds[:idx] + doc.preds[idx + 1:]
+    plain = build.build_instance(rest).solver.phase
+    owned = set(search.theory.slot_vars)
+    assert owned == {e.var - 1 for e in doc.graphs[1].edges}
+    assert search.solver.phase == [True if v in owned else phase
+                                   for v, phase in enumerate(plain)]
+
+
+def test_first_model_often_weighs_the_optimum():
+    # Edges decided on give a first model with a light tree. Its weight
+    # meets the level-0 floor on many mazes, which ends the search after
+    # one probe; with edges decided off, none ends there.
+    ended = 0
+    for k in range(1000, 1080):
+        doc = gen_maze(3, 6, k)
+        idx = next(i for i, p in enumerate(doc.preds)
+                   if p.kind == "mst_weight_leq")
+        res = minimize_bound(doc, doc.preds[idx].var)
+        ended += len(res.probes) == 1
+        search = minimize.BoundProbes(doc, idx)  # plain bisection
+        lo, hi = 0, sum(e.weight for e in doc.graphs[1].edges)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if search.solve(mid)[0] == "SAT":
+                hi = mid
+            else:
+                lo = mid + 1
+        assert res.bound == hi
+    assert ended >= 30
