@@ -56,8 +56,11 @@ def _cmd_gen(args):
                                    args.seed)
     text = serialize(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GnfError("cannot write %s: %s" % (args.output, exc))
     else:
         sys.stdout.write(text)
     return 0

@@ -295,7 +295,7 @@ class GraphTheory(MonotonicTheory):
         self._rank = sorted(range(len(self.edges)),  # eid -> its place
                             key=self._order.__getitem__)
         self._mst_atoms = {}  # eid -> its mst_edge atom ids, one group
-        self._atoms = []  # every other atom, through evaluate
+        self._atoms = []  # every other atom
 
     def add_atom(self, kind: str, args, pvar: int) -> int:
         """Register the GNF predicate ``kind`` with its arguments after the
@@ -330,20 +330,17 @@ class GraphTheory(MonotonicTheory):
             new = self._carried(key, prev, enabled, moved, maximal)
             if new is not None:
                 analysis[key] = new
-        changed = []
-        if self._mst_atoms:
-            span = self._analysis(enabled, analysis, _SPAN)
-            forest = span.forest_set
+        preds = self._atoms
+        group = self._mst_atoms
+        if group:
+            forest = self._analysis(enabled, analysis, _SPAN).forest_set
             prev = base.get(_SPAN)
-            for eid in (self._mst_atoms if prev is None else moved
-                        if prev is span else
-                        (forest ^ prev.forest_set).union(moved)):
-                val = not enabled[eid] or eid in forest
-                for aid in self._mst_atoms.get(eid, ()):
-                    if values[aid] != val:
-                        values[aid] = val
-                        changed.append(aid)
-        for pred in self._atoms:
+            eids = (group if prev is None
+                    else (forest ^ prev.forest_set).union(moved))
+            preds = [self._preds[aid] for eid in eids
+                     for aid in group.get(eid, ())] + preds
+        changed = []
+        for pred in preds:
             val = self.evaluate(pred, enabled, analysis)
             if values[pred.atom_id] != val:
                 values[pred.atom_id] = val
@@ -553,22 +550,17 @@ class GraphTheory(MonotonicTheory):
             # stays in every tree unless such a path opens up, and any such
             # path must cross out of the lighter-reachable region through a
             # currently disabled lighter edge: those edges are the witness.
-            key = (e.weight, eid)
-            visited = bytearray(self.n)
-            visited[e.u] = 1
-            stack = [e.u]
-            while stack:
-                x = stack.pop()
-                for fid, y in self._adj[x]:
-                    if (enabled[fid] and not visited[y]
-                            and (edges[fid].weight, fid) < key):
-                        visited[y] = 1
-                        stack.append(y)
-            if visited[e.v]:
+            rank = self._rank
+            below = rank[eid]
+            lighter = bytearray(len(edges))
+            for fid in self._order[:below]:
+                lighter[fid] = enabled[fid]
+            dist, _ = bfs_tree(self._adj, self.n, lighter, e.u)
+            if dist[e.v] is not INF:
                 raise RuntimeError("edge not in the completion tree")
-            return [fid for fid in sorted(moved)
-                    if (edges[fid].weight, fid) < key
-                    and visited[edges[fid].u] != visited[edges[fid].v]]
+            return [fid for fid in sorted(moved) if rank[fid] < below
+                    and (dist[edges[fid].u] is INF)
+                    != (dist[edges[fid].v] is INF)]
         # Negative: the edge is enabled yet outside the minimal-completion
         # tree, so the tree path between its endpoints plus the edge itself
         # pins it out of every extension's tree.

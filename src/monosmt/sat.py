@@ -58,9 +58,6 @@ class Clause:
         self.learnt = learnt
         self.activity = 0.0
 
-    def __repr__(self):
-        return "Clause(%r%s)" % (self.lits, ", learnt" if self.learnt else "")
-
 
 class LazyReason:
     """Opaque reason tag for a theory implication, expanded on demand."""
@@ -78,9 +75,6 @@ class SolveResult:
     def __init__(self, status, model=None):
         self.status = status
         self.model = model
-
-    def __repr__(self):
-        return "SolveResult(%s)" % self.status
 
 
 class Solver:
@@ -360,10 +354,7 @@ class Solver:
                 return conflict, False
             progressed = False
             for lit, atom_id in implied:
-                val = self.value[lit]
-                if val == TRUE:
-                    continue
-                if val != UNDEF:
+                if self.value[lit] != UNDEF:
                     raise RuntimeError("theory implied an assigned literal")
                 self._enqueue(lit, LazyReason(th, atom_id))
                 self.theory_implications += 1
@@ -389,20 +380,17 @@ class Solver:
             if not progressed:
                 return None
 
-    def _materialize(self, theory, atom_id, lit):
-        lits = list(theory.explain(atom_id, lit))
-        if lits[0] != lit:
-            raise RuntimeError("explain must put the implied literal first")
-        if self.observer is not None:
-            self.observer.lemma(tuple(lits))
-        return Clause(lits)
-
     def _reason_clause(self, var):
         r = self.reason[var]
         if isinstance(r, LazyReason):
-            r = self._materialize(r.theory, r.atom_id,
-                                  self.trail[self.pos[var]])
-            self.reason[var] = r
+            lit = self.trail[self.pos[var]]
+            lits = list(r.theory.explain(r.atom_id, lit))
+            if lits[0] != lit:
+                raise RuntimeError(
+                    "explain must put the implied literal first")
+            if self.observer is not None:
+                self.observer.lemma(tuple(lits))
+            r = self.reason[var] = Clause(lits)
         return r
 
     # ------------------------------------------------------------------

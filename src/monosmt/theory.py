@@ -345,8 +345,7 @@ class MonotonicTheory:
         Returns ``(enabled, moved, analysis)``: the enabled mask, the slots
         moved off the fill value by then (in trail order), and an analysis
         dict for that mask, shared with the stacked evaluation of that
-        generation when there is one. The mask may be the live one: read
-        it, never write it.
+        generation when there is one. The mask is a fresh copy.
         """
         comp = self._ext[maximal]
         log = comp.log
@@ -355,13 +354,10 @@ class MonotonicTheory:
         k = len(log)
         while k and pos[slot_vars[log[k - 1]]] >= prefix:
             k -= 1
-        if k == len(log):
-            enabled = comp.enabled
-        else:
-            enabled = comp.enabled[:]
-            fill = 1 if maximal else 0
-            for slot in log[k:]:
-                enabled[slot] = fill
+        enabled = comp.enabled[:]
+        fill = 1 if maximal else 0
+        for slot in log[k:]:
+            enabled[slot] = fill
         analysis = {}
         for gen, _, stacked in reversed(comp.stack):
             if gen <= k:

@@ -141,6 +141,13 @@ def test_gen_rejects_bad_parameters(capsys):
     assert "demand must be >= 0" in err
 
 
+def test_gen_reports_an_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.gnf"
+    code, out, err = run(capsys, "gen", "maze", "3", "3", "-o", str(target))
+    assert code == 1 and out == []
+    assert err.startswith("error: cannot write %s: " % target)
+
+
 def test_verify_agrees_with_oracle(tmp_path, capsys):
     path = write(tmp_path, "a.gnf", SAT_CHAIN)
     code, out, _ = run(capsys, "verify", path)

@@ -191,6 +191,7 @@ class Checker:
             prefix = self.rng.randint(0, len(solver.trail))
             enabled, moved, _ = th.completion_before(maximal, prefix)
             assert enabled == masks_at(th, maximal, [prefix])[0]
+            assert enabled is not comp.enabled  # a copy, free to change
             assert sorted(moved) == [i for i, b in enumerate(enabled)
                                      if b != maximal]
         self.checks += 1

@@ -73,6 +73,12 @@ PINNED = {
     # Seven positive maxflow_geq explanations, of 25 to 30 literals.
     ("squeeze_flow(7, 7, 133, 2)", 0):
         ("SAT", 10, 82, 243, 0, 0, "e297766c91bf9b72"),
+    # A free maxflow_geq atom leaves the edges undecided, so the flow
+    # searches; every flow evaluation goes through eval_completion.
+    ("free_atom_flow(8, 8, seed=1)", 0):
+        ("SAT", 28, 278, 394, 1, 0, "0c167720709045bb"),
+    ("free_atom_flow(8, 8, seed=1)", 5):
+        ("SAT", 30, 548, 719, 1, 0, "2fe6374504da1ac9"),
     # Four positive components_leq explanations (a forest) and one
     # negative (the disabled edges between components).
     ("rand_doc('components_leq', 125)", 0):
