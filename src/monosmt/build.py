@@ -1,8 +1,8 @@
 """From parsed documents to wired solvers and solve reports.
 
 GNF uses 1-based signed DIMACS literals; the solver core numbers vars from 0
-and packs polarity into the low bit. The converters here are the only place
-the two numbering schemes meet.
+and packs polarity into the low bit. The two numbering schemes meet here and
+in ``minimize.BoundProbes``, which converts its atom var, values and models.
 """
 from __future__ import annotations
 
@@ -80,8 +80,6 @@ def solve_doc(doc: GnfDocument, seed=0, observer=None):
     """Solve a document; returns (status, values, instance) where status is
     "SAT"/"UNSAT" and values is a 1-based bool list on SAT."""
     inst = build_instance(doc, seed=seed, observer=observer)
-    if not inst.ok:
-        return "UNSAT", None, inst
     res = inst.solver.solve()
     if res.status is SAT:
         return "SAT", [None] + res.model, inst

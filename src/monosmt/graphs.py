@@ -303,18 +303,16 @@ class GraphTheory(MonotonicTheory):
         ``pvar``; returns the atom id."""
         check_pred(kind, args, "digraph" if self.directed else "ugraph",
                    self.gid, self.n)
-        if kind == "mst_edge":
-            eid = self._slots.get(args[0])
-            if eid is None:
-                raise ValueError("var %d is not an edge of graph %d"
-                                 % (args[0], self.gid))
-            args = (eid,)
-        polarity = NEGATIVE if kind == "mst_edge" else POSITIVE
-        aid = self.register_predicate(pvar, polarity, kind, args)
-        if kind == "mst_edge":
-            self._mst_atoms.setdefault(args[0], []).append(aid)
-        else:
+        if kind != "mst_edge":
+            aid = self.register_predicate(pvar, POSITIVE, kind, args)
             self._atoms.append(self._preds[aid])
+            return aid
+        eid = self._slots.get(args[0])
+        if eid is None:
+            raise ValueError("var %d is not an edge of graph %d"
+                             % (args[0], self.gid))
+        aid = self.register_predicate(pvar, NEGATIVE, kind, (eid,))
+        self._mst_atoms.setdefault(eid, []).append(aid)
         return aid
 
     # -- evaluation ---------------------------------------------------------

@@ -346,38 +346,30 @@ class Solver:
         self.propagations += qhead - start
         return None
 
-    def _theory_pass(self):
-        """One theory-propagation round. Returns (conflict_lits, progressed)."""
-        for th in self._theories:
-            implied, conflict = th.propagate()
-            if conflict is not None:
-                return conflict, False
-            progressed = False
-            for lit, atom_id in implied:
-                if self.value[lit] != UNDEF:
-                    raise RuntimeError("theory implied an assigned literal")
-                self._enqueue(lit, LazyReason(th, atom_id))
-                self.theory_implications += 1
-                progressed = True
-            if progressed:
-                return None, True  # re-run BCP before the next theory
-        return None, False
-
     def _propagate_all(self):
-        """BCP and theory propagation to mutual fixpoint.
-
-        Returns None, a falsified Clause, or a list of theory conflict lits.
-        """
+        """BCP and theory propagation to mutual fixpoint; returns None, a
+        falsified Clause, or a list of theory conflict lits. The theories run
+        in order after each BCP fixpoint; the first that implies a literal
+        sends the search back to BCP before the next one runs."""
         while True:
             confl = self._bcp()
             if confl is not None:
                 return confl
-            t_confl, progressed = self._theory_pass()
-            if t_confl is not None:
-                if self.observer is not None:
-                    self.observer.lemma(tuple(t_confl))
-                return list(t_confl)
-            if not progressed:
+            for th in self._theories:
+                implied, conflict = th.propagate()
+                if conflict is not None:
+                    if self.observer is not None:
+                        self.observer.lemma(tuple(conflict))
+                    return list(conflict)
+                for lit, atom_id in implied:
+                    if self.value[lit] != UNDEF:
+                        raise RuntimeError(
+                            "theory implied an assigned literal")
+                    self._enqueue(lit, LazyReason(th, atom_id))
+                    self.theory_implications += 1
+                if implied:
+                    break
+            else:
                 return None
 
     def _reason_clause(self, var):
@@ -580,12 +572,11 @@ class Solver:
                     lv = self.level[l >> 1]
                     if lv > top:
                         top = lv
+                # A theory conflict may lie wholly below the current level.
+                self._cancel_until(top)
                 if top == 0:
                     self.ok = False
-                    self._cancel_until(0)
                     return SolveResult(UNSAT)
-                if top < len(self.trail_lim):
-                    self._cancel_until(top)
                 learnt, bj = self._analyze(confl)
                 if self.observer is not None:
                     self.observer.learnt(tuple(learnt))

@@ -2,9 +2,10 @@
 
 import pytest
 
-from monosmt.build import build_instance, internal_lit
+from monosmt.build import build_instance, internal_lit, solve_doc
 from monosmt.generators import gen_flow, gen_maze, gen_sched
-from monosmt.sat import Solver
+from monosmt.gnf import GnfDocument
+from monosmt.sat import UNDEF, Solver
 
 DOCS = {
     "maze": lambda: gen_maze(4, 4, 0),
@@ -46,3 +47,15 @@ def test_out_of_range_literals_of_an_unparsed_document_are_rejected(
         clause.insert(len(clause) // 2, bad)
         with pytest.raises(ValueError, match="unknown variable"):
             build_instance(doc)
+
+
+def test_document_that_contradicts_itself_while_loading_is_unsat():
+    # Loading stops at the clause that contradicts the ones before it, and
+    # the solver answers UNSAT without searching.
+    doc = GnfDocument(nvars=2, clauses=[[1], [-1], [2]])
+    status, values, inst = solve_doc(doc)
+    assert (status, values) == ("UNSAT", None)
+    assert not inst.ok
+    solver = inst.solver
+    assert solver.conflicts == 0 and solver.decisions == 0
+    assert solver.value[internal_lit(2)] == UNDEF

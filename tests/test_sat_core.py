@@ -15,7 +15,7 @@ from monosmt.build import build_instance, dimacs_lit, solve_doc
 from monosmt.generators import Xorshift64Star, gen_maze
 from monosmt.gnf import GnfDocument
 from monosmt.oracle import brute_force_solve, check_clause_valid
-from monosmt.sat import UNDEF, Solver, mk_lit, neg
+from monosmt.sat import TRUE, UNDEF, Solver, mk_lit, neg
 from monosmt.theory import MonotonicTheory, POSITIVE
 
 from instances import Recorder, rand_doc
@@ -317,6 +317,81 @@ def test_two_disjoint_graphs_match_oracle():
         assert status == want, "seed %d" % seed
         tested += 1
     assert tested >= 15
+
+
+class ToyTheory:
+    """The solver's theory interface with nothing propagated; ``log`` is for
+    subclasses that record their calls."""
+
+    def __init__(self, log=None):
+        self.log = log
+
+    def attach(self, solver):
+        self.solver = solver
+
+    def on_assign(self, lit):
+        pass
+
+    def on_backjump(self, level):
+        pass
+
+    def agreed_fill(self):
+        return None
+
+    def propagate(self):
+        return (), None
+
+
+class LateConflict(ToyTheory):
+    # From decision level 2 on, with var 0 true, the conflict (not x0): its
+    # one literal lies at level 1, below the current level.
+    def propagate(self):
+        solver = self.solver
+        if len(solver.trail_lim) >= 2 and solver.value[mk_lit(0)] == TRUE:
+            return (), [mk_lit(0, True)]
+        return (), None
+
+
+def test_theory_conflict_below_the_current_level():
+    # Var 0 is decided true at level 1 and var 1 at level 2; the conflict
+    # then lies wholly at level 1, and the search backjumps there before
+    # analysing it.
+    recorder = Recorder()
+    solver, vs = fresh(3, observer=recorder)
+    for v in vs:
+        solver.phase[v] = True
+    solver.attach_theory(LateConflict())
+    res = solver.solve()
+    assert res.status == "SAT" and res.model == [False, True, True]
+    assert solver.conflicts == 1
+    assert recorder.learnts == [(mk_lit(0, True),)]
+
+
+class ImpliesVar0(ToyTheory):
+    def propagate(self):
+        self.log.append("A")
+        if self.solver.value[mk_lit(0)] == UNDEF:
+            return ((mk_lit(0), 0),), None
+        return (), None
+
+
+class RecordsVar1(ToyTheory):
+    def propagate(self):
+        self.log.append(("B", self.solver.value[mk_lit(1)]))
+        return (), None
+
+
+def test_theory_implication_sends_the_search_back_to_bcp():
+    # The first theory implies var 0 at level 0; BCP on (not x0 or x1) sets
+    # var 1 before the first theory runs again, and only then does the
+    # second theory run, already seeing var 1 true.
+    log = []
+    solver, (a, b) = fresh(2)
+    solver.add_clause([mk_lit(a, True), mk_lit(b)])
+    solver.attach_theory(ImpliesVar0(log))
+    solver.attach_theory(RecordsVar1(log))
+    assert solver.solve().status == "SAT"
+    assert log == ["A", "A", ("B", TRUE)]
 
 
 _ROGUE_THEORIES = """
