@@ -16,6 +16,9 @@ A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
 them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
 run exactly: forest order, union-find roots, distances and parent edges.
+A maximal completion's tree that loses parent edges keeps its distances
+and re-parents each cut-off node to the in-arc at its old distance that a
+cold run settles first, where every such node has one and no edge weighs 0.
 So does a max flow of the maximal completion while no lost edge carried
 flow or starts in its residual cut side. Any other max flow is augmented
 from the previous one, after cancelling the flow on the lost edges; its
@@ -52,22 +55,26 @@ def bfs_tree(adj, n, enabled, src):
     parent = [-1] * n
     dist[src] = 0
     level = [src]
+    d = 0
     while level:
+        d += 1
         nxt = []
         for u in level:
             for eid, w in adj[u]:
                 if dist[w] is INF and enabled[eid]:  # unreached
-                    dist[w] = dist[u] + 1
+                    dist[w] = d
                     parent[w] = eid
                     nxt.append(w)
-        level = sorted(nxt)
+        if len(nxt) > 1:
+            nxt.sort()
+        level = nxt
     return dist, parent
 
 
 def dijkstra_tree(adj, weights, n, enabled, src):
     """Shortest-path distances and parent edges from src, settled off a
-    heap in (distance, node id) order, so on unit weights ``bfs_tree``'s
-    tree. Returns (dist, parent)."""
+    heap in (distance, node id) order while no edge weighs 0, so on unit
+    weights ``bfs_tree``'s tree. Returns (dist, parent)."""
     dist = [INF] * n
     parent = [-1] * n
     dist[src] = 0
@@ -273,6 +280,7 @@ class GraphTheory(MonotonicTheory):
         self.edges = [EdgeSpec(*e) for e in edges]
         self._weights = [e.weight for e in self.edges]
         self._unit = all(w == 1 for w in self._weights)
+        self._positive = 0 not in self._weights  # so trees re-parent
         self._adj = [[] for _ in range(n)]
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
@@ -352,11 +360,17 @@ class GraphTheory(MonotonicTheory):
         each joins two components, a tree stands while no edge (a, b) has
         d[a] + w <= d[b] (a tie may change a parent edge), and a max flow
         is augmented from the old one. The maximal completion loses edges:
-        the forest stands while it loses none, a tree while no parent edge
-        is lost, and a max flow while no lost edge carried flow or starts
-        in its cut side: that flow is still valid, so still maximal, and
-        every residual arc lost starts unreachable from s. Otherwise the
-        flow on the lost edges is cancelled and the rest augmented. The
+        the forest stands while it loses none, and a max flow while no lost
+        edge carried flow or starts in its cut side: that flow is still
+        valid, so still maximal, and every residual arc lost starts
+        unreachable from s. Otherwise the flow on the lost edges is
+        cancelled and the rest augmented. A tree whose lost parent edges
+        each leave their head b an enabled arc (a, b) with d[a] + w == d[b]
+        keeps its distances, and b takes the least such arc in (d[a], a,
+        eid) order, as a cold run does: with every w >= 1 its tail settles
+        before b, so by induction on settle order the tree is a cold run's.
+        The ``d`` list is shared, never written. With a zero weight two
+        heads could take each other, so such a graph runs cold. The
         gaining side's match, a flow standing while every gained edge
         starts outside its cut side, is not built: no shipped workload
         carries a minimal-completion flow. A new forest is diffed with the
@@ -386,12 +400,29 @@ class GraphTheory(MonotonicTheory):
                                      key=self._rank.__getitem__),
                               weight, parent)
         dist, parent = old  # a ("dij", src) tree, so of a digraph
-        for eid in moved:
-            e = edges[eid]
-            if (parent[e.v] == eid if maximal else dist[e.u] != INF
-                    and dist[e.u] + e.weight <= dist[e.v]):
+        if not maximal:
+            for eid in moved:
+                e = edges[eid]
+                if dist[e.u] != INF and dist[e.u] + e.weight <= dist[e.v]:
+                    return None
+            return old
+        heads = [edges[eid].v for eid in moved if parent[edges[eid].v] == eid]
+        if not heads:
+            return old
+        if not self._positive:
+            return None
+        parent = parent[:]
+        weights = self._weights
+        for b in heads:
+            want, best = dist[b], INF
+            for eid, a, fwd in self._flow_adj[b]:  # in (a, eid) order
+                d = dist[a]
+                if (d < best and not fwd and enabled[eid]  # an arc (a, b)
+                        and d + weights[eid] == want):
+                    best, parent[b] = d, eid
+            if best == INF:
                 return None
-        return old
+        return dist, parent
 
     def _analysis(self, enabled, analysis, key):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:

@@ -8,13 +8,13 @@ every max flow in a stacked analysis, which was warm-started from an older
 one or kept from it: on each mask it is stacked for, its value and
 residual cut side must be those of a cold ``edmonds_karp``. Every stacked
 spanning forest and shortest-path tree, which may be carried over from an
-older generation or extended from one, must equal a cold ``span_scan`` or
-``dijkstra_tree`` on its own generation's mask in every field the search
-reads. Each evaluation must get the newest stacked one as its base, and
-the change list it returns must name exactly the atoms whose value differs
-from that base. Every scan that visits only the dirty atoms must imply and
-conflict exactly as a full rescan of the same trail does. The checks run
-through restarts and backjumps.
+older generation, extended from one or re-parented from one, must equal a
+cold ``span_scan`` or ``dijkstra_tree`` on its own generation's mask in every
+field the search reads. Each evaluation must get the newest stacked one as
+its base, and the change list it returns must name exactly the atoms whose
+value differs from that base. Every scan that visits only the dirty atoms
+must imply and conflict exactly as a full rescan of the same trail does.
+The checks run through restarts and backjumps.
 """
 
 import random
@@ -106,6 +106,7 @@ class Checker:
         self.flows = {}
         self.trees = {}
         self.reused = Counter()  # "flow"/"span"/"dij": carried unchanged
+        self.reparented = 0  # trees sharing the older one's dist list only
         # Per theory class: scans that visited fewer than all atoms,
         # counting a propagate that returned without a scan.
         self.partial = Counter()
@@ -187,6 +188,8 @@ class Checker:
                     checked[id(res), bytes(mask)] = res
                     if res is older.get(key):
                         self.reused[key[0]] += 1
+                    elif key[0] == "dij" and key in older:
+                        self.reparented += res[0] is older[key][0]
                 older = analysis
             prefix = self.rng.randint(0, len(solver.trail))
             enabled, moved, _ = th.completion_before(maximal, prefix)
@@ -225,6 +228,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
             # The sched documents above end at level 0; this one backjumps.
             + [generators.gen_sched(30, 2, 6, 0)])
     restarts = conflicts = checks = evals = stacked = extended = 0
+    reparented = 0
     reused, partial = Counter(), Counter()
     for i, doc in enumerate(docs):
         inst = build_instance(doc)
@@ -238,6 +242,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
         stacked += checker.stacked
         partial += checker.partial
         reused += checker.reused
+        reparented += checker.reparented
         cold_ids = {id(span) for span in scanned}
         extended += len({id(t) for t in checker.trees.values()
                          if isinstance(t, SpanResult)} - cold_ids)
@@ -247,6 +252,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
     assert partial[GraphTheory] > 0 and partial[ProcessorTheory] > 0
     # Each way of skipping a cold run was taken, and checked.
     assert reused["span"] > 0 and reused["dij"] > 0 and extended > 0
+    assert reparented > 0
 
 
 def test_stacked_max_flows_match_cold_starts():
@@ -272,15 +278,22 @@ def test_stacked_max_flows_match_cold_starts():
 def test_carried_analyses_match_cold_runs_on_random_edge_orders():
     # Edges move one at a time in random order, with no solver: dense
     # graphs of weights 1 and 2 give many equal-length paths and equal-weight
-    # forests, where a gained edge can take over a parent edge.
+    # forests, where a gained edge can take over a parent edge and a lost
+    # parent edge leaves another arc at the same distance. Unit-weight
+    # digraphs re-parent breadth-first trees; digraphs of weights 0 to 2
+    # check that a zero weight runs cold.
     reused = Counter()
-    for seed in range(300):
+    reparented = Counter()
+    cases = ([(seed, 1, 2) for seed in range(300)]
+             + [(seed, 1, 1) for seed in range(300, 500, 2)]
+             + [(seed, 0, 2) for seed in range(500, 700, 2)])
+    for seed, lo, hi in cases:
         rng = Xorshift64Star(seed)
         directed = seed % 2 == 0
         n, m = rng.randint(2, 8), rng.randint(1, 24)
         th = GraphTheory(1, directed, n, [
             (rng.randint(0, n - 1), rng.randint(0, n - 1), i,
-             rng.randint(1, 2)) for i in range(m)])
+             rng.randint(lo, hi)) for i in range(m)])
         if directed:
             keys = [("dij", 0), ("dij", 1), ("dij", n - 1)]
             for j, key in enumerate(keys[:2]):
@@ -304,8 +317,13 @@ def test_carried_analyses_match_cold_runs_on_random_edge_orders():
                 for key in keys:
                     assert_same_tree(th, analysis[key],
                                      cold(th, comp.enabled, key, {}))
-                    reused[key[0]] += analysis[key] is older.get(key)
+                    tree = analysis[key]
+                    reused[key[0]] += tree is older.get(key)
+                    if key[0] == "dij" and key in older:
+                        reparented[lo, hi] += (tree is not older[key]
+                                               and tree[0] is older[key][0])
     assert reused["span"] > 0 and reused["dij"] > 0
+    assert reparented[1, 1] > 0 and reparented[1, 2] > 0
 
 
 def test_random_documents_of_every_kind():

@@ -382,6 +382,56 @@ def test_only_all_unit_weights_skip_the_heap(monkeypatch, weights, unit):
     assert runs == ["bfs_tree" if unit else "dijkstra_tree"]
 
 
+# Node 4 is first reached from 1; 2 and 3 reach it at the same distance,
+# and 3 is reached again, later, from 4.
+REPARENT_EDGES = [(0, 1), (0, 2), (0, 3), (3, 4), (2, 4), (1, 4), (4, 3)]
+
+
+def reparent_theory(weights):
+    th = GraphTheory(1, True, 5, [(u, v, j, w) for j, ((u, v), w)
+                                  in enumerate(zip(REPARENT_EDGES, weights))])
+    th.add_atom("reach", (0, 4), len(REPARENT_EDGES))
+    return th
+
+
+def lose_edges(th, eids):
+    """The maximal completion's tree of 0 after losing edges ``eids``, and
+    the one before."""
+    th._values(True)
+    comp = th.completion(True)
+    before = comp.stack[-1][2][("dij", 0)]
+    for eid in eids:
+        th.on_assign(2 * eid + 1)  # edge var eid assigned false
+    th._values(True)
+    return comp.stack[-1][2][("dij", 0)], before, comp.enabled
+
+
+def test_lost_parent_edge_takes_the_least_same_distance_arc(monkeypatch):
+    th = reparent_theory([1] * 7)
+    runs = count_tree_runs(monkeypatch)
+    tree, before, enabled = lose_edges(th, [5])
+    assert before[1][4] == 5
+    assert runs == ["bfs_tree"]  # the tree before the loss, and no other
+    # Arcs 2 -> 4 (edge 4) and 3 -> 4 (edge 3) both keep distance 2; the
+    # lower (tail, eid) wins, as in a cold run, though its id is higher.
+    assert tree[0] is before[0] and tree[1][4] == 4
+    assert tree == bfs_tree(th._adj, th.n, enabled, 0)
+
+
+@pytest.mark.parametrize("weights,lost,runs", [
+    ([1] * 7, [2], ["bfs_tree"]),  # 3's one other in-arc is longer
+    ([1, 1, 1, 1, 1, 1, 0], [5], ["dijkstra_tree"])])  # a zero weight
+def test_lost_parent_edge_without_a_same_distance_arc_runs_cold(
+        monkeypatch, weights, lost, runs):
+    th = reparent_theory(weights)
+    th._values(True)
+    ran = count_tree_runs(monkeypatch)
+    tree, before, enabled = lose_edges(th, lost)
+    assert ran == runs
+    assert tree[0] is not before[0]
+    assert tree == dijkstra_tree(th._adj, th._weights, th.n, enabled, 0)
+
+
 # -- randomized dual-route checks ----------------------------------------------
 
 def theory_atom(g, pred):
