@@ -16,6 +16,11 @@ A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
 them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
 run exactly: forest order, union-find roots, distances and parent edges.
+A maximal completion's forest that loses one forest edge takes in its place
+the least enabled edge leaving the smaller side of the cut, and shares the
+old union-find: each component keeps its nodes, so its root, and path
+halving never changes a root. With no such edge the forest splits (Holm, de
+Lichtenberg and Thorup 2001 give the general dynamic case).
 A maximal completion's tree that loses parent edges keeps its distances
 and re-parents each cut-off node to the in-arc at its old distance that a
 cold run settles first, where every such node has one and no edge weighs 0.
@@ -28,6 +33,7 @@ An explanation reads the path, cut or flow stacked for its trail prefix.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -356,25 +362,26 @@ class GraphTheory(MonotonicTheory):
     def _carried(self, key, old, enabled, moved, maximal):
         """Analysis ``key`` of ``enabled`` from ``old``, the one from before
         the edges ``moved`` changed, or None when a cold run is needed. The
-        minimal completion gains edges: the forest gains them all while
-        each joins two components, a tree stands while no edge (a, b) has
-        d[a] + w <= d[b] (a tie may change a parent edge), and a max flow
-        is augmented from the old one. The maximal completion loses edges:
-        the forest stands while it loses none, and a max flow while no lost
-        edge carried flow or starts in its cut side: that flow is still
-        valid, so still maximal, and every residual arc lost starts
-        unreachable from s. Otherwise the flow on the lost edges is
-        cancelled and the rest augmented. A tree whose lost parent edges
-        each leave their head b an enabled arc (a, b) with d[a] + w == d[b]
-        keeps its distances, and b takes the least such arc in (d[a], a,
-        eid) order, as a cold run does: with every w >= 1 its tail settles
-        before b, so by induction on settle order the tree is a cold run's.
-        The ``d`` list is shared, never written. With a zero weight two
-        heads could take each other, so such a graph runs cold. The
-        gaining side's match, a flow standing while every gained edge
-        starts outside its cut side, is not built: no shipped workload
-        carries a minimal-completion flow. A new forest is diffed with the
-        old one."""
+        minimal completion gains edges: the forest gains them all, in rank
+        order, while each joins two components, a tree stands while no edge
+        (a, b) has d[a] + w <= d[b] (a tie may change a parent edge), and a
+        max flow is augmented from the old one. The maximal completion
+        loses edges: the forest stands while it loses no forest edge, is
+        swapped or split when it loses one (``_swap``) and runs cold when
+        it loses more; a max flow stands while no lost edge carried flow or
+        starts in its cut side: that flow is still valid, so still maximal,
+        and every residual arc lost starts unreachable from s. Otherwise the
+        flow on the lost edges is cancelled and the rest augmented. A tree
+        whose lost parent edges each leave their head b an enabled arc
+        (a, b) with d[a] + w == d[b] keeps its distances, and b takes the
+        least such arc in (d[a], a, eid) order, as a cold run does: with
+        every w >= 1 its tail settles before b, so by induction on settle
+        order the tree is a cold run's. The ``d`` list is shared, never
+        written. With a zero weight two heads could take each other, so
+        such a graph runs cold. The gaining side's match, a flow standing
+        while every gained edge starts outside its cut side, is not built:
+        no shipped workload carries a minimal-completion flow. A new forest
+        is diffed with the old one."""
         edges = self.edges
         if key[0] == "flow":
             lost = ([(edges[eid].u, edges[eid].v, eid) for eid in moved]
@@ -386,8 +393,12 @@ class GraphTheory(MonotonicTheory):
                                 enabled, key[1], key[2], start=old, lost=lost)
         if key == _SPAN:
             if maximal:
-                return old if old.forest_set.isdisjoint(moved) else None
+                lost = old.forest_set.intersection(moved)
+                if len(lost) > 1:
+                    return None
+                return self._swap(old, lost.pop(), enabled) if lost else old
             parent, weight = old.parent[:], old.weight
+            forest = old.forest[:]
             for eid in moved:
                 e = edges[eid]
                 ru, rv = find(parent, e.u), find(parent, e.v)
@@ -395,10 +406,9 @@ class GraphTheory(MonotonicTheory):
                     return None
                 parent[max(ru, rv)] = min(ru, rv)
                 weight += e.weight
-            return SpanResult(old.components - len(moved),
-                              sorted(old.forest + moved,
-                                     key=self._rank.__getitem__),
-                              weight, parent)
+                bisect.insort(forest, eid, key=self._rank.__getitem__)
+            return SpanResult(old.components - len(moved), forest, weight,
+                              parent)
         dist, parent = old  # a ("dij", src) tree, so of a digraph
         if not maximal:
             for eid in moved:
@@ -423,6 +433,48 @@ class GraphTheory(MonotonicTheory):
             if best == INF:
                 return None
         return dist, parent
+
+    def _swap(self, old, eid, enabled):
+        """Forest ``old`` after losing forest edge ``eid`` alone. Both ends
+        grow over forest edges in lockstep until one side, the smaller, is
+        exhausted, so at most twice its size is visited. The least enabled
+        edge leaving it takes the place of ``eid``; with none, a copy of the
+        union-find is flattened and the side without the old root takes its
+        smallest node as its root, as in a cold scan."""
+        adj, fs, rank = self._adj, old.forest_set, self._rank
+        e = self.edges[eid]
+        mark = bytearray(self.n)  # each grown node's side, 1 or 2
+        mark[e.u], mark[e.v] = 1, 2
+        a, b, ka, kb, s = [e.u], [e.v], 0, 0, 1  # a grows next, marked s
+        while ka < len(a):
+            for fid, y in adj[a[ka]]:
+                if not mark[y] and fid in fs:
+                    mark[y] = s
+                    a.append(y)
+            a, b, ka, kb, s = b, a, kb, ka + 1, 3 - s
+        best, low = None, len(rank)  # a is exhausted
+        for x in a:
+            for fid, y in adj[x]:
+                if mark[y] != s and enabled[fid] and rank[fid] < low:
+                    best, low = fid, rank[fid]
+        forest = old.forest[:]
+        forest.remove(eid)
+        if best is not None:  # same nodes per component, so same roots
+            bisect.insort(forest, best, key=rank.__getitem__)
+            return SpanResult(old.components, forest, old.weight - e.weight
+                              + self.edges[best].weight, old.parent)
+        comp = old.parent[:]
+        for x in range(self.n):  # each link points to a smaller node
+            comp[x] = comp[comp[x]]
+        root = comp[e.u]
+        if mark[root] == s:  # the other side takes its smallest node
+            a = [x for x in range(root, self.n)
+                 if comp[x] == root and mark[x] != s]
+        low = min(a)
+        for x in a:
+            comp[x] = low
+        return SpanResult(old.components + 1, forest, old.weight - e.weight,
+                          comp)
 
     def _analysis(self, enabled, analysis, key):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:

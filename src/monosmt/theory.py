@@ -35,6 +35,8 @@ stacked analysis of that generation when there is one.
 
 Propagation is change-driven: each evaluation lists the atoms whose value
 moved, and a scan visits those, in id order; with none, there is no scan.
+A backjump returns to a level that ended at a theory fixpoint, whose
+evaluations top the stacks again, so it leaves no atom to visit.
 
 ``agreed_fill`` names the extreme on which every atom holds at decision level
 0: a true positive or false negative atom holds on the maximal completion, a
@@ -201,8 +203,7 @@ class MonotonicTheory:
                 stack = comp.stack
                 while stack and stack[-1][0] > n:
                     stack.pop()
-        # Implied atoms can be unassigned without any S-atom changing.
-        self._dirty = None
+        self._dirty = set()  # see ``propagate``
 
     def propagate(self):
         """Scan the predicates; returns (implied, conflict_lits).
@@ -219,8 +220,12 @@ class MonotonicTheory:
         still give nothing, so with no changed atom there is no scan. An
         atom the last scan left unassigned was forced by neither extreme, so
         its own assignment since forces no atom until an extreme's value
-        moves; atom vars are therefore not watched. After a backjump or a
-        conflict, visits them all.
+        moves; atom vars are therefore not watched. A backjump, which
+        follows every conflict, returns to a level that ended at a fixpoint
+        of every theory, whose evaluations top the stacks again: an atom
+        unassigned there was forced by neither extreme, so only atoms whose
+        values move afterwards can imply. Only the first scan and the one
+        after ``register_predicate`` visit every atom.
         """
         dirty = self._dirty
         for comp in self._ext if dirty is not None else ():
@@ -231,7 +236,7 @@ class MonotonicTheory:
         implied, conflict = self._scan(
             self._preds if dirty is None
             else [self._preds[i] for i in sorted(dirty)])
-        self._dirty = set() if conflict is None else None
+        self._dirty = set()
         return implied, conflict
 
     def _scan(self, preds):

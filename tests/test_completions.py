@@ -8,13 +8,13 @@ every max flow in a stacked analysis, which was warm-started from an older
 one or kept from it: on each mask it is stacked for, its value and
 residual cut side must be those of a cold ``edmonds_karp``. Every stacked
 spanning forest and shortest-path tree, which may be carried over from an
-older generation, extended from one or re-parented from one, must equal a
-cold ``span_scan`` or ``dijkstra_tree`` on its own generation's mask in every
-field the search reads. Each evaluation must get the newest stacked one as
-its base, and the change list it returns must name exactly the atoms whose
-value differs from that base. Every scan that visits only the dirty atoms
-must imply and conflict exactly as a full rescan of the same trail does.
-The checks run through restarts and backjumps.
+older generation, or extended, swapped, split or re-parented from one,
+must equal a cold ``span_scan`` or ``dijkstra_tree`` on its own generation's
+mask in every field the search reads. Each evaluation must get the newest
+stacked one as its base, and the change list it returns must name exactly
+the atoms whose value differs from that base. Every scan that visits only
+the dirty atoms must imply and conflict exactly as a full rescan of the same
+trail does. The checks run through restarts and backjumps.
 """
 
 import random
@@ -107,6 +107,7 @@ class Checker:
         self.trees = {}
         self.reused = Counter()  # "flow"/"span"/"dij": carried unchanged
         self.reparented = 0  # trees sharing the older one's dist list only
+        self.forests = Counter()  # "swap"/"split": a lost forest edge
         # Per theory class: scans that visited fewer than all atoms,
         # counting a propagate that returned without a scan.
         self.partial = Counter()
@@ -115,6 +116,8 @@ class Checker:
             th.propagate = self._wrap(th, th.propagate)
             th._scan = self._wrap_scan(th, th._scan)
             th.eval_completion = self._wrap_eval(th, th.eval_completion)
+            if isinstance(th, GraphTheory):
+                th._swap = self._wrap_swap(th._swap)
 
     def _wrap(self, th, propagate):
         def checked():
@@ -138,6 +141,14 @@ class Checker:
                 assert scan(th._preds) == result
             return result
         return checked
+
+    def _wrap_swap(self, swap):
+        def counted(old, eid, enabled):
+            new = swap(old, eid, enabled)
+            split = new.components > old.components
+            self.forests["split" if split else "swap"] += 1
+            return new
+        return counted
 
     def _wrap_eval(self, th, eval_completion):
         def checked(maximal, enabled, moved, old, base):
@@ -229,7 +240,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
             + [generators.gen_sched(30, 2, 6, 0)])
     restarts = conflicts = checks = evals = stacked = extended = 0
     reparented = 0
-    reused, partial = Counter(), Counter()
+    reused, partial, forests = Counter(), Counter(), Counter()
     for i, doc in enumerate(docs):
         inst = build_instance(doc)
         solver = inst.solver
@@ -243,6 +254,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
         partial += checker.partial
         reused += checker.reused
         reparented += checker.reparented
+        forests += checker.forests
         cold_ids = {id(span) for span in scanned}
         extended += len({id(t) for t in checker.trees.values()
                          if isinstance(t, SpanResult)} - cold_ids)
@@ -253,6 +265,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
     # Each way of skipping a cold run was taken, and checked.
     assert reused["span"] > 0 and reused["dij"] > 0 and extended > 0
     assert reparented > 0
+    assert forests["swap"] > 0 and forests["split"] > 0
 
 
 def test_stacked_max_flows_match_cold_starts():
@@ -284,6 +297,7 @@ def test_carried_analyses_match_cold_runs_on_random_edge_orders():
     # check that a zero weight runs cold.
     reused = Counter()
     reparented = Counter()
+    forests = Counter()  # "swap"/"split": the maximal forest lost an edge
     cases = ([(seed, 1, 2) for seed in range(300)]
              + [(seed, 1, 1) for seed in range(300, 500, 2)]
              + [(seed, 0, 2) for seed in range(500, 700, 2)])
@@ -322,8 +336,12 @@ def test_carried_analyses_match_cold_runs_on_random_edge_orders():
                     if key[0] == "dij" and key in older:
                         reparented[lo, hi] += (tree is not older[key]
                                                and tree[0] is older[key][0])
+                    elif maximal and key in older and tree is not older[key]:
+                        split = tree.components > older[key].components
+                        forests["split" if split else "swap"] += 1
     assert reused["span"] > 0 and reused["dij"] > 0
     assert reparented[1, 1] > 0 and reparented[1, 2] > 0
+    assert forests["swap"] > 0 and forests["split"] > 0
 
 
 def test_random_documents_of_every_kind():

@@ -67,10 +67,10 @@ def test_reach_isolated_target_empty_cut():
     assert_theory_clause(doc, "UNSAT", (-1,))
 
 
-def count_tree_runs(monkeypatch):
+def count_tree_runs(monkeypatch, names=("bfs_tree", "dijkstra_tree")):
     """The names of the tree routines run from now on, in call order."""
     runs = []
-    for name in ("bfs_tree", "dijkstra_tree"):
+    for name in names:
         def counted(*args, name=name, run=getattr(graphs, name)):
             runs.append(name)
             return run(*args)
@@ -394,16 +394,16 @@ def reparent_theory(weights):
     return th
 
 
-def lose_edges(th, eids):
-    """The maximal completion's tree of 0 after losing edges ``eids``, and
-    the one before."""
+def lose_edges(th, eids, key=("dij", 0)):
+    """The maximal completion's analysis ``key``, by default the tree of 0,
+    after losing edges ``eids``, and the one before."""
     th._values(True)
     comp = th.completion(True)
-    before = comp.stack[-1][2][("dij", 0)]
+    before = comp.stack[-1][2][key]
     for eid in eids:
         th.on_assign(2 * eid + 1)  # edge var eid assigned false
     th._values(True)
-    return comp.stack[-1][2][("dij", 0)], before, comp.enabled
+    return comp.stack[-1][2][key], before, comp.enabled
 
 
 def test_lost_parent_edge_takes_the_least_same_distance_arc(monkeypatch):
@@ -430,6 +430,58 @@ def test_lost_parent_edge_without_a_same_distance_arc_runs_cold(
     assert ran == runs
     assert tree[0] is not before[0]
     assert tree == dijkstra_tree(th._adj, th._weights, th.n, enabled, 0)
+
+
+# Path 0-1-2-3 of unit edges 0-2, and node 4 hangs off 3 by edge 5; edges 3
+# (1, 3) and 4 (0, 2) weigh 2 and cross the cut of edge 1.
+SWAP_EDGES = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 2), (0, 2, 2),
+              (3, 4, 1)]
+
+
+def lose_forest_edges(monkeypatch, eids):
+    """The maximal completion's forest of SWAP_EDGES after losing ``eids``
+    one group at a time, the forest before each, and the span_scan runs
+    made by the losses."""
+    th = GraphTheory(1, False, 5, [(u, v, j, w) for j, (u, v, w)
+                                   in enumerate(SWAP_EDGES)])
+    th.add_atom("components_leq", (1,), len(SWAP_EDGES))
+    th._values(True)
+    runs = count_tree_runs(monkeypatch, ("span_scan",))
+    steps = []
+    for group in eids:
+        span, before, enabled = lose_edges(th, group, ("span",))
+        want = span_scan(th.n, th.edges, th._order, enabled)
+        assert (span.forest, span.components, span.weight) == (
+            want.forest, want.components, want.weight)
+        assert ([find(span.parent, x) for x in range(th.n)]
+                == [find(want.parent, x) for x in range(th.n)])
+        steps.append((span, before))
+    return steps, runs
+
+
+def test_lost_forest_edge_swaps_in_the_least_crossing_edge(monkeypatch):
+    [(span, before)], runs = lose_forest_edges(monkeypatch, [[1]])
+    assert runs == [] and before.forest == [0, 1, 2, 5]
+    # Edges 3 and 4 both leave the exhausted side {0, 1}; the lower id wins.
+    assert span.forest == [0, 2, 5, 3] and span.weight == 5
+    assert span.parent is before.parent  # the same roots, shared
+
+
+def test_lost_bridge_splits_the_forest(monkeypatch):
+    # Once edge 4 is gone, edge 0 cuts off node 0, the old root, which
+    # leaves {1, 2, 3, 4} to its smallest node; edge 5 then cuts off
+    # node 4, away from that root.
+    steps, runs = lose_forest_edges(monkeypatch, [[4], [0], [5]])
+    assert runs == []
+    (kept, old), (cut0, _), (cut5, _) = steps
+    assert kept is old
+    assert (cut0.components, cut5.components) == (2, 3)
+    assert [find(cut5.parent, x) for x in range(5)] == [0, 1, 1, 1, 4]
+
+
+def test_two_lost_forest_edges_scan_cold(monkeypatch):
+    [(span, _)], runs = lose_forest_edges(monkeypatch, [[1, 2]])
+    assert runs == ["span_scan"] and span.forest == [0, 5, 3, 4]
 
 
 # -- randomized dual-route checks ----------------------------------------------

@@ -130,6 +130,33 @@ def test_propagate_is_idempotent_on_unchanged_trail():
     assert again == () and conflict is None
 
 
+def test_backjump_to_a_fixpoint_leaves_no_atom_to_scan(monkeypatch):
+    # The level a backjump restores ended at a theory fixpoint, and its
+    # evaluations are on top of the stacks again: nothing is rescanned, not
+    # after an implication and not after a conflict, until a value moves.
+    solver, th, (a, b), p = toy("any", POSITIVE)
+    assert th.propagate() == ((), None)  # the first scan, of every atom
+    scans = []
+    scan = th._scan
+    monkeypatch.setattr(th, "_scan",
+                        lambda preds: scans.append(len(preds)) or scan(preds))
+    for atom_lit in (None, mk_lit(p, True)):
+        solver.trail_lim.append(len(solver.trail))
+        if atom_lit is not None:
+            solver._enqueue(atom_lit, None)
+        solver._enqueue(mk_lit(a), None)  # the minimal completion gains a
+        implied, conflict = th.propagate()
+        assert (conflict is None) == (atom_lit is None)
+        assert [gen for gen, _, _ in th.completion(False).stack] == [0, 1]
+        solver._cancel_until(0)
+        assert [gen for gen, _, _ in th.completion(False).stack] == [0]
+        del scans[:]
+        assert th.propagate() == ((), None) and scans == []
+    solver.trail_lim.append(len(solver.trail))
+    solver._enqueue(mk_lit(b), None)
+    assert th.propagate() == (((mk_lit(p), 0),), None) and scans == [1]
+
+
 def test_two_predicates_share_argument_vars():
     solver = Solver()
     a, b, p, q = (solver.new_var() for _ in range(4))
