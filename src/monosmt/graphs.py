@@ -15,7 +15,7 @@ minimum spanning tree unique. Unit-weight graphs build those trees with
 A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
 them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
-run exactly: forest order, union-find roots, distances and parent edges.
+run exactly: forest edges, union-find roots, distances and parent edges.
 A maximal completion's forest that loses one forest edge takes in its place
 the least enabled edge leaving the smaller side of the cut, and shares the
 old union-find: each component keeps its nodes, so its root, and path
@@ -33,7 +33,6 @@ An explanation reads the path, cut or flow stacked for its trail prefix.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -109,14 +108,14 @@ def find(parent, x):
 
 
 class SpanResult:
-    """Kruskal scan output: spanning forest in (weight, eid) order."""
+    """Kruskal scan output. ``forest`` is the set of forest edge ids, sorted
+    by rank where its (weight, eid) order is read, and never written."""
 
-    __slots__ = ("components", "forest", "forest_set", "weight", "parent")
+    __slots__ = ("components", "forest", "weight", "parent")
 
     def __init__(self, components, forest, weight, parent):
         self.components = components
         self.forest = forest
-        self.forest_set = set(forest)
         self.weight = weight
         # Union-find over nodes; each root is its component's smallest node.
         self.parent = parent
@@ -126,7 +125,7 @@ def span_scan(n, edges, order, enabled) -> SpanResult:
     """Kruskal's scan of the enabled edges in ``order``, stopping once one
     component is left."""
     parent = list(range(n))
-    forest = []
+    forest = set()
     weight = 0
     components = n
     for eid in order:
@@ -143,7 +142,7 @@ def span_scan(n, edges, order, enabled) -> SpanResult:
             if ru > rv:
                 ru, rv = rv, ru
             parent[rv] = ru
-            forest.append(eid)
+            forest.add(eid)
             weight += e.weight
             components -= 1
             if components == 1:
@@ -345,10 +344,10 @@ class GraphTheory(MonotonicTheory):
         preds = self._atoms
         group = self._mst_atoms
         if group:
-            forest = self._analysis(enabled, analysis, _SPAN).forest_set
+            forest = self._analysis(enabled, analysis, _SPAN).forest
             prev = base.get(_SPAN)
             eids = (group if prev is None
-                    else (forest ^ prev.forest_set).union(moved))
+                    else (forest ^ prev.forest).union(moved))
             preds = [self._preds[aid] for eid in eids
                      for aid in group.get(eid, ())] + preds
         changed = []
@@ -362,9 +361,9 @@ class GraphTheory(MonotonicTheory):
     def _carried(self, key, old, enabled, moved, maximal):
         """Analysis ``key`` of ``enabled`` from ``old``, the one from before
         the edges ``moved`` changed, or None when a cold run is needed. The
-        minimal completion gains edges: the forest gains them all, in rank
-        order, while each joins two components, a tree stands while no edge
-        (a, b) has d[a] + w <= d[b] (a tie may change a parent edge), and a
+        minimal completion gains edges: the forest's edge set gains them all
+        while each joins two components, a tree stands while no edge (a, b)
+        has d[a] + w <= d[b] (a tie may change a parent edge), and a
         max flow is augmented from the old one. The maximal completion
         loses edges: the forest stands while it loses no forest edge, is
         swapped or split when it loses one (``_swap``) and runs cold when
@@ -376,12 +375,12 @@ class GraphTheory(MonotonicTheory):
         (a, b) with d[a] + w == d[b] keeps its distances, and b takes the
         least such arc in (d[a], a, eid) order, as a cold run does: with
         every w >= 1 its tail settles before b, so by induction on settle
-        order the tree is a cold run's. The ``d`` list is shared, never
-        written. With a zero weight two heads could take each other, so
-        such a graph runs cold. The gaining side's match, a flow standing
-        while every gained edge starts outside its cut side, is not built:
-        no shipped workload carries a minimal-completion flow. A new forest
-        is diffed with the old one."""
+        order the tree is a cold run's. The ``d`` list, like a forest's
+        edge set, is shared, never written. With a zero weight two heads
+        could take each other, so such a graph runs cold. The gaining side's
+        match, a flow standing while every gained edge starts outside its
+        cut side, is not built: no shipped workload carries a
+        minimal-completion flow. A new forest is diffed with the old one."""
         edges = self.edges
         if key[0] == "flow":
             lost = ([(edges[eid].u, edges[eid].v, eid) for eid in moved]
@@ -393,12 +392,11 @@ class GraphTheory(MonotonicTheory):
                                 enabled, key[1], key[2], start=old, lost=lost)
         if key == _SPAN:
             if maximal:
-                lost = old.forest_set.intersection(moved)
+                lost = old.forest.intersection(moved)
                 if len(lost) > 1:
                     return None
                 return self._swap(old, lost.pop(), enabled) if lost else old
             parent, weight = old.parent[:], old.weight
-            forest = old.forest[:]
             for eid in moved:
                 e = edges[eid]
                 ru, rv = find(parent, e.u), find(parent, e.v)
@@ -406,9 +404,8 @@ class GraphTheory(MonotonicTheory):
                     return None
                 parent[max(ru, rv)] = min(ru, rv)
                 weight += e.weight
-                bisect.insort(forest, eid, key=self._rank.__getitem__)
-            return SpanResult(old.components - len(moved), forest, weight,
-                              parent)
+            return SpanResult(old.components - len(moved),
+                              old.forest.union(moved), weight, parent)
         dist, parent = old  # a ("dij", src) tree, so of a digraph
         if not maximal:
             for eid in moved:
@@ -438,10 +435,11 @@ class GraphTheory(MonotonicTheory):
         """Forest ``old`` after losing forest edge ``eid`` alone. Both ends
         grow over forest edges in lockstep until one side, the smaller, is
         exhausted, so at most twice its size is visited. The least enabled
-        edge leaving it takes the place of ``eid``; with none, a copy of the
-        union-find is flattened and the side without the old root takes its
-        smallest node as its root, as in a cold scan."""
-        adj, fs, rank = self._adj, old.forest_set, self._rank
+        edge leaving it takes the place of ``eid`` in a new edge set; with
+        none, a copy of the union-find is flattened and the side without the
+        old root takes its smallest node as its root, as in a cold scan.
+        ``old`` is never written."""
+        adj, fs, rank = self._adj, old.forest, self._rank
         e = self.edges[eid]
         mark = bytearray(self.n)  # each grown node's side, 1 or 2
         mark[e.u], mark[e.v] = 1, 2
@@ -457,10 +455,9 @@ class GraphTheory(MonotonicTheory):
             for fid, y in adj[x]:
                 if mark[y] != s and enabled[fid] and rank[fid] < low:
                     best, low = fid, rank[fid]
-        forest = old.forest[:]
-        forest.remove(eid)
+        forest = fs - {eid}
         if best is not None:  # same nodes per component, so same roots
-            bisect.insort(forest, best, key=rank.__getitem__)
+            forest.add(best)
             return SpanResult(old.components, forest, old.weight - e.weight
                               + self.edges[best].weight, old.parent)
         comp = old.parent[:]
@@ -500,7 +497,7 @@ class GraphTheory(MonotonicTheory):
         if kind == "mst_edge":
             eid = payload[0]
             return (not enabled[eid] or eid in self._analysis(
-                enabled, analysis, _SPAN).forest_set)
+                enabled, analysis, _SPAN).forest)
         if kind == "reach":
             u, v = payload
             return self._analysis(enabled, analysis, ("dij", u))[0][v] != INF
@@ -558,8 +555,8 @@ class GraphTheory(MonotonicTheory):
     def _support(self, pred, enabled, analysis):
         """Edge ids that make a reach, distance, flow or spanning-tree atom
         hold on ``enabled``: the shortest path from v back to u, the edges
-        carrying the max flow in id order, or the forest in (weight, eid)
-        order."""
+        carrying the max flow in id order, or the forest edge set sorted
+        into (weight, eid) order."""
         kind, payload = pred.kind, pred.payload
         if kind in ("reach", "distance_leq"):
             u, v = payload[0], payload[1]
@@ -569,7 +566,8 @@ class GraphTheory(MonotonicTheory):
             flow = self._analysis(enabled, analysis,
                                   ("flow", payload[0], payload[1])).flow
             return [eid for eid, f in enumerate(flow) if f > 0]
-        return self._analysis(enabled, analysis, _SPAN).forest
+        return sorted(self._analysis(enabled, analysis, _SPAN).forest,
+                      key=self._rank.__getitem__)
 
     def _tree_path(self, parent, u, v):
         """Edge ids walking parent edges from v back to u."""
@@ -604,7 +602,7 @@ class GraphTheory(MonotonicTheory):
         # tree, those whose ends the forest joins only through a heavier
         # edge. Equal weight does not lighten it.
         parent = list(range(self.n))
-        forest = span.forest  # in (weight, eid) order
+        forest = sorted(span.forest, key=self._rank.__getitem__)
         merged = 0
         out = []
         for eid in self._order:

@@ -119,7 +119,7 @@ class MonotonicTheory:
         self.slot_vars: list[int] = []  # mask slot -> S-var
         # Indexed by ``maximal``: (minimal, maximal).
         self._ext = (Completion(False), Completion(True))
-        self._dirty = None  # atom ids the next scan visits; None: all
+        self._dirty = set()  # atom ids the next scan visits, new ones too
 
     # -- registration ---------------------------------------------------
 
@@ -156,7 +156,8 @@ class MonotonicTheory:
         if self.solver is not None:
             for comp in self._ext:
                 comp.stack.clear()
-            self._dirty = None
+            self._dirty.update(range(atom_id))
+        self._dirty.add(atom_id)
         return atom_id
 
     def attach(self, solver) -> None:
@@ -227,15 +228,13 @@ class MonotonicTheory:
         values move afterwards can imply. Only the first scan and the one
         after ``register_predicate`` visit every atom.
         """
-        dirty = self._dirty
-        for comp in self._ext if dirty is not None else ():
+        for comp in self._ext:
             if comp.stack:  # empty: unread, so no clean atom needs it
                 self._values(comp.maximal)
-        if dirty is not None and not dirty:
+        if not self._dirty:
             return (), None
         implied, conflict = self._scan(
-            self._preds if dirty is None
-            else [self._preds[i] for i in sorted(dirty)])
+            [self._preds[i] for i in sorted(self._dirty)])
         self._dirty = set()
         return implied, conflict
 
@@ -292,8 +291,7 @@ class MonotonicTheory:
             values, analysis, changed = self.eval_completion(
                 maximal, comp.enabled, comp.log[gen:], old, base)
             stack.append((len(comp.log), values, analysis))
-            if self._dirty is not None:
-                self._dirty.update(changed)
+            self._dirty.update(changed)
         return stack[-1][1]
 
     def explain(self, atom_id: int, lit: int) -> list[int]:

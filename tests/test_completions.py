@@ -54,7 +54,6 @@ def assert_same_tree(th, got, want):
     """A stacked forest or shortest-path tree equals a cold one."""
     if isinstance(want, SpanResult):
         assert got.forest == want.forest
-        assert got.forest_set == want.forest_set
         assert (got.components, got.weight) == (want.components, want.weight)
         assert ([find(got.parent, x) for x in range(th.n)]
                 == [find(want.parent, x) for x in range(th.n)])

@@ -347,8 +347,7 @@ def test_span_scan_matches_reference_kruskal():
         span = span_scan(n, edges, order, enabled)
         forest, components, weight, label = reference_kruskal(n, edges,
                                                               enabled)
-        assert span.forest == forest, i
-        assert span.forest_set == set(forest)
+        assert span.forest == set(forest), i
         assert (span.components, span.weight) == (components, weight)
         assert [find(span.parent, x) for x in range(n)] == label, i
 
@@ -461,9 +460,9 @@ def lose_forest_edges(monkeypatch, eids):
 
 def test_lost_forest_edge_swaps_in_the_least_crossing_edge(monkeypatch):
     [(span, before)], runs = lose_forest_edges(monkeypatch, [[1]])
-    assert runs == [] and before.forest == [0, 1, 2, 5]
+    assert runs == [] and before.forest == {0, 1, 2, 5}
     # Edges 3 and 4 both leave the exhausted side {0, 1}; the lower id wins.
-    assert span.forest == [0, 2, 5, 3] and span.weight == 5
+    assert span.forest == {0, 2, 3, 5} and span.weight == 5
     assert span.parent is before.parent  # the same roots, shared
 
 
@@ -481,7 +480,7 @@ def test_lost_bridge_splits_the_forest(monkeypatch):
 
 def test_two_lost_forest_edges_scan_cold(monkeypatch):
     [(span, _)], runs = lose_forest_edges(monkeypatch, [[1, 2]])
-    assert runs == ["span_scan"] and span.forest == [0, 5, 3, 4]
+    assert runs == ["span_scan"] and span.forest == {0, 3, 4, 5}
 
 
 # -- randomized dual-route checks ----------------------------------------------
@@ -554,3 +553,23 @@ def test_witness_lines_payloads():
                     [("maxflow_geq", (0, 1, 2))], [[1], [2]])
     code, lines = run_solve(doc, witness=True)
     assert lines[2] == "w maxflow_geq 1 0 1 2 : 0 1 3"
+
+
+def test_mst_weight_witness_lists_the_forest_by_weight_not_id():
+    # Edge var 2 weighs less than var 1, so the tree lists it first.
+    doc = graph_doc(False, 3, [(0, 1, 4), (1, 2, 2)],
+                    [("mst_weight_leq", (None,))], [[3]])
+    code, lines = run_solve(doc, witness=True)
+    assert code == 10
+    assert lines[2] == "w mst_weight_leq 1 inf : 2 1"
+
+
+def test_mst_weight_improving_edges_merge_the_forest_by_weight():
+    # The forest {0, 1} weighs 10. Edge 2 (weight 5) could replace edge 0
+    # (weight 9); edge 3 joins nodes 1 and 2, which the lighter edge 1
+    # already joins. Merging the forest in id order would put edge 0,
+    # too heavy to merge, ahead of edge 1, and name edge 3 too.
+    th = GraphTheory(1, False, 3, [(0, 1, 0, 9), (1, 2, 1, 1), (0, 2, 2, 5),
+                                   (1, 2, 3, 3)])
+    enabled = bytearray([1, 1, 0, 0])
+    assert th._mst_weight_neg_slots(enabled, [2, 3], {}) == [2]
