@@ -304,6 +304,34 @@ def test_argument_validation():
             GraphTheory(4, True, 2, [(u, v, 0, 1)])
 
 
+# A self-loop (eid 2), parallel edges between 0 and 1 in both directions
+# (eids 0, 3 and 5), tied weights and a zero weight, listed out of head order.
+TABLE_EDGES = [(0, 1, 0, 3), (2, 0, 1, 1), (1, 1, 2, 3), (1, 0, 3, 0),
+               (2, 1, 4, 1), (0, 1, 5, 3), (0, 2, 6, 2)]
+
+
+@pytest.mark.parametrize("directed", [True, False],
+                         ids=["directed", "undirected"])
+def test_construction_tables_order(directed):
+    th = GraphTheory(1, directed, 3, TABLE_EDGES)
+    m = len(TABLE_EDGES)
+    for x in range(3):
+        out = [(eid, v) for eid, (u, v, _, _) in enumerate(TABLE_EDGES)
+               if u == x]
+        back = [(eid, u) for eid, (u, v, _, _) in enumerate(TABLE_EDGES)
+                if v == x]
+        adj = out if directed else out + back
+        assert th._adj[x] == sorted(adj, key=lambda p: (p[1], p[0])), x
+        arcs = ([(eid, head, True) for eid, head in out]
+                + [(eid, head, False) for eid, head in back])
+        assert th._flow_adj[x] == sorted(
+            arcs, key=lambda p: (p[1], p[0], not p[2])), x
+    assert th._order == sorted(range(m),
+                               key=lambda i: (TABLE_EDGES[i][3], i))
+    assert th._order == [3, 1, 4, 6, 0, 2, 5]
+    assert [th._order[r] for r in th._rank] == list(range(m))
+
+
 # -- pure helpers ---------------------------------------------------------------
 
 def test_span_scan_tie_break_by_edge_id():
