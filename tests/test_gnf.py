@@ -147,6 +147,47 @@ def test_graph_errors():
         "p gnf 1 0\nugraph 2 2 1\nedge 1 0 1 1\nedge 1 1 0 1\n"))
 
 
+# Graph 1 has room for one more edge, graph 2 for none, and var 3 is an
+# atom; each line of BAD_EDGES, appended as line 6, breaks the rules named
+# beside it. Where it breaks several, the message names the first rule
+# the parser checks.
+EDGE_ROOM = """p gnf 4 0
+ugraph 3 2 1
+edge 1 0 1 1
+digraph 2 0 2
+components_leq 1 1 3
+"""
+BAD_EDGES = [
+    ("edge 1 0 x 2", "edge expects integers, got ['1', '0', 'x', '2']"),
+    ("edge 1 0 1", "edge expects <gid> <u> <v> <var> [<w>]"),
+    ("edge 1 0 1 2 1 1", "edge expects <gid> <u> <v> <var> [<w>]"),
+    ("edge 9 0 1 2", "graph 9 not declared"),
+    ("edge 2 0 1 2", "graph 2 declared 0 edges"),
+    ("edge 1 1 2 1", "var 1 already an edge of graph 1"),
+    ("edge 1 1 2 5", "var 5 out of range 1..4"),
+    ("edge 1 1 2 3", "var 3 is already a predicate atom (line 5)"),
+    ("edge 1 1 3 2", "edge endpoint out of range"),
+    ("edge 1 1 2 2 -1", "negative edge weight"),
+    # Two rules broken: integers, graph, count, endpoint, weight, var.
+    ("edge 9 x 1 2", "edge expects integers, got ['9', 'x', '1', '2']"),
+    ("edge 2 0 5 2", "graph 2 declared 0 edges"),
+    ("edge 1 1 3 5", "edge endpoint out of range"),
+    ("edge 1 1 2 1 -1", "negative edge weight"),
+    ("edge 1 1 2 3 -1", "negative edge weight"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_EDGES)
+def test_edge_line_errors_keep_their_text_and_line(line, message):
+    e = err(EDGE_ROOM + line + "\n")
+    assert str(e) == "line 6: " + message and e.line == 6
+
+
+def test_edge_line_before_the_header():
+    e = err("c graph first\nedge 1 0 1 1\np gnf 1 0\n")
+    assert str(e) == "line 2: content before 'p gnf' header" and e.line == 2
+
+
 def test_predicate_errors():
     assert "graph 1 is directed" in str(err(
         "p gnf 1 0\ndigraph 2 0 1\ncomponents_leq 1 1 1\n"))
