@@ -51,7 +51,7 @@ class GnfError(Exception):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeDecl:
     gid: int
     u: int
@@ -68,7 +68,7 @@ class GraphDecl:
     edges: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskDecl:
     pid: int
     arrival: int
@@ -83,7 +83,7 @@ class ProcDecl:
     tasks: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class PredDecl:
     kind: str
     owner: int  # gid or pid
@@ -197,7 +197,28 @@ def parse(text: str) -> GnfDocument:
     def declare(head, args, ln):
         """Read one declaration line. The shared ``check_*`` rules raise
         ValueError, which the caller reports at line ``ln``."""
-        if head in ("digraph", "ugraph"):
+        if head == "edge":  # the most common declaration, read inline
+            if len(args) not in (4, 5):
+                raise GnfError("edge expects <gid> <u> <v> <var> [<w>]", ln)
+            try:
+                gid, u, v, var, *weight = map(int, args)
+            except ValueError:
+                raise GnfError("edge expects integers, got %r" % (args,), ln)
+            g = doc.graphs.get(gid) or get_graph(gid, ln)  # or raises
+            if len(g.edges) >= declared_edges[gid]:
+                raise GnfError("graph %d declared %d edges"
+                               % (gid, declared_edges[gid]), ln)
+            weight = weight[0] if weight else 1
+            check_edge(g.n, u, v, weight)
+            if var in edge_vars[gid]:
+                raise GnfError("var %d already an edge of graph %d"
+                               % (var, gid), ln)
+            if not 1 <= var <= doc.nvars or var in pvar_lines:
+                new_svar(var, ln)  # raises with the rule's message
+            svar_lines.setdefault(var, ln)
+            edge_vars[gid].add(var)
+            g.edges.append(EdgeDecl(gid, u, v, var, weight))
+        elif head in ("digraph", "ugraph"):
             if len(args) != 3:
                 raise GnfError("%s expects <n> <m> <gid>" % head, ln)
             n, m, gid = _ints(args, ln, head)
@@ -207,34 +228,20 @@ def parse(text: str) -> GnfDocument:
             doc.graphs[gid] = GraphDecl(gid, head == "digraph", n)
             declared_edges[gid] = m
             edge_vars[gid] = set()
-        elif head == "edge":
-            if len(args) not in (4, 5):
-                raise GnfError("edge expects <gid> <u> <v> <var> [<w>]", ln)
-            vals = _ints(args, ln, "edge")
-            gid, u, v, var = vals[:4]
-            weight = vals[4] if len(vals) == 5 else 1
-            g = get_graph(gid, ln)
-            if len(g.edges) >= declared_edges[gid]:
-                raise GnfError("graph %d declared %d edges"
-                               % (gid, declared_edges[gid]), ln)
-            check_edge(g.n, u, v, weight)
-            if var in edge_vars[gid]:
-                raise GnfError("var %d already an edge of graph %d"
-                               % (var, gid), ln)
-            new_svar(var, ln)
-            edge_vars[gid].add(var)
-            g.edges.append(EdgeDecl(gid, u, v, var, weight))
         elif head in PREDICATES:
             owner, names = PREDICATES[head]
             if len(args) != len(names) + 2:
                 raise GnfError(_usage(head), ln)
+            # A C|inf bound, always the last argument, may read "inf".
+            inf = "C|inf" in names and args[-2] == "inf"
             try:
-                oid, *vals, var = [
-                    None if t == "inf" and name == "C|inf" else int(t)
-                    for t, name in zip(args, ("id", *names, "var"))]
+                oid, *vals, var = map(int, (args[:-2] + args[-1:] if inf
+                                            else args))
             except ValueError:
                 raise GnfError("%s expects integers, got %r" % (head, args),
                                ln)
+            if inf:
+                vals.append(None)
             n = 0
             if owner == "processor":
                 if oid not in doc.procs:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .gnf import check_edge, check_graph, check_pred
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
@@ -42,7 +43,7 @@ from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 INF = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EdgeSpec:
     u: int
     v: int
@@ -299,12 +300,14 @@ class GraphTheory(MonotonicTheory):
                 self._adj[e.v].append((eid, e.u))
             self._flow_adj[e.u].append((eid, e.v, True))
             self._flow_adj[e.v].append((eid, e.u, False))
-        for lst in self._adj:
-            lst.sort(key=lambda p: (p[1], p[0]))
-        for lst in self._flow_adj:
-            lst.sort(key=lambda p: (p[1], p[0], not p[2]))
+        # Each list is in eid order, an edge's forward arc before its
+        # backward one, so a stable sort by head gives (head, eid, forward
+        # first) order, as a stable sort by weight gives (weight, eid).
+        head = itemgetter(1)
+        for lst in self._adj + self._flow_adj:
+            lst.sort(key=head)
         self._order = sorted(range(len(self.edges)),
-                             key=lambda i: (self._weights[i], i))
+                             key=self._weights.__getitem__)
         self._rank = sorted(range(len(self.edges)),  # eid -> its place
                             key=self._order.__getitem__)
         self._mst_atoms = {}  # eid -> its mst_edge atom ids, one group

@@ -28,7 +28,7 @@ from .sat import TRUE, UNDEF
 from .theory import MonotonicTheory, NEGATIVE
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TaskSpec:
     tid: int
     var: int
