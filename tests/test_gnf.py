@@ -148,9 +148,9 @@ def test_graph_errors():
 
 
 # Graph 1 has room for one more edge, graph 2 for none, and var 3 is an
-# atom; each line of BAD_EDGES, appended as line 6, breaks the rules named
-# beside it. Where it breaks several, the message names the first rule
-# the parser checks.
+# atom. Each line of BAD_EDGES, appended as line 6, breaks one edge rule
+# and is reported with the message beside it. Other edge tests match a
+# part of a message; these pin all of it.
 EDGE_ROOM = """p gnf 4 0
 ugraph 3 2 1
 edge 1 0 1 1
@@ -168,7 +168,8 @@ BAD_EDGES = [
     ("edge 1 1 2 3", "var 3 is already a predicate atom (line 5)"),
     ("edge 1 1 3 2", "edge endpoint out of range"),
     ("edge 1 1 2 2 -1", "negative edge weight"),
-    # Two rules broken: integers, graph, count, endpoint, weight, var.
+    # These break two rules; the message names the first one checked, in
+    # the order: integers, graph, edge count, endpoints, weight, var.
     ("edge 9 x 1 2", "edge expects integers, got ['9', 'x', '1', '2']"),
     ("edge 2 0 5 2", "graph 2 declared 0 edges"),
     ("edge 1 1 3 5", "edge endpoint out of range"),
