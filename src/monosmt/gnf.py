@@ -24,10 +24,19 @@ Graphs and processors must be declared before their members; mst_edge must
 follow the edge it names. Atom vars are globally unique and distinct from
 every edge and task var. Edge vars may repeat across graphs but not within
 one; the same holds for task vars across processors.
+
+`parse` reads clause lines `CLAUSE_BLOCK` at a time, with one `map(int,
+...)` per block, when every line of the block is a clause that the per-line
+reader would accept (see `_clause_block`). Any other block goes through that
+reader, the only one to report a clause error. No line is tried in two
+blocks, and a block, not the whole clause tail, bounds the memory the
+conversion holds.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 # Predicate kind -> (the declaration of its owner, the names of its
 # arguments between the owner id and the atom var). A bound is named C, and
@@ -41,6 +50,15 @@ PREDICATES = {
     "mst_edge": ("ugraph", ("edgeVar",)),
     "schedulable": ("processor", ()),
 }
+
+
+# The number of lines that parse tries to read as clauses at once. 512
+# lines convert almost as fast as the whole clause tail, for a small part
+# of its transient memory.
+CLAUSE_BLOCK = 512
+# Lines of ASCII digits, minus signs and blanks, each ending in a 0 token.
+_CLAUSE_LINE = r"[-0-9 \t]*(?<![^ \t\n])0[ \t]*"
+_CLAUSE_LINES = re.compile(r"%s(?:\n%s)*" % (_CLAUSE_LINE, _CLAUSE_LINE))
 
 
 class GnfError(Exception):
@@ -156,6 +174,33 @@ def _ints(tokens, ln, what):
         return [int(t) for t in tokens]
     except ValueError:
         raise GnfError("%s expects integers, got %r" % (what, tokens), ln)
+
+
+def _clause_block(lines, nvars):
+    """Return the clauses of ``lines``, or None unless every line is a
+    clause that the per-line reader accepts. Each line must match the
+    pattern, every token must be an int, which leaves only ASCII integers,
+    and there must be as many zeros as lines, so that the 0 ending each
+    line is its only one. The last check is the per-line range rule. The
+    clauses are then the runs of ints between the zeros."""
+    text = "\n".join(lines)
+    if _CLAUSE_LINES.fullmatch(text) is None:
+        return None
+    try:
+        ints = list(map(int, text.split()))
+    except ValueError:  # a token such as "1-2" or "-"
+        return None
+    if (ints.count(0) != len(lines)
+            or min(ints) < -nvars or max(ints) > nvars):
+        return None
+    clauses = []
+    start = 0
+    index = ints.index
+    for _ in lines:
+        end = index(0, start)
+        clauses.append(ints[start:end])
+        start = end + 1
+    return clauses
 
 
 def parse(text: str) -> GnfDocument:
@@ -282,13 +327,25 @@ def parse(text: str) -> GnfDocument:
             raise GnfError("unknown declaration %r" % head, ln)
 
     add_clause = doc.clauses.append
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    rows = enumerate(lines, start=1)
+    block_end = 0  # lines up to this one were tried in a block
+    for ln, raw in rows:
         tokens = raw.split()
         if not tokens:
             continue
         head = tokens[0]
         # Most lines are clauses; one before the header is reported below.
         if head.lstrip("-").isdigit() and declared_clauses is not None:
+            if ln > block_end:
+                block_end = ln - 1 + CLAUSE_BLOCK
+                block = lines[ln - 1:block_end]
+                clauses = _clause_block(block, nvars)
+                if clauses is not None:
+                    doc.clauses.extend(clauses)
+                    skip = len(block) - 1
+                    next(islice(rows, skip, skip), None)
+                    continue
             try:
                 lits = list(map(int, tokens))
             except ValueError:
