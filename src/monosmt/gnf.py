@@ -326,7 +326,6 @@ def parse(text: str) -> GnfDocument:
         else:
             raise GnfError("unknown declaration %r" % head, ln)
 
-    add_clause = doc.clauses.append
     lines = text.splitlines()
     rows = enumerate(lines, start=1)
     block_end = 0  # lines up to this one were tried in a block
@@ -346,17 +345,14 @@ def parse(text: str) -> GnfDocument:
                     skip = len(block) - 1
                     next(islice(rows, skip, skip), None)
                     continue
-            try:
-                lits = list(map(int, tokens))
-            except ValueError:
-                raise GnfError("clause expects integers, got %r" % tokens, ln)
+            lits = _ints(tokens, ln, "clause")
             if lits.pop() != 0:
                 raise GnfError("clause not terminated by 0", ln)
             if 0 in lits:
                 raise GnfError("0 inside clause", ln)
-            if lits and (max(lits) > nvars or min(lits) < -nvars):
-                check_var(next(abs(l) for l in lits if abs(l) > nvars), ln)
-            add_clause(lits.copy())  # an exact-size copy of an 8-slot list
+            for lit in lits:
+                check_var(abs(lit), ln)
+            doc.clauses.append(lits)
             continue
         if head == "c":
             if len(tokens) >= 3 and tokens[1] == "meta":

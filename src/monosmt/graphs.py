@@ -287,7 +287,6 @@ class GraphTheory(MonotonicTheory):
         self._weights = [e.weight for e in self.edges]
         self._unit = all(w == 1 for w in self._weights)
         self._positive = 0 not in self._weights  # so trees re-parent
-        self._adj = [[] for _ in range(n)]
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
             check_edge(n, e.u, e.v, e.weight)
@@ -295,17 +294,17 @@ class GraphTheory(MonotonicTheory):
                 raise ValueError("edge var %d used twice in graph %d"
                                  % (e.var, gid))
             self.add_s_var(e.var)  # its slot is eid
-            self._adj[e.u].append((eid, e.v))
-            if not directed:
-                self._adj[e.v].append((eid, e.u))
             self._flow_adj[e.u].append((eid, e.v, True))
             self._flow_adj[e.v].append((eid, e.u, False))
         # Each list is in eid order, an edge's forward arc before its
         # backward one, so a stable sort by head gives (head, eid, forward
         # first) order, as a stable sort by weight gives (weight, eid).
+        # Traversals follow a digraph's forward arcs, a ugraph's every arc.
         head = itemgetter(1)
-        for lst in self._adj + self._flow_adj:
+        for lst in self._flow_adj:
             lst.sort(key=head)
+        self._adj = [[(eid, w) for eid, w, fwd in lst if fwd or not directed]
+                     for lst in self._flow_adj]
         self._order = sorted(range(len(self.edges)),
                              key=self._weights.__getitem__)
         self._rank = sorted(range(len(self.edges)),  # eid -> its place
@@ -674,9 +673,5 @@ class GraphTheory(MonotonicTheory):
             flow = self._analysis(enabled, analysis, ("flow", s, t)).flow
             return [x for eid in support
                     for x in (edges[eid].u, edges[eid].v, flow[eid])]
-        nodes = [pred.payload[1]]
-        for eid in support:
-            e = edges[eid]
-            nodes.append(e.u if e.v == nodes[-1] else e.v)
-        nodes.reverse()
-        return nodes
+        # A digraph path: each arc's head is the next node from u.
+        return [pred.payload[0]] + [edges[eid].v for eid in reversed(support)]
