@@ -11,7 +11,7 @@ import gc
 from .sat import Solver, SAT, mk_lit
 from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
-from .gnf import GnfDocument, PREDICATES
+from .gnf import GnfDocument, PREDICATES, check_var
 
 
 def internal_lit(dimacs: int) -> int:
@@ -26,12 +26,13 @@ def dimacs_lit(lit: int) -> int:
 class Instance:
     """A document together with its solver and theory objects."""
 
-    def __init__(self, doc, solver, theories, atoms, ok):
+    ok = property(lambda self: self.solver.ok)  # False once UNSAT at level 0
+
+    def __init__(self, doc, solver, theories, atoms):
         self.doc = doc
         self.solver = solver
         self.theories = theories  # graphs, then processors, in doc order
         self.atoms = atoms  # (theory, binding) per doc predicate
-        self.ok = ok  # False when clause loading already hit a contradiction
 
 
 def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
@@ -47,6 +48,14 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
 
 
 def _build(doc, seed, observer):
+    # The parser checks each var; a document built in code is checked here.
+    svars = [e.var for g in doc.graphs.values() for e in g.edges]
+    svars += [t.var for p in doc.procs.values() for t in p.tasks]
+    svars += [p.var for p in doc.preds]
+    svars += [p.args[0] for p in doc.preds if p.kind == "mst_edge"]
+    if svars and (min(svars) < 1 or max(svars) > doc.nvars):
+        for v in svars:
+            check_var(v, doc.nvars)
     solver = Solver(seed=seed, observer=observer)
     solver.new_vars(doc.nvars)
     graphs = {gid: GraphTheory(gid, g.directed, g.n,
@@ -67,13 +76,11 @@ def _build(doc, seed, observer):
     theories = list(graphs.values()) + list(procs.values())
     for th in theories:
         solver.attach_theory(th)
-    ok = True
     for clause in doc.clauses:  # internal_lit, inlined
         if not solver.add_clause([l + l - 2 if l > 0 else -l - l - 1
                                   for l in clause]):
-            ok = False
             break
-    return Instance(doc, solver, theories, atoms, ok)
+    return Instance(doc, solver, theories, atoms)
 
 
 def solve_doc(doc: GnfDocument, seed=0, observer=None):

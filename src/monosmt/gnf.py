@@ -139,6 +139,12 @@ def check_edge(n, u, v, weight):
         raise ValueError("negative edge weight")
 
 
+def check_var(var, nvars):
+    """Reject a var that is not one of a document's ``nvars`` vars."""
+    if not 1 <= var <= nvars:
+        raise ValueError("var %d out of range 1..%d" % (var, nvars))
+
+
 def check_task(arrival, duration):
     """Reject a task that GNF does not allow."""
     if arrival < 0 or duration < 1:
@@ -212,19 +218,15 @@ def parse(text: str) -> GnfDocument:
     svar_lines = {}  # var -> first declaring line
     pvar_lines = {}
 
-    def check_var(v, ln):
-        if not 1 <= v <= doc.nvars:
-            raise GnfError("var %d out of range 1..%d" % (v, doc.nvars), ln)
-
     def new_svar(v, ln):
-        check_var(v, ln)
+        check_var(v, doc.nvars)
         if v in pvar_lines:
             raise GnfError("var %d is already a predicate atom (line %d)"
                            % (v, pvar_lines[v]), ln)
         svar_lines.setdefault(v, ln)
 
     def new_pvar(v, ln):
-        check_var(v, ln)
+        check_var(v, doc.nvars)
         if v in svar_lines:
             raise GnfError("var %d is already an edge or task var (line %d)"
                            % (v, svar_lines[v]), ln)
@@ -329,52 +331,52 @@ def parse(text: str) -> GnfDocument:
     lines = text.splitlines()
     rows = enumerate(lines, start=1)
     block_end = 0  # lines up to this one were tried in a block
-    for ln, raw in rows:
-        tokens = raw.split()
-        if not tokens:
-            continue
-        head = tokens[0]
-        # Most lines are clauses; one before the header is reported below.
-        if head.lstrip("-").isdigit() and declared_clauses is not None:
-            if ln > block_end:
-                block_end = ln - 1 + CLAUSE_BLOCK
-                block = lines[ln - 1:block_end]
-                clauses = _clause_block(block, nvars)
-                if clauses is not None:
-                    doc.clauses.extend(clauses)
-                    skip = len(block) - 1
-                    next(islice(rows, skip, skip), None)
-                    continue
-            lits = _ints(tokens, ln, "clause")
-            if lits.pop() != 0:
-                raise GnfError("clause not terminated by 0", ln)
-            if 0 in lits:
-                raise GnfError("0 inside clause", ln)
-            for lit in lits:
-                check_var(abs(lit), ln)
-            doc.clauses.append(lits)
-            continue
-        if head == "c":
-            if len(tokens) >= 3 and tokens[1] == "meta":
-                doc.meta[tokens[2]] = tokens[3:]
-            continue
-        if head == "p":
-            if declared_clauses is not None:
-                raise GnfError("duplicate header", ln)
-            if len(tokens) != 4 or tokens[1] != "gnf":
-                raise GnfError("header must be 'p gnf <vars> <clauses>'", ln)
-            nvars, nclauses = _ints(tokens[2:], ln, "header")
-            if nvars < 0 or nclauses < 0:
-                raise GnfError("negative counts in header", ln)
-            doc.nvars = nvars
-            declared_clauses = nclauses
-            continue
-        if declared_clauses is None:
-            raise GnfError("content before 'p gnf' header", ln)
-        try:
+    try:
+        for ln, raw in rows:
+            tokens = raw.split()
+            if not tokens:
+                continue
+            head = tokens[0]
+            # Most lines are clauses; one before the header is reported below.
+            if head.lstrip("-").isdigit() and declared_clauses is not None:
+                if ln > block_end:
+                    block_end = ln - 1 + CLAUSE_BLOCK
+                    block = lines[ln - 1:block_end]
+                    clauses = _clause_block(block, nvars)
+                    if clauses is not None:
+                        doc.clauses.extend(clauses)
+                        skip = len(block) - 1
+                        next(islice(rows, skip, skip), None)
+                        continue
+                lits = _ints(tokens, ln, "clause")
+                if lits.pop() != 0:
+                    raise GnfError("clause not terminated by 0", ln)
+                if 0 in lits:
+                    raise GnfError("0 inside clause", ln)
+                for lit in lits:
+                    check_var(abs(lit), nvars)
+                doc.clauses.append(lits)
+                continue
+            if head == "c":
+                if len(tokens) >= 3 and tokens[1] == "meta":
+                    doc.meta[tokens[2]] = tokens[3:]
+                continue
+            if head == "p":
+                if declared_clauses is not None:
+                    raise GnfError("duplicate header", ln)
+                if len(tokens) != 4 or tokens[1] != "gnf":
+                    raise GnfError("header must be 'p gnf <vars> <clauses>'", ln)
+                nvars, nclauses = _ints(tokens[2:], ln, "header")
+                if nvars < 0 or nclauses < 0:
+                    raise GnfError("negative counts in header", ln)
+                doc.nvars = nvars
+                declared_clauses = nclauses
+                continue
+            if declared_clauses is None:
+                raise GnfError("content before 'p gnf' header", ln)
             declare(head, tokens[1:], ln)
-        except ValueError as exc:
-            raise GnfError(str(exc), ln) from None
+    except ValueError as exc:
+        raise GnfError(str(exc), ln) from None
 
     if declared_clauses is None:
         raise GnfError("missing 'p gnf' header")
@@ -426,7 +428,6 @@ def parse_model(text: str, nvars: int):
             var = abs(lit)
             if var <= nvars:
                 values[var] = lit > 0
-    if any(v is None for v in values[1:]):
-        missing = next(i for i in range(1, nvars + 1) if values[i] is None)
-        raise GnfError("model line missing var %d" % missing)
+    if None in values[1:]:
+        raise GnfError("model line missing var %d" % values.index(None, 1))
     return values

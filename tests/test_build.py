@@ -4,8 +4,9 @@ import pytest
 
 from monosmt.build import build_instance, internal_lit, solve_doc
 from monosmt.generators import gen_flow, gen_maze, gen_sched
-from monosmt.gnf import GnfDocument
-from monosmt.sat import UNDEF, Solver
+from monosmt.gnf import (EdgeDecl, GnfDocument, GnfError, GraphDecl,
+                         PredDecl, ProcDecl, TaskDecl, parse, serialize)
+from monosmt.sat import UNDEF, UNSAT, Solver
 
 DOCS = {
     "maze": lambda: gen_maze(4, 4, 0),
@@ -59,3 +60,57 @@ def test_document_that_contradicts_itself_while_loading_is_unsat():
     solver = inst.solver
     assert solver.conflicts == 0 and solver.decisions == 0
     assert solver.value[internal_lit(2)] == UNDEF
+
+
+def test_ok_reads_the_solver_after_a_solve():
+    # This document is UNSAT at level 0 only once the processor theory
+    # runs, so loading its clauses leaves the solver ok.
+    inst = build_instance(gen_sched(30, 3, 4, 2))
+    assert inst.ok
+    assert inst.solver.solve().status is UNSAT
+    assert not inst.solver.ok
+    assert not inst.ok
+
+
+def three_var_doc(kind, var):
+    """A document of 3 vars, edges or tasks on vars 1 and 2 and an atom on
+    var 3, with ``var`` in place of the first edge or task var, the atom var
+    (``kind`` "atom") or an mst_edge atom's edge var."""
+    doc = GnfDocument(nvars=3)
+    first = var if kind in ("edge", "task") else 1
+    atom = var if kind == "atom" else 3
+    if kind == "task":
+        doc.procs[1] = ProcDecl(1, [TaskDecl(1, 0, 1, 5, first),
+                                    TaskDecl(1, 0, 1, 5, 2)])
+        doc.preds.append(PredDecl("schedulable", 1, (), atom))
+    elif kind == "mst_edge":
+        doc.graphs[1] = GraphDecl(1, False, 2, [EdgeDecl(1, 0, 1, first),
+                                                EdgeDecl(1, 1, 0, 2)])
+        doc.preds.append(PredDecl("mst_edge", 1, (var,), atom))
+    else:
+        doc.graphs[1] = GraphDecl(1, True, 2, [EdgeDecl(1, 0, 1, first),
+                                               EdgeDecl(1, 1, 0, 2)])
+        doc.preds.append(PredDecl("reach", 1, (0, 1), atom))
+    return doc
+
+
+@pytest.mark.parametrize("kind, var", [("edge", 1), ("task", 1),
+                                       ("atom", 3), ("mst_edge", 2)])
+def test_in_range_declaration_vars_build(kind, var):
+    assert build_instance(three_var_doc(kind, var)).ok
+
+
+@pytest.mark.parametrize("var", [0, 4, -1])
+@pytest.mark.parametrize("kind", ["edge", "task", "atom", "mst_edge"])
+def test_out_of_range_declaration_vars_of_an_unparsed_document(kind, var):
+    # Without the check an atom on var 0 became internal var -1, which
+    # indexes var 3, and an edge or task var 0 or 4 failed with a KeyError
+    # or an IndexError.
+    message = "var %d out of range 1..3" % var
+    with pytest.raises(ValueError) as info:
+        build_instance(three_var_doc(kind, var))
+    assert str(info.value) == message
+    if kind != "mst_edge":  # the parser names a foreign mst_edge var first
+        with pytest.raises(GnfError) as info:
+            parse(serialize(three_var_doc(kind, var)))
+        assert str(info.value).endswith(": " + message)

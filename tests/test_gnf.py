@@ -328,6 +328,23 @@ def test_parser_and_theories_apply_the_same_rules(line):
     assert str(e) == "line 8: %s" % info.value
 
 
+@pytest.mark.parametrize("make, kind, args, message", [
+    (lambda: GraphTheory(1, True, 2, [(0, 1, 0, 1)]), "nope", (0, 1),
+     "unknown predicate 'nope'"),
+    (lambda: GraphTheory(1, True, 2, [(0, 1, 0, 1)]), "reach", (0,),
+     "reach expects <gid> <u> <v> <var>"),
+    (lambda: ProcessorTheory(1, [(0, 0, 1, 1)]), "schedulable", (1,),
+     "schedulable expects <pid> <var>"),
+])
+def test_add_atom_rejects_what_the_parser_rejects_first(make, kind, args,
+                                                       message):
+    # The parser checks the kind and the argument count before check_pred,
+    # so only a theory's add_atom reaches these two rules.
+    with pytest.raises(ValueError) as info:
+        make().add_atom(kind, args, 1)
+    assert str(info.value) == message
+
+
 def test_same_edge_var_allowed_across_graphs():
     doc = parse("""p gnf 1 0
 ugraph 2 1 1
