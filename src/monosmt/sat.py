@@ -216,7 +216,7 @@ class Solver:
                 return self.ok
         c = Clause(out)
         self.clauses.append(c)
-        watches = self.watches
+        watches = self.watches  # _watch, inlined
         watches[out[0] ^ 1].append(c)
         watches[out[1] ^ 1].append(c)
         return True
