@@ -49,12 +49,12 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
 
 def _build(doc, seed, observer):
     # The parser checks each var; a document built in code is checked here.
-    svars = [e.var for g in doc.graphs.values() for e in g.edges]
-    svars += [t.var for p in doc.procs.values() for t in p.tasks]
-    svars += [p.var for p in doc.preds]
-    svars += [p.args[0] for p in doc.preds if p.kind == "mst_edge"]
-    if svars and (min(svars) < 1 or max(svars) > doc.nvars):
-        for v in svars:
+    decl_vars = [e.var for g in doc.graphs.values() for e in g.edges]
+    decl_vars += [t.var for p in doc.procs.values() for t in p.tasks]
+    decl_vars += [p.var for p in doc.preds]
+    decl_vars += [p.args[0] for p in doc.preds if p.kind == "mst_edge"]
+    if decl_vars and (min(decl_vars) < 1 or max(decl_vars) > doc.nvars):
+        for v in decl_vars:
             check_var(v, doc.nvars)
     solver = Solver(seed=seed, observer=observer)
     solver.new_vars(doc.nvars)
