@@ -6,8 +6,7 @@ in ``minimize.BoundProbes``, which converts its atom var, values and models.
 """
 from __future__ import annotations
 
-import gc
-
+from .gcpause import paused
 from .sat import Solver, SAT, mk_lit
 from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
@@ -35,19 +34,8 @@ class Instance:
         self.atoms = atoms  # (theory, binding) per doc predicate
 
 
+@paused
 def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
-    # A build allocates many small objects and frees few, so the cyclic
-    # collector's passes over them find nothing; it is paused meanwhile.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build(doc, seed, observer)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _build(doc, seed, observer):
     # The parser checks each var; a document built in code is checked here.
     decl_vars = [e.var for g in doc.graphs.values() for e in g.edges]
     decl_vars += [t.var for p in doc.procs.values() for t in p.tasks]

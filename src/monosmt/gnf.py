@@ -38,6 +38,8 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice
 
+from .gcpause import paused
+
 # Predicate kind -> (the declaration of its owner, the names of its
 # arguments between the owner id and the atom var). A bound is named C, and
 # C|inf where it may be "inf".
@@ -209,6 +211,7 @@ def _clause_block(lines, nvars):
     return clauses
 
 
+@paused
 def parse(text: str) -> GnfDocument:
     doc = GnfDocument()
     declared_clauses = None
@@ -298,9 +301,11 @@ def parse(text: str) -> GnfDocument:
                 owner = "digraph" if g.directed else "ugraph"
                 n = g.n
             check_pred(head, vals, owner, oid, n)
-            if head == "mst_edge" and vals[0] not in edge_vars[oid]:
-                raise GnfError("var %d is not an edge of graph %d"
-                               % (vals[0], oid), ln)
+            if head == "mst_edge":
+                check_var(vals[0], doc.nvars)  # first, as build_instance does
+                if vals[0] not in edge_vars[oid]:
+                    raise GnfError("var %d is not an edge of graph %d"
+                                   % (vals[0], oid), ln)
             new_pvar(var, ln)
             doc.preds.append(PredDecl(head, oid, tuple(vals), var))
         elif head == "processor":

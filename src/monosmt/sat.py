@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import heapq
 
+from .gcpause import paused
+
 TRUE = 1
 FALSE = -1
 UNDEF = 0
@@ -96,6 +98,10 @@ class Solver:
     learnt by conflict analysis and ``observer.lemma(lits)`` for a theory
     conflict or a theory reason that analysis expanded. Observing does not
     change the search.
+
+    ``solve`` runs with the cyclic garbage collector paused (see
+    ``gcpause.paused``), so cyclic garbage that an observer makes during a
+    solve waits for a full collection.
     """
 
     def __init__(self, seed=0, observer=None):
@@ -544,6 +550,7 @@ class Solver:
     # ------------------------------------------------------------------
     # main search
 
+    @paused
     def solve(self, assumptions=()) -> SolveResult:
         if not self.ok:
             return SolveResult(UNSAT)

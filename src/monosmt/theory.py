@@ -56,6 +56,8 @@ to find the atoms whose value moved without comparing every value;
 """
 from __future__ import annotations
 
+import weakref
+
 from .sat import TRUE, FALSE, UNDEF, mk_lit
 
 POSITIVE = 1
@@ -162,8 +164,12 @@ class MonotonicTheory:
 
     def attach(self, solver) -> None:
         """Watch the S-vars. Atom vars are not watched: ``propagate`` reads
-        their values from the solver."""
-        self.solver = solver
+        their values from the solver.
+
+        The theory keeps only a weak reference to the solver, so the two
+        form no reference cycle and a dropped solver is freed by reference
+        counting at once; the caller keeps the solver alive."""
+        self.solver = weakref.proxy(solver)
         for v in self._slots:
             solver.watch_var(v, self)
         for lit in solver.trail:  # assignments made before attaching
