@@ -34,16 +34,53 @@ class Instance:
         self.atoms = atoms  # (theory, binding) per doc predicate
 
 
+def _owned_vars(decls, nvars, clash):
+    """The vars of one graph's edges or one processor's tasks, each in
+    range and named once (``clash`` the message for a var named again)."""
+    owned = set()
+    for d in decls:
+        v = d.var
+        if v in owned or not 0 < v <= nvars:
+            check_var(v, nvars)  # raises when out of range
+            raise ValueError(clash % v)
+        owned.add(v)
+    return owned
+
+
+def _check_decl_vars(doc: GnfDocument) -> None:
+    """The parser's rules on declaration vars and predicate owners, for a
+    document built in code, with its messages less the line numbers: the
+    first fault in the order ``serialize`` writes the document raises
+    ValueError."""
+    nvars = doc.nvars
+    edge_vars = {gid: _owned_vars(doc.graphs[gid].edges, nvars,
+                                  "var %%d already an edge of graph %d" % gid)
+                 for gid in sorted(doc.graphs)}
+    svars = set().union(*edge_vars.values(), *(
+        _owned_vars(doc.procs[pid].tasks, nvars,
+                    "var %%d already a task on processor %d" % pid)
+        for pid in sorted(doc.procs)))
+    pvars = set()
+    for p in doc.preds:
+        proc = PREDICATES.get(p.kind, ("graph",))[0] == "processor"
+        if p.owner not in (doc.procs if proc else doc.graphs):
+            raise ValueError("%s %d not declared"
+                             % ("processor" if proc else "graph", p.owner))
+        if p.kind == "mst_edge" and p.args[0] not in edge_vars[p.owner]:
+            check_var(p.args[0], nvars)  # raises when out of range
+            raise ValueError("var %d is not an edge of graph %d"
+                             % (p.args[0], p.owner))
+        check_var(p.var, nvars)
+        if p.var in svars:
+            raise ValueError("var %d is already an edge or task var" % p.var)
+        if p.var in pvars:
+            raise ValueError("var %d is already a predicate atom" % p.var)
+        pvars.add(p.var)
+
+
 @paused
 def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
-    # The parser checks each var; a document built in code is checked here.
-    decl_vars = [e.var for g in doc.graphs.values() for e in g.edges]
-    decl_vars += [t.var for p in doc.procs.values() for t in p.tasks]
-    decl_vars += [p.var for p in doc.preds]
-    decl_vars += [p.args[0] for p in doc.preds if p.kind == "mst_edge"]
-    if decl_vars and (min(decl_vars) < 1 or max(decl_vars) > doc.nvars):
-        for v in decl_vars:
-            check_var(v, doc.nvars)
+    _check_decl_vars(doc)  # the parser's checks, for a document built in code
     solver = Solver(seed=seed, observer=observer)
     solver.new_vars(doc.nvars)
     graphs = {gid: GraphTheory(gid, g.directed, g.n,

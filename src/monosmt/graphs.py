@@ -201,26 +201,21 @@ def edmonds_karp(flow_adj, caps, n, enabled, s, t, start=None,
                 if residual <= 0:
                     continue
                 visited[head] = 1
-                parent[head] = (eid, fwd, u)
+                parent[head] = (eid, fwd, u, residual)
                 if head == t:
                     found = True
                     break
                 queue.append(head)
         if not found:
             return FlowResult(value, flow, visited)
-        bottleneck = None
+        path = []  # (eid, fwd, tail, residual) arcs, from t back to s
         node = t
         while node != s:
-            eid, fwd, prev = parent[node]
-            residual = caps[eid] - flow[eid] if fwd else flow[eid]
-            if bottleneck is None or residual < bottleneck:
-                bottleneck = residual
-            node = prev
-        node = t
-        while node != s:
-            eid, fwd, prev = parent[node]
+            path.append(parent[node])
+            node = path[-1][2]
+        bottleneck = min([arc[3] for arc in path])
+        for eid, fwd, _, _ in path:
             flow[eid] += bottleneck if fwd else -bottleneck
-            node = prev
         value += bottleneck
 
 
@@ -332,12 +327,11 @@ class GraphTheory(MonotonicTheory):
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_completion(self, maximal, enabled, moved, old, base):
-        """Every atom evaluated on one extreme, on the analyses of ``base``
-        carried over where they can be (``_carried``), and the atoms whose
-        value differs from ``old``: of the mst_edge group, read off one
-        forest, only those of moved edges or forest changes can."""
-        values = old[:]
+    def eval_completion(self, maximal, enabled, moved, values, base):
+        """Every atom evaluated on one extreme into ``values``, on the
+        analyses of ``base`` carried over where they can be (``_carried``),
+        and the atoms whose value changed: of the mst_edge group, read off
+        one forest, only those of moved edges or forest changes can."""
         analysis = {}
         for key, prev in base.items():
             new = self._carried(key, prev, enabled, moved, maximal)
@@ -352,13 +346,7 @@ class GraphTheory(MonotonicTheory):
                     else (forest ^ prev.forest).union(moved))
             preds = [self._preds[aid] for eid in eids
                      for aid in group.get(eid, ())] + preds
-        changed = []
-        for pred in preds:
-            val = self.evaluate(pred, enabled, analysis)
-            if values[pred.atom_id] != val:
-                values[pred.atom_id] = val
-                changed.append(pred.atom_id)
-        return values, analysis, changed
+        return analysis, self._update(preds, enabled, analysis, values)
 
     def _carried(self, key, old, enabled, moved, maximal):
         """Analysis ``key`` of ``enabled`` from ``old``, the one from before

@@ -29,9 +29,12 @@ never rebuilt from the solver. Every predicate is evaluated on a completion
 once per generation, together with the analyses behind the values (a
 spanning forest, a shortest-path tree, a max flow); these evaluations stack
 up by generation and a backjump drops only those newer than the generation
-it restores, so the level it returns to keeps its evaluation. Explanations
-read the mask of an earlier trail prefix off the same log, and reuse the
-stacked analysis of that generation when there is one.
+it restores, so the level it returns to keeps its evaluation. The values
+live in one list per completion, written in place: a stacked evaluation
+keeps the ids of the atoms it flipped, and a backjump flips them back as it
+pops, as it restores the mask from the log. Explanations read the mask of
+an earlier trail prefix off the same log, and reuse the stacked analysis of
+that generation when there is one.
 
 Propagation is change-driven: each evaluation lists the atoms whose value
 moved, and a scan visits those, in id order; with none, there is no scan.
@@ -48,11 +51,11 @@ A theory supplies one evaluation hook, ``MonotonicTheory.evaluate``: the
 truth of one predicate on one enabled mask. ``eval_completion`` calls it
 for every predicate on an extreme, and explanations reuse the analyses it
 memoized. Only the driver touches the stack: it hands ``eval_completion``
-the newest stacked evaluation and the slots moved since. A theory may
-override ``eval_completion`` to evaluate atoms in groups that share an
-analysis, to reuse the analyses that those slots cannot have changed, and
-to find the atoms whose value moved without comparing every value;
-``GraphTheory`` does so.
+the live value list, the newest stacked analyses and the slots moved
+since. A theory may override ``eval_completion`` to evaluate atoms in
+groups that share an analysis, to reuse the analyses that those slots
+cannot have changed, and to find the atoms whose value moved without
+evaluating every atom; ``GraphTheory`` does so.
 """
 from __future__ import annotations
 
@@ -84,17 +87,20 @@ class Completion:
     completion. ``log`` lists the slots the trail has moved off the fill
     value (set true for the minimal completion, false for the maximal one)
     in trail order; its length is the generation. ``stack`` holds
-    ``(generation, values, analysis)`` evaluations made along the current
-    trail, oldest first, all for prefixes of ``log``.
+    ``(generation, changed, analysis)`` evaluations made along the current
+    trail, oldest first, all for prefixes of ``log``. ``values`` has a bool
+    per atom id, as the newest of them left it; ``changed`` lists the ids
+    each one flipped, so a popped entry flips them back.
     """
 
-    __slots__ = ("maximal", "enabled", "log", "stack")
+    __slots__ = ("maximal", "enabled", "log", "stack", "values")
 
     def __init__(self, maximal: bool):
         self.maximal = maximal
         self.enabled = bytearray()
         self.log = []
         self.stack = []
+        self.values = []
 
 
 class MonotonicTheory:
@@ -144,8 +150,9 @@ class MonotonicTheory:
 
         On a theory already attached to a solver, which must then be at
         decision level 0 (between solves), the stacked evaluations are
-        dropped, as their value lists have no entry for the new atom, and
-        the next scan visits every atom.
+        dropped, as the value lists have no entry for the new atom, and the
+        next read of each extreme starts its list over; the next scan
+        visits every atom.
         """
         if pvar in self._slots:
             raise ValueError("atom var %d is already an argument var" % pvar)
@@ -207,9 +214,10 @@ class MonotonicTheory:
                 enabled[log[n]] = fill
             if n < len(log):
                 del log[n:]
-                stack = comp.stack
+                stack, values = comp.stack, comp.values
                 while stack and stack[-1][0] > n:
-                    stack.pop()
+                    for i in stack.pop()[1]:
+                        values[i] = not values[i]
         self._dirty = set()  # see ``propagate``
 
     def propagate(self):
@@ -248,57 +256,60 @@ class MonotonicTheory:
         """Checks ``preds`` against both extremes, in order; returns
         ``propagate``'s pair."""
         value = self.solver.value
-        values = [None, None]  # per extreme, fetched on first use
         implied = []
         for pred in preds:
             lit = 2 * pred.pvar  # the atom asserted
             val = value[lit]
             if val != TRUE:
                 # Truth on this extreme survives every completion.
-                sure = pred.polarity == NEGATIVE
-                got = values[sure]
-                if got is None:
-                    got = values[sure] = self._values(sure)
-                if got[pred.atom_id]:
+                if self._values(pred.polarity == NEGATIVE)[pred.atom_id]:
                     if val == FALSE:
                         return (), self.explain(pred.atom_id, lit)
                     implied.append((lit, pred.atom_id))
                     continue
             if val != FALSE:
-                sure = pred.polarity == POSITIVE
-                got = values[sure]
-                if got is None:
-                    got = values[sure] = self._values(sure)
-                if not got[pred.atom_id]:
+                if not self._values(pred.polarity == POSITIVE)[pred.atom_id]:
                     if val == TRUE:
                         return (), self.explain(pred.atom_id, lit + 1)
                     implied.append((lit + 1, pred.atom_id))
         return tuple(implied), None
 
-    def eval_completion(self, maximal, enabled, moved, old, base):
-        """Every predicate evaluated on one extreme's live ``enabled`` mask;
-        returns ``(values, analysis, changed)``: a bool per atom id, the
-        analyses behind them, and the ids of the atoms whose value differs
-        from ``old``. ``old`` and ``base`` are the newest stacked values and
-        analyses (None each and {} when none), ``moved`` the slots since."""
+    def eval_completion(self, maximal, enabled, moved, values, base):
+        """Every predicate evaluated on one extreme's live ``enabled`` mask
+        into ``values``, the extreme's bool per atom id (None each when no
+        evaluation is stacked); returns ``(analysis, changed)``: the
+        analyses behind the values and the ids of the atoms whose value
+        changed. ``base`` holds the newest stacked analyses ({} when none),
+        ``moved`` the slots since."""
         analysis = {}
-        values = [self.evaluate(p, enabled, analysis) for p in self._preds]
-        return values, analysis, [i for i, val in enumerate(values)
-                                  if val != old[i]]
+        return analysis, self._update(self._preds, enabled, analysis, values)
+
+    def _update(self, preds, enabled, analysis, values):
+        """Writes the value of each of ``preds`` into ``values``; returns
+        the ids of those whose value changed, in ``preds`` order."""
+        changed = []
+        for pred in preds:
+            val = self.evaluate(pred, enabled, analysis)
+            if values[pred.atom_id] != val:
+                values[pred.atom_id] = val
+                changed.append(pred.atom_id)
+        return changed
 
     def _values(self, maximal: bool):
         """Per-atom values on one extreme, evaluated once per generation
-        and stacked; the atoms whose value moved join a pending scan."""
+        and stacked; the atoms whose value moved join a pending scan. With
+        nothing stacked the value list starts over."""
         comp = self._ext[maximal]
         stack = comp.stack
         if not stack or stack[-1][0] != len(comp.log):
-            gen, old, base = (stack[-1] if stack else
-                              (0, [None] * len(self._preds), {}))
-            values, analysis, changed = self.eval_completion(
-                maximal, comp.enabled, comp.log[gen:], old, base)
-            stack.append((len(comp.log), values, analysis))
+            if not stack:
+                comp.values = [None] * len(self._preds)
+            gen, _, base = stack[-1] if stack else (0, None, {})
+            analysis, changed = self.eval_completion(
+                maximal, comp.enabled, comp.log[gen:], comp.values, base)
+            stack.append((len(comp.log), changed, analysis))
             self._dirty.update(changed)
-        return stack[-1][1]
+        return comp.values
 
     def explain(self, atom_id: int, lit: int) -> list[int]:
         """Reason clause for an implied literal, implied literal first.

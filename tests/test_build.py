@@ -1,5 +1,7 @@
 """From documents to solvers: what ``build_instance`` hands the SAT core."""
 
+import re
+
 import pytest
 
 from monosmt.build import build_instance, internal_lit, solve_doc
@@ -127,3 +129,76 @@ def test_out_of_range_mst_edge_var_reads_alike_in_parser_and_builder(var):
         parse(serialize(doc))
     assert str(built.value) == "var %d out of range 1..3" % var
     assert str(parsed.value).endswith(": " + str(built.value))
+
+
+def two_graph_doc():
+    """Vars 1..8, each declared once: a digraph on edge vars 1 and 2, a
+    ugraph on 3 and 4, a processor on task vars 5 and 6, a reach atom on
+    var 7 and an mst_edge atom on var 8."""
+    doc = GnfDocument(nvars=8)
+    doc.graphs[1] = GraphDecl(1, True, 2, [EdgeDecl(1, 0, 1, 1),
+                                           EdgeDecl(1, 1, 0, 2)])
+    doc.graphs[2] = GraphDecl(2, False, 2, [EdgeDecl(2, 0, 1, 3),
+                                            EdgeDecl(2, 1, 0, 4)])
+    doc.procs[1] = ProcDecl(1, [TaskDecl(1, 0, 1, 5, 5),
+                                TaskDecl(1, 0, 1, 5, 6)])
+    doc.preds += [PredDecl("reach", 1, (0, 1), 7),
+                  PredDecl("mst_edge", 2, (3,), 8)]
+    return doc
+
+
+def clash(fault):
+    doc = two_graph_doc()
+    reach, mst = doc.preds
+    if fault == "atom on another graph's edge var":
+        reach.var = 3
+    elif fault == "atom on a task var":
+        reach.var = 5
+    elif fault == "one atom var on two graphs":
+        mst.var = 7
+    elif fault == "edge var twice in a graph":
+        doc.graphs[1].edges[1].var = 1
+    elif fault == "atom on its own graph's edge var":
+        reach.var = 1
+    elif fault == "one atom var twice on a graph":
+        doc.preds.append(PredDecl("reach", 1, (1, 0), 7))
+    elif fault == "mst_edge on another graph's edge var":
+        mst.args = (2,)
+    elif fault == "atom on an undeclared graph":
+        reach.owner = 9
+    elif fault == "atom on an undeclared processor":
+        doc.preds.append(PredDecl("schedulable", 4, (), 9))
+        doc.nvars = 9
+    else:
+        assert fault == "task var twice on a processor"
+        doc.procs[1].tasks[1].var = 5
+    return doc
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("atom on another graph's edge var",
+     "var 3 is already an edge or task var"),
+    ("atom on a task var", "var 5 is already an edge or task var"),
+    ("one atom var on two graphs", "var 7 is already a predicate atom"),
+    ("edge var twice in a graph", "var 1 already an edge of graph 1"),
+    ("atom on its own graph's edge var",
+     "var 1 is already an edge or task var"),
+    ("one atom var twice on a graph", "var 7 is already a predicate atom"),
+    ("mst_edge on another graph's edge var",
+     "var 2 is not an edge of graph 2"),
+    ("task var twice on a processor", "var 5 already a task on processor 1"),
+    ("atom on an undeclared graph", "graph 9 not declared"),
+    ("atom on an undeclared processor", "processor 4 not declared"),
+])
+def test_var_clashes_read_alike_in_parser_and_builder(fault, message):
+    # build_instance once took the first three and solved them SAT, named
+    # the next five in its 0-based internal numbering and raised a KeyError
+    # on the last two.
+    assert build_instance(two_graph_doc()).ok
+    with pytest.raises(ValueError) as built:
+        build_instance(clash(fault))
+    with pytest.raises(GnfError) as parsed:
+        parse(serialize(clash(fault)))
+    assert str(built.value) == message
+    assert re.sub(r"^line \d+: | \(line \d+\)$", "",
+                  str(parsed.value)) == message

@@ -10,11 +10,14 @@ residual cut side must be those of a cold ``edmonds_karp``. Every stacked
 spanning forest and shortest-path tree, which may be carried over from an
 older generation, or extended, swapped, split or re-parented from one,
 must equal a cold ``span_scan`` or ``dijkstra_tree`` on its own generation's
-mask in every field the search reads. Each evaluation must get the newest
-stacked one as its base, and the change list it returns must name exactly
-the atoms whose value differs from that base. Every scan that visits only
-the dirty atoms must imply and conflict exactly as a full rescan of the same
-trail does. The checks run through restarts and backjumps.
+mask in every field the search reads. Each evaluation must get the
+completion's live value list and the newest stacked analyses as its base,
+and the change list it returns must name exactly the atoms whose value it
+changed in that list. Each stacked generation's values are rebuilt by
+undoing change lists downward from the live list. Every scan that visits
+only the dirty atoms must imply and conflict exactly as a full rescan of
+the same trail does. The checks run through restarts and backjumps, and
+through ``BoundProbes``, which adds atoms between solves.
 """
 
 import random
@@ -25,6 +28,7 @@ from monosmt.build import build_instance
 from monosmt.generators import Xorshift64Star
 from monosmt.graphs import (GraphTheory, SpanResult, dijkstra_tree,
                             edmonds_karp, find, span_scan)
+from monosmt.minimize import BoundProbes
 from monosmt.sat import FALSE, TRUE, Solver, mk_lit
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import NEGATIVE, POSITIVE
@@ -62,7 +66,9 @@ def assert_same_tree(th, got, want):
 
 
 def concrete_values(th, enabled, memo):
-    key = bytes(enabled)
+    # Keyed by the atom count too: ``BoundProbes`` adds atoms between
+    # solves, and the masks repeat.
+    key = (len(th._preds), bytes(enabled))
     hit = memo.get(key)
     if hit is None:
         hit = memo[key] = [th.evaluate(th.atom(i), enabled, {})
@@ -150,15 +156,19 @@ class Checker:
         return counted
 
     def _wrap_eval(self, th, eval_completion):
-        def checked(maximal, enabled, moved, old, base):
+        def checked(maximal, enabled, moved, values, base):
             comp = th.completion(maximal)
-            gen, values, analysis = (comp.stack[-1] if comp.stack else
-                                     (0, [None] * len(th._preds), {}))
+            gen, _, analysis = comp.stack[-1] if comp.stack else (0, (), {})
             assert enabled is comp.enabled and moved == comp.log[gen:]
-            assert old == values and base == analysis
-            result = eval_completion(maximal, enabled, moved, old, base)
-            values, _, changed = result
-            assert sorted(changed) == [
+            assert values is comp.values and len(values) == len(th._preds)
+            if comp.stack:
+                assert base is analysis
+            else:
+                assert base == {} and values == [None] * len(th._preds)
+            old = values[:]
+            result = eval_completion(maximal, enabled, moved, values, base)
+            assert values is comp.values
+            assert sorted(result[1]) == [
                 i for i, v in enumerate(values) if v != old[i]]
             self.evals += 1
             return result
@@ -179,8 +189,17 @@ class Checker:
                         if gen < len(comp.log) else len(solver.trail)
                         for gen, _, _ in comp.stack]
             masks = masks_at(th, maximal, prefixes)
+            # Each generation's values, undoing change lists downward from
+            # the live list.
+            values = comp.values[:]
+            per_gen = []
+            for _, changed, _ in reversed(comp.stack):
+                per_gen.append(values[:])
+                for i in changed:
+                    values[i] = not values[i]
             older = {}
-            for (_, values, analysis), mask in zip(comp.stack, masks):
+            for (_, _, analysis), mask, values in zip(comp.stack, masks,
+                                                      reversed(per_gen)):
                 assert values == concrete_values(th, mask, self.memo[th])
                 self.stacked += 1
                 for key, res in analysis.items():
@@ -229,6 +248,8 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
     monkeypatch.setattr(graphs, "span_scan", recorded)
     docs = ([generators.gen_maze(4, 4, s) for s in range(3)]
             + [generators.gen_maze(5, 5, 7)]
+            # The benchmark's maze size.
+            + [generators.gen_maze(8, 8, s) for s in range(2)]
             + [generators.gen_flow(5, 5, mode="unit", seed=s, demand=2)
                for s in range(3)]
             + [generators.gen_flow(5, 5, mode="random1to4", seed=s)
@@ -341,6 +362,33 @@ def test_carried_analyses_match_cold_runs_on_random_edge_orders():
     assert reused["span"] > 0 and reused["dij"] > 0
     assert reparented[1, 1] > 0 and reparented[1, 2] > 0
     assert forests["swap"] > 0 and forests["split"] > 0
+
+
+def test_bound_probes_add_atoms_to_an_attached_theory():
+    # Each probe registers an atom between solves, which drops the stacks,
+    # so each extreme's value list starts over with an entry more.
+    checks = probes = 0
+    for k in range(1000, 1003):
+        doc = generators.gen_maze(3, 6, k)
+        idx = next(i for i, p in enumerate(doc.preds)
+                   if p.kind == "mst_weight_leq")
+        search = BoundProbes(doc, idx)
+        ths = search.solver._theories
+        checker = Checker(search.solver, ths, k)
+        check_reasons(search.solver, ths)
+        lo, hi = 0, sum(e.weight for e in doc.graphs[1].edges)
+        while lo < hi:  # plain bisection: several probes
+            mid = (lo + hi) // 2
+            checks_before = checker.checks
+            if search.solve(mid)[0] == "SAT":
+                hi = mid
+            else:
+                lo = mid + 1
+            assert checker.checks > checks_before
+            probes += 1
+        checks += checker.checks
+        assert len(search.theory._preds) > len(search.atoms) > 1
+    assert probes >= 9 and checks > 100
 
 
 def test_random_documents_of_every_kind():
