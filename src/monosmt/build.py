@@ -62,7 +62,9 @@ def _check_decl_vars(doc: GnfDocument) -> None:
         for pid in sorted(doc.procs)))
     pvars = set()
     for p in doc.preds:
-        proc = PREDICATES.get(p.kind, ("graph",))[0] == "processor"
+        if p.kind not in PREDICATES:
+            raise ValueError("unknown declaration %r" % p.kind)
+        proc = PREDICATES[p.kind][0] == "processor"
         if p.owner not in (doc.procs if proc else doc.graphs):
             raise ValueError("%s %d not declared"
                              % ("processor" if proc else "graph", p.owner))

@@ -169,6 +169,8 @@ def clash(fault):
     elif fault == "atom on an undeclared processor":
         doc.preds.append(PredDecl("schedulable", 4, (), 9))
         doc.nvars = 9
+    elif fault == "atom of an unknown kind":
+        reach.kind = "nope"
     else:
         assert fault == "task var twice on a processor"
         doc.procs[1].tasks[1].var = 5
@@ -189,11 +191,12 @@ def clash(fault):
     ("task var twice on a processor", "var 5 already a task on processor 1"),
     ("atom on an undeclared graph", "graph 9 not declared"),
     ("atom on an undeclared processor", "processor 4 not declared"),
+    ("atom of an unknown kind", "unknown declaration 'nope'"),
 ])
 def test_var_clashes_read_alike_in_parser_and_builder(fault, message):
     # build_instance once took the first three and solved them SAT, named
     # the next five in its 0-based internal numbering and raised a KeyError
-    # on the last two.
+    # on the last three.
     assert build_instance(two_graph_doc()).ok
     with pytest.raises(ValueError) as built:
         build_instance(clash(fault))

@@ -12,8 +12,9 @@ import pytest
 
 import monosmt
 from monosmt.build import build_instance, dimacs_lit, solve_doc
-from monosmt.generators import Xorshift64Star, gen_maze
+from monosmt.generators import Xorshift64Star, gen_flow, gen_maze, gen_sched
 from monosmt.gnf import GnfDocument
+from monosmt.minimize import BoundProbes
 from monosmt.oracle import brute_force_solve, check_clause_valid
 from monosmt.sat import TRUE, UNDEF, Solver, mk_lit, neg
 from monosmt.theory import MonotonicTheory, POSITIVE
@@ -239,18 +240,76 @@ def test_reduce_db_unwatches_deleted_clauses_in_order():
 
     def checked():
         nonlocal removed_total
+        # Clauses are lists, compared by identity; holding them in
+        # ``before`` keeps their ids from being reused.
         before = [list(ws) for ws in solver.watches]
-        learnts = set(solver.learnts)
+        learnts = {id(c) for c in solver.learnts}
         reduce_db()
-        removed = learnts - set(solver.learnts)
+        removed = learnts - {id(c) for c in solver.learnts}
         assert removed
         removed_total += len(removed)
         for old, ws in zip(before, solver.watches):
-            assert ws == [c for c in old if c not in removed]
+            assert list(map(id, ws)) == [id(c) for c in old
+                                         if id(c) not in removed]
 
     solver._reduce_db = checked
     assert solver.solve().status == "SAT"
     assert removed_total > 0
+
+
+def test_clause_activity_tracks_the_learnt_clauses():
+    solver = build_instance(rand_cnf(100, 426, 0)).solver
+    act = solver._clause_act
+    reduce_db = solver._reduce_db
+    deleted = []  # held, so that no deleted clause's id is reused
+    locked_total = 0
+
+    def checked():
+        nonlocal locked_total
+        assert set(act) == {id(c) for c in solver.learnts}
+        before = list(solver.learnts)
+        locked = [c for c in before if solver.reason[c[0] >> 1] is c
+                  and solver.value[c[0]] == TRUE]
+        reduce_db()
+        kept = {id(c) for c in solver.learnts}
+        assert set(act) == kept
+        assert all(id(c) in kept for c in locked)
+        deleted.extend(c for c in before if id(c) not in kept)
+        assert not any(id(c) in act for c in deleted)
+        locked_total += len(locked)
+
+    solver._reduce_db = checked
+    assert solver.solve().status == "SAT"
+    assert deleted and locked_total > 0
+    assert set(act) == {id(c) for c in solver.learnts}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_maze(6, 6, 1),
+    lambda: gen_flow(8, 8, seed=1),
+    lambda: gen_sched(30, 3, 4, 2),
+], ids=["maze", "flow", "sched"])
+def test_solver_attributes_stay_in_their_slots(make):
+    # A Solver holds every attribute in a declared slot; one more in an
+    # instance dict would cost its memory and speed (see Solver).
+    solver = build_instance(make()).solver
+    assert not getattr(solver, "__dict__", {})
+    assert all(hasattr(solver, name) for name in Solver.__slots__
+               if not name.startswith("__"))
+    solver.solve()
+    assert not getattr(solver, "__dict__", {})
+    # Kept theory conflicts are learnts too: no activity outlives its clause.
+    assert set(solver._clause_act) == {id(c) for c in solver.learnts}
+
+
+def test_bound_probes_keep_solver_attributes_in_their_slots():
+    doc = gen_maze(3, 6, 2)
+    idx = next(i for i, p in enumerate(doc.preds)
+               if p.kind == "mst_weight_leq")
+    search = BoundProbes(doc, idx)
+    for bound in (0, 4000, 4012, 8000):
+        search.solve(bound)
+        assert not getattr(search.solver, "__dict__", {})
 
 
 def test_assumptions_are_reusable():
