@@ -25,18 +25,20 @@ follow the edge it names. Atom vars are globally unique and distinct from
 every edge and task var. Edge vars may repeat across graphs but not within
 one; the same holds for task vars across processors.
 
-`parse` reads clause lines `CLAUSE_BLOCK` at a time, with one `map(int,
-...)` per block, when every line of the block is a clause that the per-line
-reader would accept (see `_clause_block`). Any other block goes through that
-reader, the only one to report a clause error. No line is tried in two
-blocks, and a block, not the whole clause tail, bounds the memory the
-conversion holds.
+`parse` reads clause lines `BLOCK` at a time, and each run of consecutive
+edge lines in blocks of up to `BLOCK` lines, with one split and one
+`map(int, ...)` per block. It keeps a block only when the per-line reader
+would accept every line of it with the same result: `_clause_block` checks
+a clause block, and `_edge_columns` and `parse`'s `read_edges` an edge
+block. Any other block goes through the per-line reader, the only one to
+report a clause or edge error. No line is tried in two blocks, and a block,
+not the whole document, bounds the memory the conversion holds.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, takewhile
 
 from .gcpause import paused
 
@@ -54,13 +56,15 @@ PREDICATES = {
 }
 
 
-# The number of lines that parse tries to read as clauses at once. 512
+# The most lines that parse tries to read as clauses or edges at once. 512
 # lines convert almost as fast as the whole clause tail, for a small part
 # of its transient memory.
-CLAUSE_BLOCK = 512
+BLOCK = 512
 # Lines of ASCII digits, minus signs and blanks, each ending in a 0 token.
 _CLAUSE_LINE = r"[-0-9 \t]*(?<![^ \t\n])0[ \t]*"
 _CLAUSE_LINES = re.compile(r"%s(?:\n%s)*" % (_CLAUSE_LINE, _CLAUSE_LINE))
+# Whether a line after the first of an edge run continues the run.
+_EDGE_LINE = re.compile("edge ").match
 
 
 class GnfError(Exception):
@@ -211,6 +215,23 @@ def _clause_block(lines, nvars):
     return clauses
 
 
+def _edge_columns(lines):
+    """Return the gid, u, v, var and weight columns of ``lines``, whose
+    first tokens read "edge", or None unless each line has five integer
+    fields. There must be six tokens per line, and every token but each
+    sixth one must be an int, so that each line's "edge" is one of the
+    sixth tokens: each line has six."""
+    tokens = " ".join(lines).split()
+    if len(tokens) != 6 * len(lines):
+        return None
+    del tokens[::6]
+    try:
+        ints = list(map(int, tokens))
+    except ValueError:  # a field such as "x", or an "edge" out of place
+        return None
+    return [ints[i::5] for i in range(5)]
+
+
 @paused
 def parse(text: str) -> GnfDocument:
     doc = GnfDocument()
@@ -333,6 +354,40 @@ def parse(text: str) -> GnfDocument:
         else:
             raise GnfError("unknown declaration %r" % head, ln)
 
+    def read_clauses(block, ln):
+        clauses = _clause_block(block, doc.nvars)
+        if clauses is None:
+            return False
+        doc.clauses.extend(clauses)
+        return True
+
+    def read_edges(block, ln):
+        """Read ``block``, the edge lines from line ``ln`` on, when each
+        has five fields and the block as a whole keeps every rule that
+        declare's edge branch checks line by line."""
+        columns = _edge_columns(block)
+        if columns is None:
+            return False
+        gids, us, vs, evars, weights = columns
+        k = len(block)
+        gid = gids[0]
+        g = doc.graphs.get(gid)
+        if (g is None or gids.count(gid) != k
+                or len(g.edges) + k > declared_edges[gid]
+                or min(us) < 0 or min(vs) < 0
+                or max(us) >= g.n or max(vs) >= g.n or min(weights) < 0
+                or min(evars) < 1 or max(evars) > doc.nvars):
+            return False
+        fresh = set(evars)
+        if (len(fresh) != k or not fresh.isdisjoint(edge_vars[gid])
+                or not fresh.isdisjoint(pvar_lines)):
+            return False
+        for var, line in zip(evars, range(ln, ln + k)):
+            svar_lines.setdefault(var, line)
+        edge_vars[gid].update(fresh)
+        g.edges.extend(map(EdgeDecl, gids, us, vs, evars, weights))
+        return True
+
     lines = text.splitlines()
     rows = enumerate(lines, start=1)
     block_end = 0  # lines up to this one were tried in a block
@@ -342,17 +397,24 @@ def parse(text: str) -> GnfDocument:
             if not tokens:
                 continue
             head = tokens[0]
-            # Most lines are clauses; one before the header is reported below.
-            if head.lstrip("-").isdigit() and declared_clauses is not None:
-                if ln > block_end:
-                    block_end = ln - 1 + CLAUSE_BLOCK
-                    block = lines[ln - 1:block_end]
-                    clauses = _clause_block(block, nvars)
-                    if clauses is not None:
-                        doc.clauses.extend(clauses)
-                        skip = len(block) - 1
-                        next(islice(rows, skip, skip), None)
-                        continue
+            # Most lines are clauses or edges; one before the header is
+            # reported below.
+            clause = head.lstrip("-").isdigit()
+            if ((clause or head == "edge") and ln > block_end
+                    and declared_clauses is not None):
+                if clause:
+                    block = lines[ln - 1:ln - 1 + BLOCK]
+                    read = read_clauses
+                else:  # a run of edge lines ends at the first other line
+                    block = [raw, *takewhile(_EDGE_LINE, islice(
+                        lines, ln, ln - 1 + BLOCK))]
+                    read = read_edges
+                block_end = ln - 1 + len(block)
+                if read(block, ln):
+                    skip = len(block) - 1
+                    next(islice(rows, skip, skip), None)
+                    continue
+            if clause and declared_clauses is not None:
                 lits = _ints(tokens, ln, "clause")
                 if lits.pop() != 0:
                     raise GnfError("clause not terminated by 0", ln)

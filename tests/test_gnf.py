@@ -502,15 +502,127 @@ def fuzz_documents(rng, block, count):
         yield "\n".join([header] + lines) + "\n"
 
 
-@pytest.mark.parametrize("block, count", [(4, 3000), (gnf.CLAUSE_BLOCK, 300)])
+@pytest.mark.parametrize("block, count", [(4, 3000), (gnf.BLOCK, 300)])
 def test_clause_blocks_read_as_the_per_line_reader(monkeypatch, block, count):
-    monkeypatch.setattr(gnf, "CLAUSE_BLOCK", block)
+    monkeypatch.setattr(gnf, "BLOCK", block)
     rng = random.Random(block)
     read = {"clauses": 0, "errors": 0}
     for text in fuzz_documents(rng, block, count):
         want = outcome(per_line_clauses, text)
         assert outcome(lambda t: parse(t).clauses, text) == want, text
         read["errors" if isinstance(want, tuple) else "clauses"] += 1
+    assert min(read.values()) > count // 5, read
+
+
+# -- edge blocks ---------------------------------------------------------------
+
+def per_line_outcome(text):
+    """What ``parse`` gives with every edge line read one at a time: its
+    document, or its error text and line."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gnf, "_edge_columns", lambda lines: None)
+        return outcome(parse, text)
+
+
+EDGE_NODES = 5
+
+
+def edge_line(rng, gid, var):
+    return "edge %d %d %d %d %d" % (gid, rng.randrange(EDGE_NODES),
+                                    rng.randrange(EDGE_NODES), var,
+                                    rng.randrange(10))
+
+
+def odd_edge_line(rng, evars, g, at, block, atom, nvars):
+    """An edge line of graph ``g + 1`` at place ``at`` of its run, whose
+    vars are ``evars[g]``, changed in one of the ways the fuzz mixes in:
+    an edge fault of BAD_EDGES, a four- or six-field line, a comment or
+    blank line, an edge of the other graph, or a var that an earlier
+    block of the same graph or the other graph has."""
+    at = min(at, len(evars[g]) - 1)  # runs[g] may have grown by a line
+    gid, u, v, var, w = edge_line(rng, g + 1, evars[g][at]).split()[1:]
+    kind = rng.randrange(12)
+    if kind == 0:  # a non-integer token
+        fields = [gid, u, v, var, w]
+        fields[rng.randrange(5)] = rng.choice(("x", "2.5", "edge"))
+        return "edge " + " ".join(fields)
+    if kind == 1:
+        return "edge 9 %s %s %s %s" % (u, v, var, w)  # graph not declared
+    if kind == 2:  # a var of this graph's run, often one block back
+        back = min(at, rng.choice((1, block, block + 1, at)))
+        var = evars[g][at - back]
+    elif kind == 3:
+        var = rng.choice((0, -1, nvars + 1))
+    elif kind == 4:
+        var = atom
+    elif kind == 5:
+        u, v = rng.choice(((-1, v), (u, -1), (EDGE_NODES, v), (u, EDGE_NODES)))
+    elif kind == 6:
+        w = -1
+    elif kind == 7:
+        return "edge %s %s %s %s" % (gid, u, v, var)
+    elif kind == 8:
+        return "edge %s %s %s %s %s 1" % (gid, u, v, var, w)
+    elif kind == 9:
+        return rng.choice(("c edge 1 0 1 1 1", "", " \t"))
+    elif kind == 10:  # the other graph's edge inside this run
+        return edge_line(rng, 3 - int(gid), rng.randint(1, nvars - 2))
+    else:  # a var the other graph has, which this one may take
+        var = rng.choice(evars[1 - g])
+    return "edge %s %s %s %s %s" % (gid, u, v, var, w)
+
+
+def edge_fuzz_documents(rng, block, count):
+    """``count`` documents with an undirected graph 1 and a directed graph
+    2, whose edge runs are 1, block - 1, block, block + 1 or about 2 *
+    block lines long, most of them with a few odd lines, many near a block
+    boundary. An atom on graph 1 comes before the edges, and one after them
+    clashes with an edge var now and then."""
+    sizes = (1, block - 1, block, block + 1, 2 * block)
+    for _ in range(count):
+        lengths = [max(1, rng.choice(sizes) + rng.choice((0, 0, -1, 1)))
+                   for _ in range(2)]
+        nvars = max(lengths) + 2
+        atom = nvars  # and nvars - 1, the atom after the edges
+        evars = [rng.sample(range(1, nvars - 1), n) for n in lengths]
+        runs = [[edge_line(rng, g + 1, var) for var in evars[g]]
+                for g in range(2)]
+        declared = [len(run) for run in runs]
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            g = rng.randrange(2)
+            at = rng.choice((0, block, 2 * block, rng.randrange(len(runs[g]))))
+            at = min(len(runs[g]) - 1, max(0, at + rng.randint(-1, 1)))
+            new = odd_edge_line(rng, evars, g, at, block, atom, nvars)
+            if rng.random() < 0.5:
+                runs[g].insert(at, new)
+            else:
+                runs[g][at] = new
+        for g in range(2):
+            if rng.random() < 0.1:  # one edge over the count, or one short
+                declared[g] += rng.choice((-1, 1))
+        last_atom = nvars - 1
+        if rng.random() < 0.2:
+            last_atom = rng.choice(evars[0] + evars[1])
+        graph1 = "ugraph %d %d 1" % (EDGE_NODES, declared[0])
+        graph2 = "digraph %d %d 2" % (EDGE_NODES, declared[1])
+        atom_line = "components_leq 1 1 %d" % atom
+        if rng.random() < 0.5:  # the runs meet with no line between them
+            lines = [graph1, graph2, atom_line] + runs[0] + runs[1]
+        else:
+            lines = [graph1, atom_line] + runs[0] + [graph2] + runs[1]
+        lines.append("components_leq 1 2 %d" % last_atom)
+        yield "\n".join(["p gnf %d 0" % nvars] + lines) + "\n"
+
+
+@pytest.mark.parametrize("block, count", [(4, 2000), (gnf.BLOCK, 150)])
+def test_edge_blocks_read_as_the_per_line_reader(monkeypatch, block, count):
+    monkeypatch.setattr(gnf, "BLOCK", block)
+    rng = random.Random(block)
+    read = {"documents": 0, "errors": 0}
+    for text in edge_fuzz_documents(rng, block, count):
+        want = per_line_outcome(text)
+        assert outcome(parse, text) == want, text
+        read["errors" if isinstance(want, tuple) else "documents"] += 1
     assert min(read.values()) > count // 5, read
 
 
@@ -528,7 +640,7 @@ def sched_lines():
 
 # Line 309 starts the first block, 820 ends it, 821 starts the second, and
 # 20,000 lies in the 39th.
-BLOCK_EDGES = [309, 308 + gnf.CLAUSE_BLOCK, 309 + gnf.CLAUSE_BLOCK, 20000]
+BLOCK_EDGES = [309, 308 + gnf.BLOCK, 309 + gnf.BLOCK, 20000]
 BREAKS = [
     (lambda line: line[:-2], "clause not terminated by 0"),
     (lambda line: "0 " + line, "0 inside clause"),
@@ -552,7 +664,7 @@ def test_clause_error_at_a_block_edge(ln, brk, message):
 
 def test_comment_and_blank_line_inside_a_block(monkeypatch):
     lines = sched_lines()
-    at = 308 + gnf.CLAUSE_BLOCK + 100  # after line 920
+    at = 308 + gnf.BLOCK + 100  # after line 920
     lines[at:at] = ["c inside the second block", ""]
     tried = []
     read_block = gnf._clause_block
@@ -585,5 +697,119 @@ def test_parse_holds_one_block_of_clauses_at_a_time(monkeypatch):
     bound = 2.5 * 2 ** 20
     text = sched_text()
     assert transient_bytes(text) < bound
-    monkeypatch.setattr(gnf, "CLAUSE_BLOCK", len(text))
+    monkeypatch.setattr(gnf, "BLOCK", len(text))
     assert transient_bytes(text) > bound
+
+
+@functools.lru_cache(maxsize=None)
+def flow_text():
+    """A flow document whose 574 edge lines of graph 1 are lines 4 to 577;
+    the var of the edge on line N is N - 3."""
+    return serialize(gen_flow(14, 14))
+
+
+def flow_lines():
+    lines = flow_text().splitlines()
+    assert lines[2] == "digraph 198 574 1" and lines[577].startswith("maxflow")
+    return lines
+
+
+def set_field(lines, ln, at, value):
+    """Set field ``at`` (0 for the gid) of the edge on line ``ln``."""
+    tokens = lines[ln - 1].split()
+    tokens[at + 1] = value
+    lines[ln - 1] = " ".join(tokens)
+    return ln
+
+
+def repeat_var(lines, ln):
+    """Give the edge on line ``ln`` the var of the edge before it or, on
+    the first edge line, the edge after it the var of line ``ln``; return
+    the line of the repeat."""
+    if ln == 4:
+        return set_field(lines, 5, 3, "1")
+    return set_field(lines, ln, 3, str(ln - 4))
+
+
+# Line 4 starts the first block, 515 ends it, 516 starts the second, and
+# 577 ends it.
+FLOW_EDGES = [4, 3 + gnf.BLOCK, 4 + gnf.BLOCK, 577]
+EDGE_BREAKS = {
+    "endpoint": (lambda lines, ln: set_field(lines, ln, 1, "198"),
+                 "edge endpoint out of range"),
+    "weight": (lambda lines, ln: set_field(lines, ln, 4, "-1"),
+               "negative edge weight"),
+    "repeat": (repeat_var,
+               lambda line: "var %s already an edge of graph 1"
+               % line.split()[4]),
+    "range": (lambda lines, ln: set_field(lines, ln, 3, "576"),
+              "var 576 out of range 1..575"),
+    "token": (lambda lines, ln: set_field(lines, ln, 2, "x"),
+              lambda line: "edge expects integers, got %r" % line.split()[1:]),
+}
+
+
+@pytest.mark.parametrize("ln", FLOW_EDGES)
+@pytest.mark.parametrize("kind", EDGE_BREAKS)
+def test_edge_error_at_a_block_edge(ln, kind):
+    brk, message = EDGE_BREAKS[kind]
+    lines = flow_lines()
+    at = brk(lines, ln)
+    if callable(message):
+        message = message(lines[at - 1])
+    e = err("\n".join(lines) + "\n")
+    assert str(e) == "line %d: %s" % (at, message) and e.line == at
+
+
+def test_odd_lines_inside_an_edge_block(monkeypatch):
+    lines = flow_lines()
+    want = gen_flow(14, 14).graphs
+    # A four-field line in the first block, and a comment and a blank line
+    # in the second.
+    lines[9] = lines[9].rsplit(" ", 1)[0]
+    at = 3 + gnf.BLOCK + 20  # after line 535
+    lines[at:at] = ["c inside the second block", ""]
+    tried = []
+    read_block = gnf._edge_columns
+    monkeypatch.setattr(gnf, "_edge_columns", lambda block: (
+        tried.append(len(block)) or read_block(block)))
+    assert parse("\n".join(lines) + "\n").graphs == want
+    # The first block goes line by line, the second run ends at the
+    # comment, and no edge line is tried twice.
+    assert tried == [gnf.BLOCK, 20, 574 - gnf.BLOCK - 20]
+
+
+def edge_block_peaks(text):
+    """The most memory that each edge block's conversion held at once, in
+    the order ``parse(text)`` converted them."""
+    peaks = []
+    read_block = gnf._edge_columns
+
+    def measured(block):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        columns = read_block(block)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return columns
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gnf, "_edge_columns", measured)
+            parse(text)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def test_parse_holds_one_block_of_edges_at_a_time(monkeypatch):
+    # The 5,952 edge lines of a 32x32 maze form runs of 1,984 and 3,968
+    # lines. A 512-line block's conversion peaks at 0.22 MiB on CPython
+    # 3.11, and a whole run at 1.36 MiB.
+    bound = 2 ** 19
+    text = serialize(gen_maze(32, 32, 0))
+    peaks = edge_block_peaks(text)
+    assert len(peaks) == 12 and max(peaks) < bound
+    monkeypatch.setattr(gnf, "BLOCK", len(text))
+    peaks = edge_block_peaks(text)
+    assert len(peaks) == 2 and max(peaks) > bound
