@@ -10,7 +10,7 @@ from .gcpause import paused
 from .sat import Solver, SAT, mk_lit
 from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
-from .gnf import GnfDocument, PREDICATES, check_var
+from .gnf import GnfDocument, VarOwners
 
 
 def internal_lit(dimacs: int) -> int:
@@ -34,55 +34,15 @@ class Instance:
         self.atoms = atoms  # (theory, binding) per doc predicate
 
 
-def _owned_vars(decls, nvars, clash):
-    """The vars of one graph's edges or one processor's tasks, each in
-    range and named once (``clash`` the message for a var named again)."""
-    owned = set()
-    for d in decls:
-        v = d.var
-        if v in owned or not 0 < v <= nvars:
-            check_var(v, nvars)  # raises when out of range
-            raise ValueError(clash % v)
-        owned.add(v)
-    return owned
-
-
-def _check_decl_vars(doc: GnfDocument) -> None:
-    """The parser's rules on declaration vars and predicate owners, for a
-    document built in code, with its messages less the line numbers: the
-    first fault in the order ``serialize`` writes the document raises
-    ValueError."""
-    nvars = doc.nvars
-    edge_vars = {gid: _owned_vars(doc.graphs[gid].edges, nvars,
-                                  "var %%d already an edge of graph %d" % gid)
-                 for gid in sorted(doc.graphs)}
-    svars = set().union(*edge_vars.values(), *(
-        _owned_vars(doc.procs[pid].tasks, nvars,
-                    "var %%d already a task on processor %d" % pid)
-        for pid in sorted(doc.procs)))
-    pvars = set()
-    for p in doc.preds:
-        if p.kind not in PREDICATES:
-            raise ValueError("unknown declaration %r" % p.kind)
-        proc = PREDICATES[p.kind][0] == "processor"
-        if p.owner not in (doc.procs if proc else doc.graphs):
-            raise ValueError("%s %d not declared"
-                             % ("processor" if proc else "graph", p.owner))
-        if p.kind == "mst_edge" and p.args[0] not in edge_vars[p.owner]:
-            check_var(p.args[0], nvars)  # raises when out of range
-            raise ValueError("var %d is not an edge of graph %d"
-                             % (p.args[0], p.owner))
-        check_var(p.var, nvars)
-        if p.var in svars:
-            raise ValueError("var %d is already an edge or task var" % p.var)
-        if p.var in pvars:
-            raise ValueError("var %d is already a predicate atom" % p.var)
-        pvars.add(p.var)
-
-
 @paused
 def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
-    _check_decl_vars(doc)  # the parser's checks, for a document built in code
+    # The parser's rules on declaration vars, for a document built in code.
+    owners = VarOwners(doc.nvars)
+    for gid in sorted(doc.graphs):
+        owners.declare("graph", gid, [e.var for e in doc.graphs[gid].edges])
+    for pid in sorted(doc.procs):
+        owners.declare("processor", pid,
+                       [t.var for t in doc.procs[pid].tasks])
     solver = Solver(seed=seed, observer=observer)
     solver.new_vars(doc.nvars)
     graphs = {gid: GraphTheory(gid, g.directed, g.n,
@@ -94,12 +54,13 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
              for pid, p in doc.procs.items()}
     atoms = []
     for pred in doc.preds:
-        on_proc = PREDICATES[pred.kind][0] == "processor"
-        th = (procs if on_proc else graphs)[pred.owner]
+        kind, oid, args, var = pred.kind, pred.owner, pred.args, pred.var
+        owner = owners.atom(kind, oid, args, var)
+        th = (procs if owner == "processor" else graphs)[oid]
         # mst_edge names its edge by var, the only var among the arguments.
-        args = (pred.args[0] - 1,) if pred.kind == "mst_edge" else pred.args
-        atoms.append((th, th.atom(th.add_atom(pred.kind, args,
-                                              pred.var - 1))))
+        if kind == "mst_edge":
+            args = (args[0] - 1,)
+        atoms.append((th, th.atom(th.add_atom(kind, args, var - 1))))
     theories = list(graphs.values()) + list(procs.values())
     for th in theories:
         solver.attach_theory(th)

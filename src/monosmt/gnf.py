@@ -23,7 +23,11 @@ carry generator metadata that survives a round trip.
 Graphs and processors must be declared before their members; mst_edge must
 follow the edge it names. Atom vars are globally unique and distinct from
 every edge and task var. Edge vars may repeat across graphs but not within
-one; the same holds for task vars across processors.
+one; the same holds for task vars across processors. `VarOwners` is the one
+table of these rules on declaration vars and predicate owners: `parse`
+consults it per declaration line and per block of edge lines, and
+`build.build_instance` per graph, processor and atom of a document built in
+code.
 
 `parse` reads clause lines `BLOCK` at a time, and each run of consecutive
 edge lines in blocks of up to `BLOCK` lines, with one split and one
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice, takewhile
+from itertools import count, islice, takewhile
 
 from .gcpause import paused
 
@@ -181,6 +185,116 @@ def check_pred(kind, args, owner, oid, n=0):
         raise ValueError("flow source equals sink")
 
 
+# An owner's words for a var named twice among its edges or tasks.
+_CLASH = {"graph": "var %d already an edge of graph %d",
+          "processor": "var %d already a task on processor %d"}
+
+
+def _taken(var, what, line):
+    """The clash of ``var`` with the ``what`` it already is, naming its
+    first declaring ``line`` where that is known."""
+    message = "var %d is already %s" % (var, what)
+    return ValueError(message if line is None
+                      else "%s (line %d)" % (message, line))
+
+
+class VarOwners:
+    """Every rule on the declaration vars and predicate owners of a document
+    of ``nvars`` vars, whose declarations are claimed in reading order:
+    ``parse`` claims them line by line, ``build.build_instance`` in the
+    order ``serialize`` writes them.
+
+    A var is in range, and it is an edge or task var or an atom var, never
+    both. An edge var is named once per graph and a task var once per
+    processor; an atom var is no other atom's. An atom's kind is known and
+    its owner declared, and an mst_edge atom has one argument, an edge var
+    of its graph. A broken rule raises ValueError in the parser's words,
+    and a clash names the first declaring line where the caller gave it.
+    """
+
+    __slots__ = ("nvars", "owned", "svars", "pvars", "lines")
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        graphs = {}
+        # An owner's word -> its id -> the vars of its edges or tasks. A
+        # kind's owner in PREDICATES, "digraph" or "ugraph", names graphs.
+        self.owned = {"graph": graphs, "digraph": graphs, "ugraph": graphs,
+                      "processor": {}}
+        self.svars = set()  # edge and task vars
+        self.pvars = {}  # atom var -> its declaring line, where given
+        self.lines = {}  # edge or task var -> its first declaring line
+
+    def declare(self, owner, oid, members=()):
+        """Declare ``owner`` ("graph" or "processor") ``oid`` with
+        ``members``, the vars of its edges or tasks in a document built in
+        code, of which the first that breaks a rule names it."""
+        self.owned[owner][oid] = set()
+        if members and not self.claim(owner, oid, members):
+            for var in members:
+                self.member(owner, oid, var)
+
+    def member(self, owner, oid, var, ln=None):
+        """Claim ``var``, declared at line ``ln``, for an edge or a task of
+        ``owner`` ``oid``."""
+        owned = self.owned[owner][oid]
+        if var in owned:
+            raise ValueError(_CLASH[owner] % (var, oid))
+        if not 0 < var <= self.nvars:
+            check_var(var, self.nvars)
+        if var in self.pvars:
+            raise _taken(var, "a predicate atom", self.pvars[var])
+        owned.add(var)
+        self.svars.add(var)
+        self.lines.setdefault(var, ln)
+
+    def claim(self, owner, oid, members, ln=None):
+        """Claim ``members``, declared one a line from line ``ln`` on, as
+        ``member`` would one by one, and return True; or, where ``member``
+        would raise, claim none and return False."""
+        owned = self.owned[owner][oid]
+        fresh = set(members)
+        if (len(fresh) != len(members) or not fresh.isdisjoint(owned)
+                or not fresh.isdisjoint(self.pvars) or members and (
+                    min(members) < 1 or max(members) > self.nvars)):
+            return False
+        owned |= fresh
+        self.svars |= fresh
+        if ln is not None:
+            lines = self.lines
+            for var, line in zip(members, count(ln)):
+                lines.setdefault(var, line)
+        return True
+
+    def atom(self, kind, oid, args, var, ln=None):
+        """Claim ``var``, declared at line ``ln``, for a ``kind`` atom on
+        owner ``oid`` with ``args``, its arguments between the owner id
+        and the var; return the kind's owner declaration, as PREDICATES
+        names it."""
+        if kind not in PREDICATES:
+            raise ValueError("unknown declaration %r" % kind)
+        mst = kind == "mst_edge"
+        if mst and len(args) != 1:  # parse counts a line's tokens first
+            raise ValueError(_usage(kind))
+        owner = PREDICATES[kind][0]
+        owned = self.owned[owner]
+        if oid not in owned:
+            raise ValueError("%s %d not declared" % (
+                "processor" if owner == "processor" else "graph", oid))
+        if mst and args[0] not in owned[oid]:
+            check_var(args[0], self.nvars)  # the range first
+            raise ValueError("var %d is not an edge of graph %d"
+                             % (args[0], oid))
+        pvars = self.pvars
+        if not 0 < var <= self.nvars or var in self.svars or var in pvars:
+            check_var(var, self.nvars)
+            if var in pvars:
+                raise _taken(var, "a predicate atom", pvars[var])
+            raise _taken(var, "an edge or task var", self.lines.get(var))
+        pvars[var] = ln
+        return owner
+
+
 def _ints(tokens, ln, what):
     try:
         return [int(t) for t in tokens]
@@ -237,27 +351,7 @@ def parse(text: str) -> GnfDocument:
     doc = GnfDocument()
     declared_clauses = None
     declared_edges = {}
-    edge_vars = {}  # gid -> vars of the graph's edges so far
-    task_vars = {}  # pid -> vars of the processor's tasks so far
-    svar_lines = {}  # var -> first declaring line
-    pvar_lines = {}
-
-    def new_svar(v, ln):
-        check_var(v, doc.nvars)
-        if v in pvar_lines:
-            raise GnfError("var %d is already a predicate atom (line %d)"
-                           % (v, pvar_lines[v]), ln)
-        svar_lines.setdefault(v, ln)
-
-    def new_pvar(v, ln):
-        check_var(v, doc.nvars)
-        if v in svar_lines:
-            raise GnfError("var %d is already an edge or task var (line %d)"
-                           % (v, svar_lines[v]), ln)
-        if v in pvar_lines:
-            raise GnfError("var %d is already a predicate atom (line %d)"
-                           % (v, pvar_lines[v]), ln)
-        pvar_lines[v] = ln
+    owners = None  # the VarOwners of the header's nvars
 
     def get_graph(gid, ln):
         g = doc.graphs.get(gid)
@@ -266,40 +360,9 @@ def parse(text: str) -> GnfDocument:
         return g
 
     def declare(head, args, ln):
-        """Read one declaration line. The shared ``check_*`` rules raise
-        ValueError, which the caller reports at line ``ln``."""
-        if head == "edge":  # the most common declaration, read inline
-            if len(args) not in (4, 5):
-                raise GnfError("edge expects <gid> <u> <v> <var> [<w>]", ln)
-            try:
-                gid, u, v, var, *weight = map(int, args)
-            except ValueError:
-                raise GnfError("edge expects integers, got %r" % (args,), ln)
-            g = doc.graphs.get(gid) or get_graph(gid, ln)  # or raises
-            if len(g.edges) >= declared_edges[gid]:
-                raise GnfError("graph %d declared %d edges"
-                               % (gid, declared_edges[gid]), ln)
-            weight = weight[0] if weight else 1
-            check_edge(g.n, u, v, weight)
-            if var in edge_vars[gid]:
-                raise GnfError("var %d already an edge of graph %d"
-                               % (var, gid), ln)
-            if not 1 <= var <= doc.nvars or var in pvar_lines:
-                new_svar(var, ln)  # raises with the rule's message
-            svar_lines.setdefault(var, ln)
-            edge_vars[gid].add(var)
-            g.edges.append(EdgeDecl(gid, u, v, var, weight))
-        elif head in ("digraph", "ugraph"):
-            if len(args) != 3:
-                raise GnfError("%s expects <n> <m> <gid>" % head, ln)
-            n, m, gid = _ints(args, ln, head)
-            if gid in doc.graphs:
-                raise GnfError("duplicate graph id %d" % gid, ln)
-            check_graph(n, m)
-            doc.graphs[gid] = GraphDecl(gid, head == "digraph", n)
-            declared_edges[gid] = m
-            edge_vars[gid] = set()
-        elif head in PREDICATES:
+        """Read one declaration line. The shared rules raise ValueError,
+        which the caller reports at line ``ln``."""
+        if head in PREDICATES:  # the most common line read here
             owner, names = PREDICATES[head]
             if len(args) != len(names) + 2:
                 raise GnfError(_usage(head), ln)
@@ -313,22 +376,36 @@ def parse(text: str) -> GnfDocument:
                                ln)
             if inf:
                 vals.append(None)
+            owners.atom(head, oid, vals, var, ln)  # the owner is declared
             n = 0
-            if owner == "processor":
-                if oid not in doc.procs:
-                    raise GnfError("processor %d not declared" % oid, ln)
-            else:
-                g = get_graph(oid, ln)
+            if owner != "processor":
+                g = doc.graphs[oid]
                 owner = "digraph" if g.directed else "ugraph"
                 n = g.n
             check_pred(head, vals, owner, oid, n)
-            if head == "mst_edge":
-                check_var(vals[0], doc.nvars)  # first, as build_instance does
-                if vals[0] not in edge_vars[oid]:
-                    raise GnfError("var %d is not an edge of graph %d"
-                                   % (vals[0], oid), ln)
-            new_pvar(var, ln)
             doc.preds.append(PredDecl(head, oid, tuple(vals), var))
+        elif head == "edge":
+            if len(args) not in (4, 5):
+                raise GnfError("edge expects <gid> <u> <v> <var> [<w>]", ln)
+            gid, u, v, var, *weight = _ints(args, ln, head)
+            g = get_graph(gid, ln)
+            if len(g.edges) >= declared_edges[gid]:
+                raise GnfError("graph %d declared %d edges"
+                               % (gid, declared_edges[gid]), ln)
+            weight = weight[0] if weight else 1
+            check_edge(g.n, u, v, weight)
+            owners.member("graph", gid, var, ln)
+            g.edges.append(EdgeDecl(gid, u, v, var, weight))
+        elif head in ("digraph", "ugraph"):
+            if len(args) != 3:
+                raise GnfError("%s expects <n> <m> <gid>" % head, ln)
+            n, m, gid = _ints(args, ln, head)
+            if gid in doc.graphs:
+                raise GnfError("duplicate graph id %d" % gid, ln)
+            check_graph(n, m)
+            doc.graphs[gid] = GraphDecl(gid, head == "digraph", n)
+            declared_edges[gid] = m
+            owners.declare("graph", gid)
         elif head == "processor":
             if len(args) != 1:
                 raise GnfError("processor expects <pid>", ln)
@@ -336,7 +413,7 @@ def parse(text: str) -> GnfDocument:
             if pid in doc.procs:
                 raise GnfError("duplicate processor id %d" % pid, ln)
             doc.procs[pid] = ProcDecl(pid)
-            task_vars[pid] = set()
+            owners.declare("processor", pid)
         elif head == "task":
             if len(args) != 5:
                 raise GnfError("task expects <pid> <A> <L> <D> <var>", ln)
@@ -345,11 +422,7 @@ def parse(text: str) -> GnfDocument:
             if proc is None:
                 raise GnfError("processor %d not declared" % pid, ln)
             check_task(a, dur)
-            if var in task_vars[pid]:
-                raise GnfError("var %d already a task on processor %d"
-                               % (var, pid), ln)
-            new_svar(var, ln)
-            task_vars[pid].add(var)
+            owners.member("processor", pid, var, ln)
             proc.tasks.append(TaskDecl(pid, a, dur, dl, var))
         else:
             raise GnfError("unknown declaration %r" % head, ln)
@@ -376,15 +449,8 @@ def parse(text: str) -> GnfDocument:
                 or len(g.edges) + k > declared_edges[gid]
                 or min(us) < 0 or min(vs) < 0
                 or max(us) >= g.n or max(vs) >= g.n or min(weights) < 0
-                or min(evars) < 1 or max(evars) > doc.nvars):
+                or not owners.claim("graph", gid, evars, ln)):
             return False
-        fresh = set(evars)
-        if (len(fresh) != k or not fresh.isdisjoint(edge_vars[gid])
-                or not fresh.isdisjoint(pvar_lines)):
-            return False
-        for var, line in zip(evars, range(ln, ln + k)):
-            svar_lines.setdefault(var, line)
-        edge_vars[gid].update(fresh)
         g.edges.extend(map(EdgeDecl, gids, us, vs, evars, weights))
         return True
 
@@ -438,6 +504,7 @@ def parse(text: str) -> GnfDocument:
                     raise GnfError("negative counts in header", ln)
                 doc.nvars = nvars
                 declared_clauses = nclauses
+                owners = VarOwners(nvars)
                 continue
             if declared_clauses is None:
                 raise GnfError("content before 'p gnf' header", ln)

@@ -108,6 +108,16 @@ def find(parent, x):
     return x
 
 
+def flat_labels(parent):
+    """Each node's union-find root, from a copy of ``parent`` flattened in
+    one forward pass: every link points to a smaller node, whose label is
+    set by the time the pass reaches the node."""
+    comp = parent[:]
+    for x in range(len(comp)):
+        comp[x] = comp[comp[x]]
+    return comp
+
+
 class SpanResult:
     """Kruskal scan output. ``forest`` is the set of forest edge ids, sorted
     by rank where its (weight, eid) order is read, and never written."""
@@ -426,8 +436,8 @@ class GraphTheory(MonotonicTheory):
         grow over forest edges in lockstep until one side, the smaller, is
         exhausted, so at most twice its size is visited. The least enabled
         edge leaving it takes the place of ``eid`` in a new edge set; with
-        none, a copy of the union-find is flattened and the side without the
-        old root takes its smallest node as its root, as in a cold scan.
+        none, the side without the old root takes its smallest node as its
+        root in the flat labels, as in a cold scan.
         ``old`` is never written."""
         adj, fs, rank = self._adj, old.forest, self._rank
         e = self.edges[eid]
@@ -450,9 +460,7 @@ class GraphTheory(MonotonicTheory):
             forest.add(best)
             return SpanResult(old.components, forest, old.weight - e.weight
                               + self.edges[best].weight, old.parent)
-        comp = old.parent[:]
-        for x in range(self.n):  # each link points to a smaller node
-            comp[x] = comp[comp[x]]
+        comp = flat_labels(old.parent)
         root = comp[e.u]
         if mark[root] == s:  # the other side takes its smallest node
             a = [x for x in range(root, self.n)
@@ -536,9 +544,10 @@ class GraphTheory(MonotonicTheory):
             return [eid for eid in sorted(moved)
                     if side[edges[eid].u] and not side[edges[eid].v]]
         if kind == "components_leq":
-            root = self._analysis(enabled, analysis, _SPAN).parent
+            comp = flat_labels(self._analysis(enabled, analysis,
+                                              _SPAN).parent)
             return [eid for eid in sorted(moved)
-                    if find(root, edges[eid].u) != find(root, edges[eid].v)]
+                    if comp[edges[eid].u] != comp[edges[eid].v]]
         dist = self._analysis(enabled, analysis, ("dij", payload[0]))[0]
         return [eid for eid in sorted(moved) if dist[edges[eid].u] != INF]
 
@@ -578,7 +587,7 @@ class GraphTheory(MonotonicTheory):
         span = self._analysis(enabled, analysis, _SPAN)
         if span.components > 1:
             # Disconnected: a cut of disabled edges isolating one component.
-            comp = [find(span.parent, v) for v in range(self.n)]
+            comp = flat_labels(span.parent)
             cuts = {}
             for eid in sorted(disabled):
                 e = edges[eid]

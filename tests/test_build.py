@@ -1,14 +1,17 @@
 """From documents to solvers: what ``build_instance`` hands the SAT core."""
 
+import copy
 import re
 
 import pytest
 
 from monosmt.build import build_instance, internal_lit, solve_doc
-from monosmt.generators import gen_flow, gen_maze, gen_sched
+from monosmt.generators import Xorshift64Star, gen_flow, gen_maze, gen_sched
 from monosmt.gnf import (EdgeDecl, GnfDocument, GnfError, GraphDecl,
                          PredDecl, ProcDecl, TaskDecl, parse, serialize)
 from monosmt.sat import UNDEF, UNSAT, Solver
+
+from instances import ALL_KINDS, rand_doc, rand_mixed_doc
 
 DOCS = {
     "maze": lambda: gen_maze(4, 4, 0),
@@ -171,6 +174,10 @@ def clash(fault):
         doc.nvars = 9
     elif fault == "atom of an unknown kind":
         reach.kind = "nope"
+    elif fault == "mst_edge with no argument":
+        mst.args = ()
+    elif fault == "mst_edge with two arguments":
+        mst.args = (3, 4)
     else:
         assert fault == "task var twice on a processor"
         doc.procs[1].tasks[1].var = 5
@@ -192,11 +199,15 @@ def clash(fault):
     ("atom on an undeclared graph", "graph 9 not declared"),
     ("atom on an undeclared processor", "processor 4 not declared"),
     ("atom of an unknown kind", "unknown declaration 'nope'"),
+    ("mst_edge with no argument", "mst_edge expects <gid> <edgeVar> <var>"),
+    ("mst_edge with two arguments",
+     "mst_edge expects <gid> <edgeVar> <var>"),
 ])
 def test_var_clashes_read_alike_in_parser_and_builder(fault, message):
     # build_instance once took the first three and solved them SAT, named
     # the next five in its 0-based internal numbering and raised a KeyError
-    # on the last three.
+    # on the three after. It raised an IndexError on an mst_edge atom with
+    # no argument, and dropped the second of two and solved.
     assert build_instance(two_graph_doc()).ok
     with pytest.raises(ValueError) as built:
         build_instance(clash(fault))
@@ -205,3 +216,90 @@ def test_var_clashes_read_alike_in_parser_and_builder(fault, message):
     assert str(built.value) == message
     assert re.sub(r"^line \d+: | \(line \d+\)$", "",
                   str(parsed.value)) == message
+
+
+def declaration_fields(doc):
+    """(record, field) per declaration field the fuzz below may set: each
+    edge, task and atom var, each atom's owner and kind, and each mst_edge
+    atom's arguments."""
+    fields = [(e, "var") for gid in sorted(doc.graphs)
+              for e in doc.graphs[gid].edges]
+    fields += [(t, "var") for pid in sorted(doc.procs)
+               for t in doc.procs[pid].tasks]
+    fields += [(p, name) for p in doc.preds for name in (
+        ("var", "owner", "kind", "args") if p.kind == "mst_edge"
+        else ("var", "owner", "kind"))]
+    return fields
+
+
+def fault_value(rng, record, field, nvars, taken):
+    """A value for ``record``'s ``field``: a var out of range, any var or
+    one of the ``taken`` vars of the declarations, an undeclared owner, an
+    unknown kind, or mst_edge arguments: none, two, or one var."""
+    pick = rng.randint(0, 5)
+    var = ([0, nvars + 1, rng.randint(1, nvars)][pick] if pick < 3
+           else taken[rng.randint(0, len(taken) - 1)])
+    if field == "owner":
+        return [0, 2, 9][rng.randint(0, 2)]
+    if field == "kind":
+        return "nope"
+    if field == "args":
+        return [(), record.args + (var,), (var,)][rng.randint(0, 2)]
+    return var
+
+
+def mutated(doc, faults):
+    doc = copy.deepcopy(doc)
+    fields = declaration_fields(doc)
+    for index, value in faults:
+        record, name = fields[index]
+        setattr(record, name, value)
+    return doc
+
+
+def fault_text(doc):
+    """The fault that build_instance names in ``doc``, and the one that
+    parse names in its text less the line numbers, each None for none."""
+    text = serialize(doc)
+    try:
+        build_instance(doc)
+        built = None
+    except ValueError as exc:
+        built = str(exc)
+    try:
+        parse(text)
+        parsed = None
+    except GnfError as exc:
+        parsed = re.sub(r"^line \d+: | \(line \d+\)$", "", str(exc))
+    return built, parsed
+
+
+def test_declaration_faults_read_alike_in_parser_and_builder():
+    # Both read the rules from one table, gnf.VarOwners. The parser reads a
+    # document in serialize order and names its first faulty line, so equal
+    # texts mean that build_instance names that fault too.
+    docs = [rand_doc(kind, seed) for kind in ALL_KINDS for seed in range(60)]
+    docs += [rand_mixed_doc(seed) for seed in range(120)]
+    rng = Xorshift64Star(35)
+    seen = set()
+    contested = 0  # two faults, each named alone, in different words
+    for n, doc in enumerate(docs):
+        fields = declaration_fields(doc)
+        taken = [r.var for r, name in fields if name == "var"]
+        faults = [(i, fault_value(rng, *fields[i], doc.nvars, taken))
+                  for i in (rng.randint(0, len(fields) - 1)
+                            for _ in range(1 + n % 2))]
+        built, parsed = fault_text(mutated(doc, faults))
+        assert built == parsed, (n, faults)
+        seen.add(re.sub(r"-?\d+", "N", str(built)))
+        if len(faults) == 2:
+            alone = {fault_text(mutated(doc, [f]))[0] for f in faults}
+            contested += None not in alone and len(alone) == 2
+    assert contested >= 100
+    assert seen >= {
+        "None", "var N out of range N..N", "var N already an edge of graph N",
+        "var N already a task on processor N",
+        "var N is already an edge or task var",
+        "var N is already a predicate atom", "var N is not an edge of graph N",
+        "graph N not declared", "processor N not declared",
+        "unknown declaration 'nope'", "mst_edge expects <gid> <edgeVar> <var>"}
