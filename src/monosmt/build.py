@@ -10,7 +10,8 @@ from .gcpause import paused
 from .sat import Solver, SAT, mk_lit
 from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
-from .gnf import GnfDocument, VarOwners
+from .gnf import (GnfDocument, VarOwners, check_edge, check_graph,
+                  check_task)
 
 
 def internal_lit(dimacs: int) -> int:
@@ -36,13 +37,17 @@ class Instance:
 
 @paused
 def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
-    # The parser's rules on declaration vars, for a document built in code.
+    # The parser's rules on declarations, for a document built in code, in
+    # the order serialize writes them.
     owners = VarOwners(doc.nvars)
     for gid in sorted(doc.graphs):
-        owners.declare("graph", gid, [e.var for e in doc.graphs[gid].edges])
+        g = doc.graphs[gid]
+        check_graph(g.n, len(g.edges))
+        owners.declare("graph", gid, g.edges, lambda e, n=g.n: check_edge(
+            n, e.u, e.v, e.weight))
     for pid in sorted(doc.procs):
-        owners.declare("processor", pid,
-                       [t.var for t in doc.procs[pid].tasks])
+        owners.declare("processor", pid, doc.procs[pid].tasks,
+                       lambda t: check_task(t.arrival, t.duration))
     solver = Solver(seed=seed, observer=observer)
     solver.new_vars(doc.nvars)
     graphs = {gid: GraphTheory(gid, g.directed, g.n,
@@ -64,10 +69,10 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
     theories = list(graphs.values()) + list(procs.values())
     for th in theories:
         solver.attach_theory(th)
-    for clause in doc.clauses:  # internal_lit, inlined
-        if not solver.add_clause([l + l - 2 if l > 0 else -l - l - 1
-                                  for l in clause]):
-            break
+    # internal_lit, inlined: a literal beyond nvars, or 0, stays out of
+    # range, so add_clauses rejects it.
+    solver.add_clauses([l + l - 2 if l > 0 else -l - l - 1 for l in clause]
+                       for clause in doc.clauses)
     return Instance(doc, solver, theories, atoms)
 
 

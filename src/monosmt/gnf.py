@@ -207,9 +207,10 @@ class VarOwners:
     A var is in range, and it is an edge or task var or an atom var, never
     both. An edge var is named once per graph and a task var once per
     processor; an atom var is no other atom's. An atom's kind is known and
-    its owner declared, and an mst_edge atom has one argument, an edge var
-    of its graph. A broken rule raises ValueError in the parser's words,
-    and a clash names the first declaring line where the caller gave it.
+    its owner declared, it has as many arguments as PREDICATES names, and
+    an mst_edge atom's one argument is an edge var of its graph. A broken
+    rule raises ValueError in the parser's words, and a clash names the
+    first declaring line where the caller gave it.
     """
 
     __slots__ = ("nvars", "owned", "svars", "pvars", "lines")
@@ -225,14 +226,20 @@ class VarOwners:
         self.pvars = {}  # atom var -> its declaring line, where given
         self.lines = {}  # edge or task var -> its first declaring line
 
-    def declare(self, owner, oid, members=()):
+    def declare(self, owner, oid, members=(), check=None):
         """Declare ``owner`` ("graph" or "processor") ``oid`` with
-        ``members``, the vars of its edges or tasks in a document built in
-        code, of which the first that breaks a rule names it."""
+        ``members``, the edge or task records of a document built in code.
+        Each is passed to ``check`` and then its var is claimed, as the
+        parser reads them line by line, so the first that breaks a rule
+        names it."""
         self.owned[owner][oid] = set()
-        if members and not self.claim(owner, oid, members):
-            for var in members:
-                self.member(owner, oid, var)
+        if members and self.claim(owner, oid, [m.var for m in members]):
+            for m in members:
+                check(m)
+        else:
+            for m in members:
+                check(m)
+                self.member(owner, oid, m.var)
 
     def member(self, owner, oid, var, ln=None):
         """Claim ``var``, declared at line ``ln``, for an edge or a task of
@@ -273,15 +280,14 @@ class VarOwners:
         names it."""
         if kind not in PREDICATES:
             raise ValueError("unknown declaration %r" % kind)
-        mst = kind == "mst_edge"
-        if mst and len(args) != 1:  # parse counts a line's tokens first
+        owner, names = PREDICATES[kind]
+        if len(args) != len(names):  # parse counts a line's tokens first
             raise ValueError(_usage(kind))
-        owner = PREDICATES[kind][0]
         owned = self.owned[owner]
         if oid not in owned:
             raise ValueError("%s %d not declared" % (
                 "processor" if owner == "processor" else "graph", oid))
-        if mst and args[0] not in owned[oid]:
+        if kind == "mst_edge" and args[0] not in owned[oid]:
             check_var(args[0], self.nvars)  # the range first
             raise ValueError("var %d is not an edge of graph %d"
                              % (args[0], oid))

@@ -37,7 +37,7 @@ import heapq
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .gnf import check_edge, check_graph, check_pred
+from .gnf import check_pred
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 
 INF = float("inf")
@@ -279,12 +279,13 @@ class GraphTheory(MonotonicTheory):
     """Theory solver for the predicates of one symbolic graph.
 
     ``edges`` lists (u, v, var, weight) tuples, ``var`` an internal solver
-    var; an edge's id is its position in the list.
+    var; an edge's id is its position in the list. The graph and its edges
+    are taken as GNF allows them: the parser and ``build_instance`` check
+    them with ``gnf.check_graph`` and ``gnf.check_edge``.
     """
 
     def __init__(self, gid: int, directed: bool, n: int, edges):
         super().__init__()
-        check_graph(n, len(edges))
         self.gid = gid
         self.directed = directed
         self.n = n
@@ -294,7 +295,6 @@ class GraphTheory(MonotonicTheory):
         self._positive = 0 not in self._weights  # so trees re-parent
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
-            check_edge(n, e.u, e.v, e.weight)
             if e.var in self._slots:
                 raise ValueError("edge var %d used twice in graph %d"
                                  % (e.var, gid))

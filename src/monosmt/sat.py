@@ -186,9 +186,7 @@ class Solver:
         """Add a clause over existing vars; returns False on a root conflict.
 
         Must be called at decision level 0. Tautologies are dropped, duplicate
-        literals merged, and literals already false at level 0 removed. Two
-        or three unassigned literals of different vars, the common clauses,
-        need none of that and are watched as they are.
+        literals merged, and literals already false at level 0 removed.
         """
         if self.trail_lim:
             raise ValueError("add_clause requires decision level 0")
@@ -199,43 +197,70 @@ class Solver:
             raise ValueError("unknown variable in clause: lit %d" % bad)
         if not self.ok:
             return False
-        n = len(lits)
-        if n == 2:  # sorted: x ^ y > 1 when x and y are of different vars
-            x, y = lits
-            simple = x ^ y > 1 and not (val[x] or val[y])
-        elif n == 3:
-            x, y, z = lits
-            simple = x ^ y > 1 and y ^ z > 1 and not (val[x] or val[y]
-                                                      or val[z])
-        else:
-            simple = False
-        if simple:
-            out = lits
-        else:
-            out = []
-            prev = -1
-            for lit in lits:  # sorted: duplicates and x, -x sit side by side
-                if lit == prev:
-                    continue
-                if lit == prev ^ 1:
-                    return True  # tautology
-                prev = lit
-                v = val[lit]
-                if v == TRUE:
-                    return True
-                if v == UNDEF:
-                    out.append(lit)  # a literal false at level 0 is dropped
-            if not out:
-                self.ok = False
-                return False
-            if len(out) == 1:
-                self._enqueue(out[0], None)
-                self.ok = self._bcp() is None
-                return self.ok
+        out = []
+        prev = -1
+        for lit in lits:  # sorted: duplicates and x, -x sit side by side
+            if lit == prev:
+                continue
+            if lit == prev ^ 1:
+                return True  # tautology
+            prev = lit
+            v = val[lit]
+            if v == TRUE:
+                return True
+            if v == UNDEF:
+                out.append(lit)  # a literal false at level 0 is dropped
+        if not out:
+            self.ok = False
+            return False
+        if len(out) == 1:
+            self._enqueue(out[0], None)
+            self.ok = self._bcp() is None
+            return self.ok
         self.clauses.append(out)
-        watches = self.watches  # _watch, inlined
-        watches[out[0] ^ 1].append(out)
-        watches[out[1] ^ 1].append(out)
+        self._watch(out)
+        return True
+
+    def add_clauses(self, clauses) -> bool:
+        """Add each clause of ``clauses`` as ``add_clause`` would; returns
+        False on a root conflict, and then reads no further clause.
+
+        Each clause is a list handed over to the solver. Two or three
+        unassigned literals of different vars, the common clauses, need no
+        simplification and are watched as they are: a clause of three is
+        kept as its list, sorted in place, and a clause of two as a new
+        sorted list of two, since a list built by appending holds four
+        slots. Every other clause goes to ``add_clause``.
+        """
+        if self.trail_lim:
+            raise ValueError("add_clauses requires decision level 0")
+        if not self.ok:
+            return False
+        val, watches, db = self.value, self.watches, self.clauses
+        top = len(val)
+        for lits in clauses:
+            n = len(lits)
+            # Sorted, x ^ y > 1 where neighbours x and y differ in var.
+            if n == 2:
+                x, y = lits
+                if x > y:
+                    x, y = y, x
+                lits = [x, y]
+                simple = (x ^ y > 1 and x >= 0 and y < top
+                          and not (val[x] or val[y]))
+            elif n == 3:
+                lits.sort()
+                x, y, z = lits
+                simple = (x ^ y > 1 and y ^ z > 1 and x >= 0 and z < top
+                          and not (val[x] or val[y] or val[z]))
+            else:
+                simple = False
+            if simple:
+                db.append(lits)
+                watches[x ^ 1].append(lits)  # _watch, inlined
+                watches[y ^ 1].append(lits)
+            elif not self.add_clause(lits):
+                return False
         return True
 
     def attach_theory(self, theory) -> None:

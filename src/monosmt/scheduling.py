@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .gnf import check_pred, check_task
+from .gnf import check_pred
 from .sat import TRUE, UNDEF
 from .theory import MonotonicTheory, NEGATIVE
 
@@ -129,7 +129,9 @@ class ProcessorTheory(MonotonicTheory):
     """Theory solver for the schedulability atoms of one processor.
 
     ``tasks`` lists (var, arrival, duration, deadline) tuples, ``var`` an
-    internal solver var; a task's id is its position in the list.
+    internal solver var; a task's id is its position in the list. The tasks
+    are taken as GNF allows them: the parser and ``build_instance`` check
+    them with ``gnf.check_task``.
     """
 
     def __init__(self, pid: int, tasks):
@@ -140,7 +142,6 @@ class ProcessorTheory(MonotonicTheory):
             if var in self._slots:
                 raise ValueError("task var %d used twice on processor %d"
                                  % (var, pid))
-            check_task(arrival, duration)
             self.tasks.append(TaskSpec(len(self.tasks), var, arrival,
                                        duration, deadline))
             self.add_s_var(var)

@@ -20,23 +20,30 @@ DOCS = {
 }
 
 
-@pytest.mark.parametrize("make", DOCS.values(), ids=DOCS.keys())
-def test_every_clause_goes_through_add_clause_once_in_order(make,
-                                                           monkeypatch):
-    # The benchmark's tracer times and counts set-up through this one entry
-    # point, so a loader that went around it would empty those metrics.
+# DOCS and one document of each perfbench workload's generator shape.
+LOADED = dict(DOCS, **{
+    "maze 8x8": lambda: gen_maze(8, 8, 1000),
+    "flow 14x14": lambda: gen_flow(14, 14, mode="unit", seed=1000),
+    "sched 100": lambda: gen_sched(100, 3, 4, 1000),
+    "maze 3x6": lambda: gen_maze(3, 6, 1000),
+})
+
+
+@pytest.mark.parametrize("make", LOADED.values(), ids=LOADED.keys())
+def test_bulk_load_matches_one_add_clause_per_clause(make, monkeypatch):
+    # build_instance hands the solver every clause in one add_clauses call,
+    # which must load them as one add_clause call per clause in document
+    # order would (a flow document's clauses are all units), and leave the
+    # document's own clause lists alone.
     doc = make()
-    seen = []
-    add_clause = Solver.add_clause
-
-    def counted(self, lits):
-        seen.append(list(lits))
-        return add_clause(self, seen[-1])
-
-    monkeypatch.setattr(Solver, "add_clause", counted)
-    inst = build_instance(doc)
-    assert inst.ok
-    assert seen == [[internal_lit(l) for l in c] for c in doc.clauses]
+    bulk = build_instance(doc).solver
+    assert doc == make()
+    monkeypatch.setattr(Solver, "add_clauses", lambda self, clauses: all(
+        map(self.add_clause, clauses)))
+    each = build_instance(doc).solver
+    for name in ("clauses", "watches", "trail", "value"):
+        assert getattr(bulk, name) == getattr(each, name), name
+    assert bulk.ok == each.ok and (bulk.clauses or bulk.trail)
 
 
 @pytest.mark.parametrize("make", DOCS.values(), ids=DOCS.keys())
@@ -178,6 +185,14 @@ def clash(fault):
         mst.args = ()
     elif fault == "mst_edge with two arguments":
         mst.args = (3, 4)
+    elif fault == "reach with one argument on an undeclared graph":
+        reach.args, reach.owner = (0,), 9
+    elif fault == "endpoint out of range before a later edge var twice":
+        doc.graphs[1].edges[0].v = 5
+        doc.graphs[2].edges[1].var = 3
+    elif fault == "task time before a later task var twice":
+        doc.procs[1].tasks[0].duration = 0
+        doc.procs[1].tasks[1].var = 5
     else:
         assert fault == "task var twice on a processor"
         doc.procs[1].tasks[1].var = 5
@@ -202,12 +217,19 @@ def clash(fault):
     ("mst_edge with no argument", "mst_edge expects <gid> <edgeVar> <var>"),
     ("mst_edge with two arguments",
      "mst_edge expects <gid> <edgeVar> <var>"),
+    ("reach with one argument on an undeclared graph",
+     "reach expects <gid> <u> <v> <var>"),
+    ("endpoint out of range before a later edge var twice",
+     "edge endpoint out of range"),
+    ("task time before a later task var twice",
+     "task needs A >= 0 and L >= 1"),
 ])
 def test_var_clashes_read_alike_in_parser_and_builder(fault, message):
     # build_instance once took the first three and solved them SAT, named
     # the next five in its 0-based internal numbering and raised a KeyError
     # on the three after. It raised an IndexError on an mst_edge atom with
-    # no argument, and dropped the second of two and solved.
+    # no argument, and dropped the second of two and solved. It named the
+    # last three by a fault that the parser reads later.
     assert build_instance(two_graph_doc()).ok
     with pytest.raises(ValueError) as built:
         build_instance(clash(fault))
@@ -220,31 +242,38 @@ def test_var_clashes_read_alike_in_parser_and_builder(fault, message):
 
 def declaration_fields(doc):
     """(record, field) per declaration field the fuzz below may set: each
-    edge, task and atom var, each atom's owner and kind, and each mst_edge
-    atom's arguments."""
-    fields = [(e, "var") for gid in sorted(doc.graphs)
-              for e in doc.graphs[gid].edges]
-    fields += [(t, "var") for pid in sorted(doc.procs)
-               for t in doc.procs[pid].tasks]
-    fields += [(p, name) for p in doc.preds for name in (
-        ("var", "owner", "kind", "args") if p.kind == "mst_edge"
-        else ("var", "owner", "kind"))]
+    edge's var and endpoints, each task's var and times, and each atom's
+    var, owner, kind and arguments."""
+    fields = [(e, name) for gid in sorted(doc.graphs)
+              for e in doc.graphs[gid].edges for name in ("var", "u", "v")]
+    fields += [(t, name) for pid in sorted(doc.procs)
+               for t in doc.procs[pid].tasks
+               for name in ("var", "arrival", "duration")]
+    fields += [(p, name) for p in doc.preds
+               for name in ("var", "owner", "kind", "args")]
     return fields
 
 
 def fault_value(rng, record, field, nvars, taken):
     """A value for ``record``'s ``field``: a var out of range, any var or
-    one of the ``taken`` vars of the declarations, an undeclared owner, an
-    unknown kind, or mst_edge arguments: none, two, or one var."""
+    one of the ``taken`` vars of the declarations; an endpoint out of
+    range on either side or node 0; a task time that GNF rejects or
+    allows; an undeclared owner; an unknown kind; or arguments one too
+    few or too many, or, for mst_edge, one var."""
     pick = rng.randint(0, 5)
     var = ([0, nvars + 1, rng.randint(1, nvars)][pick] if pick < 3
            else taken[rng.randint(0, len(taken) - 1)])
+    if field in ("u", "v"):
+        return [-1, 9, 0][rng.randint(0, 2)]
+    if field in ("arrival", "duration"):
+        return [-1, 0, 1][rng.randint(0, 2)]
     if field == "owner":
         return [0, 2, 9][rng.randint(0, 2)]
     if field == "kind":
         return "nope"
     if field == "args":
-        return [(), record.args + (var,), (var,)][rng.randint(0, 2)]
+        return [record.args[:-1], record.args + (var,),
+                (var,)][rng.randint(0, 2 if record.kind == "mst_edge" else 1)]
     return var
 
 
@@ -302,4 +331,7 @@ def test_declaration_faults_read_alike_in_parser_and_builder():
         "var N is already an edge or task var",
         "var N is already a predicate atom", "var N is not an edge of graph N",
         "graph N not declared", "processor N not declared",
-        "unknown declaration 'nope'", "mst_edge expects <gid> <edgeVar> <var>"}
+        "unknown declaration 'nope'", "mst_edge expects <gid> <edgeVar> <var>",
+        "reach expects <gid> <u> <v> <var>",
+        "schedulable expects <pid> <var>", "edge endpoint out of range",
+        "task needs A >= N and L >= N"}

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from monosmt import gnf
+from monosmt.build import build_instance
 from monosmt.generators import gen_flow, gen_maze, gen_sched
 from monosmt.gnf import GnfError, parse, parse_model, serialize
 from monosmt.graphs import GraphTheory
@@ -298,25 +299,26 @@ BAD_DECLARATIONS = [
 ]
 
 
-def declare_on_theory(line):
-    """Make the declaration on the theories of ROOM, with GNF var numbers
-    as solver vars."""
+def declare_in_code(line):
+    """Add the declaration of ``line`` to ROOM's document in code and build
+    it: build_instance checks the graphs, edges and tasks, and the theories
+    it makes check the atoms."""
+    doc = gnf.GnfDocument(9, graphs={
+        1: gnf.GraphDecl(1, True, 3, [gnf.EdgeDecl(1, 0, 1, 1)]),
+        2: gnf.GraphDecl(2, False, 3, [gnf.EdgeDecl(2, 0, 1, 2)])},
+        procs={3: gnf.ProcDecl(3, [gnf.TaskDecl(3, 0, 1, 2, 3)])})
     head, *tokens = line.split()
     oid, *args = [int(t) for t in tokens]
     if head in ("digraph", "ugraph"):
-        n, gid = oid, args[1]  # a theory takes its edges, not m
-        GraphTheory(gid, head == "digraph", n, [])
+        n, gid = oid, args[1]  # a code-built graph has no m of its own
+        doc.graphs[gid] = gnf.GraphDecl(gid, head == "digraph", n)
     elif head == "edge":
-        u, v, var, *weight = args
-        GraphTheory(oid, oid == 1, 3, [(0, 1, oid, 1),
-                                       (u, v, var, *(weight or [1]))])
+        doc.graphs[oid].edges.append(gnf.EdgeDecl(oid, *args))
     elif head == "task":
-        arrival, duration, deadline, var = args
-        ProcessorTheory(oid, [(3, 0, 1, 2), (var, arrival, duration,
-                                             deadline)])
+        doc.procs[oid].tasks.append(gnf.TaskDecl(oid, *args))
     else:
-        graph = GraphTheory(oid, oid == 1, 3, [(0, 1, oid, 1)])
-        graph.add_atom(head, tuple(args[:-1]), args[-1])
+        doc.preds.append(gnf.PredDecl(head, oid, tuple(args[:-1]), args[-1]))
+    build_instance(doc)
 
 
 @pytest.mark.parametrize("line", BAD_DECLARATIONS)
@@ -324,7 +326,7 @@ def test_parser_and_theories_apply_the_same_rules(line):
     e = err(ROOM + line + "\n")
     assert e.line == 8
     with pytest.raises(ValueError) as info:
-        declare_on_theory(line)
+        declare_in_code(line)
     assert str(e) == "line 8: %s" % info.value
 
 

@@ -297,11 +297,8 @@ def test_argument_validation():
     assert_rejected(th, "mst_edge", (1,))  # var 1 is no edge
     with pytest.raises(ValueError):
         GraphTheory(2, True, 2, [(0, 1, 0, 1), (1, 0, 0, 1)])  # var twice
-    with pytest.raises(ValueError):
-        GraphTheory(3, True, 2, [(0, 1, 0, -2)])
-    for u, v in ((0, 2), (-1, 1)):
-        with pytest.raises(ValueError, match="endpoint out of range"):
-            GraphTheory(4, True, 2, [(u, v, 0, 1)])
+    # Endpoints and weights are checked where a document is read: see
+    # test_gnf's test_parser_and_theories_apply_the_same_rules.
 
 
 # A self-loop (eid 2), parallel edges between 0 and 1 in both directions
