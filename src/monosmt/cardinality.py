@@ -19,26 +19,22 @@ def _at_most(lits, k, next_var):
     if k == 0:
         return [[-l] for l in lits], next_var
     clauses = []
-    regs = []
-    for i in range(n - 1):
+    prev = None  # the register row of the literal before x
+    for x in lits[:-1]:
         row = list(range(next_var, next_var + k))
         next_var += k
-        regs.append(row)
-    for i in range(n - 1):
-        x = lits[i]
-        row = regs[i]
         clauses.append([-x, row[0]])
-        if i == 0:
+        if prev is None:
             for j in range(1, k):
                 clauses.append([-row[j]])
-            continue
-        prev = regs[i - 1]
-        clauses.append([-prev[0], row[0]])
-        for j in range(1, k):
-            clauses.append([-x, -prev[j - 1], row[j]])
-            clauses.append([-prev[j], row[j]])
-        clauses.append([-x, -prev[k - 1]])
-    clauses.append([-lits[n - 1], -regs[n - 2][k - 1]])
+        else:
+            clauses.append([-prev[0], row[0]])
+            for j in range(1, k):
+                clauses.append([-x, -prev[j - 1], row[j]])
+                clauses.append([-prev[j], row[j]])
+            clauses.append([-x, -prev[k - 1]])
+        prev = row
+    clauses.append([-lits[-1], -prev[k - 1]])
     return clauses, next_var
 
 

@@ -233,12 +233,10 @@ class VarOwners:
         parser reads them line by line, so the first that breaks a rule
         names it."""
         self.owned[owner][oid] = set()
-        if members and self.claim(owner, oid, [m.var for m in members]):
-            for m in members:
-                check(m)
-        else:
-            for m in members:
-                check(m)
+        claimed = members and self.claim(owner, oid, [m.var for m in members])
+        for m in members:
+            check(m)
+            if not claimed:
                 self.member(owner, oid, m.var)
 
     def member(self, owner, oid, var, ln=None):
@@ -359,12 +357,6 @@ def parse(text: str) -> GnfDocument:
     declared_edges = {}
     owners = None  # the VarOwners of the header's nvars
 
-    def get_graph(gid, ln):
-        g = doc.graphs.get(gid)
-        if g is None:
-            raise GnfError("graph %d not declared" % gid, ln)
-        return g
-
     def declare(head, args, ln):
         """Read one declaration line. The shared rules raise ValueError,
         which the caller reports at line ``ln``."""
@@ -394,7 +386,9 @@ def parse(text: str) -> GnfDocument:
             if len(args) not in (4, 5):
                 raise GnfError("edge expects <gid> <u> <v> <var> [<w>]", ln)
             gid, u, v, var, *weight = _ints(args, ln, head)
-            g = get_graph(gid, ln)
+            g = doc.graphs.get(gid)
+            if g is None:
+                raise GnfError("graph %d not declared" % gid, ln)
             if len(g.edges) >= declared_edges[gid]:
                 raise GnfError("graph %d declared %d edges"
                                % (gid, declared_edges[gid]), ln)

@@ -295,10 +295,9 @@ class GraphTheory(MonotonicTheory):
         self._positive = 0 not in self._weights  # so trees re-parent
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
-            if e.var in self._slots:
+            if self.add_s_var(e.var) != eid:  # a repeat reads its first slot
                 raise ValueError("edge var %d used twice in graph %d"
                                  % (e.var, gid))
-            self.add_s_var(e.var)  # its slot is eid
             self._flow_adj[e.u].append((eid, e.v, True))
             self._flow_adj[e.v].append((eid, e.u, False))
         # Each list is in eid order, an edge's forward arc before its

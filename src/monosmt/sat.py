@@ -6,10 +6,10 @@ int: ``2*v`` asserts variable ``v``, ``2*v + 1`` negates it, so negation is
 kept per literal: the value of variable ``v`` is that of literal ``2*v``.
 
 Attached theories are driven to fixpoint after every unit-propagation fixpoint.
-A theory implication is enqueued with an opaque lazy reason; the reason clause
-is only materialized (via the theory's ``explain``) if conflict analysis
-touches it, and the materialized clause is cached on the trail slot until a
-backjump discards it.
+A theory implication is enqueued with a lazy reason, the pair ``(theory,
+atom_id)``; the reason clause is only materialized (via the theory's
+``explain``) if conflict analysis touches it, and the materialized clause is
+cached on the trail slot until a backjump discards it.
 
 Each solve seeds the saved phases once, at the level-0 fixpoint before its
 first decision: the S-vars of a theory whose level-0 atoms all hold on one
@@ -50,16 +50,6 @@ def luby(y: int, x: int) -> int:
         seq -= 1
         x = x % size
     return y ** seq
-
-
-class LazyReason:
-    """Opaque reason tag for a theory implication, expanded on demand."""
-
-    __slots__ = ("theory", "atom_id")
-
-    def __init__(self, theory, atom_id):
-        self.theory = theory
-        self.atom_id = atom_id
 
 
 class SolveResult:
@@ -121,7 +111,7 @@ class Solver:
 
         self.value = []            # lit -> TRUE/FALSE/UNDEF
         self.level = []            # var -> decision level
-        self.reason = []           # var -> lit list | LazyReason | None
+        self.reason = []           # var -> lit list | (theory, atom_id) | None
         self.pos = []              # var -> trail index, -1 if unassigned
         self.phase = []            # var -> saved phase (bool: last value)
         self.activity = []
@@ -407,7 +397,7 @@ class Solver:
                     if self.value[lit] != UNDEF:
                         raise RuntimeError(
                             "theory implied an assigned literal")
-                    self._enqueue(lit, LazyReason(th, atom_id))
+                    self._enqueue(lit, (th, atom_id))
                     self.theory_implications += 1
                 if implied:
                     break
@@ -416,9 +406,9 @@ class Solver:
 
     def _reason_clause(self, var):
         r = self.reason[var]
-        if isinstance(r, LazyReason):
+        if type(r) is tuple:  # a clause reason is a list, never a tuple
             lit = self.trail[self.pos[var]]
-            lits = list(r.theory.explain(r.atom_id, lit))
+            lits = list(r[0].explain(r[1], lit))
             if lits[0] != lit:
                 raise RuntimeError(
                     "explain must put the implied literal first")

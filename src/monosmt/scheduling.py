@@ -107,12 +107,10 @@ def busy_window_tasks(tasks, enabled, result: EdfResult):
         if t.arrival < hi:
             intervals.append((t.arrival, hi))
     intervals.sort()
-    lo, hi = intervals[0]
-    t0 = lo
+    t0, hi = intervals[0]
     for s, e in intervals[1:]:
         if s > hi:
-            lo, hi = s, e
-            t0 = lo
+            t0, hi = s, e
         elif e > hi:
             hi = e
     if hi < t_miss:
@@ -138,13 +136,11 @@ class ProcessorTheory(MonotonicTheory):
         super().__init__()
         self.pid = pid
         self.tasks = []
-        for var, arrival, duration, deadline in tasks:
-            if var in self._slots:
+        for tid, (var, arrival, duration, deadline) in enumerate(tasks):
+            if self.add_s_var(var) != tid:  # a repeat reads its first slot
                 raise ValueError("task var %d used twice on processor %d"
                                  % (var, pid))
-            self.tasks.append(TaskSpec(len(self.tasks), var, arrival,
-                                       duration, deadline))
-            self.add_s_var(var)
+            self.tasks.append(TaskSpec(tid, var, arrival, duration, deadline))
         # Tasks that miss alone: off while an atom of this processor holds.
         self._misses_alone = [t.var for t in self.tasks
                               if t.arrival + t.duration > t.deadline]

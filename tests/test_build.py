@@ -122,10 +122,9 @@ def test_out_of_range_declaration_vars_of_an_unparsed_document(kind, var):
     with pytest.raises(ValueError) as info:
         build_instance(three_var_doc(kind, var))
     assert str(info.value) == message
-    if kind != "mst_edge":  # the parser names a foreign mst_edge var first
-        with pytest.raises(GnfError) as info:
-            parse(serialize(three_var_doc(kind, var)))
-        assert str(info.value).endswith(": " + message)
+    with pytest.raises(GnfError) as info:
+        parse(serialize(three_var_doc(kind, var)))
+    assert str(info.value).endswith(": " + message)
 
 
 @pytest.mark.parametrize("var", [0, 4, -1])

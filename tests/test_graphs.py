@@ -295,8 +295,12 @@ def test_argument_validation():
     assert_rejected(th, "schedulable", ())  # not a graph kind
     th = GraphTheory(1, False, 2, [(0, 1, 0, 1)])
     assert_rejected(th, "mst_edge", (1,))  # var 1 is no edge
-    with pytest.raises(ValueError):
-        GraphTheory(2, True, 2, [(0, 1, 0, 1), (1, 0, 0, 1)])  # var twice
+    # A repeated var, next to its first use or not, reads an earlier slot.
+    for edges in ([(0, 1, 0, 1), (1, 0, 0, 1)],
+                  [(0, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1)]):
+        with pytest.raises(ValueError,
+                           match="^edge var 0 used twice in graph 2$"):
+            GraphTheory(2, True, 2, edges)
     # Endpoints and weights are checked where a document is read: see
     # test_gnf's test_parser_and_theories_apply_the_same_rules.
 

@@ -453,6 +453,38 @@ def test_theory_implication_sends_the_search_back_to_bcp():
     assert log == ["A", "A", ("B", TRUE)]
 
 
+class ExplainsOnce(ToyTheory):
+    # Implies x0 for atom 7 once x1 holds, with the reason (x0 or not x1);
+    # ``log`` records each explain call.
+    def propagate(self):
+        val = self.solver.value
+        if val[mk_lit(1)] == TRUE and val[mk_lit(0)] == UNDEF:
+            return ((mk_lit(0), 7),), None
+        return (), None
+
+    def explain(self, atom_id, lit):
+        self.log.append((atom_id, lit))
+        return (lit, mk_lit(1, True))
+
+
+def test_theory_reason_is_explained_once():
+    # The implication's slot holds the (theory, atom id) pair until the
+    # first read explains it; later reads get the cached clause.
+    log = []
+    solver, (a, b) = fresh(2)
+    th = ExplainsOnce(log)
+    solver.attach_theory(th)
+    solver.trail_lim.append(len(solver.trail))
+    solver._enqueue(mk_lit(b), None)
+    assert solver._propagate_all() is None
+    assert solver.reason[a] == (th, 7)
+    first = solver._reason_clause(a)
+    assert first == [mk_lit(a), mk_lit(b, True)]
+    assert solver.reason[a] is first
+    assert solver._reason_clause(a) is first
+    assert log == [(7, mk_lit(a))]
+
+
 _ROGUE_THEORIES = """
 from monosmt.sat import Solver, mk_lit
 
