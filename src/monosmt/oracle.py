@@ -13,6 +13,8 @@ value lists. Exhaustive operations refuse instances beyond BUDGET variables.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
+from functools import cache
 
 from .gnf import GnfDocument
 
@@ -23,24 +25,30 @@ BUDGET = 22
 # ----------------------------------------------------------------------
 # evaluators (edges are (u, v, weight) triples, enabled is indexable by eid)
 
-def reach_dfs(n, directed, edges, enabled, u, v):
+def _adjacency(n, directed, edges, enabled):
     adj = [[] for _ in range(n)]
-    for eid, (a, b, _) in enumerate(edges):
+    for eid, (u, v, _) in enumerate(edges):
         if enabled[eid]:
-            adj[a].append(b)
+            adj[u].append(v)
             if not directed:
-                adj[b].append(a)
-    seen = bytearray(n)
-    seen[u] = 1
-    stack = [u]
+                adj[v].append(u)
+    return adj
+
+
+def _mark(adj, seen, s):
+    """Mark in ``seen`` every node reachable from s, depth first."""
+    seen[s] = 1
+    stack = [s]
     while stack:
-        x = stack.pop()
-        if x == v:
-            return True
-        for y in adj[x]:
+        for y in adj[stack.pop()]:
             if not seen[y]:
                 seen[y] = 1
                 stack.append(y)
+
+
+def reach_dfs(n, directed, edges, enabled, u, v):
+    seen = bytearray(n)
+    _mark(_adjacency(n, directed, edges, enabled), seen, u)
     return bool(seen[v])
 
 
@@ -64,25 +72,13 @@ def dist_bellman_ford(n, directed, edges, enabled, src):
 
 
 def components_count_dfs(n, edges, enabled):
-    adj = [[] for _ in range(n)]
-    for eid, (u, v, _) in enumerate(edges):
-        if enabled[eid]:
-            adj[u].append(v)
-            adj[v].append(u)
+    adj = _adjacency(n, False, edges, enabled)
     seen = bytearray(n)
     count = 0
     for s in range(n):
-        if seen[s]:
-            continue
-        count += 1
-        seen[s] = 1
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
+        if not seen[s]:
+            count += 1
+            _mark(adj, seen, s)
     return count
 
 
@@ -97,38 +93,30 @@ def maxflow_dfs(n, edges, enabled, s, t):
     total = 0
     while True:
         parent = [None] * n
-        seen = bytearray(n)
-        seen[s] = 1
+        room = [0] * n  # each reached node's bottleneck from s
+        room[s] = INF
         stack = [s]
-        while stack and not seen[t]:
+        while stack and parent[t] is None:
             x = stack.pop()
+            here = room[x]
             for eid, head, fwd in radj[x]:
-                if seen[head]:
+                if room[head]:
                     continue
                 residual = edges[eid][2] - flow[eid] if fwd else flow[eid]
                 if residual <= 0:
                     continue
-                seen[head] = 1
+                room[head] = residual if residual < here else here
                 parent[head] = (eid, fwd, x)
                 if head == t:
                     break
                 stack.append(head)
-        if not seen[t]:
+        if parent[t] is None:
             return total
-        bottleneck = None
         node = t
         while node != s:
-            eid, fwd, prev = parent[node]
-            residual = edges[eid][2] - flow[eid] if fwd else flow[eid]
-            if bottleneck is None or residual < bottleneck:
-                bottleneck = residual
-            node = prev
-        node = t
-        while node != s:
-            eid, fwd, prev = parent[node]
-            flow[eid] += bottleneck if fwd else -bottleneck
-            node = prev
-        total += bottleneck
+            eid, fwd, node = parent[node]
+            flow[eid] += room[t] if fwd else -room[t]
+        total += room[t]
 
 
 def mst_prim(n, edges, enabled):
@@ -190,75 +178,70 @@ def demand_feasible(tasks, enabled):
 # ----------------------------------------------------------------------
 # document-level checking
 
-class _Pred:
-    __slots__ = ("var", "svars", "fn", "memo")
-
-    def __init__(self, var, svars, fn):
-        self.var = var
-        self.svars = svars
-        self.fn = fn
-        self.memo = {}
-
-    def truth(self, bits):
-        key = 0
-        for i, v in enumerate(self.svars):
-            key |= ((bits >> (v - 1)) & 1) << i
-        hit = self.memo.get(key)
-        if hit is None:
-            enabled = bytes((key >> i) & 1 for i in range(len(self.svars)))
-            hit = self.fn(enabled)
-            self.memo[key] = hit
-        return hit
+_Pred = namedtuple("_Pred", "var svars fn")
 
 
-def _graph_fn(g, kind, args):
-    n = g.n
+def _memo(fn):
+    """fn memoized by the bytes of its mask, so that a bytes and a
+    bytearray mask read alike."""
+    fn = cache(fn)
+    return lambda en: fn(bytes(en))
+
+
+def _graph(g):
+    """Graph g's S-vars and a maker of its atoms' evaluators, which share
+    one edge list, one var-to-edge-id map and one memoized Prim scan."""
+    n, directed = g.n, g.directed
     edges = [(e.u, e.v, e.weight) for e in g.edges]
-    if kind == "reach":
-        u, v = args
-        return lambda en: reach_dfs(n, g.directed, edges, en, u, v)
-    if kind == "distance_leq":
-        u, v, bound = args
-        return lambda en: dist_bellman_ford(n, g.directed, edges, en,
-                                            u)[v] <= bound
-    if kind == "maxflow_geq":
-        s, t, bound = args
-        return lambda en: bound <= 0 or maxflow_dfs(n, edges, en, s,
-                                                    t) >= bound
-    if kind == "components_leq":
-        bound = args[0]
-        return lambda en: components_count_dfs(n, edges, en) <= bound
-    if kind == "mst_weight_leq":
-        bound = args[0]
+    eids = {e.var: eid for eid, e in enumerate(g.edges)}
+    prim = cache(lambda en: mst_prim(n, edges, en))
 
-        def fn(en):
-            components, total, _ = mst_prim(n, edges, en)
-            if components > 1:
-                return False
-            return True if bound is None else total <= bound
-        return fn
-    if kind == "mst_edge":
-        evar = args[0]
-        eid = next(i for i, e in enumerate(g.edges) if e.var == evar)
-        return lambda en: not en[eid] or eid in mst_prim(n, edges, en)[2]
-    raise AssertionError(kind)
+    def make(kind, args):
+        if kind == "reach":
+            u, v = args
+            return lambda en: reach_dfs(n, directed, edges, en, u, v)
+        if kind == "distance_leq":
+            u, v, bound = args
+            return lambda en: dist_bellman_ford(n, directed, edges, en,
+                                                u)[v] <= bound
+        if kind == "maxflow_geq":
+            s, t, bound = args
+            return lambda en: bound <= 0 or maxflow_dfs(n, edges, en, s,
+                                                        t) >= bound
+        if kind == "components_leq":
+            return lambda en: components_count_dfs(n, edges, en) <= args[0]
+        if kind == "mst_weight_leq":
+            bound = args[0]
+            return lambda en: prim(en)[0] <= 1 and (
+                bound is None or prim(en)[1] <= bound)
+        if kind == "mst_edge":
+            eid = eids[args[0]]
+            return lambda en: not en[eid] or eid in prim(en)[2]
+        raise AssertionError(kind)
+    return [e.var for e in g.edges], make
+
+
+def _processor(proc):
+    """Processor proc's S-vars and a maker of its atoms' evaluators."""
+    tasks = [(t.arrival, t.duration, t.deadline) for t in proc.tasks]
+    return [t.var for t in proc.tasks], (
+        lambda kind, args: lambda en: demand_feasible(tasks, en))
 
 
 def predicates(doc: GnfDocument):
     """One reference predicate per ``doc.preds`` entry, in order: its atom
-    ``var``, its ``svars`` in mask order, and ``fn(enabled)`` on a mask."""
+    ``var``, its ``svars`` in mask order, and ``fn(enabled)`` on a mask,
+    memoized by the mask's bytes. The atoms of one graph or processor share
+    one ``svars`` list and whatever their evaluators can share."""
+    owners = {}
     preds = []
     for p in doc.preds:
-        if p.kind == "schedulable":
-            proc = doc.procs[p.owner]
-            tasks = [(t.arrival, t.duration, t.deadline) for t in proc.tasks]
-            svars = [t.var for t in proc.tasks]
-            fn = (lambda ts: lambda en: demand_feasible(ts, en))(tasks)
-        else:
-            g = doc.graphs[p.owner]
-            svars = [e.var for e in g.edges]
-            fn = _graph_fn(g, p.kind, p.args)
-        preds.append(_Pred(p.var, svars, fn))
+        sched = p.kind == "schedulable"
+        if (sched, p.owner) not in owners:
+            owners[sched, p.owner] = (_processor(doc.procs[p.owner]) if sched
+                                      else _graph(doc.graphs[p.owner]))
+        svars, make = owners[sched, p.owner]
+        preds.append(_Pred(p.var, svars, _memo(make(p.kind, p.args))))
     return preds
 
 
@@ -307,14 +290,6 @@ def _clause_masks(doc: GnfDocument):
     return masks
 
 
-def _values_to_bits(values):
-    bits = 0
-    for var, val in enumerate(values[1:], start=1):
-        if val:
-            bits |= 1 << (var - 1)
-    return bits
-
-
 def brute_force_solve(doc: GnfDocument):
     """Exhaustive search in lexicographic assignment order.
 
@@ -329,14 +304,18 @@ def check_model(doc: GnfDocument, values):
     else a violation message naming the first failing clause or atom."""
     if len(values) != doc.nvars + 1 or any(v is None for v in values[1:]):
         raise ValueError("model must assign every declared var")
-    bits = _values_to_bits(values)
-    inv = ~0 ^ bits
-    for idx, (pos, neg) in enumerate(_clause_masks(doc)):
-        if not (bits & pos or inv & neg):
-            return "clause %d falsified: %s" % (idx, doc.clauses[idx])
+    lit_true = [*values, *(not v for v in values[:0:-1])]  # [-v] is not v
+    for idx, clause in enumerate(doc.clauses):
+        if not any(map(lit_true.__getitem__, clause)):
+            return "clause %d falsified: %s" % (idx, clause)
+    masks = {}  # one mask per graph or processor, by its shared svars
     for decl, p in zip(doc.preds, predicates(doc)):
+        mask = masks.get(id(p.svars))
+        if mask is None:
+            mask = masks[id(p.svars)] = bytes(map(values.__getitem__,
+                                                  p.svars))
         have = values[p.var]
-        want = p.truth(bits)
+        want = p.fn(mask)
         if have != want:
             return "atom var %d (%s) is %s but predicate is %s" % (
                 p.var, decl.kind, have, want)
@@ -366,7 +345,8 @@ def check_clause_valid(doc: GnfDocument, clause, include_cnf=False):
         bits = base | sub  # the free vars count up in binary
         inv = ~bits
         if all(bits & pos or inv & neg for pos, neg in masks) and all(
-                ((bits >> (p.var - 1)) & 1) == p.truth(bits) for p in preds):
+                ((bits >> (p.var - 1)) & 1) == p.fn(bytes(
+                    (bits >> (v - 1)) & 1 for v in p.svars)) for p in preds):
             return [None] + [bool((bits >> i) & 1) for i in range(doc.nvars)]
         if sub == free:
             return None

@@ -117,7 +117,8 @@ def test_in_range_declaration_vars_build(kind, var):
 def test_out_of_range_declaration_vars_of_an_unparsed_document(kind, var):
     # Without the check an atom on var 0 became internal var -1, which
     # indexes var 3, and an edge or task var 0 or 4 failed with a KeyError
-    # or an IndexError.
+    # or an IndexError. An mst_edge atom's edge var is range-checked before
+    # it is looked up among the graph's edges, so both name the range.
     message = "var %d out of range 1..3" % var
     with pytest.raises(ValueError) as info:
         build_instance(three_var_doc(kind, var))
@@ -125,19 +126,6 @@ def test_out_of_range_declaration_vars_of_an_unparsed_document(kind, var):
     with pytest.raises(GnfError) as info:
         parse(serialize(three_var_doc(kind, var)))
     assert str(info.value).endswith(": " + message)
-
-
-@pytest.mark.parametrize("var", [0, 4, -1])
-def test_out_of_range_mst_edge_var_reads_alike_in_parser_and_builder(var):
-    # The parser tests the range before it looks the var up among the
-    # graph's edges, so both name the range.
-    doc = three_var_doc("mst_edge", var)
-    with pytest.raises(ValueError) as built:
-        build_instance(doc)
-    with pytest.raises(GnfError) as parsed:
-        parse(serialize(doc))
-    assert str(built.value) == "var %d out of range 1..3" % var
-    assert str(parsed.value).endswith(": " + str(built.value))
 
 
 def two_graph_doc():

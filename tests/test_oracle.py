@@ -5,6 +5,7 @@ import pytest
 
 from monosmt import oracle
 from monosmt.build import dimacs_lit, solve_doc
+from monosmt.generators import gen_maze
 from monosmt.gnf import (EdgeDecl, GnfDocument, GraphDecl, PredDecl, ProcDecl,
                          TaskDecl)
 
@@ -69,6 +70,41 @@ def test_check_model_names_first_violation():
         oracle.check_model(doc, [None, True])
     with pytest.raises(ValueError):
         oracle.check_model(doc, [None, True, None])
+
+
+def test_check_model_scans_each_graph_once_per_mask(monkeypatch):
+    # Every mst_edge and mst_weight_leq atom of the maze's tree graph reads
+    # one shared Prim scan of the model's mask.
+    doc = gen_maze(8, 8, 0)
+    status, values, _ = solve_doc(doc)
+    assert status == "SAT"
+    prim = oracle.mst_prim
+    calls = []
+    monkeypatch.setattr(oracle, "mst_prim",
+                        lambda *args: calls.append(args) or prim(*args))
+    assert oracle.check_model(doc, values) is None
+    assert len(calls) == 1
+    flipped = list(values)
+    flipped[113] = not flipped[113]
+    assert oracle.check_model(doc, flipped) == (
+        "atom var 113 (mst_edge) is False but predicate is True")
+    falsified = list(values)
+    for lit in doc.clauses[0]:
+        falsified[abs(lit)] = lit < 0
+    assert oracle.check_model(doc, falsified) == (
+        "clause 0 falsified: [-225, 113]")
+
+
+def test_predicates_share_svars_and_read_any_mask_type():
+    doc = gen_maze(8, 8, 0)
+    _, values, _ = solve_doc(doc)
+    preds, fresh = oracle.predicates(doc), oracle.predicates(doc)
+    assert len({id(p.svars) for p in preds}) == len(doc.graphs)
+    for p, q in zip(preds, fresh):
+        mask = bytes(values[v] for v in p.svars)
+        assert p.fn(bytearray(mask)) == q.fn(mask) == values[p.var]
+        mask = bytes([1 - mask[0]]) + mask[1:]
+        assert p.fn(bytearray(mask)) == q.fn(mask) == p.fn(mask)
 
 
 def test_clause_validity_direct_edge():
