@@ -39,7 +39,7 @@ class Instance:
 def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
     # The parser's rules on declarations, for a document built in code, in
     # the order serialize writes them.
-    owners = VarOwners(doc.nvars)
+    owners = VarOwners(doc.nvars, doc.graphs)
     for gid in sorted(doc.graphs):
         g = doc.graphs[gid]
         check_graph(g.n, len(g.edges))

@@ -24,10 +24,11 @@ Graphs and processors must be declared before their members; mst_edge must
 follow the edge it names. Atom vars are globally unique and distinct from
 every edge and task var. Edge vars may repeat across graphs but not within
 one; the same holds for task vars across processors. `VarOwners` is the one
-table of these rules on declaration vars and predicate owners: `parse`
-consults it per declaration line and per block of edge lines, and
-`build.build_instance` per graph, processor and atom of a document built in
-code.
+table of these rules on declaration vars, and the one place that checks an
+atom, by the rules of `PREDICATES` and `check_pred`: `parse` consults it
+per declaration line and per block of edge lines, and `build.build_instance`
+per graph, processor and atom of a document built in code. The theories
+take their atoms as GNF allows them and check none of these rules.
 
 `parse` reads clause lines `BLOCK` at a time, and each run of consecutive
 edge lines in blocks of up to `BLOCK` lines, with one split and one
@@ -161,23 +162,17 @@ def check_task(arrival, duration):
         raise ValueError("task needs A >= 0 and L >= 1")
 
 
-def check_pred(kind, args, owner, oid, n=0):
-    """Reject predicate ``kind`` with ``args``, its arguments between the
-    owner id and the atom var, on owner ``oid``: a "digraph" or "ugraph"
-    of ``n`` nodes, or a "processor". An mst_edge's edge is checked by the
-    caller, which knows the owner's edges."""
-    if kind not in PREDICATES:
-        raise ValueError("unknown predicate %r" % kind)
+def check_pred(kind, args, gid, g):
+    """Reject graph predicate ``kind`` with ``args``, its arguments between
+    the graph id and the atom var, on graph ``gid``, the GraphDecl ``g``.
+    Its one caller, ``VarOwners.atom``, has checked the kind, the argument
+    count, the owner and an mst_edge's edge."""
     want, names = PREDICATES[kind]
-    if owner != want:
-        if "processor" in (owner, want):
-            raise ValueError("%s is not a predicate of a %s" % (kind, owner))
+    if want != ("digraph" if g.directed else "ugraph"):
         raise ValueError("graph %d is %s" % (
-            oid, "directed" if owner == "digraph" else "undirected"))
-    if len(args) != len(names):
-        raise ValueError(_usage(kind))
+            gid, "directed" if g.directed else "undirected"))
     for name, x in zip(names, args):
-        if name in ("u", "v", "s", "t") and not 0 <= x < n:
+        if name in ("u", "v", "s", "t") and not 0 <= x < g.n:
             raise ValueError("node %d out of range" % x)
         if name[0] == "C" and x is not None and x < 0:
             raise ValueError("negative bound")
@@ -199,28 +194,31 @@ def _taken(var, what, line):
 
 
 class VarOwners:
-    """Every rule on the declaration vars and predicate owners of a document
-    of ``nvars`` vars, whose declarations are claimed in reading order:
-    ``parse`` claims them line by line, ``build.build_instance`` in the
-    order ``serialize`` writes them.
+    """Every rule on the declaration vars and the atoms of a document of
+    ``nvars`` vars and ``graphs``, its gid -> GraphDecl table, whose
+    declarations are claimed in reading order: ``parse`` claims them line
+    by line, ``build.build_instance`` in the order ``serialize`` writes
+    them.
 
     A var is in range, and it is an edge or task var or an atom var, never
     both. An edge var is named once per graph and a task var once per
     processor; an atom var is no other atom's. An atom's kind is known and
-    its owner declared, it has as many arguments as PREDICATES names, and
-    an mst_edge atom's one argument is an edge var of its graph. A broken
-    rule raises ValueError in the parser's words, and a clash names the
-    first declaring line where the caller gave it.
+    its owner declared, it has as many arguments as PREDICATES names, an
+    mst_edge atom's one argument is an edge var of its graph, and a graph
+    atom then keeps ``check_pred``. A broken rule raises ValueError in the
+    parser's words, and a clash names the first declaring line where the
+    caller gave it.
     """
 
-    __slots__ = ("nvars", "owned", "svars", "pvars", "lines")
+    __slots__ = ("nvars", "graphs", "owned", "svars", "pvars", "lines")
 
-    def __init__(self, nvars):
+    def __init__(self, nvars, graphs):
         self.nvars = nvars
-        graphs = {}
+        self.graphs = graphs  # gid -> GraphDecl, read by check_pred
+        edges = {}
         # An owner's word -> its id -> the vars of its edges or tasks. A
         # kind's owner in PREDICATES, "digraph" or "ugraph", names graphs.
-        self.owned = {"graph": graphs, "digraph": graphs, "ugraph": graphs,
+        self.owned = {"graph": edges, "digraph": edges, "ugraph": edges,
                       "processor": {}}
         self.svars = set()  # edge and task vars
         self.pvars = {}  # atom var -> its declaring line, where given
@@ -274,8 +272,8 @@ class VarOwners:
     def atom(self, kind, oid, args, var, ln=None):
         """Claim ``var``, declared at line ``ln``, for a ``kind`` atom on
         owner ``oid`` with ``args``, its arguments between the owner id
-        and the var; return the kind's owner declaration, as PREDICATES
-        names it."""
+        and the var, after every rule on it; return the kind's owner
+        declaration, as PREDICATES names it."""
         if kind not in PREDICATES:
             raise ValueError("unknown declaration %r" % kind)
         owner, names = PREDICATES[kind]
@@ -295,6 +293,8 @@ class VarOwners:
             if var in pvars:
                 raise _taken(var, "a predicate atom", pvars[var])
             raise _taken(var, "an edge or task var", self.lines.get(var))
+        if owner != "processor":
+            check_pred(kind, args, oid, self.graphs[oid])
         pvars[var] = ln
         return owner
 
@@ -355,13 +355,13 @@ def parse(text: str) -> GnfDocument:
     doc = GnfDocument()
     declared_clauses = None
     declared_edges = {}
-    owners = None  # the VarOwners of the header's nvars
+    owners = None  # the VarOwners of the header's nvars and doc.graphs
 
     def declare(head, args, ln):
         """Read one declaration line. The shared rules raise ValueError,
         which the caller reports at line ``ln``."""
         if head in PREDICATES:  # the most common line read here
-            owner, names = PREDICATES[head]
+            names = PREDICATES[head][1]
             if len(args) != len(names) + 2:
                 raise GnfError(_usage(head), ln)
             # A C|inf bound, always the last argument, may read "inf".
@@ -374,13 +374,7 @@ def parse(text: str) -> GnfDocument:
                                ln)
             if inf:
                 vals.append(None)
-            owners.atom(head, oid, vals, var, ln)  # the owner is declared
-            n = 0
-            if owner != "processor":
-                g = doc.graphs[oid]
-                owner = "digraph" if g.directed else "ugraph"
-                n = g.n
-            check_pred(head, vals, owner, oid, n)
+            owners.atom(head, oid, vals, var, ln)
             doc.preds.append(PredDecl(head, oid, tuple(vals), var))
         elif head == "edge":
             if len(args) not in (4, 5):
@@ -504,7 +498,7 @@ def parse(text: str) -> GnfDocument:
                     raise GnfError("negative counts in header", ln)
                 doc.nvars = nvars
                 declared_clauses = nclauses
-                owners = VarOwners(nvars)
+                owners = VarOwners(nvars, doc.graphs)
                 continue
             if declared_clauses is None:
                 raise GnfError("content before 'p gnf' header", ln)

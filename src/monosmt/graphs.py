@@ -37,7 +37,6 @@ import heapq
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .gnf import check_pred
 from .theory import MonotonicTheory, POSITIVE, NEGATIVE
 
 INF = float("inf")
@@ -279,9 +278,11 @@ class GraphTheory(MonotonicTheory):
     """Theory solver for the predicates of one symbolic graph.
 
     ``edges`` lists (u, v, var, weight) tuples, ``var`` an internal solver
-    var; an edge's id is its position in the list. The graph and its edges
-    are taken as GNF allows them: the parser and ``build_instance`` check
-    them with ``gnf.check_graph`` and ``gnf.check_edge``.
+    var; an edge's id is its position in the list. The graph, its edges
+    and its atoms are taken as GNF allows them: the parser and
+    ``build_instance`` check them with ``gnf.check_graph``,
+    ``gnf.check_edge`` and ``gnf.VarOwners``. The constructor keeps slot ==
+    edge id, so it rejects an edge var named twice.
     """
 
     def __init__(self, gid: int, directed: bool, n: int, edges):
@@ -320,16 +321,11 @@ class GraphTheory(MonotonicTheory):
         """Register the GNF predicate ``kind`` with its arguments after the
         graph id, an mst_edge naming its edge by internal var, on atom var
         ``pvar``; returns the atom id."""
-        check_pred(kind, args, "digraph" if self.directed else "ugraph",
-                   self.gid, self.n)
         if kind != "mst_edge":
             aid = self.register_predicate(pvar, POSITIVE, kind, args)
             self._atoms.append(self._preds[aid])
             return aid
-        eid = self._slots.get(args[0])
-        if eid is None:
-            raise ValueError("var %d is not an edge of graph %d"
-                             % (args[0], self.gid))
+        eid = self._slots[args[0]]
         aid = self.register_predicate(pvar, NEGATIVE, kind, (eid,))
         self._mst_atoms.setdefault(eid, []).append(aid)
         return aid

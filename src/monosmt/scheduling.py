@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .gnf import check_pred
 from .sat import TRUE, UNDEF
 from .theory import MonotonicTheory, NEGATIVE
 
@@ -128,8 +127,10 @@ class ProcessorTheory(MonotonicTheory):
 
     ``tasks`` lists (var, arrival, duration, deadline) tuples, ``var`` an
     internal solver var; a task's id is its position in the list. The tasks
-    are taken as GNF allows them: the parser and ``build_instance`` check
-    them with ``gnf.check_task``.
+    and atoms are taken as GNF allows them: the parser and
+    ``build_instance`` check them with ``gnf.check_task`` and
+    ``gnf.VarOwners``. The constructor keeps slot == task id, so it rejects
+    a task var named twice.
     """
 
     def __init__(self, pid: int, tasks):
@@ -148,7 +149,6 @@ class ProcessorTheory(MonotonicTheory):
     def add_atom(self, kind: str, args, pvar: int) -> int:
         """Register a ``schedulable`` atom (no arguments) on atom var
         ``pvar``; returns the atom id."""
-        check_pred(kind, args, "processor", self.pid)
         return self.register_predicate(pvar, NEGATIVE, kind, ())
 
     # -- theory interface ------------------------------------------------------

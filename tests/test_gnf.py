@@ -10,8 +10,6 @@ from monosmt import gnf
 from monosmt.build import build_instance
 from monosmt.generators import gen_flow, gen_maze, gen_sched
 from monosmt.gnf import GnfError, parse, parse_model, serialize
-from monosmt.graphs import GraphTheory
-from monosmt.scheduling import ProcessorTheory
 
 
 def err(text):
@@ -288,21 +286,28 @@ BAD_DECLARATIONS = [
     "task 3 0 0 2 4",
     "reach 1 0 3 5",
     "reach 2 0 1 5",  # an undirected graph
+    "reach 3 0 1 5",  # a processor
+    "distance_leq 2 0 1 1 5",
     "distance_leq 1 0 1 -1 5",
     "maxflow_geq 1 0 1 -1 5",
     "maxflow_geq 1 1 1 2 5",
+    "maxflow_geq 1 0 3 1 5",
+    "maxflow_geq 2 0 1 1 5",
     "components_leq 1 1 5",  # a directed graph
     "components_leq 2 -1 5",
     "mst_weight_leq 2 -1 5",
+    "mst_weight_leq 1 7 5",
     "mst_edge 2 1 5",  # var 1 is an edge of graph 1 only
+    "mst_edge 1 1 5",
+    "schedulable 1 5",  # a graph
     "digraph -2 0 4",
 ]
 
 
 def declare_in_code(line):
     """Add the declaration of ``line`` to ROOM's document in code and build
-    it: build_instance checks the graphs, edges and tasks, and the theories
-    it makes check the atoms."""
+    it: build_instance checks every declaration, through gnf.VarOwners and
+    the gnf check helpers."""
     doc = gnf.GnfDocument(9, graphs={
         1: gnf.GraphDecl(1, True, 3, [gnf.EdgeDecl(1, 0, 1, 1)]),
         2: gnf.GraphDecl(2, False, 3, [gnf.EdgeDecl(2, 0, 1, 2)])},
@@ -328,23 +333,6 @@ def test_parser_and_theories_apply_the_same_rules(line):
     with pytest.raises(ValueError) as info:
         declare_in_code(line)
     assert str(e) == "line 8: %s" % info.value
-
-
-@pytest.mark.parametrize("make, kind, args, message", [
-    (lambda: GraphTheory(1, True, 2, [(0, 1, 0, 1)]), "nope", (0, 1),
-     "unknown predicate 'nope'"),
-    (lambda: GraphTheory(1, True, 2, [(0, 1, 0, 1)]), "reach", (0,),
-     "reach expects <gid> <u> <v> <var>"),
-    (lambda: ProcessorTheory(1, [(0, 0, 1, 1)]), "schedulable", (1,),
-     "schedulable expects <pid> <var>"),
-])
-def test_add_atom_rejects_what_the_parser_rejects_first(make, kind, args,
-                                                       message):
-    # The parser checks the kind and the argument count before check_pred,
-    # so only a theory's add_atom reaches these two rules.
-    with pytest.raises(ValueError) as info:
-        make().add_atom(kind, args, 1)
-    assert str(info.value) == message
 
 
 def test_same_edge_var_allowed_across_graphs():

@@ -270,39 +270,15 @@ def test_mst_edge_self_loop_never_in_tree():
 
 # -- registration and validation ----------------------------------------------
 
-def assert_rejected(th, kind, args):
-    with pytest.raises(ValueError):
-        th.add_atom(kind, args, 5)
-
-
-def test_directedness_rules_enforced():
-    th = GraphTheory(1, True, 3, [(0, 1, 0, 1)])
-    assert_rejected(th, "components_leq", (1,))
-    assert_rejected(th, "mst_weight_leq", (None,))
-    assert_rejected(th, "mst_edge", (0,))
-
-    th = GraphTheory(1, False, 3, [(0, 1, 0, 1)])
-    assert_rejected(th, "reach", (0, 1))
-    assert_rejected(th, "distance_leq", (0, 1, 2))
-    assert_rejected(th, "maxflow_geq", (0, 1, 2))
-
-
 def test_argument_validation():
-    th = GraphTheory(1, True, 2, [(0, 1, 0, 1)])
-    assert_rejected(th, "reach", (0, 2))
-    assert_rejected(th, "distance_leq", (0, 1, -1))
-    assert_rejected(th, "maxflow_geq", (0, 0, 1))
-    assert_rejected(th, "schedulable", ())  # not a graph kind
-    th = GraphTheory(1, False, 2, [(0, 1, 0, 1)])
-    assert_rejected(th, "mst_edge", (1,))  # var 1 is no edge
     # A repeated var, next to its first use or not, reads an earlier slot.
     for edges in ([(0, 1, 0, 1), (1, 0, 0, 1)],
                   [(0, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1)]):
         with pytest.raises(ValueError,
                            match="^edge var 0 used twice in graph 2$"):
             GraphTheory(2, True, 2, edges)
-    # Endpoints and weights are checked where a document is read: see
-    # test_gnf's test_parser_and_theories_apply_the_same_rules.
+    # Endpoints, weights and atoms are checked where a document is read:
+    # see test_gnf's test_parser_and_theories_apply_the_same_rules.
 
 
 # A self-loop (eid 2), parallel edges between 0 and 1 in both directions

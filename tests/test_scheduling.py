@@ -195,17 +195,14 @@ def test_busy_window_subset_is_infeasible_alone():
 # -- theory registration ----------------------------------------------------------
 
 def test_registration_validation():
-    th = ProcessorTheory(1, [(5, 0, 1, 1)])
     # A repeated var, next to its first use or not, reads an earlier slot.
     for tasks in ([(5, 0, 1, 1), (5, 0, 1, 1)],
                   [(5, 0, 1, 1), (6, 0, 1, 1), (5, 0, 1, 1)]):
         with pytest.raises(ValueError,
                            match="^task var 5 used twice on processor 1$"):
             ProcessorTheory(1, tasks)
-    # Task times are checked where a document is read: see test_gnf's
-    # test_parser_and_theories_apply_the_same_rules.
-    with pytest.raises(ValueError):
-        th.add_atom("reach", (0, 1), 6)  # a graph kind
+    # Task times and atoms are checked where a document is read: see
+    # test_gnf's test_parser_and_theories_apply_the_same_rules.
 
 
 def test_evaluate_matches_simulator():
