@@ -1,8 +1,11 @@
 """From parsed documents to wired solvers and solve reports.
 
 GNF uses 1-based signed DIMACS literals; the solver core numbers vars from 0
-and packs polarity into the low bit. The two numbering schemes meet here and
-in ``minimize.BoundProbes``, which converts its atom var, values and models.
+and packs polarity into the low bit. The two numbering schemes meet here:
+``Instance.solve`` turns a model into GNF values, and ``Instance.mask``
+turns values into a theory's enabled mask, for ``solve_doc``,
+``witness_lines`` and ``minimize.BoundProbes``. ``BoundProbes`` converts
+only its atom var and the vars it adds.
 """
 from __future__ import annotations
 
@@ -28,11 +31,25 @@ class Instance:
 
     ok = property(lambda self: self.solver.ok)  # False once UNSAT at level 0
 
-    def __init__(self, doc, solver, theories, atoms):
+    def __init__(self, doc, solver, graphs, theories, atoms):
         self.doc = doc
         self.solver = solver
+        self.graphs = graphs  # gid -> GraphTheory
         self.theories = theories  # graphs, then processors, in doc order
         self.atoms = atoms  # (theory, binding) per doc predicate
+
+    def solve(self, assumptions=()):
+        """(status, values): "SAT" or "UNSAT" under ``assumptions``, solver
+        literals, and on SAT a 1-based bool list over the document's vars."""
+        res = self.solver.solve(assumptions)
+        if res.status is SAT:
+            return "SAT", [None] + res.model[:self.doc.nvars]
+        return "UNSAT", None
+
+    def mask(self, theory, values):
+        """The enabled mask of ``theory`` under ``values``, a 1-based bool
+        list over the document's vars."""
+        return bytearray(values[v + 1] for v in theory.slot_vars)
 
 
 @paused
@@ -73,17 +90,14 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
     # range, so add_clauses rejects it.
     solver.add_clauses([l + l - 2 if l > 0 else -l - l - 1 for l in clause]
                        for clause in doc.clauses)
-    return Instance(doc, solver, theories, atoms)
+    return Instance(doc, solver, graphs, theories, atoms)
 
 
 def solve_doc(doc: GnfDocument, seed=0, observer=None):
     """Solve a document; returns (status, values, instance) where status is
     "SAT"/"UNSAT" and values is a 1-based bool list on SAT."""
     inst = build_instance(doc, seed=seed, observer=observer)
-    res = inst.solver.solve()
-    if res.status is SAT:
-        return "SAT", [None] + res.model, inst
-    return "UNSAT", None, inst
+    return inst.solve() + (inst,)
 
 
 def v_line(values) -> str:
@@ -99,11 +113,9 @@ def witness_lines(inst: Instance, values):
     for pred, (th, binding) in zip(inst.doc.preds, inst.atoms):
         if not values[pred.var]:
             continue
-        model = models.get(th)
-        if model is None:
-            model = models[th] = (
-                bytearray(values[v + 1] for v in th.slot_vars), {})
-        payload = th.model_witness(binding, *model)
+        if th not in models:
+            models[th] = (inst.mask(th, values), {})
+        payload = th.model_witness(binding, *models[th])
         if pred.kind == "mst_weight_leq":
             payload = [v + 1 for v in payload]  # internal vars back to GNF
         params = [pred.owner] + ["inf" if a is None else a for a in pred.args]

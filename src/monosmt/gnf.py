@@ -25,9 +25,9 @@ follow the edge it names. Atom vars are globally unique and distinct from
 every edge and task var. Edge vars may repeat across graphs but not within
 one; the same holds for task vars across processors. `VarOwners` is the one
 table of these rules on declaration vars, and the one place that checks an
-atom, by the rules of `PREDICATES` and `check_pred`: `parse` consults it
-per declaration line and per block of edge lines, and `build.build_instance`
-per graph, processor and atom of a document built in code. The theories
+atom, by the rules of `PREDICATES`: `parse` consults it per declaration line
+and per block of edge lines, and `build.build_instance` per graph,
+processor and atom of a document built in code. The theories
 take their atoms as GNF allows them and check none of these rules.
 
 `parse` reads clause lines `BLOCK` at a time, and each run of consecutive
@@ -162,24 +162,6 @@ def check_task(arrival, duration):
         raise ValueError("task needs A >= 0 and L >= 1")
 
 
-def check_pred(kind, args, gid, g):
-    """Reject graph predicate ``kind`` with ``args``, its arguments between
-    the graph id and the atom var, on graph ``gid``, the GraphDecl ``g``.
-    Its one caller, ``VarOwners.atom``, has checked the kind, the argument
-    count, the owner and an mst_edge's edge."""
-    want, names = PREDICATES[kind]
-    if want != ("digraph" if g.directed else "ugraph"):
-        raise ValueError("graph %d is %s" % (
-            gid, "directed" if g.directed else "undirected"))
-    for name, x in zip(names, args):
-        if name in ("u", "v", "s", "t") and not 0 <= x < g.n:
-            raise ValueError("node %d out of range" % x)
-        if name[0] == "C" and x is not None and x < 0:
-            raise ValueError("negative bound")
-    if kind == "maxflow_geq" and args[0] == args[1]:
-        raise ValueError("flow source equals sink")
-
-
 # An owner's words for a var named twice among its edges or tasks.
 _CLASH = {"graph": "var %d already an edge of graph %d",
           "processor": "var %d already a task on processor %d"}
@@ -204,17 +186,18 @@ class VarOwners:
     both. An edge var is named once per graph and a task var once per
     processor; an atom var is no other atom's. An atom's kind is known and
     its owner declared, it has as many arguments as PREDICATES names, an
-    mst_edge atom's one argument is an edge var of its graph, and a graph
-    atom then keeps ``check_pred``. A broken rule raises ValueError in the
-    parser's words, and a clash names the first declaring line where the
-    caller gave it.
+    mst_edge atom's one argument is an edge var of its graph. A graph atom
+    then fits its graph's direction, its nodes are in range, its bounds are
+    not negative, and a flow's source is not its sink. A broken rule raises
+    ValueError in the parser's words, and a clash names the first declaring
+    line where the caller gave it.
     """
 
     __slots__ = ("nvars", "graphs", "owned", "svars", "pvars", "lines")
 
     def __init__(self, nvars, graphs):
         self.nvars = nvars
-        self.graphs = graphs  # gid -> GraphDecl, read by check_pred
+        self.graphs = graphs  # gid -> GraphDecl, read by atom
         edges = {}
         # An owner's word -> its id -> the vars of its edges or tasks. A
         # kind's owner in PREDICATES, "digraph" or "ugraph", names graphs.
@@ -294,7 +277,17 @@ class VarOwners:
                 raise _taken(var, "a predicate atom", pvars[var])
             raise _taken(var, "an edge or task var", self.lines.get(var))
         if owner != "processor":
-            check_pred(kind, args, oid, self.graphs[oid])
+            g = self.graphs[oid]
+            if owner != ("digraph" if g.directed else "ugraph"):
+                raise ValueError("graph %d is %s" % (
+                    oid, "directed" if g.directed else "undirected"))
+            for name, x in zip(names, args):
+                if name in ("u", "v", "s", "t") and not 0 <= x < g.n:
+                    raise ValueError("node %d out of range" % x)
+                if name[0] == "C" and x is not None and x < 0:
+                    raise ValueError("negative bound")
+            if kind == "maxflow_geq" and args[0] == args[1]:
+                raise ValueError("flow source equals sink")
         pvars[var] = ln
         return owner
 

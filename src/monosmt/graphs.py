@@ -29,7 +29,8 @@ flow or starts in its residual cut side. Any other max flow is augmented
 from the previous one, after cancelling the flow on the lost edges; its
 value and cut side equal a cold run's.
 Each evaluation lists the atoms whose value moved since the previous one.
-An explanation reads the path, cut or flow stacked for its trail prefix.
+An explanation reads the path, cut or flow of the newest evaluation when it
+is of the explanation's trail prefix, and runs one cold otherwise.
 """
 from __future__ import annotations
 
@@ -282,13 +283,12 @@ class GraphTheory(MonotonicTheory):
     and its atoms are taken as GNF allows them: the parser and
     ``build_instance`` check them with ``gnf.check_graph``,
     ``gnf.check_edge`` and ``gnf.VarOwners``. The constructor keeps slot ==
-    edge id, so it rejects an edge var named twice.
+    edge id, so it rejects an edge var named twice; ``gid`` names the graph
+    in that error.
     """
 
     def __init__(self, gid: int, directed: bool, n: int, edges):
         super().__init__()
-        self.gid = gid
-        self.directed = directed
         self.n = n
         self.edges = [EdgeSpec(*e) for e in edges]
         self._weights = [e.weight for e in self.edges]
@@ -484,6 +484,10 @@ class GraphTheory(MonotonicTheory):
                                    key[1], key[2])
             analysis[key] = hit
         return hit
+
+    def span_weight(self, enabled):
+        """Weight of the spanning forest of the ``enabled`` mask."""
+        return span_scan(self.n, self.edges, self._order, enabled).weight
 
     def evaluate(self, pred, enabled, analysis):
         kind, payload = pred.kind, pred.payload

@@ -1,17 +1,21 @@
 """Bound minimization for spanning-tree weight atoms.
 
-Feasibility is monotone in an mst_weight_leq atom's bound, which binary
-search exploits; the caller gets the smallest bound that stays satisfiable,
-with its model. The theory bounds the search from both sides (Bayless,
-Bayless, Hoos, Hu, "SAT Modulo Monotonic Theories", AAAI 2015). A model with
-the atom true satisfies the document at its own spanning-tree weight, which
-becomes the upper end. When the atom is true at level 0, no model's tree is
-lighter than the tree of the level-0 maximal completion, whose weight
-becomes the lower end and is probed first. Enabling an edge never makes a
-connected graph's tree heavier, so the owning graph's edges are decided on:
-their saved phase is set true once, and phase saving carries the light
-model from probe to probe. The first model's tree is light, and on many
-mazes it weighs the lower end, which ends the search.
+Feasibility is monotone in an mst_weight_leq atom's bound only among the
+models with the atom true, which binary search exploits; the caller gets
+the smallest bound that stays satisfiable, with its model. A model with the
+atom false satisfies every bound below its spanning-tree weight, and every
+bound when its graph is disconnected. So when the atom is not true at level
+0, bound 0 is probed right after the total, also when the total is UNSAT.
+The theory bounds the search from both sides (Bayless, Bayless, Hoos, Hu,
+"SAT Modulo Monotonic Theories", AAAI 2015). A model with the atom true
+satisfies the document at its own spanning-tree weight, which becomes the
+upper end. When the atom is true at level 0, no model's tree is lighter
+than the tree of the level-0 maximal completion, whose weight becomes the
+lower end and is probed first. Enabling an edge never makes a connected
+graph's tree heavier, so the owning graph's edges are decided on: their
+saved phase is set true once, and phase saving carries the light model
+from probe to probe. The first model's tree is light, and on many mazes it
+weighs the lower end, which ends the search.
 
 Every probe goes to one solver (``BoundProbes``), built from the document
 without the probed atom, so that its var is a plain var. Each probed bound
@@ -29,8 +33,7 @@ import copy
 
 from . import build
 from .gnf import GnfDocument
-from .graphs import GraphTheory
-from .sat import SAT, TRUE, mk_lit
+from .sat import TRUE, mk_lit
 
 # Never called here; perfbench/tracer.py patches this name.
 from .build import solve_doc  # noqa: F401
@@ -55,13 +58,10 @@ class BoundProbes:
         pred = doc.preds[idx]
         rest = copy.copy(doc)  # shares all but the probed atom
         rest.preds = doc.preds[:idx] + doc.preds[idx + 1:]
-        inst = build.build_instance(rest, seed=seed)
+        self.inst = inst = build.build_instance(rest, seed=seed)
         self.solver = inst.solver
-        self.theory = next(th for th in inst.theories
-                           if isinstance(th, GraphTheory)
-                           and th.gid == pred.owner)
+        self.theory = inst.graphs[pred.owner]
         self.pvar = pred.var - 1
-        self.nvars = doc.nvars
         self.atoms = []  # (bound, atom var) per probe so far
         for v in self.theory.slot_vars:
             self.solver.phase[v] = True  # edges on: light trees first
@@ -80,17 +80,18 @@ class BoundProbes:
             lo, hi = (q, v) if bound < b else (v, q)
             solver.add_clause([mk_lit(lo, True), mk_lit(hi)])
         self.atoms.append((bound, q))
-        res = solver.solve([mk_lit(s)])
+        got = self.inst.solve([mk_lit(s)])
         solver.add_clause([off])
-        if res.status is SAT:
-            return "SAT", [None] + res.model[:self.nvars]
-        return "UNSAT", None
+        return got
 
     def tree_weight(self, values):
         """Spanning-tree weight of the owning graph under ``values``, a
         1-based bool list over the document's vars."""
-        mask = bytearray(values[v + 1] for v in self.theory.slot_vars)
-        return self.theory._analysis(mask, {}, ("span",)).weight
+        return self.theory.span_weight(self.inst.mask(self.theory, values))
+
+    def forced(self):
+        """Whether the probed var is true at level 0, so in every model."""
+        return self.solver.value[mk_lit(self.pvar)] == TRUE
 
     def floor(self):
         """A bound below which every probe is UNSAT: the spanning-tree weight
@@ -98,10 +99,9 @@ class BoundProbes:
         when the probed var is true at level 0, else 0. Level-0 facts hold
         in every model of the document, and adding edges never makes a
         tree heavier. Read between probes, when the trail is at level 0."""
-        if self.solver.value[mk_lit(self.pvar)] != TRUE:
+        if not self.forced():
             return 0
-        mask = self.theory.completion(True).enabled
-        return self.theory._analysis(mask, {}, ("span",)).weight
+        return self.theory.span_weight(self.theory.completion(True).enabled)
 
 
 def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
@@ -110,7 +110,8 @@ def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
     bisection between ``BoundProbes.floor``, probed first, and the lightest
     tree of a model with the atom true. The probes decide edges on, so the
     first model's tree is light and the ceiling starts low; when it meets
-    the floor, the search ends after that one probe."""
+    the floor, the search ends after that one probe. An UNSAT total ends
+    it, after a probe at 0 unless the atom is true at level 0."""
     idx = next((i for i, p in enumerate(doc.preds)
                 if p.var == bound_var and p.kind == "mst_weight_leq"), None)
     if idx is None:
@@ -130,6 +131,8 @@ def minimize_bound(doc: GnfDocument, bound_var: int, seed=0):
                 else bound), values
 
     got = probe(total)
+    if got is None and not search.forced():
+        got = probe(0)  # a model with the atom false, if any, meets 0
     if got is None:
         return MinimizeResult(False, None, None, probes)
     hi, best = got

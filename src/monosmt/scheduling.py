@@ -130,12 +130,11 @@ class ProcessorTheory(MonotonicTheory):
     and atoms are taken as GNF allows them: the parser and
     ``build_instance`` check them with ``gnf.check_task`` and
     ``gnf.VarOwners``. The constructor keeps slot == task id, so it rejects
-    a task var named twice.
+    a task var named twice; ``pid`` names the processor in that error.
     """
 
     def __init__(self, pid: int, tasks):
         super().__init__()
-        self.pid = pid
         self.tasks = []
         for tid, (var, arrival, duration, deadline) in enumerate(tasks):
             if self.add_s_var(var) != tid:  # a repeat reads its first slot

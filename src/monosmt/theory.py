@@ -33,8 +33,8 @@ it restores, so the level it returns to keeps its evaluation. The values
 live in one list per completion, written in place: a stacked evaluation
 keeps the ids of the atoms it flipped, and a backjump flips them back as it
 pops, as it restores the mask from the log. Explanations read the mask of
-an earlier trail prefix off the same log, and reuse the stacked analysis of
-that generation when there is one.
+an earlier trail prefix off the same log, and reuse the newest stacked
+analysis when it is of that generation; an older prefix runs cold.
 
 Propagation is change-driven: each evaluation lists the atoms whose value
 moved, and a scan visits those, in id order; with none, there is no scan.
@@ -364,8 +364,9 @@ class MonotonicTheory:
 
         Returns ``(enabled, moved, analysis)``: the enabled mask, the slots
         moved off the fill value by then (in trail order), and an analysis
-        dict for that mask, shared with the stacked evaluation of that
-        generation when there is one. The mask is a fresh copy.
+        dict for that mask: the newest stacked evaluation's when it is of
+        that generation, else a fresh one, so an older prefix runs its
+        analyses cold. The mask is a fresh copy.
         """
         comp = self._ext[maximal]
         log = comp.log
@@ -378,12 +379,8 @@ class MonotonicTheory:
         fill = 1 if maximal else 0
         for slot in log[k:]:
             enabled[slot] = fill
-        analysis = {}
-        for gen, _, stacked in reversed(comp.stack):
-            if gen <= k:
-                if gen == k:
-                    analysis = stacked
-                break
+        stack = comp.stack
+        analysis = stack[-1][2] if stack and stack[-1][0] == k else {}
         return enabled, log[:k], analysis
 
     def witness_lits(self, pred, positive: bool, prefix: int) -> list[int]:

@@ -32,3 +32,9 @@ def test_layers_keep_their_imports_apart():
     # The oracle is a second algorithm family: it reads documents and
     # shares no code with the solver.
     assert not imported("oracle") & {"graphs", "scheduling", "theory", "sat"}
+
+
+def test_minimize_reaches_its_solver_through_build():
+    # BoundProbes finds its graph, solves, and reads model masks and tree
+    # weights through build.Instance and the graph theory's public reader.
+    assert not imported("minimize") & {"graphs", "theory", "scheduling"}

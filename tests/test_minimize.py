@@ -66,6 +66,32 @@ def test_infeasible_document_reports_no_bound():
     assert res.probes == [(4, "UNSAT")]
 
 
+def test_unsatisfiable_total_with_the_atom_free_probes_zero():
+    # With every edge on and the atom false, no bound at or above the tree
+    # weight 3 is satisfiable, but every bound below it is.
+    doc, atom = tree_doc([(0, 1, 1), (1, 2, 2), (0, 2, 3)],
+                         forced=[[1], [2], [3], [-4]])
+    doc.clauses.remove([atom])
+    res = minimize_bound(doc, atom)
+    assert res.probes == [(6, "UNSAT"), (0, "SAT")]
+    assert res.feasible and res.bound == 0 and res.values[atom] is False
+    assert scratch_minimize(doc, atom)[0] == 0
+    assert [reprobe(doc, atom, b) for b in range(7)] == ["SAT"] * 3 + [
+        "UNSAT"] * 4
+
+
+def test_reference_finds_zero_below_a_gap_of_unsatisfiable_bounds():
+    # The atom false forces the weight-2 edge on, the atom true the
+    # weight-10 edge alone: bounds 0 and 1 and bounds from 10 up are
+    # satisfiable. Bisection from the total alone would stop at 10.
+    doc, atom = tree_doc([(0, 1, 2), (0, 1, 10)])
+    doc.clauses = [[-atom, -1], [-atom, 2], [atom, 1]]
+    assert [reprobe(doc, atom, b) for b in range(13)] == (
+        ["SAT"] * 2 + ["UNSAT"] * 8 + ["SAT"] * 3)
+    assert minimize_bound(doc, atom).bound == 0
+    assert scratch_minimize(doc, atom)[0] == 0
+
+
 def test_probe_log_is_a_monotone_search():
     # The optimum need not be probed: a model whose tree weighs the
     # level-0 floor ends the search at once.
@@ -88,7 +114,7 @@ def test_non_monotone_answers_still_give_an_ordered_probe_log(monkeypatch):
     def answers(unsat_mod):
         def solve(search, bound):
             asked.append(bound)
-            return (("SAT", [None] * (search.nvars + 1))
+            return (("SAT", [None] * (search.inst.doc.nvars + 1))
                     if bound % 3 != unsat_mod else ("UNSAT", None))
         return solve
 
@@ -139,15 +165,22 @@ def test_original_document_is_untouched():
 
 
 def scratch_minimize(doc, atom):
-    """Plain bisection over [0, total edge weight], with a document copy
-    and a solver of its own per probe; returns (bound, probes), the bound
-    None when infeasible."""
+    """Plain search over [0, total edge weight], with a document copy and a
+    solver of its own per probe; returns (bound, probes), the bound None
+    when infeasible. A model with the atom false meets every bound below
+    its tree weight, so bound 0 is probed first. Once it is UNSAT, only
+    models with the atom true meet a bound, each every bound from its tree
+    weight up, so feasibility is monotone: the total decides it, and
+    bisection finds the least bound."""
     owner = next(p.owner for p in doc.preds if p.var == atom)
     total = sum(e.weight for e in doc.graphs[owner].edges)
-    probes = [(total, reprobe(doc, atom, total))]
-    if probes[0][1] == "UNSAT":
+    probes = [(0, reprobe(doc, atom, 0))]
+    if probes[0][1] == "SAT":
+        return 0, probes
+    probes.append((total, reprobe(doc, atom, total)))
+    if probes[1][1] == "UNSAT":
         return None, probes
-    lo, hi = 0, total
+    lo, hi = 1, total
     while lo < hi:
         mid = (lo + hi) // 2
         status = reprobe(doc, atom, mid)

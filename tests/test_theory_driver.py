@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from monosmt.build import build_instance, dimacs_lit, internal_lit
+from monosmt.build import build_instance, dimacs_lit, internal_lit, solve_doc
+from monosmt.generators import gen_maze
 from monosmt.graphs import GraphTheory
 from monosmt.oracle import brute_force_solve, check_lemma, check_model
 from monosmt.scheduling import ProcessorTheory
@@ -282,6 +283,31 @@ def test_atom_registered_after_a_solve_is_scanned_and_explained():
             late_lemmas += sum(lits[0] >> 1 == late.var - 1
                                for lits in recorder.lemmas)
     assert late_lemmas >= 50
+
+
+def test_explanations_reuse_only_the_newest_stacked_evaluation(
+        monkeypatch):
+    # A witness reads the analyses of the newest stacked evaluation when its
+    # trail prefix is of that generation, and a fresh dict otherwise, so an
+    # older prefix runs cold.
+    seen = {True: 0, False: 0}  # witnesses by whether they read the newest
+    witness_slots = GraphTheory.witness_slots
+
+    def checked(th, pred, positive, enabled, moved, analysis):
+        comp = th.completion(positive != (pred.polarity == POSITIVE))
+        newest = len(moved) == comp.stack[-1][0]
+        if newest:
+            assert analysis is comp.stack[-1][2]
+        else:
+            assert analysis == {}
+            assert all(analysis is not stacked for _, _, stacked
+                       in comp.stack)
+        seen[newest] += 1
+        return witness_slots(th, pred, positive, enabled, moved, analysis)
+
+    monkeypatch.setattr(GraphTheory, "witness_slots", checked)
+    assert solve_doc(gen_maze(8, 8, 1000))[0] == "SAT"
+    assert seen[True] > seen[False] > 0
 
 
 _WRONG_ATOM = """
