@@ -1,29 +1,24 @@
 """From parsed documents to wired solvers and solve reports.
 
 GNF uses 1-based signed DIMACS literals; the solver core numbers vars from 0
-and packs polarity into the low bit. The two numbering schemes meet here:
+and packs polarity into the low bit. ``sat`` alone packs literals
+(``internal_lit``, ``dimacs_lit``, re-exported here), and
+``Solver.add_clauses`` takes the document's clauses as they are written.
+The other meetings of the two numbering schemes are here:
 ``Instance.solve`` turns a model into GNF values, and ``Instance.mask``
 turns values into a theory's enabled mask, for ``solve_doc``,
 ``witness_lines`` and ``minimize.BoundProbes``. ``BoundProbes`` converts
-only its atom var and the vars it adds.
+only its atom var and the vars it adds. The theories get their vars
+shifted to 0-based as they are built.
 """
 from __future__ import annotations
 
 from .gcpause import paused
-from .sat import Solver, SAT, mk_lit
+from .sat import Solver, SAT, dimacs_lit, internal_lit  # noqa: F401
 from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
 from .gnf import (GnfDocument, VarOwners, check_edge, check_graph,
                   check_task)
-
-
-def internal_lit(dimacs: int) -> int:
-    return mk_lit(abs(dimacs) - 1, dimacs < 0)
-
-
-def dimacs_lit(lit: int) -> int:
-    var = (lit >> 1) + 1
-    return -var if lit & 1 else var
 
 
 class Instance:
@@ -86,10 +81,7 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
     theories = list(graphs.values()) + list(procs.values())
     for th in theories:
         solver.attach_theory(th)
-    # internal_lit, inlined: a literal beyond nvars, or 0, stays out of
-    # range, so add_clauses rejects it.
-    solver.add_clauses([l + l - 2 if l > 0 else -l - l - 1 for l in clause]
-                       for clause in doc.clauses)
+    solver.add_clauses(doc.clauses)
     return Instance(doc, solver, graphs, theories, atoms)
 
 

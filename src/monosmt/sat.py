@@ -5,6 +5,11 @@ int: ``2*v`` asserts variable ``v``, ``2*v + 1`` negates it, so negation is
 ``lit ^ 1``. Assignment values are 1 (true), -1 (false), 0 (unassigned),
 kept per literal: the value of variable ``v`` is that of literal ``2*v``.
 
+GNF numbers vars from 1 and writes a negation with a minus. ``internal_lit``
+and ``dimacs_lit`` convert one literal between the two forms, and
+``Solver.add_clauses`` loads a document's clauses as GNF writes them,
+converting each literal by ``internal_lit``'s rule as it reads it.
+
 Attached theories are driven to fixpoint after every unit-propagation fixpoint.
 A theory implication is enqueued with a lazy reason, the pair ``(theory,
 atom_id)``; the reason clause is only materialized (via the theory's
@@ -33,6 +38,18 @@ UNSAT = "UNSAT"
 
 def mk_lit(var: int, negative: bool = False) -> int:
     return var * 2 + (1 if negative else 0)
+
+
+def internal_lit(dimacs: int) -> int:
+    """The solver literal of a GNF literal (vars 1..n, minus for negation).
+    0 becomes -1 and a literal beyond n a literal beyond the solver's vars,
+    so neither can name a var that exists."""
+    return dimacs + dimacs - 2 if dimacs > 0 else -dimacs - dimacs - 1
+
+
+def dimacs_lit(lit: int) -> int:
+    var = (lit >> 1) + 1
+    return -var if lit & 1 else var
 
 
 def neg(lit: int) -> int:
@@ -212,15 +229,17 @@ class Solver:
         return True
 
     def add_clauses(self, clauses) -> bool:
-        """Add each clause of ``clauses`` as ``add_clause`` would; returns
-        False on a root conflict, and then reads no further clause.
+        """Add each clause of ``clauses``, GNF literal lists (vars 1..n,
+        minus for negation), as ``add_clause`` would add its solver
+        literals; returns False on a root conflict, and then reads no
+        further clause.
 
-        Each clause is a list handed over to the solver. Two or three
-        unassigned literals of different vars, the common clauses, need no
-        simplification and are watched as they are: a clause of three is
-        kept as its list, sorted in place, and a clause of two as a new
-        sorted list of two, since a list built by appending holds four
-        slots. Every other clause goes to ``add_clause``.
+        The lists are read, never kept or changed. Two or three unassigned
+        literals of different vars, the common clauses, need no
+        simplification: each is converted as ``internal_lit`` converts it,
+        sorted and watched in a new list of its own. Every other clause is
+        checked for a literal of an unknown var, named as written, and
+        converted for ``add_clause``.
         """
         if self.trail_lim:
             raise ValueError("add_clauses requires decision level 0")
@@ -228,17 +247,24 @@ class Solver:
             return False
         val, watches, db = self.value, self.watches, self.clauses
         top = len(val)
-        for lits in clauses:
-            n = len(lits)
-            # Sorted, x ^ y > 1 where neighbours x and y differ in var.
+        for clause in clauses:
+            n = len(clause)
+            # internal_lit, inlined. Sorted, x ^ y > 1 where neighbours x
+            # and y differ in var; x >= 0 and the last < top where every
+            # literal is in range.
             if n == 2:
+                x, y = clause
+                x = x + x - 2 if x > 0 else -x - x - 1
+                y = y + y - 2 if y > 0 else -y - y - 1
+                lits = [x, y] if x < y else [y, x]
                 x, y = lits
-                if x > y:
-                    x, y = y, x
-                lits = [x, y]
                 simple = (x ^ y > 1 and x >= 0 and y < top
                           and not (val[x] or val[y]))
             elif n == 3:
+                x, y, z = clause
+                lits = [x + x - 2 if x > 0 else -x - x - 1,
+                        y + y - 2 if y > 0 else -y - y - 1,
+                        z + z - 2 if z > 0 else -z - z - 1]
                 lits.sort()
                 x, y, z = lits
                 simple = (x ^ y > 1 and y ^ z > 1 and x >= 0 and z < top
@@ -249,7 +275,11 @@ class Solver:
                 db.append(lits)
                 watches[x ^ 1].append(lits)  # _watch, inlined
                 watches[y ^ 1].append(lits)
-            elif not self.add_clause(lits):
+                continue
+            for lit in clause:  # named as written
+                if not 0 < abs(lit) <= top >> 1:
+                    raise ValueError("unknown variable in clause: lit %d" % lit)
+            if not self.add_clause([internal_lit(lit) for lit in clause]):
                 return False
         return True
 

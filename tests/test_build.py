@@ -39,11 +39,53 @@ def test_bulk_load_matches_one_add_clause_per_clause(make, monkeypatch):
     bulk = build_instance(doc).solver
     assert doc == make()
     monkeypatch.setattr(Solver, "add_clauses", lambda self, clauses: all(
-        map(self.add_clause, clauses)))
+        self.add_clause([internal_lit(lit) for lit in c]) for c in clauses))
     each = build_instance(doc).solver
     for name in ("clauses", "watches", "trail", "value"):
         assert getattr(bulk, name) == getattr(each, name), name
     assert bulk.ok == each.ok and (bulk.clauses or bulk.trail)
+
+
+# Clauses handed to add_clause, clauses in the document, clauses kept.
+HANDED = {
+    "sched 100": (LOADED["sched 100"], 397, 20_781, 20_484),
+    "flow 14x14": (LOADED["flow 14x14"], 216, 216, 0),
+    "maze 8x8": (LOADED["maze 8x8"], 3, 563, 560),
+    "sched 200 (CI)": (lambda: gen_sched(200, 10, 50, 0), 804, 91_368,
+                       90_764),
+}
+
+
+@pytest.mark.parametrize("make, handed, total, kept", HANDED.values(),
+                         ids=HANDED.keys())
+def test_bulk_load_hands_add_clause_only_the_uncommon_clauses(
+        make, handed, total, kept, monkeypatch):
+    # The loader watches the common clauses itself, so perfbench's
+    # sat.add_clause_calls counts only these; every kept clause is a list
+    # of the solver's own.
+    calls = []
+    add_clause = Solver.add_clause
+
+    def counted(self, lits):
+        calls.append(lits)
+        return add_clause(self, lits)
+
+    monkeypatch.setattr(Solver, "add_clause", counted)
+    doc = make()
+    solver = build_instance(doc).solver
+    assert (len(calls), len(doc.clauses), len(solver.clauses)) == (
+        handed, total, kept)
+    written = {id(c) for c in doc.clauses}
+    assert not any(id(c) in written for c in solver.clauses)
+
+
+@pytest.mark.parametrize("bad", [4, -4, 0])
+def test_an_unknown_literal_in_a_clause_is_named_as_written(bad):
+    # The loader used to name the solver's literal: 6, 7 and -1.
+    doc = GnfDocument(nvars=3, clauses=[[1, bad]])
+    with pytest.raises(ValueError,
+                       match=r"^unknown variable in clause: lit %d$" % bad):
+        build_instance(doc)
 
 
 @pytest.mark.parametrize("make", DOCS.values(), ids=DOCS.keys())

@@ -1,6 +1,7 @@
 """CDCL core behavior, frozen conflict-analysis shapes, and oracle agreement
 on pure CNF."""
 
+import copy
 import heapq
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import monosmt
-from monosmt.build import build_instance, dimacs_lit, solve_doc
+from monosmt.build import (build_instance, dimacs_lit, internal_lit,
+                           solve_doc)
 from monosmt.generators import Xorshift64Star, gen_flow, gen_maze, gen_sched
 from monosmt.gnf import GnfDocument
 from monosmt.minimize import BoundProbes
@@ -585,19 +587,21 @@ LOADED = ("ok", "clauses", "watches", "trail", "value", "level", "reason")
 
 
 def load(nvars, clauses, bulk):
-    """A solver of ``nvars`` vars given fresh copies of ``clauses``, by one
-    ``add_clauses`` call or by one ``add_clause`` call each; returns the
-    result and the solver."""
+    """A solver of ``nvars`` vars given ``clauses``, GNF literal lists, by
+    one ``add_clauses`` call or by one ``add_clause`` call each on their
+    solver literals; returns the result and the solver."""
     solver, _ = fresh(nvars)
-    lists = [list(c) for c in clauses]
     if bulk:
-        return solver.add_clauses(lists), solver
-    return all(solver.add_clause(c) for c in lists), solver
+        return solver.add_clauses(clauses), solver
+    return all(solver.add_clause([internal_lit(lit) for lit in c])
+               for c in clauses), solver
 
 
 def assert_loads_alike(nvars, clauses):
+    written = copy.deepcopy(clauses)
     (ok, bulk), (each_ok, each) = (load(nvars, clauses, True),
                                    load(nvars, clauses, False))
+    assert clauses == written  # read, never changed
     assert ok == each_ok
     for name in LOADED:
         assert getattr(bulk, name) == getattr(each, name), name
@@ -605,49 +609,53 @@ def assert_loads_alike(nvars, clauses):
 
 
 def test_add_clauses_simplifies_as_add_clause_does():
-    a, b, c, d = (mk_lit(v) for v in range(4))
+    a, b, c, d = 1, 2, 3, 4
     solver = assert_loads_alike(4, [
-        [b, a ^ 1], [a], [c, c ^ 1], [d, c, d], [a ^ 1, d, c], [b, c],
-        [c, d, b ^ 1]])
+        [b, -a], [a], [c, -c], [d, c, d], [-a, d, c], [b, c], [c, d, -b]])
     # a, then b by propagation; the tautology, the satisfied [b, c] and
     # the false literals go, and [d, c, d] is merged to [c, d].
+    a, b, c, d = (mk_lit(v) for v in range(4))
     assert solver.ok and solver.trail == [a, b]
     assert [sorted(cl) for cl in solver.clauses] == [[a ^ 1, b], [c, d],
                                                       [c, d], [c, d]]
 
 
 def test_add_clauses_stops_at_a_root_conflict():
-    a, b, c, d = (mk_lit(v) for v in range(4))
-    clauses = [[a, b], [a], [b ^ 1], [a ^ 1], [d, c, b], [c, d]]
+    a, b, c, d = 1, 2, 3, 4
+    clauses = [[a, b], [a], [-b], [-a], [d, c, b], [c, d]]
     assert_loads_alike(4, clauses)
     solver, _ = fresh(4)
-    lists = [list(cl) for cl in clauses]
-    assert not solver.add_clauses(lists)
+    assert not solver.add_clauses(clauses)
     assert not solver.ok
-    assert solver.clauses == [[a, b]]
-    assert lists[4:] == [[d, c, b], [c, d]]  # neither added nor sorted
+    assert solver.clauses == [[mk_lit(0), mk_lit(1)]]
     assert not solver.add_clauses([[c, d]])  # an UNSAT solver takes none
-    assert solver.clauses == [[a, b]]
+    assert solver.clauses == [[mk_lit(0), mk_lit(1)]]
 
 
-@pytest.mark.parametrize("clause", [[0, "bad"], [0, 2, "bad"],
-                                    [0, 2, 4, 6, "bad"], ["bad"],
-                                    ["bad", -3], ["bad", -3, -1]])
-@pytest.mark.parametrize("bad", [-1, -5, 16, 17])
+@pytest.mark.parametrize("clause", [[1, "bad"], [1, 2, "bad"],
+                                    [1, 2, 3, 4, "bad"], ["bad"],
+                                    ["bad", -10], ["bad", -10, 0]])
+@pytest.mark.parametrize("bad", [-1, 16, 17, 2 ** 64 - 1])
 def test_add_clauses_rejects_literals_of_unknown_vars(clause, bad):
-    # -1 is what the DIMACS-to-internal conversion makes of a literal 0.
-    # Two negative literals can differ in var by the x ^ y test.
-    clause = [bad if lit == "bad" else lit for lit in clause]
-    for bulk in (True, False):
-        with pytest.raises(ValueError, match="unknown variable in clause"):
-            load(8, [[0, 3], clause], bulk)
+    # ``bad`` is a solver literal of no var of 8, written in the clause as
+    # GNF writes it: 0, 9, -9 and -2 ** 63. Two literals out of range can
+    # differ in var by the x ^ y test. The bulk loader names the first
+    # literal out of range as written.
+    written = dimacs_lit(bad)
+    assert internal_lit(written) == bad
+    clause = [written if lit == "bad" else lit for lit in clause]
+    with pytest.raises(ValueError, match=r"^unknown variable in clause: "
+                       r"lit %d$" % written):
+        load(8, [[1, 4], clause], True)
+    with pytest.raises(ValueError, match="unknown variable in clause"):
+        load(8, [[1, 4], clause], False)
 
 
 def test_add_clauses_requires_level_zero():
-    solver, (a, b) = fresh(2)
+    solver, _ = fresh(2)
     solver.trail_lim.append(len(solver.trail))
     with pytest.raises(ValueError, match="decision level 0"):
-        solver.add_clauses([[mk_lit(a), mk_lit(b)]])
+        solver.add_clauses([[1, 2]])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -655,7 +663,8 @@ def test_add_clauses_loads_random_clauses_as_add_clause_does(seed):
     # Literals drawn with replacement give duplicates and tautologies; one
     # clause in 30 is a unit, and 5 of these 20 sets conflict at the root.
     rng = Xorshift64Star(seed)
-    clauses = [[mk_lit(rng.randint(0, 99), rng.randint(0, 1) == 1)
+    clauses = [[dimacs_lit(mk_lit(rng.randint(0, 99),
+                                  rng.randint(0, 1) == 1))
                 for _ in range(1 if rng.randint(0, 29) == 0
                                else rng.randint(2, 5))]
                for _ in range(200)]
@@ -667,6 +676,6 @@ def test_add_clauses_keeps_a_binary_clause_in_a_list_of_two():
     # A list built by appending holds four slots. Kept as such, the 10,976
     # binary clauses of gen_sched(100, 3, 4, 1000) held 0.17 MiB more.
     solver, (a, b) = fresh(2)
-    solver.add_clauses([[lit for lit in (mk_lit(b), mk_lit(a))]])
+    solver.add_clauses([[lit for lit in (b + 1, a + 1)]])
     assert solver.clauses == [[mk_lit(a), mk_lit(b)]]
     assert sys.getsizeof(solver.clauses[0]) == sys.getsizeof([0, 0])
