@@ -2,7 +2,7 @@
 
 GNF uses 1-based signed DIMACS literals; the solver core numbers vars from 0
 and packs polarity into the low bit. ``sat`` alone packs literals
-(``internal_lit``, ``dimacs_lit``, re-exported here), and
+(``internal_lit``, ``dimacs_lit``), and
 ``Solver.add_clauses`` takes the document's clauses as they are written.
 The other meetings of the two numbering schemes are here:
 ``Instance.solve`` turns a model into GNF values, and ``Instance.mask``
@@ -14,7 +14,7 @@ shifted to 0-based as they are built.
 from __future__ import annotations
 
 from .gcpause import paused
-from .sat import Solver, SAT, dimacs_lit, internal_lit  # noqa: F401
+from .sat import Solver, SAT
 from .graphs import GraphTheory
 from .scheduling import ProcessorTheory
 from .gnf import (GnfDocument, VarOwners, check_edge, check_graph,
@@ -62,12 +62,12 @@ def build_instance(doc: GnfDocument, seed=0, observer=None) -> Instance:
                        lambda t: check_task(t.arrival, t.duration))
     solver = Solver(seed=seed, observer=observer)
     solver.new_vars(doc.nvars)
-    graphs = {gid: GraphTheory(gid, g.directed, g.n,
+    graphs = {gid: GraphTheory(g.directed, g.n,
                                [(e.u, e.v, e.var - 1, e.weight)
                                 for e in g.edges])
               for gid, g in doc.graphs.items()}
-    procs = {pid: ProcessorTheory(pid, [(t.var - 1, t.arrival, t.duration,
-                                         t.deadline) for t in p.tasks])
+    procs = {pid: ProcessorTheory([(t.var - 1, t.arrival, t.duration,
+                                    t.deadline) for t in p.tasks])
              for pid, p in doc.procs.items()}
     atoms = []
     for pred in doc.preds:

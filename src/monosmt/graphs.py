@@ -2,7 +2,8 @@
 
 Each edge of a symbolic graph is guarded by a solver variable; a predicate
 atom then constrains a property of whichever subgraph the true edge variables
-select. Evaluation on the minimal completion uses only edges assigned true,
+select. A ``GraphTheory`` is built with all its edges, and their vars are its
+S-vars, edge id == mask slot. Evaluation on the minimal completion uses only edges assigned true,
 on the maximal completion all edges not assigned false.
 
 Determinism rules used throughout: traversals visit neighbors in (node id,
@@ -282,23 +283,19 @@ class GraphTheory(MonotonicTheory):
     var; an edge's id is its position in the list. The graph, its edges
     and its atoms are taken as GNF allows them: the parser and
     ``build_instance`` check them with ``gnf.check_graph``,
-    ``gnf.check_edge`` and ``gnf.VarOwners``. The constructor keeps slot ==
-    edge id, so it rejects an edge var named twice; ``gid`` names the graph
-    in that error.
+    ``gnf.check_edge`` and ``gnf.VarOwners``. The edge vars are the S-vars
+    in edge order, so slot == edge id.
     """
 
-    def __init__(self, gid: int, directed: bool, n: int, edges):
-        super().__init__()
+    def __init__(self, directed: bool, n: int, edges):
         self.n = n
         self.edges = [EdgeSpec(*e) for e in edges]
+        super().__init__([e.var for e in self.edges])
         self._weights = [e.weight for e in self.edges]
         self._unit = all(w == 1 for w in self._weights)
         self._positive = 0 not in self._weights  # so trees re-parent
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
-            if self.add_s_var(e.var) != eid:  # a repeat reads its first slot
-                raise ValueError("edge var %d used twice in graph %d"
-                                 % (e.var, gid))
             self._flow_adj[e.u].append((eid, e.v, True))
             self._flow_adj[e.v].append((eid, e.u, False))
         # Each list is in eid order, an edge's forward arc before its

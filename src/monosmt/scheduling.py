@@ -1,10 +1,12 @@
 """Uniprocessor schedulability theory.
 
-Each task of a processor is guarded by a solver variable; a schedulable atom
-states that the selected task set meets every deadline under preemptive
-earliest-deadline-first dispatch. The predicate is monotone decreasing: adding
-tasks can only introduce misses, so a miss under the tasks assigned true is
-final while feasibility of the full candidate set settles the atom positively.
+Each task of a processor is guarded by a solver variable, and a
+``ProcessorTheory`` is built with all its tasks, whose vars are its S-vars,
+task id == mask slot. A schedulable atom states that the selected task set
+meets every deadline under preemptive earliest-deadline-first dispatch. The
+predicate is monotone decreasing: adding tasks can only introduce misses, so
+a miss under the tasks assigned true is final while feasibility of the full
+candidate set settles the atom positively.
 
 Explanations for misses use a busy-window argument: walking left from the
 missed deadline through the region continuously covered by pending tasks with
@@ -129,18 +131,13 @@ class ProcessorTheory(MonotonicTheory):
     internal solver var; a task's id is its position in the list. The tasks
     and atoms are taken as GNF allows them: the parser and
     ``build_instance`` check them with ``gnf.check_task`` and
-    ``gnf.VarOwners``. The constructor keeps slot == task id, so it rejects
-    a task var named twice; ``pid`` names the processor in that error.
+    ``gnf.VarOwners``. The task vars are the S-vars in task order, so slot
+    == task id.
     """
 
-    def __init__(self, pid: int, tasks):
-        super().__init__()
-        self.tasks = []
-        for tid, (var, arrival, duration, deadline) in enumerate(tasks):
-            if self.add_s_var(var) != tid:  # a repeat reads its first slot
-                raise ValueError("task var %d used twice on processor %d"
-                                 % (var, pid))
-            self.tasks.append(TaskSpec(tid, var, arrival, duration, deadline))
+    def __init__(self, tasks):
+        self.tasks = [TaskSpec(tid, *t) for tid, t in enumerate(tasks)]
+        super().__init__([t.var for t in self.tasks])
         # Tasks that miss alone: off while an atom of this processor holds.
         self._misses_alone = [t.var for t in self.tasks
                               if t.arrival + t.duration > t.deadline]

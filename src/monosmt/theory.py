@@ -4,7 +4,10 @@ A predicate over a set of argument variables (its S-atoms) is *positive
 monotonic* when flipping any argument from false to true can never flip the
 predicate from true to false, and *negative monotonic* in the symmetric case.
 Each predicate is tied to one solver variable, its atom, which must hold
-exactly when the predicate holds.
+exactly when the predicate holds. A theory's S-vars are fixed when it is
+built: its constructor takes them in mask slot order, and
+``Solver.attach_theory`` routes each one's assignments to its
+``on_assign``.
 
 Under a partial assignment every completion of the S-atoms lies between two
 extremes: the *minimal* completion assigns false to every unassigned S-atom
@@ -95,9 +98,9 @@ class Completion:
 
     __slots__ = ("maximal", "enabled", "log", "stack", "values")
 
-    def __init__(self, maximal: bool):
+    def __init__(self, maximal: bool, n: int):
         self.maximal = maximal
-        self.enabled = bytearray()
+        self.enabled = bytearray([maximal]) * n
         self.log = []
         self.stack = []
         self.values = []
@@ -112,37 +115,29 @@ class MonotonicTheory:
     dict, shared by every predicate evaluated on the same mask.
     ``eval_completion`` applies it to every predicate on one extreme of the
     current trail; a subclass may override it to evaluate atoms in groups.
-    ``slot_vars`` lists the S-var of each mask slot. ``witness_lits``
+    The constructor takes ``slot_vars``, the S-var of each mask slot in
+    slot order, and rejects a var named twice. ``witness_lits``
     alone picks the extreme and the literal signs of a reason clause; a
     subclass may override ``witness_slots`` to pick which of that extreme's
     moved S-atoms the clause names, and in what order. The base names them
     all, which is the paper's justification set.
     """
 
-    def __init__(self):
+    def __init__(self, slot_vars):
         self.solver = None
         self._preds: list[AtomBinding] = []
         self._pvars: dict[int, int] = {}  # pvar -> atom_id
-        self._slots: dict[int, int] = {}  # S-var -> mask slot
-        self.slot_vars: list[int] = []  # mask slot -> S-var
+        self.slot_vars: list[int] = list(slot_vars)  # mask slot -> S-var
+        slots = self._slots = {v: i for i, v in enumerate(self.slot_vars)}
+        if len(slots) < len(self.slot_vars):  # a repeat kept its last slot
+            raise ValueError("argument var %d used twice" % next(
+                v for i, v in enumerate(self.slot_vars) if slots[v] != i))
+        n = len(slots)
         # Indexed by ``maximal``: (minimal, maximal).
-        self._ext = (Completion(False), Completion(True))
+        self._ext = (Completion(False, n), Completion(True, n))
         self._dirty = set()  # atom ids the next scan visits, new ones too
 
     # -- registration ---------------------------------------------------
-
-    def add_s_var(self, var: int) -> int:
-        """Register an argument var; returns its mask slot (the same slot
-        when the var is registered again)."""
-        if var in self._pvars:
-            raise ValueError("var %d is already a predicate atom" % var)
-        slot = self._slots.get(var)
-        if slot is None:
-            slot = self._slots[var] = len(self.slot_vars)
-            self.slot_vars.append(var)
-            self._ext[0].enabled.append(0)
-            self._ext[1].enabled.append(1)
-        return slot
 
     def register_predicate(self, pvar: int, polarity: int, kind: str,
                            payload) -> int:
@@ -170,15 +165,14 @@ class MonotonicTheory:
         return atom_id
 
     def attach(self, solver) -> None:
-        """Watch the S-vars. Atom vars are not watched: ``propagate`` reads
-        their values from the solver.
+        """Take the assignments the solver made before attaching.
+        ``Solver.attach_theory`` watches the S-vars; atom vars are not
+        watched: ``propagate`` reads their values from the solver.
 
         The theory keeps only a weak reference to the solver, so the two
         form no reference cycle and a dropped solver is freed by reference
         counting at once; the caller keeps the solver alive."""
         self.solver = weakref.proxy(solver)
-        for v in self._slots:
-            solver.watch_var(v, self)
         for lit in solver.trail:  # assignments made before attaching
             if lit >> 1 in self._slots:
                 self.on_assign(lit)

@@ -10,11 +10,11 @@ larger.
 """
 
 from monosmt import generators
-from monosmt.build import build_instance, dimacs_lit
+from monosmt.build import build_instance
 from monosmt.generators import Xorshift64Star, gen_flow
 from monosmt.gnf import (EdgeDecl, GnfDocument, GraphDecl, PredDecl, ProcDecl,
                          TaskDecl)
-from monosmt.sat import FALSE, UNDEF
+from monosmt.sat import FALSE, UNDEF, dimacs_lit
 
 GRAPH_KINDS = ("reach", "distance_leq", "maxflow_geq", "components_leq",
                "mst_weight_leq", "mst_edge")

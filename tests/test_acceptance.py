@@ -7,11 +7,12 @@ import time
 import pytest
 
 from monosmt import oracle
-from monosmt.build import dimacs_lit, solve_doc
+from monosmt.build import solve_doc
 from monosmt.generators import Xorshift64Star, gen_flow, gen_maze, gen_sched
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.graphs import GraphTheory
 from monosmt.minimize import minimize_bound
+from monosmt.sat import dimacs_lit
 from monosmt.scheduling import ProcessorTheory
 from monosmt.theory import AtomBinding, POSITIVE
 
@@ -74,7 +75,7 @@ def test_criterion_2_clause_validity(theory_sweep, acceptance):
 def rand_graph_setup(rng, kind):
     n = rng.randint(2, 5)
     m = rng.randint(1, 6)
-    th = GraphTheory(1, kind in DIRECTED_KINDS, n,
+    th = GraphTheory(kind in DIRECTED_KINDS, n,
                      [(rng.randint(0, n - 1), rng.randint(0, n - 1), eid,
                        rng.randint(1, 4)) for eid in range(m)])
     if kind == "reach":
@@ -109,7 +110,7 @@ def test_criterion_3_monotone_evaluators(acceptance):
                     a = rng.randint(0, 12)
                     tasks.append((i + 1, a, rng.randint(1, 5),
                                   a + rng.randint(1, 8)))
-                th = ProcessorTheory(1, tasks)
+                th = ProcessorTheory(tasks)
                 atom = th.atom(th.add_atom("schedulable", (), size + 1))
             else:
                 th, payload, size = rand_graph_setup(rng, kind)

@@ -15,21 +15,21 @@ from monosmt.sat import Solver, mk_lit
 from monosmt.theory import POSITIVE
 
 from instances import free_atom_flow
+from test_sat_core import spy
 from test_theory_driver import ToyTheory
 
 
-def phases_at_first_decision(solver):
+def phases_at_first_decision(monkeypatch, solver):
     """A list that the solve fills with the saved phases as they stand at
     its first decision."""
     seen = []
-    decide = solver._decide
 
-    def spy(assumptions):
+    def checked(assumptions):
         if not seen:
             seen.append(list(solver.phase))
         return decide(assumptions)
 
-    solver._decide = spy
+    decide = spy(monkeypatch, solver, "_decide", checked)
     return seen
 
 
@@ -41,12 +41,12 @@ def test_flow_decided_toward_its_true_atom_never_conflicts():
     assert inst.solver.conflicts == 0
 
 
-def test_unassigned_atom_leaves_phases_alone():
+def test_unassigned_atom_leaves_phases_alone(monkeypatch):
     inst = build_instance(free_atom_flow(8, 8, seed=1))
     solver, (th,) = inst.solver, inst.theories
     before = [v % 3 == 0 for v in range(len(solver.phase))]
     solver.phase[:] = before
-    seen = phases_at_first_decision(solver)
+    seen = phases_at_first_decision(monkeypatch, solver)
     assert solver.solve().status == "SAT"
     assert th.agreed_fill() is None
     assert seen == [before]
@@ -59,9 +59,9 @@ def two_graphs(saved):
     starts at phase ``saved``."""
     solver = Solver()
     e, f, g, a, b = (solver.new_var() for _ in range(5))
-    first = GraphTheory(1, True, 3, [(0, 1, e, 1), (1, 2, f, 1)])
+    first = GraphTheory(True, 3, [(0, 1, e, 1), (1, 2, f, 1)])
     first.add_atom("reach", (0, 2), a)
-    second = GraphTheory(2, True, 3, [(0, 1, e, 1), (1, 2, g, 1)])
+    second = GraphTheory(True, 3, [(0, 1, e, 1), (1, 2, g, 1)])
     second.add_atom("reach", (0, 2), b)
     solver.add_clause([mk_lit(a)])
     solver.add_clause([mk_lit(b, True)])
@@ -69,26 +69,25 @@ def two_graphs(saved):
     return solver, first, second, (e, f, g)
 
 
-def test_shared_var_with_different_fills_keeps_its_phase():
+def test_shared_var_with_different_fills_keeps_its_phase(monkeypatch):
     for saved in (False, True):
         solver, first, second, (e, f, g) = two_graphs(saved)
         solver.attach_theory(first)
         solver.attach_theory(second)
-        seen = phases_at_first_decision(solver)
+        seen = phases_at_first_decision(monkeypatch, solver)
         assert solver.solve().status == "SAT"
         assert (first.agreed_fill(), second.agreed_fill()) == (True, False)
         phase = seen[0]
         assert (phase[e], phase[f], phase[g]) == (saved, True, False)
 
 
-def test_theory_without_atoms_is_ignored():
+def test_theory_without_atoms_is_ignored(monkeypatch):
     # The atomless theory shares var e with graph A; A's fill alone sets it.
     solver, first, _, (e, f, _) = two_graphs(False)
-    bare = ToyTheory()
-    bare.add_s_var(e)
+    bare = ToyTheory([e])
     solver.attach_theory(bare)
     solver.attach_theory(first)
-    seen = phases_at_first_decision(solver)
+    seen = phases_at_first_decision(monkeypatch, solver)
     assert solver.solve().status == "SAT"
     assert bare.agreed_fill() is None
     assert (seen[0][e], seen[0][f]) == (True, True)

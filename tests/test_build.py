@@ -5,11 +5,11 @@ import re
 
 import pytest
 
-from monosmt.build import build_instance, internal_lit, solve_doc
+from monosmt.build import build_instance, solve_doc
 from monosmt.generators import Xorshift64Star, gen_flow, gen_maze, gen_sched
 from monosmt.gnf import (EdgeDecl, GnfDocument, GnfError, GraphDecl,
                          PredDecl, ProcDecl, TaskDecl, parse, serialize)
-from monosmt.sat import UNDEF, UNSAT, Solver
+from monosmt.sat import UNDEF, UNSAT, Solver, internal_lit
 
 from instances import ALL_KINDS, rand_doc, rand_mixed_doc
 

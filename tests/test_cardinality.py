@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from monosmt.build import internal_lit
 from monosmt.cardinality import encode_cardinality
-from monosmt.sat import Solver, mk_lit
+from monosmt.sat import Solver, internal_lit, mk_lit
 
 
 def projected_count(n_base, k, relation):

@@ -325,7 +325,7 @@ def test_carried_analyses_match_cold_runs_on_random_edge_orders():
         rng = Xorshift64Star(seed)
         directed = seed % 2 == 0
         n, m = rng.randint(2, 8), rng.randint(1, 24)
-        th = GraphTheory(1, directed, n, [
+        th = GraphTheory(directed, n, [
             (rng.randint(0, n - 1), rng.randint(0, n - 1), i,
              rng.randint(lo, hi)) for i in range(m)])
         if directed:
@@ -409,11 +409,13 @@ def test_toy_instances_with_shared_argument_vars():
         solver = Solver(seed=seed)
         vs = [solver.new_var() for _ in range(12)]
         args, atoms = vs[:8], vs[8:]
-        th = ToyTheory()
-        for k, pvar in enumerate(atoms):
+        samples = [rng.sample(args, 3) for _ in atoms]
+        # Each var's slot is the order of its first use.
+        th = ToyTheory(dict.fromkeys(v for sample in samples for v in sample))
+        for k, (pvar, sample) in enumerate(zip(atoms, samples)):
             kind = ("any", "not_all")[k % 2]
             polarity = POSITIVE if kind == "any" else NEGATIVE
-            th.add_pred(pvar, polarity, kind, rng.sample(args, 3))
+            th.add_pred(pvar, polarity, kind, sample)
         solver.attach_theory(th)
         for _ in range(rng.randint(10, 30)):
             solver.add_clause([mk_lit(rng.choice(vs), rng.random() < 0.5)
@@ -422,12 +424,11 @@ def test_toy_instances_with_shared_argument_vars():
         check_reasons(solver, [th])
         solver.solve()
         assert checker.checks > 0
-        assert len(th.completion(False).enabled) == len(th.arg_vars)
+        assert len(th.completion(False).enabled) == len(th.slot_vars)
 
 
-def test_registering_an_svar_twice_keeps_one_slot():
-    th = ToyTheory()
-    assert th.add_s_var(5) == th.add_s_var(5) == 0
-    assert th.add_s_var(7) == 1
-    assert len(th.completion(False).enabled) == 2
+def test_the_constructor_fixes_the_slots_and_both_masks():
+    th = ToyTheory([5, 7])
+    assert th.slot_vars == [5, 7]
+    assert th.completion(False).enabled == bytearray([0, 0])
     assert th.completion(True).enabled == bytearray([1, 1])

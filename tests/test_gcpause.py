@@ -35,7 +35,10 @@ class Node:
 
 class Probe:
     """A theory that propagates nothing and records, at each pass, whether
-    the collector is enabled; ``fail`` makes its first pass raise."""
+    the collector is enabled; ``fail`` makes its first pass raise. It has
+    no S-var."""
+
+    slot_vars = ()
 
     def __init__(self, fail=False):
         self.fail = fail

@@ -81,7 +81,7 @@ def count_tree_runs(monkeypatch, names=("bfs_tree", "dijkstra_tree")):
 def test_reach_and_distance_read_one_tree_per_source(monkeypatch):
     # Weighted, so the heap runs; no extreme builds a second tree of 0.
     runs = count_tree_runs(monkeypatch)
-    th = GraphTheory(1, True, 3, [(0, 1, 0, 2), (1, 2, 1, 1), (0, 2, 2, 5)])
+    th = GraphTheory(True, 3, [(0, 1, 0, 2), (1, 2, 1, 1), (0, 2, 2, 5)])
     reach = th.add_atom("reach", (0, 2), 3)
     dist = th.add_atom("distance_leq", (0, 2, 3), 4)
     for maximal in (False, True):
@@ -132,7 +132,7 @@ def test_components_negative_cross_edges():
 
 
 def test_components_count_isolated_vertices():
-    th = GraphTheory(1, False, 3, [(0, 0, 0, 1)])  # self-loop joins nothing
+    th = GraphTheory(False, 3, [(0, 0, 0, 1)])  # self-loop joins nothing
     three = th.atom(th.add_atom("components_leq", (3,), 1))
     two = th.atom(th.add_atom("components_leq", (2,), 2))
     assert th.evaluate(three, bytearray([1]), {})
@@ -171,7 +171,7 @@ def test_maxflow_positive_two_path_support():
 
 
 def test_maxflow_sets_residual_cut_side():
-    th = GraphTheory(1, True, 2, [(0, 1, 0, 5)])
+    th = GraphTheory(True, 2, [(0, 1, 0, 5)])
     full = edmonds_karp(th._flow_adj, th._weights, 2, bytearray([1]), 0, 1)
     assert full.value == 5 and full.cut_side[0] and not full.cut_side[1]
 
@@ -262,7 +262,7 @@ def test_mst_edge_positive_cut_spans_components():
 
 
 def test_mst_edge_self_loop_never_in_tree():
-    th = GraphTheory(1, False, 2, [(0, 0, 0, 1)])
+    th = GraphTheory(False, 2, [(0, 0, 0, 1)])
     atom = th.atom(th.add_atom("mst_edge", (0,), 1))
     assert not th.evaluate(atom, bytearray([1]), {})
     assert th.evaluate(atom, bytearray([0]), {})
@@ -270,15 +270,10 @@ def test_mst_edge_self_loop_never_in_tree():
 
 # -- registration and validation ----------------------------------------------
 
-def test_argument_validation():
-    # A repeated var, next to its first use or not, reads an earlier slot.
-    for edges in ([(0, 1, 0, 1), (1, 0, 0, 1)],
-                  [(0, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1)]):
-        with pytest.raises(ValueError,
-                           match="^edge var 0 used twice in graph 2$"):
-            GraphTheory(2, True, 2, edges)
-    # Endpoints, weights and atoms are checked where a document is read:
-    # see test_gnf's test_parser_and_theories_apply_the_same_rules.
+# An edge var named twice is rejected by the base constructor: see
+# test_a_repeated_argument_var_is_rejected. Endpoints, weights and atoms
+# are checked where a document is read: see test_gnf's
+# test_parser_and_theories_apply_the_same_rules.
 
 
 # A self-loop (eid 2), parallel edges between 0 and 1 in both directions
@@ -290,7 +285,7 @@ TABLE_EDGES = [(0, 1, 0, 3), (2, 0, 1, 1), (1, 1, 2, 3), (1, 0, 3, 0),
 @pytest.mark.parametrize("directed", [True, False],
                          ids=["directed", "undirected"])
 def test_construction_tables_order(directed):
-    th = GraphTheory(1, directed, 3, TABLE_EDGES)
+    th = GraphTheory(directed, 3, TABLE_EDGES)
     m = len(TABLE_EDGES)
     for x in range(3):
         out = [(eid, v) for eid, (u, v, _, _) in enumerate(TABLE_EDGES)
@@ -364,7 +359,7 @@ def test_unit_weight_trees_match_heap_dijkstra():
         rng = Xorshift64Star(i + 4000)
         n = rng.randint(1, 10)
         m = rng.randint(0, 3 * n)
-        th = GraphTheory(1, i % 2 == 0, n, [
+        th = GraphTheory(i % 2 == 0, n, [
             (rng.randint(0, n - 1), rng.randint(0, n - 1), j, 1)
             for j in range(m)])
         enabled = bytearray(rng.randint(0, 2) > 0 for _ in range(m))
@@ -378,7 +373,7 @@ def test_unit_weight_trees_match_heap_dijkstra():
     ((0, 0, 0), False)])
 def test_only_all_unit_weights_skip_the_heap(monkeypatch, weights, unit):
     runs = count_tree_runs(monkeypatch)
-    th = GraphTheory(1, True, 3, [(j, (j + 1) % 3, j, w)
+    th = GraphTheory(True, 3, [(j, (j + 1) % 3, j, w)
                                   for j, w in enumerate(weights)])
     th.add_atom("reach", (0, 2), 3)
     th._values(True)
@@ -392,7 +387,7 @@ REPARENT_EDGES = [(0, 1), (0, 2), (0, 3), (3, 4), (2, 4), (1, 4), (4, 3)]
 
 
 def reparent_theory(weights):
-    th = GraphTheory(1, True, 5, [(u, v, j, w) for j, ((u, v), w)
+    th = GraphTheory(True, 5, [(u, v, j, w) for j, ((u, v), w)
                                   in enumerate(zip(REPARENT_EDGES, weights))])
     th.add_atom("reach", (0, 4), len(REPARENT_EDGES))
     return th
@@ -446,7 +441,7 @@ def lose_forest_edges(monkeypatch, eids):
     """The maximal completion's forest of SWAP_EDGES after losing ``eids``
     one group at a time, the forest before each, and the span_scan runs
     made by the losses."""
-    th = GraphTheory(1, False, 5, [(u, v, j, w) for j, (u, v, w)
+    th = GraphTheory(False, 5, [(u, v, j, w) for j, (u, v, w)
                                    in enumerate(SWAP_EDGES)])
     th.add_atom("components_leq", (1,), len(SWAP_EDGES))
     th._values(True)
@@ -493,7 +488,7 @@ def test_two_lost_forest_edges_scan_cold(monkeypatch):
 def theory_atom(g, pred):
     """The theory of ``g`` and the atom of ``pred`` in it, both keeping
     their GNF var numbers, which no solver reads here."""
-    th = GraphTheory(g.gid, g.directed, g.n,
+    th = GraphTheory(g.directed, g.n,
                      [(e.u, e.v, e.var, e.weight) for e in g.edges])
     return th, th.atom(th.add_atom(pred.kind, pred.args, pred.var))
 
@@ -574,7 +569,7 @@ def test_mst_weight_improving_edges_merge_the_forest_by_weight():
     # (weight 9); edge 3 joins nodes 1 and 2, which the lighter edge 1
     # already joins. Merging the forest in id order would put edge 0,
     # too heavy to merge, ahead of edge 1, and name edge 3 too.
-    th = GraphTheory(1, False, 3, [(0, 1, 0, 9), (1, 2, 1, 1), (0, 2, 2, 5),
+    th = GraphTheory(False, 3, [(0, 1, 0, 9), (1, 2, 1, 1), (0, 2, 2, 5),
                                    (1, 2, 3, 3)])
     enabled = bytearray([1, 1, 0, 0])
     assert th._mst_weight_neg_slots(enabled, [2, 3], {}) == [2]

@@ -4,10 +4,11 @@ and theory lemmas checked at any size."""
 import pytest
 
 from monosmt import oracle
-from monosmt.build import dimacs_lit, solve_doc
+from monosmt.build import solve_doc
 from monosmt.generators import gen_maze
 from monosmt.gnf import (EdgeDecl, GnfDocument, GraphDecl, PredDecl, ProcDecl,
                          TaskDecl)
+from monosmt.sat import dimacs_lit
 
 from instances import ALL_KINDS, CALLS, rand_doc, solve_recorded
 

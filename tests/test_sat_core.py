@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 import monosmt
-from monosmt.build import (build_instance, dimacs_lit, internal_lit,
-                           solve_doc)
+from monosmt.build import build_instance, solve_doc
 from monosmt.generators import Xorshift64Star, gen_flow, gen_maze, gen_sched
 from monosmt.gnf import GnfDocument
 from monosmt.minimize import BoundProbes
 from monosmt.oracle import brute_force_solve, check_clause_valid
-from monosmt.sat import TRUE, UNDEF, Solver, mk_lit, neg
+from monosmt.sat import (TRUE, UNDEF, Solver, dimacs_lit, internal_lit, mk_lit,
+                         neg)
 from monosmt.theory import MonotonicTheory, POSITIVE
 
 from instances import Recorder, rand_doc
@@ -194,13 +194,27 @@ def test_solve_rejects_assumptions_of_unknown_vars():
     assert solver.solve([mk_lit(a, True)]).status == "SAT"
 
 
+def spy(monkeypatch, solver, name, checked):
+    """Routes ``solver``'s calls of its method ``name`` to ``checked``, and
+    every other solver's to the method; returns ``solver``'s bound method.
+    A ``Solver`` has no instance dict, so the class is patched."""
+    method = getattr(Solver, name)
+
+    def routed(self, *args):
+        if self is solver:
+            return checked(*args)
+        return method(self, *args)
+
+    monkeypatch.setattr(Solver, name, routed)
+    return method.__get__(solver)
+
+
 # A pure CNF with several learnt-clause reductions, and a maze.
 @pytest.mark.parametrize("doc", [rand_cnf(100, 426, 0), gen_maze(6, 6, 1)],
                          ids=["cnf", "maze"])
-def test_decisions_follow_activity_through_rescaling(doc):
+def test_decisions_follow_activity_through_rescaling(doc, monkeypatch):
     solver = build_instance(doc).solver
     nvars = len(solver.level)
-    decide = solver._decide
     rescales = Counter()
 
     def force_rescales():
@@ -226,7 +240,7 @@ def test_decisions_follow_activity_through_rescaling(doc):
         force_rescales()
         return lit, failed
 
-    solver._decide = checked
+    decide = spy(monkeypatch, solver, "_decide", checked)
     force_rescales()
     rescales.clear()
     status = solver.solve().status
@@ -235,9 +249,8 @@ def test_decisions_follow_activity_through_rescaling(doc):
     assert status == solve_doc(doc)[0]
 
 
-def test_reduce_db_unwatches_deleted_clauses_in_order():
+def test_reduce_db_unwatches_deleted_clauses_in_order(monkeypatch):
     solver = build_instance(rand_cnf(100, 426, 0)).solver
-    reduce_db = solver._reduce_db
     removed_total = 0
 
     def checked():
@@ -254,15 +267,14 @@ def test_reduce_db_unwatches_deleted_clauses_in_order():
             assert list(map(id, ws)) == [id(c) for c in old
                                          if id(c) not in removed]
 
-    solver._reduce_db = checked
+    reduce_db = spy(monkeypatch, solver, "_reduce_db", checked)
     assert solver.solve().status == "SAT"
     assert removed_total > 0
 
 
-def test_clause_activity_tracks_the_learnt_clauses():
+def test_clause_activity_tracks_the_learnt_clauses(monkeypatch):
     solver = build_instance(rand_cnf(100, 426, 0)).solver
     act = solver._clause_act
-    reduce_db = solver._reduce_db
     deleted = []  # held, so that no deleted clause's id is reused
     locked_total = 0
 
@@ -280,7 +292,7 @@ def test_clause_activity_tracks_the_learnt_clauses():
         assert not any(id(c) in act for c in deleted)
         locked_total += len(locked)
 
-    solver._reduce_db = checked
+    reduce_db = spy(monkeypatch, solver, "_reduce_db", checked)
     assert solver.solve().status == "SAT"
     assert deleted and locked_total > 0
     assert set(act) == {id(c) for c in solver.learnts}
@@ -295,11 +307,11 @@ def test_solver_attributes_stay_in_their_slots(make):
     # A Solver holds every attribute in a declared slot; one more in an
     # instance dict would cost its memory and speed (see Solver).
     solver = build_instance(make()).solver
-    assert not getattr(solver, "__dict__", {})
+    assert not hasattr(solver, "__dict__")
     assert all(hasattr(solver, name) for name in Solver.__slots__
                if not name.startswith("__"))
     solver.solve()
-    assert not getattr(solver, "__dict__", {})
+    assert not hasattr(solver, "__dict__")
     # Kept theory conflicts are learnts too: no activity outlives its clause.
     assert set(solver._clause_act) == {id(c) for c in solver.learnts}
 
@@ -311,7 +323,7 @@ def test_bound_probes_keep_solver_attributes_in_their_slots():
     search = BoundProbes(doc, idx)
     for bound in (0, 4000, 4012, 8000):
         search.solve(bound)
-        assert not getattr(search.solver, "__dict__", {})
+        assert not hasattr(search.solver, "__dict__")
 
 
 def test_assumptions_are_reusable():
@@ -326,7 +338,7 @@ def test_assumptions_are_reusable():
 def test_attach_theory_after_solving_rejected():
     solver, _ = fresh(1)
     solver.solve()
-    th = MonotonicTheory()
+    th = MonotonicTheory([])
     try:
         solver.attach_theory(th)
     except ValueError:
@@ -343,7 +355,7 @@ class ConstantTheory(MonotonicTheory):
 
 def test_theory_conflict_at_level_zero():
     solver, (p,) = fresh(1)
-    th = ConstantTheory()
+    th = ConstantTheory([])
     th.register_predicate(p, POSITIVE, "never", ())
     solver.attach_theory(th)
     solver.add_clause([mk_lit(p)])
@@ -381,8 +393,10 @@ def test_two_disjoint_graphs_match_oracle():
 
 
 class ToyTheory:
-    """The solver's theory interface with nothing propagated; ``log`` is for
-    subclasses that record their calls."""
+    """The solver's theory interface with nothing propagated and no S-var;
+    ``log`` is for subclasses that record their calls."""
+
+    slot_vars = ()
 
     def __init__(self, log=None):
         self.log = log
@@ -493,7 +507,9 @@ from monosmt.sat import Solver, mk_lit
 
 class Rogue:
     # Implies ``lit`` for atom 0 on every pass from decision level ``level``
-    # on, and explains it by ``reason``.
+    # on, and explains it by ``reason``. It has no S-var.
+    slot_vars = ()
+
     def __init__(self, lit, reason, level):
         self.lit, self.reason, self.level = lit, reason, level
 
@@ -562,11 +578,17 @@ def test_theory_guards_survive_optimize_flag():
 _NO_DECISION_LEFT = """
 from monosmt.sat import Solver
 
+
+
+class GivesUp(Solver):
+    # A decision heuristic that gives up while a var is still unassigned.
+    def _decide(self, assumptions):
+        return None, False
+
+
 print(__debug__)
-solver = Solver()
+solver = GivesUp()
 solver.new_var()
-# A decision heuristic that gives up while a var is still unassigned.
-solver._decide = lambda assumptions: (None, False)
 try:
     print("returned", solver.solve().status)
 except RuntimeError as exc:

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from monosmt import oracle
-from monosmt.build import dimacs_lit, run_solve
+from monosmt.build import run_solve
 from monosmt.generators import gen_sched
 from monosmt.gnf import GnfDocument, PredDecl, ProcDecl, TaskDecl
 from monosmt.scheduling import (ProcessorTheory, TaskSpec, busy_window_tasks,
                                 edf_simulate)
+from monosmt.sat import dimacs_lit
 
 from instances import solve_recorded
 from test_sat_core import run_optimized
@@ -194,19 +195,14 @@ def test_busy_window_subset_is_infeasible_alone():
 
 # -- theory registration ----------------------------------------------------------
 
-def test_registration_validation():
-    # A repeated var, next to its first use or not, reads an earlier slot.
-    for tasks in ([(5, 0, 1, 1), (5, 0, 1, 1)],
-                  [(5, 0, 1, 1), (6, 0, 1, 1), (5, 0, 1, 1)]):
-        with pytest.raises(ValueError,
-                           match="^task var 5 used twice on processor 1$"):
-            ProcessorTheory(1, tasks)
-    # Task times and atoms are checked where a document is read: see
-    # test_gnf's test_parser_and_theories_apply_the_same_rules.
+# A task var named twice is rejected by the base constructor: see
+# test_a_repeated_argument_var_is_rejected. Task times and atoms are
+# checked where a document is read: see test_gnf's
+# test_parser_and_theories_apply_the_same_rules.
 
 
 def test_evaluate_matches_simulator():
-    th = ProcessorTheory(1, [(1, 0, 2, 2), (2, 0, 2, 3)])
+    th = ProcessorTheory([(1, 0, 2, 2), (2, 0, 2, 3)])
     atom = th.atom(th.add_atom("schedulable", (), 3))
     assert th.evaluate(atom, bytearray([1, 0]), {})
     assert not th.evaluate(atom, bytearray([1, 1]), {})

@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from monosmt.build import build_instance, dimacs_lit, internal_lit, solve_doc
+from monosmt.build import build_instance, solve_doc
 from monosmt.generators import gen_maze
 from monosmt.graphs import GraphTheory
 from monosmt.oracle import brute_force_solve, check_lemma, check_model
 from monosmt.scheduling import ProcessorTheory
-from monosmt.sat import FALSE, TRUE, Solver, mk_lit
+from monosmt.sat import FALSE, TRUE, Solver, dimacs_lit, internal_lit, mk_lit
 from monosmt.theory import MonotonicTheory, NEGATIVE, POSITIVE
 
 from instances import (GRAPH_KINDS, Recorder, check_reasons, rand_doc,
@@ -22,20 +22,12 @@ from test_sat_core import run_optimized
 class ToyTheory(MonotonicTheory):
     """Two predicate kinds over explicit argument variables: ``any`` is the
     disjunction (positive monotone), ``not_all`` the negated conjunction
-    (negative monotone). ``arg_vars`` lists the distinct argument vars in
-    registration order, which is their mask slot order."""
-
-    def __init__(self):
-        super().__init__()
-        self.arg_vars = []
+    (negative monotone). The constructor takes the argument vars of every
+    predicate, each once, in mask slot order."""
 
     def add_pred(self, pvar, polarity, kind, arg_vars):
-        slots = []
-        for v in arg_vars:
-            if v not in self.arg_vars:
-                self.arg_vars.append(v)
-            slots.append(self.add_s_var(v))
-        return self.register_predicate(pvar, polarity, kind, tuple(slots))
+        return self.register_predicate(
+            pvar, polarity, kind, tuple(self._slots[v] for v in arg_vars))
 
     def evaluate(self, pred, enabled, analysis):
         bits = [enabled[slot] for slot in pred.payload]
@@ -49,26 +41,38 @@ def toy(kind, polarity, nargs=2, **kw):
     solver = Solver(**kw)
     args = [solver.new_var() for _ in range(nargs)]
     p = solver.new_var()
-    th = ToyTheory()
+    th = ToyTheory(args)
     th.add_pred(p, polarity, kind, args)
     solver.attach_theory(th)
     return solver, th, args, p
 
 
 def test_pvar_reused_as_svar_rejected():
-    th = ToyTheory()
-    th.add_s_var(0)
+    th = ToyTheory([0])
     with pytest.raises(ValueError):
         th.register_predicate(0, POSITIVE, "any", (1,))
 
 
 def test_svar_reused_as_pvar_rejected():
-    th = ToyTheory()
+    th = ToyTheory([])
     th.register_predicate(0, POSITIVE, "any", (1,))
     with pytest.raises(ValueError):
-        th.add_s_var(0)
-    with pytest.raises(ValueError):
         th.register_predicate(0, POSITIVE, "any", (2,))
+
+
+# A repeated argument var, next to its first use or not, would share a
+# slot, which a graph's edge id or a processor's task id cannot.
+@pytest.mark.parametrize("make,var", [
+    (lambda: GraphTheory(True, 2, [(0, 1, 0, 1), (1, 0, 0, 1)]), 0),
+    (lambda: GraphTheory(False, 2, [(0, 1, 4, 1), (1, 0, 1, 1),
+                                    (1, 0, 4, 1)]), 4),
+    (lambda: ProcessorTheory([(5, 0, 1, 1), (6, 0, 1, 1),
+                              (5, 0, 1, 1)]), 5),
+    (lambda: ToyTheory([3, 7, 7]), 7),
+], ids=["graph", "graph-apart", "processor", "toy"])
+def test_a_repeated_argument_var_is_rejected(make, var):
+    with pytest.raises(ValueError, match="^argument var %d used twice$" % var):
+        make()
 
 
 def test_positive_predicate_propagates_both_ways():
@@ -161,7 +165,7 @@ def test_backjump_to_a_fixpoint_leaves_no_atom_to_scan(monkeypatch):
 def test_two_predicates_share_argument_vars():
     solver = Solver()
     a, b, p, q = (solver.new_var() for _ in range(4))
-    th = ToyTheory()
+    th = ToyTheory([a, b])
     th.add_pred(p, POSITIVE, "any", (a, b))
     th.add_pred(q, NEGATIVE, "not_all", (a, b))
     solver.attach_theory(th)
@@ -190,7 +194,7 @@ def test_random_toy_instances_with_validated_reasons():
         solver = Solver()
         vs = [solver.new_var() for _ in range(5)]
         a, b, c, p, q = vs
-        th = ToyTheory()
+        th = ToyTheory([a, b, c])
         th.add_pred(p, POSITIVE, "any", (a, b, c))
         th.add_pred(q, NEGATIVE, "not_all", (a, c))
         solver.attach_theory(th)
@@ -223,9 +227,9 @@ def test_attach_replays_assignments_made_before_it():
             solver.new_var()
         units = [c for c in doc.clauses if len(c) == 1]
         ok = all(solver.add_clause([internal_lit(c[0])]) for c in units)
-        graph = GraphTheory(1, g.directed, g.n, [
+        graph = GraphTheory(g.directed, g.n, [
             (e.u, e.v, e.var - 1, e.weight) for e in g.edges])
-        cpu = ProcessorTheory(1, [(t.var - 1, t.arrival, t.duration,
+        cpu = ProcessorTheory([(t.var - 1, t.arrival, t.duration,
                                    t.deadline) for t in proc.tasks])
         for pred in doc.preds:
             th = cpu if pred.kind == "schedulable" else graph
@@ -317,7 +321,7 @@ from monosmt.sat import Solver, mk_lit
 print(__debug__)
 solver = Solver()
 edge, p, q = solver.new_var(), solver.new_var(), solver.new_var()
-th = GraphTheory(0, True, 2, [(0, 1, edge, 1)])
+th = GraphTheory(True, 2, [(0, 1, edge, 1)])
 th.add_atom("reach", (0, 1), p)
 th.add_atom("reach", (1, 0), q)
 solver.add_clause([mk_lit(edge)])

@@ -101,7 +101,7 @@ def test_warm_start_matches_cold_start_and_oracle(monkeypatch):
     rng = random.Random(20150125)
     for _ in range(300):
         n, edges = rand_flow_graph(rng)
-        th = GraphTheory(0, True, n, [(u, v, eid, cap) for eid, (u, v, cap)
+        th = GraphTheory(True, n, [(u, v, eid, cap) for eid, (u, v, cap)
                                       in enumerate(edges)])
         adj, caps, m = th._flow_adj, th._weights, len(edges)
         s, t = rng.sample(range(n), 2)
@@ -147,7 +147,7 @@ def test_maximal_completion_keeps_a_flow_only_while_it_stays_maximal():
     kept = inside = 0
     for _ in range(300):
         n, edges = rand_flow_graph(rng)
-        th = GraphTheory(0, True, n, [(u, v, eid, cap) for eid, (u, v, cap)
+        th = GraphTheory(True, n, [(u, v, eid, cap) for eid, (u, v, cap)
                                       in enumerate(edges)])
         adj, caps, m = th._flow_adj, th._weights, len(edges)
         s, t = rng.sample(range(n), 2)
