@@ -31,7 +31,7 @@ from the previous one, after cancelling the flow on the lost edges; its
 value and cut side equal a cold run's.
 Each evaluation lists the atoms whose value moved since the previous one.
 An explanation reads the path, cut or flow of the newest evaluation when it
-is of the explanation's trail prefix, and runs one cold otherwise.
+is of the generation the implication recorded, and runs one cold otherwise.
 """
 from __future__ import annotations
 

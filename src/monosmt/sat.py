@@ -14,7 +14,9 @@ Attached theories are driven to fixpoint after every unit-propagation fixpoint.
 A theory implication is enqueued with a lazy reason, the pair ``(theory,
 atom_id)``; the reason clause is only materialized (via the theory's
 ``explain``) if conflict analysis touches it, and the materialized clause is
-cached on the trail slot until a backjump discards it.
+cached as the var's reason until a backjump discards it. The solver keeps no
+trail positions: the implied literal is read off its var's value, and the
+theory explains it at the generation it recorded when it implied it.
 
 Each solve seeds the saved phases once, at the level-0 fixpoint before its
 first decision: the S-vars of a theory whose level-0 atoms all hold on one
@@ -115,7 +117,7 @@ class Solver:
     """
 
     __slots__ = (
-        "observer", "ok", "value", "level", "reason", "pos", "phase",
+        "observer", "ok", "value", "level", "reason", "phase",
         "activity", "trail", "trail_lim", "qhead", "clauses", "learnts",
         "watches", "_clause_act", "_theories", "_var_theories", "_solving",
         "_order", "_queued", "_seen", "_var_inc", "_cla_inc", "_max_learnts",
@@ -129,7 +131,6 @@ class Solver:
         self.value = []            # lit -> TRUE/FALSE/UNDEF
         self.level = []            # var -> decision level
         self.reason = []           # var -> lit list | (theory, atom_id) | None
-        self.pos = []              # var -> trail index, -1 if unassigned
         self.phase = []            # var -> saved phase (bool: last value)
         self.activity = []
         self.trail = []
@@ -174,7 +175,6 @@ class Solver:
         self.value += [UNDEF] * (2 * n)
         self.level += [0] * n
         self.reason += [None] * n
-        self.pos += [-1] * n
         self.phase += [False] * n
         noise = [0.0] * n
         for i in range(n if self._seed_state else 0):
@@ -302,7 +302,6 @@ class Solver:
         self.value[lit ^ 1] = FALSE
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
-        self.pos[v] = len(self.trail)
         self.trail.append(lit)
         for th in self._var_theories[v]:
             th.on_assign(lit)
@@ -313,7 +312,7 @@ class Solver:
         bound = self.trail_lim[lvl]
         trail = self.trail
         val, phase = self.value, self.phase
-        reason, pos = self.reason, self.pos
+        reason = self.reason
         activity, queued, order = self.activity, self._queued, self._order
         for lit in trail[bound:]:
             v = lit >> 1
@@ -321,7 +320,6 @@ class Solver:
             val[lit] = UNDEF
             val[lit ^ 1] = UNDEF
             reason[v] = None
-            pos[v] = -1
             if not queued[v]:
                 queued[v] = 1
                 heapq.heappush(order, (-activity[v], v))
@@ -349,7 +347,7 @@ class Solver:
         trail = self.trail
         watches = self.watches
         val = self.value
-        level, reason, pos = self.level, self.reason, self.pos
+        level, reason = self.level, self.reason
         var_theories = self._var_theories
         lvl = len(self.trail_lim)
         qhead = start = self.qhead
@@ -395,7 +393,6 @@ class Solver:
                     val[first ^ 1] = FALSE
                     level[v] = lvl
                     reason[v] = c
-                    pos[v] = len(trail)
                     trail.append(first)
                     ths = var_theories[v]
                     if ths:
@@ -436,7 +433,7 @@ class Solver:
     def _reason_clause(self, var):
         r = self.reason[var]
         if type(r) is tuple:  # a clause reason is a list, never a tuple
-            lit = self.trail[self.pos[var]]
+            lit = 2 * var + (self.value[2 * var] != TRUE)
             lits = list(r[0].explain(r[1], lit))
             if lits[0] != lit:
                 raise RuntimeError(

@@ -35,9 +35,10 @@ up by generation and a backjump drops only those newer than the generation
 it restores, so the level it returns to keeps its evaluation. The values
 live in one list per completion, written in place: a stacked evaluation
 keeps the ids of the atoms it flipped, and a backjump flips them back as it
-pops, as it restores the mask from the log. Explanations read the mask of
-an earlier trail prefix off the same log, and reuse the newest stacked
-analysis when it is of that generation; an older prefix runs cold.
+pops, as it restores the mask from the log. An implied atom records the
+generation of the extreme that implied it, and its explanation reads the
+mask of that generation off the same log, reusing the newest stacked
+analysis when it is of that generation; an older generation runs cold.
 
 Propagation is change-driven: each evaluation lists the atoms whose value
 moved, and a scan visits those, in id order; with none, there is no scan.
@@ -71,9 +72,11 @@ NEGATIVE = -1
 
 
 class AtomBinding:
-    """Registration record tying a solver var to one predicate instance."""
+    """Registration record tying a solver var to one predicate instance.
+    ``gen`` is set when the theory implies the atom: the generation of the
+    extreme whose value implied it."""
 
-    __slots__ = ("atom_id", "pvar", "polarity", "kind", "payload")
+    __slots__ = ("atom_id", "pvar", "polarity", "kind", "payload", "gen")
 
     def __init__(self, atom_id, pvar, polarity, kind, payload):
         self.atom_id = atom_id
@@ -259,12 +262,14 @@ class MonotonicTheory:
                 if self._values(pred.polarity == NEGATIVE)[pred.atom_id]:
                     if val == FALSE:
                         return (), self.explain(pred.atom_id, lit)
+                    pred.gen = len(self._ext[pred.polarity == NEGATIVE].log)
                     implied.append((lit, pred.atom_id))
                     continue
             if val != FALSE:
                 if not self._values(pred.polarity == POSITIVE)[pred.atom_id]:
                     if val == TRUE:
                         return (), self.explain(pred.atom_id, lit + 1)
+                    pred.gen = len(self._ext[pred.polarity == POSITIVE].log)
                     implied.append((lit + 1, pred.atom_id))
         return tuple(implied), None
 
@@ -308,24 +313,21 @@ class MonotonicTheory:
     def explain(self, atom_id: int, lit: int) -> list[int]:
         """Reason clause for an implied literal, implied literal first.
 
-        Every other literal is false under the trail prefix that precedes the
-        implication (the full trail for a fresh conflict). An S-literal
-        implied by the value of atom ``atom_id`` alone gets ``[lit, not a]``,
-        ``a`` being the atom's literal on the trail.
+        A true ``lit`` is the theory's own implication, and every other
+        literal is false at the generation it recorded; otherwise (a
+        conflict, or an implication not yet enqueued) every other literal
+        is false on the current log. An S-literal implied by the value of
+        atom ``atom_id`` alone gets ``[lit, not a]``, ``a`` being the
+        atom's literal on the trail.
         """
         pred = self._preds[atom_id]
-        solver = self.solver
+        value = self.solver.value
         if lit >> 1 != pred.pvar:
             if lit >> 1 not in self._slots:
                 raise RuntimeError("explain asked for another atom's literal")
-            return [lit, 2 * pred.pvar + (solver.value[2 * pred.pvar] == TRUE)]
-        positive = not (lit & 1)
-        p = solver.pos[pred.pvar]
-        if p >= 0 and solver.value[lit] == TRUE:
-            prefix = p  # explaining the trail assignment itself
-        else:
-            prefix = len(solver.trail)  # contradiction with the current trail
-        return [lit] + self.witness_lits(pred, positive, prefix)
+            return [lit, 2 * pred.pvar + (value[2 * pred.pvar] == TRUE)]
+        gen = pred.gen if value[lit] == TRUE else None
+        return [lit] + self.witness_lits(pred, not (lit & 1), gen)
 
     def agreed_fill(self):
         """The extreme on which every atom holds as the trail has it: True
@@ -353,48 +355,46 @@ class MonotonicTheory:
 
     # -- helpers for subclasses -------------------------------------------
 
-    def completion_before(self, maximal: bool, prefix: int):
-        """One extreme as it stood before trail index ``prefix``.
+    def completion_at(self, maximal: bool, gen):
+        """One extreme at generation ``gen``, its log cut there; None is
+        the current generation.
 
         Returns ``(enabled, moved, analysis)``: the enabled mask, the slots
         moved off the fill value by then (in trail order), and an analysis
         dict for that mask: the newest stacked evaluation's when it is of
-        that generation, else a fresh one, so an older prefix runs its
+        that generation, else a fresh one, so an older generation runs its
         analyses cold. The mask is a fresh copy.
         """
         comp = self._ext[maximal]
-        log = comp.log
-        pos = self.solver.pos
-        slot_vars = self.slot_vars
-        k = len(log)
-        while k and pos[slot_vars[log[k - 1]]] >= prefix:
-            k -= 1
+        moved = comp.log[:gen]
+        gen = len(moved)
         enabled = comp.enabled[:]
         fill = 1 if maximal else 0
-        for slot in log[k:]:
+        for slot in comp.log[gen:]:
             enabled[slot] = fill
         stack = comp.stack
-        analysis = stack[-1][2] if stack and stack[-1][0] == k else {}
-        return enabled, log[:k], analysis
+        analysis = stack[-1][2] if stack and stack[-1][0] == gen else {}
+        return enabled, moved, analysis
 
-    def witness_lits(self, pred, positive: bool, prefix: int) -> list[int]:
+    def witness_lits(self, pred, positive: bool, gen) -> list[int]:
         """Clause tail justifying the atom of ``pred`` (true when
-        ``positive``) before trail index ``prefix``. For a positive
-        predicate an implied-true atom is justified by the S-atoms assigned
-        true, the minimal completion's moved slots (their loss could only
-        weaken the predicate), and an implied-false one by those assigned
-        false, the maximal's; a negative predicate swaps the roles. Each
+        ``positive``) at generation ``gen`` of the extreme it reads (None:
+        the current one). For a positive predicate an implied-true atom is
+        justified by the S-atoms assigned true, the minimal completion's
+        moved slots (their loss could only weaken the predicate), and an
+        implied-false one by those assigned false, the maximal's; a
+        negative predicate swaps the roles. Each
         slot ``witness_slots`` picks enters as the literal its assignment
         falsifies."""
         use_true = positive == (pred.polarity == POSITIVE)
-        enabled, moved, analysis = self.completion_before(not use_true, prefix)
+        enabled, moved, analysis = self.completion_at(not use_true, gen)
         slot_vars = self.slot_vars
         return [mk_lit(slot_vars[slot], use_true) for slot in
                 self.witness_slots(pred, positive, enabled, moved, analysis)]
 
     def witness_slots(self, pred, positive: bool, enabled, moved, analysis):
         """The slots of ``moved`` that a witness names, in clause order.
-        ``enabled``, ``moved`` and ``analysis`` are ``completion_before``'s
+        ``enabled``, ``moved`` and ``analysis`` are ``completion_at``'s
         reading of the extreme ``witness_lits`` chose. The base names every
         moved slot, in var order."""
         return sorted(moved, key=self.slot_vars.__getitem__)

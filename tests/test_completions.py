@@ -177,6 +177,7 @@ class Checker:
     def check(self, th):
         solver = self.solver
         svars = th.slot_vars
+        at = {lit >> 1: i for i, lit in enumerate(solver.trail)}
         for maximal in (False, True):
             comp = th.completion(maximal)
             live = bytearray(
@@ -184,10 +185,10 @@ class Checker:
                 else (solver.value[2 * v] == TRUE) for v in svars)
             assert comp.enabled == live
             assert len(comp.enabled) == len(svars)
-            # Where each stacked generation sits in the trail.
-            prefixes = [solver.pos[svars[comp.log[gen]]]
-                        if gen < len(comp.log) else len(solver.trail)
-                        for gen, _, _ in comp.stack]
+            # Where each generation sits in the trail.
+            prefix = [at[svars[slot]] for slot in comp.log]
+            prefix.append(len(solver.trail))  # the current generation
+            prefixes = [prefix[gen] for gen, _, _ in comp.stack]
             masks = masks_at(th, maximal, prefixes)
             # Each generation's values, undoing change lists downward from
             # the live list.
@@ -220,9 +221,10 @@ class Checker:
                     elif key[0] == "dij" and key in older:
                         self.reparented += res[0] is older[key][0]
                 older = analysis
-            prefix = self.rng.randint(0, len(solver.trail))
-            enabled, moved, _ = th.completion_before(maximal, prefix)
-            assert enabled == masks_at(th, maximal, [prefix])[0]
+            gen = self.rng.randint(0, len(comp.log))
+            enabled, moved, _ = th.completion_at(maximal, gen)
+            assert enabled == masks_at(th, maximal, [prefix[gen]])[0]
+            assert moved == comp.log[:gen]
             assert enabled is not comp.enabled  # a copy, free to change
             assert sorted(moved) == [i for i, b in enumerate(enabled)
                                      if b != maximal]

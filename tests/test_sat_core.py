@@ -470,12 +470,15 @@ def test_theory_implication_sends_the_search_back_to_bcp():
 
 
 class ExplainsOnce(ToyTheory):
-    # Implies x0 for atom 7 once x1 holds, with the reason (x0 or not x1);
-    # ``log`` records each explain call.
+    # Implies x0, or not x0 when ``negative``, for atom 7 once x1 holds,
+    # with the reason (that literal or not x1); ``log`` records each
+    # explain call.
+    negative = False
+
     def propagate(self):
         val = self.solver.value
         if val[mk_lit(1)] == TRUE and val[mk_lit(0)] == UNDEF:
-            return ((mk_lit(0), 7),), None
+            return ((mk_lit(0, self.negative), 7),), None
         return (), None
 
     def explain(self, atom_id, lit):
@@ -483,22 +486,25 @@ class ExplainsOnce(ToyTheory):
         return (lit, mk_lit(1, True))
 
 
-def test_theory_reason_is_explained_once():
+@pytest.mark.parametrize("negative", [False, True], ids=["x0", "not-x0"])
+def test_theory_reason_is_explained_once(negative):
     # The implication's slot holds the (theory, atom id) pair until the
-    # first read explains it; later reads get the cached clause.
+    # first read explains it; later reads get the cached clause. The
+    # implied literal, of either sign, is read off its var's value.
     log = []
     solver, (a, b) = fresh(2)
     th = ExplainsOnce(log)
+    th.negative = negative
     solver.attach_theory(th)
     solver.trail_lim.append(len(solver.trail))
     solver._enqueue(mk_lit(b), None)
     assert solver._propagate_all() is None
     assert solver.reason[a] == (th, 7)
     first = solver._reason_clause(a)
-    assert first == [mk_lit(a), mk_lit(b, True)]
+    assert first == [mk_lit(a, negative), mk_lit(b, True)]
     assert solver.reason[a] is first
     assert solver._reason_clause(a) is first
-    assert log == [(7, mk_lit(a))]
+    assert log == [(7, mk_lit(a, negative))]
 
 
 _ROGUE_THEORIES = """

@@ -314,6 +314,56 @@ def test_explanations_reuse_only_the_newest_stacked_evaluation(
     assert seen[True] > seen[False] > 0
 
 
+class ExpansionCheck:
+    """Records ``explain(atom_id, lit)`` for each atom a theory implies,
+    before the solver enqueues it, and checks every expanded reason
+    against it. A lemma whose first literal is true on the trail is a
+    reason that analysis expanded; a theory conflict has every literal
+    false. ``later`` counts the expansions made once the explaining
+    extreme's log had grown past the implication's generation."""
+
+    def __init__(self):
+        self.solver = None
+        self.made = {}  # implied lit -> (clause, extreme, its log length)
+        self.compared = self.later = 0
+
+    def wrap(self, th):
+        propagate = th.propagate
+
+        def recorded():
+            implied, conflict = propagate()
+            for lit, atom_id in implied if conflict is None else ():
+                pred = th.atom(atom_id)
+                use_true = (not (lit & 1)) == (pred.polarity == POSITIVE)
+                comp = th.completion(not use_true)
+                self.made[lit] = (th.explain(atom_id, lit), comp,
+                                  len(comp.log))
+            return implied, conflict
+        th.propagate = recorded
+
+    def learnt(self, lits):
+        pass
+
+    def lemma(self, lits):
+        if self.solver.value[lits[0]] != TRUE:
+            return
+        clause, comp, gen = self.made[lits[0]]
+        assert list(lits) == clause
+        self.compared += 1
+        self.later += len(comp.log) > gen
+
+
+def test_an_expanded_reason_is_the_clause_explained_at_its_implication():
+    check = ExpansionCheck()
+    for seed in range(1000, 1006):
+        inst = build_instance(gen_maze(8, 8, seed), observer=check)
+        check.solver = inst.solver
+        for th in inst.theories:
+            check.wrap(th)
+        assert inst.solver.solve().status == "SAT"
+    assert check.compared >= 150 and check.later >= 100
+
+
 _WRONG_ATOM = """
 from monosmt.graphs import GraphTheory
 from monosmt.sat import Solver, mk_lit
