@@ -17,11 +17,15 @@ A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
 them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
 run exactly: forest edges, union-find roots, distances and parent edges.
-A maximal completion's forest that loses one forest edge takes in its place
-the least enabled edge leaving the smaller side of the cut, and shares the
-old union-find: each component keeps its nodes, so its root, and path
-halving never changes a root. With no such edge the forest splits (Holm, de
-Lichtenberg and Thorup 2001 give the general dynamic case).
+A forest is a mask over edge ids. A maximal completion's forest that loses
+one forest edge takes in its place the least enabled edge leaving the
+smaller side of the cut, and shares the old union-find: each component
+keeps its nodes, so its root, and path halving never changes a root. With
+no such edge the forest splits and keeps the smaller side it grew, which
+names the one cut of a forest of two components (Holm, de Lichtenberg and
+Thorup 2001 give the general dynamic case). A carried forest records the
+edges it gained beyond the moved ones, so the mst_edge atoms to reread are
+known without diffing two masks.
 A maximal completion's tree that loses parent edges keeps its distances
 and re-parents each cut-off node to the in-arc at its old distance that a
 cold run settles first, where every such node has one and no edge weighs 0.
@@ -120,24 +124,33 @@ def flat_labels(parent):
 
 
 class SpanResult:
-    """Kruskal scan output. ``forest`` is the set of forest edge ids, sorted
-    by rank where its (weight, eid) order is read, and never written."""
+    """Kruskal scan output. ``forest`` is a mask over edge ids, 1 for a
+    forest edge, never written once built. ``added`` lists the edges that
+    entered the forest since the analysis this one was carried from, other
+    than the moved edges: [] after an extension or a split, the replacement
+    edge after a swap, None after a cold scan, which has no such analysis.
+    ``side`` is the smaller side of the latest split, as ``_swap`` grew it,
+    and a later swap keeps it: the same nodes form each component. It is
+    None for a forest no split made."""
 
-    __slots__ = ("components", "forest", "weight", "parent")
+    __slots__ = ("components", "forest", "weight", "parent", "added", "side")
 
-    def __init__(self, components, forest, weight, parent):
+    def __init__(self, components, forest, weight, parent, added=None,
+                 side=None):
         self.components = components
         self.forest = forest
         self.weight = weight
         # Union-find over nodes; each root is its component's smallest node.
         self.parent = parent
+        self.added = added
+        self.side = side
 
 
 def span_scan(n, edges, order, enabled) -> SpanResult:
     """Kruskal's scan of the enabled edges in ``order``, stopping once one
     component is left."""
     parent = list(range(n))
-    forest = set()
+    forest = bytearray(len(edges))
     weight = 0
     components = n
     for eid in order:
@@ -154,7 +167,7 @@ def span_scan(n, edges, order, enabled) -> SpanResult:
             if ru > rv:
                 ru, rv = rv, ru
             parent[rv] = ru
-            forest.add(eid)
+            forest[eid] = 1
             weight += e.weight
             components -= 1
             if components == 1:
@@ -333,7 +346,9 @@ class GraphTheory(MonotonicTheory):
         """Every atom evaluated on one extreme into ``values``, on the
         analyses of ``base`` carried over where they can be (``_carried``),
         and the atoms whose value changed: of the mst_edge group, read off
-        one forest, only those of moved edges or forest changes can."""
+        one forest, only those of moved edges or forest changes can. A
+        carried forest names the edges it gained beyond the moved ones in
+        ``added``; only a cold one is diffed with the forest before."""
         analysis = {}
         for key, prev in base.items():
             new = self._carried(key, prev, enabled, moved, maximal)
@@ -342,10 +357,17 @@ class GraphTheory(MonotonicTheory):
         preds = self._atoms
         group = self._mst_atoms
         if group:
-            forest = self._analysis(enabled, analysis, _SPAN).forest
+            span = self._analysis(enabled, analysis, _SPAN)
             prev = base.get(_SPAN)
-            eids = (group if prev is None
-                    else (forest ^ prev.forest).union(moved))
+            if prev is None:
+                eids = group
+            elif span is prev:
+                eids = moved
+            elif span.added is None:
+                eids = {eid for eid, (x, y) in enumerate(
+                    zip(span.forest, prev.forest)) if x != y}.union(moved)
+            else:
+                eids = moved + span.added
             preds = [self._preds[aid] for eid in eids
                      for aid in group.get(eid, ())] + preds
         return analysis, self._update(preds, enabled, analysis, values)
@@ -372,7 +394,8 @@ class GraphTheory(MonotonicTheory):
         could take each other, so such a graph runs cold. The gaining side's
         match, a flow standing while every gained edge starts outside its
         cut side, is not built: no shipped workload carries a
-        minimal-completion flow. A new forest is diffed with the old one."""
+        minimal-completion flow. A forest mask, like a union-find list, is
+        copied before it changes."""
         edges = self.edges
         if key[0] == "flow":
             lost = ([(edges[eid].u, edges[eid].v, eid) for eid in moved]
@@ -384,20 +407,22 @@ class GraphTheory(MonotonicTheory):
                                 enabled, key[1], key[2], start=old, lost=lost)
         if key == _SPAN:
             if maximal:
-                lost = old.forest.intersection(moved)
+                lost = [eid for eid in moved if old.forest[eid]]
                 if len(lost) > 1:
                     return None
-                return self._swap(old, lost.pop(), enabled) if lost else old
+                return self._swap(old, lost[0], enabled) if lost else old
             parent, weight = old.parent[:], old.weight
+            forest = old.forest[:]
             for eid in moved:
                 e = edges[eid]
                 ru, rv = find(parent, e.u), find(parent, e.v)
                 if ru == rv:
                     return None
                 parent[max(ru, rv)] = min(ru, rv)
+                forest[eid] = 1
                 weight += e.weight
-            return SpanResult(old.components - len(moved),
-                              old.forest.union(moved), weight, parent)
+            return SpanResult(old.components - len(moved), forest, weight,
+                              parent, [])
         dist, parent = old  # a ("dij", src) tree, so of a digraph
         if not maximal:
             for eid in moved:
@@ -427,10 +452,11 @@ class GraphTheory(MonotonicTheory):
         """Forest ``old`` after losing forest edge ``eid`` alone. Both ends
         grow over forest edges in lockstep until one side, the smaller, is
         exhausted, so at most twice its size is visited. The least enabled
-        edge leaving it takes the place of ``eid`` in a new edge set; with
-        none, the side without the old root takes its smallest node as its
-        root in the flat labels, as in a cold scan.
-        ``old`` is never written."""
+        edge leaving it takes the place of ``eid`` in a copy of the mask
+        and is the result's ``added``; the split ``side`` stands. With no
+        such edge the forest splits: the grown side becomes ``side``, and
+        the side without the old root takes its smallest node as its root
+        in the flat labels, as in a cold scan. ``old`` is never written."""
         adj, fs, rank = self._adj, old.forest, self._rank
         e = self.edges[eid]
         mark = bytearray(self.n)  # each grown node's side, 1 or 2
@@ -438,7 +464,7 @@ class GraphTheory(MonotonicTheory):
         a, b, ka, kb, s = [e.u], [e.v], 0, 0, 1  # a grows next, marked s
         while ka < len(a):
             for fid, y in adj[a[ka]]:
-                if not mark[y] and fid in fs:
+                if not mark[y] and fs[fid]:
                     mark[y] = s
                     a.append(y)
             a, b, ka, kb, s = b, a, kb, ka + 1, 3 - s
@@ -447,13 +473,16 @@ class GraphTheory(MonotonicTheory):
             for fid, y in adj[x]:
                 if mark[y] != s and enabled[fid] and rank[fid] < low:
                     best, low = fid, rank[fid]
-        forest = fs - {eid}
+        forest = fs[:]
+        forest[eid] = 0
         if best is not None:  # same nodes per component, so same roots
-            forest.add(best)
+            forest[best] = 1
             return SpanResult(old.components, forest, old.weight - e.weight
-                              + self.edges[best].weight, old.parent)
+                              + self.edges[best].weight, old.parent, [best],
+                              old.side)
         comp = flat_labels(old.parent)
         root = comp[e.u]
+        side = a
         if mark[root] == s:  # the other side takes its smallest node
             a = [x for x in range(root, self.n)
                  if comp[x] == root and mark[x] != s]
@@ -461,7 +490,7 @@ class GraphTheory(MonotonicTheory):
         for x in a:
             comp[x] = low
         return SpanResult(old.components + 1, forest, old.weight - e.weight,
-                          comp)
+                          comp, [], side)
 
     def _analysis(self, enabled, analysis, key):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
@@ -490,8 +519,8 @@ class GraphTheory(MonotonicTheory):
         kind, payload = pred.kind, pred.payload
         if kind == "mst_edge":
             eid = payload[0]
-            return (not enabled[eid] or eid in self._analysis(
-                enabled, analysis, _SPAN).forest)
+            return (not enabled[eid] or self._analysis(
+                enabled, analysis, _SPAN).forest[eid] == 1)
         if kind == "reach":
             u, v = payload
             return self._analysis(enabled, analysis, ("dij", u))[0][v] != INF
@@ -550,8 +579,8 @@ class GraphTheory(MonotonicTheory):
     def _support(self, pred, enabled, analysis):
         """Edge ids that make a reach, distance, flow or spanning-tree atom
         hold on ``enabled``: the shortest path from v back to u, the edges
-        carrying the max flow in id order, or the forest edge set sorted
-        into (weight, eid) order."""
+        carrying the max flow in id order, or the forest edges in (weight,
+        eid) order."""
         kind, payload = pred.kind, pred.payload
         if kind in ("reach", "distance_leq"):
             u, v = payload[0], payload[1]
@@ -561,8 +590,8 @@ class GraphTheory(MonotonicTheory):
             flow = self._analysis(enabled, analysis,
                                   ("flow", payload[0], payload[1])).flow
             return [eid for eid, f in enumerate(flow) if f > 0]
-        return sorted(self._analysis(enabled, analysis, _SPAN).forest,
-                      key=self._rank.__getitem__)
+        forest = self._analysis(enabled, analysis, _SPAN).forest
+        return [eid for eid in self._order if forest[eid]]
 
     def _tree_path(self, parent, u, v):
         """Edge ids walking parent edges from v back to u."""
@@ -579,8 +608,18 @@ class GraphTheory(MonotonicTheory):
         return path
 
     def _mst_weight_neg_slots(self, enabled, disabled, analysis):
+        """Disabled edge ids that could make a false mst_weight_leq atom
+        hold: a cut isolating one component, or the edges that could
+        lighten a connected tree. Two components have one cut, the edges
+        leaving a split's ``side``, all of them disabled; other disconnected
+        forests take the component with the fewest cut edges, then the
+        least root, from the flat labels."""
         edges = self.edges
         span = self._analysis(enabled, analysis, _SPAN)
+        if span.components == 2 and span.side is not None:
+            inside = set(span.side)
+            return sorted([eid for x in inside for eid, y in self._adj[x]
+                           if y not in inside])
         if span.components > 1:
             # Disconnected: a cut of disabled edges isolating one component.
             comp = flat_labels(span.parent)
@@ -597,7 +636,7 @@ class GraphTheory(MonotonicTheory):
         # tree, those whose ends the forest joins only through a heavier
         # edge. Equal weight does not lighten it.
         parent = list(range(self.n))
-        forest = sorted(span.forest, key=self._rank.__getitem__)
+        forest = [eid for eid in self._order if span.forest[eid]]
         merged = 0
         out = []
         for eid in self._order:
@@ -638,10 +677,8 @@ class GraphTheory(MonotonicTheory):
         # Negative: the edge is enabled yet outside the minimal-completion
         # tree, so the tree path between its endpoints plus the edge itself
         # pins it out of every extension's tree.
-        in_forest = bytearray(len(edges))
-        for fid in self._analysis(enabled, analysis, _SPAN).forest:
-            in_forest[fid] = 1
-        _, parent = bfs_tree(self._adj, self.n, in_forest, e.u)
+        forest = self._analysis(enabled, analysis, _SPAN).forest
+        _, parent = bfs_tree(self._adj, self.n, forest, e.u)
         return self._tree_path(parent, e.u, e.v)[::-1] + [eid]
 
     # -- model witnesses ---------------------------------------------------------

@@ -10,7 +10,11 @@ residual cut side must be those of a cold ``edmonds_karp``. Every stacked
 spanning forest and shortest-path tree, which may be carried over from an
 older generation, or extended, swapped, split or re-parented from one,
 must equal a cold ``span_scan`` or ``dijkstra_tree`` on its own generation's
-mask in every field the search reads. Each evaluation must get the
+mask in every field the search reads. A carried forest's mask may differ
+from the one it was carried from only on the moved edges and the ones it
+records as ``added``, which no moved edge is among. A split's ``side`` is
+the lost edge's end's component in a cold scan, and no larger than the
+other end's. Each evaluation must get the
 completion's live value list and the newest stacked analyses as its base,
 and the change list it returns must name exactly the atoms whose value it
 changed in that list. Each stacked generation's values are rebuilt by
@@ -112,7 +116,9 @@ class Checker:
         self.trees = {}
         self.reused = Counter()  # "flow"/"span"/"dij": carried unchanged
         self.reparented = 0  # trees sharing the older one's dist list only
-        self.forests = Counter()  # "swap"/"split": a lost forest edge
+        # "swap"/"split": a lost forest edge; "added"/"side": a swap that
+        # recorded its replacement, a split that recorded its side
+        self.forests = Counter()
         # Per theory class: scans that visited fewer than all atoms,
         # counting a propagate that returned without a scan.
         self.partial = Counter()
@@ -122,7 +128,7 @@ class Checker:
             th._scan = self._wrap_scan(th, th._scan)
             th.eval_completion = self._wrap_eval(th, th.eval_completion)
             if isinstance(th, GraphTheory):
-                th._swap = self._wrap_swap(th._swap)
+                th._swap = self._wrap_swap(th, th._swap)
 
     def _wrap(self, th, propagate):
         def checked():
@@ -147,11 +153,28 @@ class Checker:
             return result
         return checked
 
-    def _wrap_swap(self, swap):
+    def _wrap_swap(self, th, swap):
         def counted(old, eid, enabled):
             new = swap(old, eid, enabled)
             split = new.components > old.components
             self.forests["split" if split else "swap"] += 1
+            if not split:
+                (fid,) = new.added
+                assert new.forest[fid] and not old.forest[fid]
+                assert new.side is old.side
+                self.forests["added"] += 1
+                return new
+            assert new.added == []
+            e = th.edges[eid]
+            side = set(new.side)
+            assert len(side) == len(new.side)
+            assert (e.u in side) != (e.v in side)
+            want = cold(th, enabled, ("span",), self.memo[th])
+            label = [find(want.parent, x) for x in range(th.n)]
+            end, other = (e.u, e.v) if e.u in side else (e.v, e.u)
+            assert side == {x for x in range(th.n) if label[x] == label[end]}
+            assert len(side) <= label.count(label[other])
+            self.forests["side"] += 1
             return new
         return counted
 
@@ -168,6 +191,13 @@ class Checker:
             old = values[:]
             result = eval_completion(maximal, enabled, moved, values, base)
             assert values is comp.values
+            span, prev = result[0].get(("span",)), base.get(("span",))
+            if prev is not None and (span is prev or span.added is not None):
+                added = [] if span is prev else span.added
+                assert not set(added) & set(moved)
+                assert {eid for eid, (x, y) in enumerate(
+                    zip(span.forest, prev.forest)) if x != y} <= set(
+                        moved + added)
             assert sorted(result[1]) == [
                 i for i, v in enumerate(values) if v != old[i]]
             self.evals += 1
@@ -288,6 +318,7 @@ def test_generated_instances_through_restarts_and_backjumps(monkeypatch):
     assert reused["span"] > 0 and reused["dij"] > 0 and extended > 0
     assert reparented > 0
     assert forests["swap"] > 0 and forests["split"] > 0
+    assert forests["added"] > 0 and forests["side"] > 0
 
 
 def test_stacked_max_flows_match_cold_starts():

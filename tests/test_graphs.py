@@ -5,17 +5,20 @@ cross-checked by exhaustive enumeration; each test also re-checks its clause
 through the independent oracle.
 """
 
+from collections import Counter
+
 import pytest
 
 from monosmt import graphs, oracle
-from monosmt.build import run_solve, solve_doc
-from monosmt.generators import Xorshift64Star
+from monosmt.build import build_instance, run_solve, solve_doc
+from monosmt.generators import Xorshift64Star, gen_maze
 from monosmt.gnf import EdgeDecl, GnfDocument, GraphDecl, PredDecl
 from monosmt.graphs import (EdgeSpec, GraphTheory, bfs_tree, dijkstra_tree,
                             edmonds_karp, find, span_scan)
+from monosmt.sat import dimacs_lit
 
-from instances import (rand_graph, rand_pred, solve_recorded, squeeze_flow,
-                       GRAPH_KINDS, DIRECTED_KINDS)
+from instances import (Recorder, rand_graph, rand_pred, solve_recorded,
+                       squeeze_flow, GRAPH_KINDS, DIRECTED_KINDS)
 
 
 def graph_doc(directed, n, edges, preds, clauses):
@@ -306,18 +309,23 @@ def test_construction_tables_order(directed):
 
 # -- pure helpers ---------------------------------------------------------------
 
+def forest_ids(span):
+    """The ids of a forest's edges, read off its mask in id order."""
+    return [eid for eid, x in enumerate(span.forest) if x]
+
+
 def test_span_scan_tie_break_by_edge_id():
     edges = [EdgeSpec(u, v, i, 1)
              for i, (u, v) in enumerate(((0, 1), (1, 2), (0, 2)))]
     span = span_scan(3, edges, [0, 1, 2], bytearray([1, 1, 1]))
-    assert sorted(span.forest) == [0, 1]
+    assert span.forest == bytearray([1, 1, 0])
     assert span.components == 1 and span.weight == 2
 
 
 def test_span_scan_counts_isolated_nodes():
     span = span_scan(4, [EdgeSpec(0, 1, 0, 2)], [0], bytearray([1]))
     assert span.components == 3
-    assert span.weight == 2 and list(span.forest) == [0]
+    assert span.weight == 2 and span.forest == bytearray([1])
 
 
 def reference_kruskal(n, edges, enabled):
@@ -347,7 +355,7 @@ def test_span_scan_matches_reference_kruskal():
         span = span_scan(n, edges, order, enabled)
         forest, components, weight, label = reference_kruskal(n, edges,
                                                               enabled)
-        assert span.forest == set(forest), i
+        assert forest_ids(span) == sorted(forest), i
         assert (span.components, span.weight) == (components, weight)
         assert [find(span.parent, x) for x in range(n)] == label, i
 
@@ -460,9 +468,10 @@ def lose_forest_edges(monkeypatch, eids):
 
 def test_lost_forest_edge_swaps_in_the_least_crossing_edge(monkeypatch):
     [(span, before)], runs = lose_forest_edges(monkeypatch, [[1]])
-    assert runs == [] and before.forest == {0, 1, 2, 5}
+    assert runs == [] and forest_ids(before) == [0, 1, 2, 5]
     # Edges 3 and 4 both leave the exhausted side {0, 1}; the lower id wins.
-    assert span.forest == {0, 2, 3, 5} and span.weight == 5
+    assert forest_ids(span) == [0, 2, 3, 5] and span.weight == 5
+    assert span.added == [3]
     assert span.parent is before.parent  # the same roots, shared
 
 
@@ -480,7 +489,7 @@ def test_lost_bridge_splits_the_forest(monkeypatch):
 
 def test_two_lost_forest_edges_scan_cold(monkeypatch):
     [(span, _)], runs = lose_forest_edges(monkeypatch, [[1, 2]])
-    assert runs == ["span_scan"] and span.forest == {0, 3, 4, 5}
+    assert runs == ["span_scan"] and forest_ids(span) == [0, 3, 4, 5]
 
 
 # -- randomized dual-route checks ----------------------------------------------
@@ -573,3 +582,32 @@ def test_mst_weight_improving_edges_merge_the_forest_by_weight():
                                    (1, 2, 3, 3)])
     enabled = bytearray([1, 1, 0, 0])
     assert th._mst_weight_neg_slots(enabled, [2, 3], {}) == [2]
+
+
+def test_every_maze_lemma_passes_the_oracle(monkeypatch):
+    # A forest of two components names its one cut from the smaller side a
+    # split recorded; every lemma, that cut's among them, must hold.
+    from_side = Counter()
+    neg_slots = GraphTheory._mst_weight_neg_slots
+
+    def spied(th, enabled, disabled, analysis):
+        out = neg_slots(th, enabled, disabled, analysis)
+        span = analysis[("span",)]
+        from_side[size] += span.components == 2 and span.side is not None
+        return out
+
+    monkeypatch.setattr(GraphTheory, "_mst_weight_neg_slots", spied)
+    lemmas = 0
+    for size, seeds in ((8, range(1000, 1005)), (16, [0])):
+        for seed in seeds:
+            doc = gen_maze(size, size, seed)
+            recorder = Recorder()
+            inst = build_instance(doc, observer=recorder)
+            assert inst.solver.solve().status == "SAT"
+            check = oracle.check_lemma(doc)
+            for lits in recorder.lemmas:
+                assert check([dimacs_lit(lit) for lit in lits]) is None, (
+                    size, seed, lits)
+            lemmas += len(recorder.lemmas)
+    assert lemmas > 1000
+    assert from_side[8] >= 350 and from_side[16] >= 250
