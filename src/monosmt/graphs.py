@@ -16,23 +16,25 @@ minimum spanning tree unique. Unit-weight graphs build those trees with
 A completion's spanning forest and shortest-path trees are carried over
 from its previous evaluation where the edges moved since cannot change
 them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
-run exactly: forest edges, union-find roots, distances and parent edges.
+run in what its witnesses read. The minimal completion's witnesses walk
+paths, so its carried forest keeps a cold scan's union-find roots and its
+trees their parent edges. The maximal completion only shows an atom false,
+and such a witness is a cut, read off distances, a forest mask, a split's
+side or a flow's cut side: its carried trees keep their distances alone
+and its carried forests no union-find; only a cold run builds either.
 A forest is a mask over edge ids. A maximal completion's forest that loses
 one forest edge takes in its place the least enabled edge leaving the
-smaller side of the cut, and shares the old union-find: each component
-keeps its nodes, so its root, and path halving never changes a root. With
-no such edge the forest splits and keeps the smaller side it grew, which
-names the one cut of a forest of two components (Holm, de Lichtenberg and
-Thorup 2001 give the general dynamic case). A carried forest records the
-edges it gained beyond the moved ones, so the mst_edge atoms to reread are
-known without diffing two masks.
-A maximal completion's tree that loses parent edges keeps its distances
-and re-parents each cut-off node to the in-arc at its old distance that a
-cold run settles first, where every such node has one and no edge weighs 0.
-So does a max flow of the maximal completion while no lost edge carried
-flow or starts in its residual cut side. Any other max flow is augmented
-from the previous one, after cancelling the flow on the lost edges; its
-value and cut side equal a cold run's.
+smaller side of the cut. With no such edge the forest splits and keeps the
+smaller side it grew, which names the one cut of a forest of two
+components (Holm, de Lichtenberg and Thorup 2001 give the general dynamic
+case). A carried forest records the edges it gained beyond the moved ones,
+so the mst_edge atoms to reread are known without diffing two masks.
+A maximal completion's tree keeps its distances while each node that lost
+a tight in-arc (a, b), one with d[a] + w == d[b], keeps another and no
+edge weighs 0. A max flow of the maximal completion stands while no lost
+edge carried flow or starts in its residual cut side. Any other max flow
+is augmented from the previous one, after cancelling the flow on the lost
+edges; its value and cut side equal a cold run's.
 Each evaluation lists the atoms whose value moved since the previous one.
 An explanation reads the path, cut or flow of the newest evaluation when it
 is of the generation the implication recorded, and runs one cold otherwise.
@@ -113,22 +115,15 @@ def find(parent, x):
     return x
 
 
-def flat_labels(parent):
-    """Each node's union-find root, from a copy of ``parent`` flattened in
-    one forward pass: every link points to a smaller node, whose label is
-    set by the time the pass reaches the node."""
-    comp = parent[:]
-    for x in range(len(comp)):
-        comp[x] = comp[comp[x]]
-    return comp
-
-
 class SpanResult:
     """Kruskal scan output. ``forest`` is a mask over edge ids, 1 for a
-    forest edge, never written once built. ``added`` lists the edges that
-    entered the forest since the analysis this one was carried from, other
-    than the moved edges: [] after an extension or a split, the replacement
-    edge after a swap, None after a cold scan, which has no such analysis.
+    forest edge, never written once built. ``parent`` is a union-find over
+    nodes, each root its component's smallest node, kept by a cold scan and
+    the minimal completion's extensions; a maximal forest carried by
+    ``_swap`` has None. ``added`` lists the edges that entered the forest
+    since the analysis this one was carried from, other than the moved
+    edges: [] after an extension or a split, the replacement edge after a
+    swap, None after a cold scan, which has no such analysis.
     ``side`` is the smaller side of the latest split, as ``_swap`` grew it,
     and a later swap keeps it: the same nodes form each component. It is
     None for a forest no split made."""
@@ -140,7 +135,6 @@ class SpanResult:
         self.components = components
         self.forest = forest
         self.weight = weight
-        # Union-find over nodes; each root is its component's smallest node.
         self.parent = parent
         self.added = added
         self.side = side
@@ -306,7 +300,7 @@ class GraphTheory(MonotonicTheory):
         super().__init__([e.var for e in self.edges])
         self._weights = [e.weight for e in self.edges]
         self._unit = all(w == 1 for w in self._weights)
-        self._positive = 0 not in self._weights  # so trees re-parent
+        self._positive = 0 not in self._weights  # so trees keep distances
         self._flow_adj = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
             self._flow_adj[e.u].append((eid, e.v, True))
@@ -348,7 +342,7 @@ class GraphTheory(MonotonicTheory):
         and the atoms whose value changed: of the mst_edge group, read off
         one forest, only those of moved edges or forest changes can. A
         carried forest names the edges it gained beyond the moved ones in
-        ``added``; only a cold one is diffed with the forest before."""
+        ``added``; after a cold scan the whole group is reread."""
         analysis = {}
         for key, prev in base.items():
             new = self._carried(key, prev, enabled, moved, maximal)
@@ -359,13 +353,10 @@ class GraphTheory(MonotonicTheory):
         if group:
             span = self._analysis(enabled, analysis, _SPAN)
             prev = base.get(_SPAN)
-            if prev is None:
-                eids = group
-            elif span is prev:
+            if span is prev:
                 eids = moved
-            elif span.added is None:
-                eids = {eid for eid, (x, y) in enumerate(
-                    zip(span.forest, prev.forest)) if x != y}.union(moved)
+            elif prev is None or span.added is None:
+                eids = group
             else:
                 eids = moved + span.added
             preds = [self._preds[aid] for eid in eids
@@ -385,17 +376,17 @@ class GraphTheory(MonotonicTheory):
         starts in its cut side: that flow is still valid, so still maximal,
         and every residual arc lost starts unreachable from s. Otherwise the
         flow on the lost edges is cancelled and the rest augmented. A tree
-        whose lost parent edges each leave their head b an enabled arc
-        (a, b) with d[a] + w == d[b] keeps its distances, and b takes the
-        least such arc in (d[a], a, eid) order, as a cold run does: with
-        every w >= 1 its tail settles before b, so by induction on settle
-        order the tree is a cold run's. The ``d`` list, like a forest's
-        edge set, is shared, never written. With a zero weight two heads
-        could take each other, so such a graph runs cold. The gaining side's
-        match, a flow standing while every gained edge starts outside its
-        cut side, is not built: no shipped workload carries a
-        minimal-completion flow. A forest mask, like a union-find list, is
-        copied before it changes."""
+        keeps its distances, as ``(d, None)`` with no parent list, while
+        each head b of a lost tight arc, one with d[a] + w == d[b], keeps
+        an enabled tight in-arc: with every w >= 1 its tail is nearer, so by
+        induction on distance each node keeps a path of its old length, and
+        losing edges shortens none. The ``d`` list, like a forest mask, is
+        shared, never written. With a zero weight two heads could keep each
+        other, so such a graph runs cold on any lost tight arc. The gaining
+        side's match, a flow standing while every gained edge starts outside
+        its cut side, is not built: no shipped workload carries a
+        minimal-completion flow. A forest mask, like the minimal union-find,
+        is copied before it changes."""
         edges = self.edges
         if key[0] == "flow":
             lost = ([(edges[eid].u, edges[eid].v, eid) for eid in moved]
@@ -423,30 +414,27 @@ class GraphTheory(MonotonicTheory):
                 weight += e.weight
             return SpanResult(old.components - len(moved), forest, weight,
                               parent, [])
-        dist, parent = old  # a ("dij", src) tree, so of a digraph
+        dist = old[0]  # a ("dij", src) tree, so of a digraph
         if not maximal:
             for eid in moved:
                 e = edges[eid]
                 if dist[e.u] != INF and dist[e.u] + e.weight <= dist[e.v]:
                     return None
             return old
-        heads = [edges[eid].v for eid in moved if parent[edges[eid].v] == eid]
-        if not heads:
-            return old
-        if not self._positive:
-            return None
-        parent = parent[:]
         weights = self._weights
-        for b in heads:
-            want, best = dist[b], INF
-            for eid, a, fwd in self._flow_adj[b]:  # in (a, eid) order
-                d = dist[a]
-                if (d < best and not fwd and enabled[eid]  # an arc (a, b)
-                        and d + weights[eid] == want):
-                    best, parent[b] = d, eid
-            if best == INF:
+        for eid in moved:
+            e = edges[eid]
+            want = dist[e.v]
+            if want == INF or dist[e.u] + e.weight != want:
+                continue  # not tight: no shortest path used it
+            if not self._positive:
                 return None
-        return dist, parent
+            for fid, a, fwd in self._flow_adj[e.v]:
+                if not fwd and enabled[fid] and dist[a] + weights[fid] == want:
+                    break  # an arc (a, b) still tight
+            else:
+                return None
+        return dist, None
 
     def _swap(self, old, eid, enabled):
         """Forest ``old`` after losing forest edge ``eid`` alone. Both ends
@@ -454,9 +442,8 @@ class GraphTheory(MonotonicTheory):
         exhausted, so at most twice its size is visited. The least enabled
         edge leaving it takes the place of ``eid`` in a copy of the mask
         and is the result's ``added``; the split ``side`` stands. With no
-        such edge the forest splits: the grown side becomes ``side``, and
-        the side without the old root takes its smallest node as its root
-        in the flat labels, as in a cold scan. ``old`` is never written."""
+        such edge the forest splits: the grown side becomes ``side``. The
+        result keeps no union-find. ``old`` is never written."""
         adj, fs, rank = self._adj, old.forest, self._rank
         e = self.edges[eid]
         mark = bytearray(self.n)  # each grown node's side, 1 or 2
@@ -475,22 +462,12 @@ class GraphTheory(MonotonicTheory):
                     best, low = fid, rank[fid]
         forest = fs[:]
         forest[eid] = 0
-        if best is not None:  # same nodes per component, so same roots
-            forest[best] = 1
-            return SpanResult(old.components, forest, old.weight - e.weight
-                              + self.edges[best].weight, old.parent, [best],
-                              old.side)
-        comp = flat_labels(old.parent)
-        root = comp[e.u]
-        side = a
-        if mark[root] == s:  # the other side takes its smallest node
-            a = [x for x in range(root, self.n)
-                 if comp[x] == root and mark[x] != s]
-        low = min(a)
-        for x in a:
-            comp[x] = low
-        return SpanResult(old.components + 1, forest, old.weight - e.weight,
-                          comp, [], side)
+        if best is None:
+            return SpanResult(old.components + 1, forest,
+                              old.weight - e.weight, None, [], a)
+        forest[best] = 1
+        return SpanResult(old.components, forest, old.weight - e.weight
+                          + self.edges[best].weight, None, [best], old.side)
 
     def _analysis(self, enabled, analysis, key):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
@@ -569,8 +546,8 @@ class GraphTheory(MonotonicTheory):
             return [eid for eid in sorted(moved)
                     if side[edges[eid].u] and not side[edges[eid].v]]
         if kind == "components_leq":
-            comp = flat_labels(self._analysis(enabled, analysis,
-                                              _SPAN).parent)
+            comp = self._labels(self._analysis(enabled, analysis,
+                                               _SPAN).forest)
             return [eid for eid in sorted(moved)
                     if comp[edges[eid].u] != comp[edges[eid].v]]
         dist = self._analysis(enabled, analysis, ("dij", payload[0]))[0]
@@ -607,13 +584,29 @@ class GraphTheory(MonotonicTheory):
             node = e.u if e.v == node else e.v
         return path
 
+    def _labels(self, forest):
+        """Each node's component in the forest mask ``forest``, named by its
+        smallest node, as a cold ``span_scan``'s union-find root is: nodes
+        are visited in id order, each unlabelled one labelling its tree."""
+        comp = [-1] * self.n
+        for root in range(self.n):
+            if comp[root] < 0:
+                comp[root] = root
+                grown = [root]
+                for x in grown:
+                    for eid, y in self._adj[x]:
+                        if comp[y] < 0 and forest[eid]:
+                            comp[y] = root
+                            grown.append(y)
+        return comp
+
     def _mst_weight_neg_slots(self, enabled, disabled, analysis):
         """Disabled edge ids that could make a false mst_weight_leq atom
         hold: a cut isolating one component, or the edges that could
         lighten a connected tree. Two components have one cut, the edges
         leaving a split's ``side``, all of them disabled; other disconnected
         forests take the component with the fewest cut edges, then the
-        least root, from the flat labels."""
+        least smallest node, from the labels of the forest mask."""
         edges = self.edges
         span = self._analysis(enabled, analysis, _SPAN)
         if span.components == 2 and span.side is not None:
@@ -622,7 +615,7 @@ class GraphTheory(MonotonicTheory):
                            if y not in inside])
         if span.components > 1:
             # Disconnected: a cut of disabled edges isolating one component.
-            comp = flat_labels(span.parent)
+            comp = self._labels(span.forest)
             cuts = {}
             for eid in sorted(disabled):
                 e = edges[eid]

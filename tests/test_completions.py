@@ -8,13 +8,13 @@ every max flow in a stacked analysis, which was warm-started from an older
 one or kept from it: on each mask it is stacked for, its value and
 residual cut side must be those of a cold ``edmonds_karp``. Every stacked
 spanning forest and shortest-path tree, which may be carried over from an
-older generation, or extended, swapped, split or re-parented from one,
-must equal a cold ``span_scan`` or ``dijkstra_tree`` on its own generation's
-mask in every field the search reads. A carried forest's mask may differ
-from the one it was carried from only on the moved edges and the ones it
-records as ``added``, which no moved edge is among. A split's ``side`` is
-the lost edge's end's component in a cold scan, and no larger than the
-other end's. Each evaluation must get the
+older generation, or extended, swapped or split from one, or keep only its
+distances, must equal a cold ``span_scan`` or ``dijkstra_tree`` on its own
+generation's mask in every field the search reads. A carried forest's mask
+may differ from the one it was carried from only on the moved edges and
+the ones it records as ``added``, which no moved edge is among. A split's
+``side`` is the lost edge's end's component in a cold scan, and no larger
+than the other end's. Each evaluation must get the
 completion's live value list and the newest stacked analyses as its base,
 and the change list it returns must name exactly the atoms whose value it
 changed in that list. Each stacked generation's values are rebuilt by
@@ -59,14 +59,21 @@ def cold(th, enabled, key, memo):
 
 
 def assert_same_tree(th, got, want):
-    """A stacked forest or shortest-path tree equals a cold one."""
+    """A stacked forest or shortest-path tree equals a cold one. A carried
+    maximal forest keeps no union-find, so the labels of its mask stand for
+    its roots; a carried maximal tree keeps its distances and no parent
+    list."""
     if isinstance(want, SpanResult):
         assert got.forest == want.forest
         assert (got.components, got.weight) == (want.components, want.weight)
-        assert ([find(got.parent, x) for x in range(th.n)]
-                == [find(want.parent, x) for x in range(th.n)])
+        roots = [find(want.parent, x) for x in range(th.n)]
+        if got.parent is None:
+            assert th._labels(got.forest) == roots
+        else:
+            assert [find(got.parent, x) for x in range(th.n)] == roots
     else:
-        assert got == want  # (dist, parent)
+        assert got[0] == want[0]  # (dist, parent)
+        assert got[1] is None or got[1] == want[1]
 
 
 def concrete_values(th, enabled, memo):
@@ -345,8 +352,8 @@ def test_carried_analyses_match_cold_runs_on_random_edge_orders():
     # Edges move one at a time in random order, with no solver: dense
     # graphs of weights 1 and 2 give many equal-length paths and equal-weight
     # forests, where a gained edge can take over a parent edge and a lost
-    # parent edge leaves another arc at the same distance. Unit-weight
-    # digraphs re-parent breadth-first trees; digraphs of weights 0 to 2
+    # tight arc leaves another at the same distance. Unit-weight digraphs
+    # keep breadth-first trees' distances; digraphs of weights 0 to 2
     # check that a zero weight runs cold.
     reused = Counter()
     reparented = Counter()

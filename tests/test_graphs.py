@@ -19,6 +19,7 @@ from monosmt.sat import dimacs_lit
 
 from instances import (Recorder, rand_graph, rand_pred, solve_recorded,
                        squeeze_flow, GRAPH_KINDS, DIRECTED_KINDS)
+from test_completions import assert_same_tree
 
 
 def graph_doc(directed, n, edges, preds, clauses):
@@ -358,6 +359,9 @@ def test_span_scan_matches_reference_kruskal():
         assert forest_ids(span) == sorted(forest), i
         assert (span.components, span.weight) == (components, weight)
         assert [find(span.parent, x) for x in range(n)] == label, i
+        th = GraphTheory(False, n, [(e.u, e.v, j, e.weight)
+                                    for j, e in enumerate(edges)])
+        assert th._labels(span.forest) == label, i
 
 
 def test_unit_weight_trees_match_heap_dijkstra():
@@ -413,16 +417,17 @@ def lose_edges(th, eids, key=("dij", 0)):
     return comp.stack[-1][2][key], before, comp.enabled
 
 
-def test_lost_parent_edge_takes_the_least_same_distance_arc(monkeypatch):
+def test_lost_tight_arc_keeps_the_distances_and_no_parent_list(
+        monkeypatch):
     th = reparent_theory([1] * 7)
     runs = count_tree_runs(monkeypatch)
     tree, before, enabled = lose_edges(th, [5])
     assert before[1][4] == 5
     assert runs == ["bfs_tree"]  # the tree before the loss, and no other
-    # Arcs 2 -> 4 (edge 4) and 3 -> 4 (edge 3) both keep distance 2; the
-    # lower (tail, eid) wins, as in a cold run, though its id is higher.
-    assert tree[0] is before[0] and tree[1][4] == 4
-    assert tree == bfs_tree(th._adj, th.n, enabled, 0)
+    # Arcs 2 -> 4 (edge 4) and 3 -> 4 (edge 3) both keep distance 2, so
+    # the distances stand, shared; no parent list is kept.
+    assert tree[0] is before[0] and tree[1] is None
+    assert tree[0] == bfs_tree(th._adj, th.n, enabled, 0)[0]
 
 
 @pytest.mark.parametrize("weights,lost,runs", [
@@ -445,23 +450,24 @@ SWAP_EDGES = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 2), (0, 2, 2),
               (3, 4, 1)]
 
 
+def swap_theory():
+    return GraphTheory(False, 5, [(u, v, j, w) for j, (u, v, w)
+                                  in enumerate(SWAP_EDGES)])
+
+
 def lose_forest_edges(monkeypatch, eids):
     """The maximal completion's forest of SWAP_EDGES after losing ``eids``
     one group at a time, the forest before each, and the span_scan runs
     made by the losses."""
-    th = GraphTheory(False, 5, [(u, v, j, w) for j, (u, v, w)
-                                   in enumerate(SWAP_EDGES)])
+    th = swap_theory()
     th.add_atom("components_leq", (1,), len(SWAP_EDGES))
     th._values(True)
     runs = count_tree_runs(monkeypatch, ("span_scan",))
     steps = []
     for group in eids:
         span, before, enabled = lose_edges(th, group, ("span",))
-        want = span_scan(th.n, th.edges, th._order, enabled)
-        assert (span.forest, span.components, span.weight) == (
-            want.forest, want.components, want.weight)
-        assert ([find(span.parent, x) for x in range(th.n)]
-                == [find(want.parent, x) for x in range(th.n)])
+        assert_same_tree(th, span,
+                         span_scan(th.n, th.edges, th._order, enabled))
         steps.append((span, before))
     return steps, runs
 
@@ -472,7 +478,7 @@ def test_lost_forest_edge_swaps_in_the_least_crossing_edge(monkeypatch):
     # Edges 3 and 4 both leave the exhausted side {0, 1}; the lower id wins.
     assert forest_ids(span) == [0, 2, 3, 5] and span.weight == 5
     assert span.added == [3]
-    assert span.parent is before.parent  # the same roots, shared
+    assert span.parent is None  # no union-find carried
 
 
 def test_lost_bridge_splits_the_forest(monkeypatch):
@@ -484,7 +490,8 @@ def test_lost_bridge_splits_the_forest(monkeypatch):
     (kept, old), (cut0, _), (cut5, _) = steps
     assert kept is old
     assert (cut0.components, cut5.components) == (2, 3)
-    assert [find(cut5.parent, x) for x in range(5)] == [0, 1, 1, 1, 4]
+    assert cut5.parent is None
+    assert swap_theory()._labels(cut5.forest) == [0, 1, 1, 1, 4]
 
 
 def test_two_lost_forest_edges_scan_cold(monkeypatch):

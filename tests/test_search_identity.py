@@ -64,6 +64,10 @@ PINNED = {
         ("UNSAT", 1, 0, 1, 0, 0, "90c5b62dc5e67994"),
     ("gen_maze(8, 8, 3000)", 0):
         ("SAT", 125, 300, 2206, 210, 1, "a715298598036b01"),
+    # Large enough that the maximal completion's carried forests and trees
+    # (swaps, splits, trees that keep their distances) dominate.
+    ("gen_maze(16, 16, 0)", 0):
+        ("SAT", 408, 1932, 13445, 1604, 3, "51ee13bee6ae984f"),
     # Edge weights 1 to 3: shortest paths through the heap.
     ("rand_doc('distance_leq', 14)", 0):
         ("SAT", 1, 7, 10, 1, 0, "e8f35a0a948f6305"),
