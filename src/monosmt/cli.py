@@ -81,10 +81,10 @@ def _cmd_verify(args):
                   % (status, want))
             return 1
         print("verify: ok (%s, oracle agrees)" % status)
-    else:
-        print("verify: ok (%s, %d vars beyond oracle budget%s)"
-              % (status, doc.nvars,
-                 ", model checked" if values is not None else ""))
+    else:  # beyond the oracle only a model is checked
+        beyond = "%s, %d vars beyond oracle budget" % (status, doc.nvars)
+        print("verify: unchecked (%s)" % beyond if values is None
+              else "verify: ok (%s, model checked)" % beyond)
     return 0
 
 

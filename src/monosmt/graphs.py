@@ -22,10 +22,12 @@ trees their parent edges. The maximal completion only shows an atom false,
 and such a witness is a cut, read off distances, a forest mask, a split's
 side or a flow's cut side: its carried trees keep their distances alone
 and its carried forests no union-find; only a cold run builds either.
-A forest is a mask over edge ids. A maximal completion's forest that loses
-one forest edge takes in its place the least enabled edge leaving the
-smaller side of the cut. With no such edge the forest splits and keeps the
-smaller side it grew, which names the one cut of a forest of two
+A cut between components names each node by its component's label: its
+root in a cold ``span_scan`` of the forest mask, with no traversal of its
+own. A forest is a mask over edge ids. A maximal completion's forest that
+loses one forest edge takes in its place the least enabled edge leaving
+the smaller side of the cut. With no such edge the forest splits and
+keeps the smaller side it grew, which names the one cut of a forest of two
 components (Holm, de Lichtenberg and Thorup 2001 give the general dynamic
 case). A carried forest records the edges it gained beyond the moved ones,
 so the mst_edge atoms to reread are known without diffing two masks.
@@ -585,20 +587,11 @@ class GraphTheory(MonotonicTheory):
         return path
 
     def _labels(self, forest):
-        """Each node's component in the forest mask ``forest``, named by its
-        smallest node, as a cold ``span_scan``'s union-find root is: nodes
-        are visited in id order, each unlabelled one labelling its tree."""
-        comp = [-1] * self.n
-        for root in range(self.n):
-            if comp[root] < 0:
-                comp[root] = root
-                grown = [root]
-                for x in grown:
-                    for eid, y in self._adj[x]:
-                        if comp[y] < 0 and forest[eid]:
-                            comp[y] = root
-                            grown.append(y)
-        return comp
+        """Each node's component in the forest mask ``forest``: its root in
+        a cold ``span_scan`` of the mask, which is its smallest node. The
+        mask is acyclic, so each of its edges joins two roots."""
+        parent = span_scan(self.n, self.edges, self._order, forest).parent
+        return [find(parent, x) for x in range(self.n)]
 
     def _mst_weight_neg_slots(self, enabled, disabled, analysis):
         """Disabled edge ids that could make a false mst_weight_leq atom
@@ -606,7 +599,8 @@ class GraphTheory(MonotonicTheory):
         lighten a connected tree. Two components have one cut, the edges
         leaving a split's ``side``, all of them disabled; other disconnected
         forests take the component with the fewest cut edges, then the
-        least smallest node, from the labels of the forest mask."""
+        least smallest node, from ``_labels``, a cold scan's roots of the
+        forest mask."""
         edges = self.edges
         span = self._analysis(enabled, analysis, _SPAN)
         if span.components == 2 and span.side is not None:

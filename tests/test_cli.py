@@ -171,6 +171,14 @@ def test_verify_beyond_budget_checks_model(tmp_path, capsys):
                    " model checked)"]
 
 
+def test_verify_leaves_unsat_beyond_budget_unchecked(tmp_path, capsys):
+    # One var over the oracle's budget, and no model to check.
+    path = write(tmp_path, "u.gnf", "p gnf 23 2\n1 0\n-1 0\n")
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert out == ["verify: unchecked (UNSAT, 23 vars beyond oracle budget)"]
+
+
 @pytest.mark.parametrize("text,solved,want", [
     (SAT_CHAIN, ("SAT", [None, False, True, True], None),
      "verify: FAIL model check: clause 0 falsified: [1]"),

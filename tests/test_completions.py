@@ -30,7 +30,7 @@ from collections import Counter
 from monosmt import generators, graphs
 from monosmt.build import build_instance
 from monosmt.generators import Xorshift64Star
-from monosmt.graphs import (GraphTheory, SpanResult, dijkstra_tree,
+from monosmt.graphs import (INF, GraphTheory, SpanResult, dijkstra_tree,
                             edmonds_karp, find, span_scan)
 from monosmt.minimize import BoundProbes
 from monosmt.sat import FALSE, TRUE, Solver, mk_lit
@@ -74,6 +74,16 @@ def assert_same_tree(th, got, want):
     else:
         assert got[0] == want[0]  # (dist, parent)
         assert got[1] is None or got[1] == want[1]
+
+
+def kept_past_a_lost_tight_arc(th, old, new, moved):
+    """Whether tree ``new``, carried from ``old`` after the edges ``moved``,
+    kept ``old``'s dist list though one of them was a tight arc of ``old``,
+    d[a] + w == d[b] != INF."""
+    dist = old[0]
+    return new is not old and new[0] is dist and any(
+        dist[e.v] != INF and dist[e.u] + e.weight == dist[e.v]
+        for e in map(th.edges.__getitem__, moved))
 
 
 def concrete_values(th, enabled, memo):
@@ -122,7 +132,8 @@ class Checker:
         self.flows = {}
         self.trees = {}
         self.reused = Counter()  # "flow"/"span"/"dij": carried unchanged
-        self.reparented = 0  # trees sharing the older one's dist list only
+        # trees keeping the older one's dist list past a lost tight arc
+        self.reparented = 0
         # "swap"/"split": a lost forest edge; "added"/"side": a swap that
         # recorded its replacement, a split that recorded its side
         self.forests = Counter()
@@ -235,9 +246,9 @@ class Checker:
                 per_gen.append(values[:])
                 for i in changed:
                     values[i] = not values[i]
-            older = {}
-            for (_, _, analysis), mask, values in zip(comp.stack, masks,
-                                                      reversed(per_gen)):
+            older, older_gen = {}, 0
+            for (gen, _, analysis), mask, values in zip(comp.stack, masks,
+                                                        reversed(per_gen)):
                 assert values == concrete_values(th, mask, self.memo[th])
                 self.stacked += 1
                 for key, res in analysis.items():
@@ -256,8 +267,9 @@ class Checker:
                     if res is older.get(key):
                         self.reused[key[0]] += 1
                     elif key[0] == "dij" and key in older:
-                        self.reparented += res[0] is older[key][0]
-                older = analysis
+                        self.reparented += kept_past_a_lost_tight_arc(
+                            th, older[key], res, comp.log[older_gen:gen])
+                older, older_gen = analysis, gen
             gen = self.rng.randint(0, len(comp.log))
             enabled, moved, _ = th.completion_at(maximal, gen)
             assert enabled == masks_at(th, maximal, [prefix[gen]])[0]
@@ -385,7 +397,7 @@ def test_carried_analyses_match_cold_runs_on_random_edge_orders():
             th.on_assign(2 * var + rng.randint(0, 1))
             for maximal in (False, True):
                 comp = th.completion(maximal)
-                older = comp.stack[-1][2] if comp.stack else {}
+                gen, _, older = comp.stack[-1] if comp.stack else (0, (), {})
                 th._values(maximal)
                 analysis = comp.stack[-1][2]
                 for key in keys:
@@ -394,8 +406,8 @@ def test_carried_analyses_match_cold_runs_on_random_edge_orders():
                     tree = analysis[key]
                     reused[key[0]] += tree is older.get(key)
                     if key[0] == "dij" and key in older:
-                        reparented[lo, hi] += (tree is not older[key]
-                                               and tree[0] is older[key][0])
+                        reparented[lo, hi] += kept_past_a_lost_tight_arc(
+                            th, older[key], tree, comp.log[gen:])
                     elif maximal and key in older and tree is not older[key]:
                         split = tree.components > older[key].components
                         forests["split" if split else "swap"] += 1

@@ -293,9 +293,12 @@ def test_explanations_reuse_only_the_newest_stacked_evaluation(
         monkeypatch):
     # A witness reads the analyses of the newest stacked evaluation when its
     # trail prefix is of that generation, and a fresh dict otherwise, so an
-    # older prefix runs cold.
+    # older prefix runs cold. Either way the witness equals one read off a
+    # fresh dict, but for a true max flow's: a warm flow may route apart.
     seen = {True: 0, False: 0}  # witnesses by whether they read the newest
-    witness_slots = GraphTheory.witness_slots
+    labelled = []  # forest masks whose labels the witness running read
+    carried = []  # each stacked forest whose labels a witness read
+    witness_slots, labels = GraphTheory.witness_slots, GraphTheory._labels
 
     def checked(th, pred, positive, enabled, moved, analysis):
         comp = th.completion(positive != (pred.polarity == POSITIVE))
@@ -307,11 +310,28 @@ def test_explanations_reuse_only_the_newest_stacked_evaluation(
             assert all(analysis is not stacked for _, _, stacked
                        in comp.stack)
         seen[newest] += 1
-        return witness_slots(th, pred, positive, enabled, moved, analysis)
+        span = analysis.get(("span",))
+        labelled.clear()
+        got = witness_slots(th, pred, positive, enabled, moved, analysis)
+        if span is not None and labelled:  # labels of that forest
+            carried.append(span)
+        if not (positive and pred.kind == "maxflow_geq"):
+            assert got == witness_slots(th, pred, positive, enabled, moved,
+                                        {})
+        return got
+
+    def read(th, forest):
+        labelled.append(forest)
+        return labels(th, forest)
 
     monkeypatch.setattr(GraphTheory, "witness_slots", checked)
+    monkeypatch.setattr(GraphTheory, "_labels", read)
     assert solve_doc(gen_maze(8, 8, 1000))[0] == "SAT"
+    for kind in GRAPH_KINDS:
+        for s in range(60):
+            solve_doc(rand_doc(kind, s))
     assert seen[True] > seen[False] > 0
+    assert any(span.parent is None for span in carried)
 
 
 class ExpansionCheck:
