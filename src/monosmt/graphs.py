@@ -22,15 +22,18 @@ trees their parent edges. The maximal completion only shows an atom false,
 and such a witness is a cut, read off distances, a forest mask, a split's
 side or a flow's cut side: its carried trees keep their distances alone
 and its carried forests no union-find; only a cold run builds either.
-A cut between components names each node by its component's label: its
-root in a cold ``span_scan`` of the forest mask, with no traversal of its
-own. A forest is a mask over edge ids. A maximal completion's forest that
-loses one forest edge takes in its place the least enabled edge leaving
-the smaller side of the cut. With no such edge the forest splits and
-keeps the smaller side it grew, which names the one cut of a forest of two
-components (Holm, de Lichtenberg and Thorup 2001 give the general dynamic
-case). A carried forest records the edges it gained beyond the moved ones,
-so the mst_edge atoms to reread are known without diffing two masks.
+A false components_leq or disconnected mst_weight_leq atom names one set
+of edges: the disabled ones joining two components of the forest. When a
+split left two components, those are the edges leaving its side;
+otherwise each node is labelled with its root in a cold ``span_scan`` of
+the forest mask. A forest is a mask over edge ids. A maximal completion's
+forest that loses one forest edge takes in its place the least enabled
+edge leaving the smaller side of the cut. With no such edge the forest
+splits and keeps the smaller side it grew, which names the one cut of a
+forest of two components (Holm, de Lichtenberg and Thorup 2001 give the
+general dynamic case). A carried forest records the edges it gained
+beyond the moved ones, so the mst_edge atoms to reread are known without
+diffing two masks.
 A maximal completion's tree keeps its distances while each node that lost
 a tight in-arc (a, b), one with d[a] + w == d[b], keeps another and no
 edge weighs 0. A max flow of the maximal completion stands while no lost
@@ -548,10 +551,8 @@ class GraphTheory(MonotonicTheory):
             return [eid for eid in sorted(moved)
                     if side[edges[eid].u] and not side[edges[eid].v]]
         if kind == "components_leq":
-            comp = self._labels(self._analysis(enabled, analysis,
-                                               _SPAN).forest)
-            return [eid for eid in sorted(moved)
-                    if comp[edges[eid].u] != comp[edges[eid].v]]
+            return self._joining(self._analysis(enabled, analysis, _SPAN),
+                                 moved)
         dist = self._analysis(enabled, analysis, ("dij", payload[0]))[0]
         return [eid for eid in sorted(moved) if dist[edges[eid].u] != INF]
 
@@ -593,32 +594,29 @@ class GraphTheory(MonotonicTheory):
         parent = span_scan(self.n, self.edges, self._order, forest).parent
         return [find(parent, x) for x in range(self.n)]
 
-    def _mst_weight_neg_slots(self, enabled, disabled, analysis):
-        """Disabled edge ids that could make a false mst_weight_leq atom
-        hold: a cut isolating one component, or the edges that could
-        lighten a connected tree. Two components have one cut, the edges
-        leaving a split's ``side``, all of them disabled; other disconnected
-        forests take the component with the fewest cut edges, then the
-        least smallest node, from ``_labels``, a cold scan's roots of the
-        forest mask."""
-        edges = self.edges
-        span = self._analysis(enabled, analysis, _SPAN)
+    def _joining(self, span, moved):
+        """The edges of ``moved``, a maximal completion's disabled edges,
+        that join two components of ``span``'s forest, in id order: those
+        leaving a split's ``side`` when the forest has two components (an
+        enabled one would have been swapped in), and otherwise those whose
+        ends ``_labels`` puts in different components."""
         if span.components == 2 and span.side is not None:
             inside = set(span.side)
             return sorted([eid for x in inside for eid, y in self._adj[x]
                            if y not in inside])
+        comp, edges = self._labels(span.forest), self.edges
+        return [eid for eid in sorted(moved)
+                if comp[edges[eid].u] != comp[edges[eid].v]]
+
+    def _mst_weight_neg_slots(self, enabled, disabled, analysis):
+        """Disabled edge ids that could make a false mst_weight_leq atom
+        hold: on a disconnected forest every disabled edge joining two of
+        its components (``_joining``), the one cut when there are two; on a
+        connected one the edges that could lighten the tree."""
+        span = self._analysis(enabled, analysis, _SPAN)
         if span.components > 1:
-            # Disconnected: a cut of disabled edges isolating one component.
-            comp = self._labels(span.forest)
-            cuts = {}
-            for eid in sorted(disabled):
-                e = edges[eid]
-                cu, cv = comp[e.u], comp[e.v]
-                if cu != cv:
-                    cuts.setdefault(cu, []).append(eid)
-                    cuts.setdefault(cv, []).append(eid)
-            best = min(set(comp), key=lambda r: (len(cuts.get(r, ())), r))
-            return sorted(cuts.get(best, ()))
+            return self._joining(span, disabled)
+        edges = self.edges
         # Connected but too heavy: disabled edges that could lighten the
         # tree, those whose ends the forest joins only through a heavier
         # edge. Equal weight does not lighten it.

@@ -11,12 +11,12 @@ from monosmt.render import render_maze
 
 GOLDEN_MAZE_4X4_SEED1 = (
     "#########\n"
-    "#S      #\n"
-    "####### #\n"
-    "#       #\n"
-    "# #######\n"
-    "# # #   #\n"
-    "# # ### #\n"
+    "#S    # #\n"
+    "##### # #\n"
+    "#   # # #\n"
+    "# # # # #\n"
+    "# #   # #\n"
+    "# ##### #\n"
     "#      F#\n"
     "#########"
 )

@@ -214,6 +214,11 @@ def test_mst_weight_disconnected_cut_witness():
     doc = graph_doc(False, 2, [(0, 1, 1)],
                     [("mst_weight_leq", (None,))], [[-1], [2]])
     assert_theory_clause(doc, "UNSAT", (1, -2))
+    # Three components, one per node: every disabled edge joins two of
+    # them, so the clause names all three, not one node's cut.
+    doc = graph_doc(False, 3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)],
+                    [("mst_weight_leq", (None,))], [[-1], [-2], [-3], [4]])
+    assert_theory_clause(doc, "UNSAT", (1, 2, 3, -4))
 
 
 def test_mst_weight_improving_edge_witness():
@@ -493,7 +498,15 @@ def test_lost_bridge_splits_the_forest(monkeypatch):
     assert kept is old
     assert (cut0.components, cut5.components) == (2, 3)
     assert cut5.parent is None
-    assert swap_theory()._labels(cut5.forest) == [0, 1, 1, 1, 4]
+    th = swap_theory()
+    assert th._labels(cut5.forest) == [0, 1, 1, 1, 4]
+    # The joining edges: two components give those leaving the side {0},
+    # read with no scan; three give every moved edge between two labels.
+    ran = count_tree_runs(monkeypatch, ("span_scan",))
+    assert cut0.side == [0] and th._joining(cut0, [4, 0]) == [0, 4]
+    assert ran == []
+    assert th._joining(cut5, [4, 0, 5]) == [0, 4, 5]
+    assert ran == ["span_scan"]  # the labels' one scan
 
 
 def test_two_lost_forest_edges_scan_cold(monkeypatch):

@@ -50,9 +50,10 @@ PINNED = {
         ("SAT", 0, 113, 185, 0, 0, "1391876e63685b7d"),
     ("gen_flow(8, 8, seed=1)", 5):
         ("SAT", 0, 113, 185, 0, 0, "1391876e63685b7d"),
-    # Seed 0 makes 9 negative mst_edge explanations.
+    # Seed 0 makes 7 negative mst_edge explanations, and one disconnected
+    # mst_weight_leq witness over three components.
     ("gen_maze(4, 4, 1)", 0):
-        ("SAT", 1020, 1572, 16869, 405, 5, "75e8528f30925e0b"),
+        ("SAT", 507, 813, 8026, 206, 4, "e5a1a92d6ec961b8"),
     ("gen_maze(4, 4, 1)", 5):
         ("SAT", 74, 171, 1307, 64, 0, "588c43e563d01a70"),
     # Each explains a false mst_weight_leq atom on a connected graph.
