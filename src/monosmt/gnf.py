@@ -20,6 +20,10 @@ carry generator metadata that survives a round trip.
     task <pid> <A> <L> <D> <var>
     schedulable <pid> <var>
 
+Every integer field, in `v` lines too, is `-?[0-9]+`: ASCII digits with an
+optional minus sign. A field such as `+5`, `1_1` or a non-ASCII digit,
+which Python's `int()` would also read, is an error at its line.
+
 Graphs and processors must be declared before their members; mst_edge must
 follow the edge it names. Atom vars are globally unique and distinct from
 every edge and task var. Edge vars may repeat across graphs but not within
@@ -292,11 +296,19 @@ class VarOwners:
         return owner
 
 
+def _decimal(text):
+    """Whether the fields in ``text`` that int() reads are GNF integers,
+    each -?[0-9]+: int() also reads a "+", an "_" and non-ASCII digits."""
+    return text.isascii() and "+" not in text and "_" not in text
+
+
 def _ints(tokens, ln, what):
     try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise GnfError("%s expects integers, got %r" % (what, tokens), ln)
+        if _decimal(" ".join(tokens)):
+            return list(map(int, tokens))
+    except ValueError:  # a token such as "x" or "1-2"
+        pass
+    raise GnfError("%s expects integers, got %r" % (what, tokens), ln)
 
 
 def _clause_block(lines, nvars):
@@ -329,11 +341,12 @@ def _clause_block(lines, nvars):
 def _edge_columns(lines):
     """Return the gid, u, v, var and weight columns of ``lines``, whose
     first tokens read "edge", or None unless each line has five integer
-    fields. There must be six tokens per line, and every token but each
-    sixth one must be an int, so that each line's "edge" is one of the
-    sixth tokens: each line has six."""
-    tokens = " ".join(lines).split()
-    if len(tokens) != 6 * len(lines):
+    fields. The block must be ``_decimal``, and there must be six tokens
+    per line, and every token but each sixth one must be an int, so that
+    each line's "edge" is one of the sixth tokens: each line has six."""
+    text = " ".join(lines)
+    tokens = text.split()
+    if len(tokens) != 6 * len(lines) or not _decimal(text):
         return None
     del tokens[::6]
     try:
@@ -359,12 +372,8 @@ def parse(text: str) -> GnfDocument:
                 raise GnfError(_usage(head), ln)
             # A C|inf bound, always the last argument, may read "inf".
             inf = "C|inf" in names and args[-2] == "inf"
-            try:
-                oid, *vals, var = map(int, (args[:-2] + args[-1:] if inf
-                                            else args))
-            except ValueError:
-                raise GnfError("%s expects integers, got %r" % (head, args),
-                               ln)
+            oid, *vals, var = _ints(args[:-2] + args[-1:] if inf else args,
+                                    ln, head)
             if inf:
                 vals.append(None)
             owners.atom(head, oid, vals, var, ln)

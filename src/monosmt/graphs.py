@@ -13,12 +13,18 @@ spanning trees are built in (weight, edge id) order, which also makes the
 minimum spanning tree unique. Unit-weight graphs build those trees with
 ``bfs_tree``, others with ``dijkstra_tree``; on unit weights both agree.
 
+Each analysis kind (spanning forest, shortest-path tree, max flow) has one
+routine, ``GraphTheory._carried``, whose branch for the kind carries it
+over from the completion's previous evaluation and ends in its cold run,
+which a carry that cannot hold falls through to; ``_analysis`` only
+memoizes it, run from no previous analysis. Every analysis an evaluation
+holds is carried into the next one, so it holds only those its atoms read.
 A completion's spanning forest and shortest-path trees are carried over
-from its previous evaluation where the edges moved since cannot change
-them (after Spira and Pan 1975, Ramalingam and Reps 1996), and equal a cold
-run in what its witnesses read. The minimal completion's witnesses walk
-paths, so its carried forest keeps a cold scan's union-find roots and its
-trees their parent edges. The maximal completion only shows an atom false,
+where the edges moved since cannot change them (after Spira and Pan 1975,
+Ramalingam and Reps 1996), and equal a cold run in what its witnesses
+read. The minimal completion's witnesses walk paths, so its carried
+forest keeps a cold scan's union-find roots and its trees their parent
+edges. The maximal completion only shows an atom false,
 and such a witness is a cut, read off distances, a forest mask, a split's
 side or a flow's cut side: its carried trees keep their distances alone
 and its carried forests no union-find; only a cold run builds either.
@@ -342,25 +348,21 @@ class GraphTheory(MonotonicTheory):
     # -- evaluation ---------------------------------------------------------
 
     def eval_completion(self, maximal, enabled, moved, values, base):
-        """Every atom evaluated on one extreme into ``values``, on the
-        analyses of ``base`` carried over where they can be (``_carried``),
-        and the atoms whose value changed: of the mst_edge group, read off
-        one forest, only those of moved edges or forest changes can. A
-        carried forest names the edges it gained beyond the moved ones in
-        ``added``; after a cold scan the whole group is reread."""
-        analysis = {}
-        for key, prev in base.items():
-            new = self._carried(key, prev, enabled, moved, maximal)
-            if new is not None:
-                analysis[key] = new
-        preds = self._atoms
-        group = self._mst_atoms
+        """Every atom evaluated on one extreme into ``values``, on each
+        analysis of ``base`` carried over by ``_carried``, which runs it
+        cold where it cannot carry it, and the atoms whose value changed:
+        of the mst_edge group, read off one forest, only those of moved
+        edges or forest changes can. A carried forest names the edges it
+        gained beyond the moved ones in ``added``; after a cold scan, which
+        has none, the whole group is reread."""
+        analysis = {key: self._carried(key, old, enabled, moved, maximal)
+                    for key, old in base.items()}
+        preds, group = self._atoms, self._mst_atoms
         if group:
             span = self._analysis(enabled, analysis, _SPAN)
-            prev = base.get(_SPAN)
-            if span is prev:
+            if span is base.get(_SPAN):
                 eids = moved
-            elif prev is None or span.added is None:
+            elif span.added is None:
                 eids = group
             else:
                 eids = moved + span.added
@@ -370,7 +372,10 @@ class GraphTheory(MonotonicTheory):
 
     def _carried(self, key, old, enabled, moved, maximal):
         """Analysis ``key`` of ``enabled`` from ``old``, the one from before
-        the edges ``moved`` changed, or None when a cold run is needed. The
+        the edges ``moved`` changed. Each kind's branch ends in its cold run:
+        ``edmonds_karp`` with no start, ``span_scan``, or ``bfs_tree`` on unit
+        weights and ``dijkstra_tree`` otherwise. A carry that cannot hold, or
+        an ``old`` of None, falls through to it: it never returns None. The
         minimal completion gains edges: the forest's edge set gains them all
         while each joins two components, a tree stands while no edge (a, b)
         has d[a] + w <= d[b] (a tie may change a parent edge), and a
@@ -392,54 +397,62 @@ class GraphTheory(MonotonicTheory):
         its cut side, is not built: no shipped workload carries a
         minimal-completion flow. A forest mask, like the minimal union-find,
         is copied before it changes."""
-        edges = self.edges
+        edges, n, weights = self.edges, self.n, self._weights
         if key[0] == "flow":
             lost = ([(edges[eid].u, edges[eid].v, eid) for eid in moved]
                     if maximal else ())
-            if maximal and not any(old.flow[eid] or old.cut_side[u]
-                                   for u, _, eid in lost):
+            if maximal and old is not None and not any(
+                    old.flow[eid] or old.cut_side[u] for u, _, eid in lost):
                 return old
-            return edmonds_karp(self._flow_adj, self._weights, self.n,
-                                enabled, key[1], key[2], start=old, lost=lost)
+            return edmonds_karp(self._flow_adj, weights, n, enabled,
+                                key[1], key[2], start=old, lost=lost)
         if key == _SPAN:
-            if maximal:
+            if old is not None and maximal:
                 lost = [eid for eid in moved if old.forest[eid]]
-                if len(lost) > 1:
-                    return None
-                return self._swap(old, lost[0], enabled) if lost else old
-            parent, weight = old.parent[:], old.weight
-            forest = old.forest[:]
-            for eid in moved:
-                e = edges[eid]
-                ru, rv = find(parent, e.u), find(parent, e.v)
-                if ru == rv:
-                    return None
-                parent[max(ru, rv)] = min(ru, rv)
-                forest[eid] = 1
-                weight += e.weight
-            return SpanResult(old.components - len(moved), forest, weight,
-                              parent, [])
-        dist = old[0]  # a ("dij", src) tree, so of a digraph
-        if not maximal:
-            for eid in moved:
-                e = edges[eid]
-                if dist[e.u] != INF and dist[e.u] + e.weight <= dist[e.v]:
-                    return None
-            return old
-        weights = self._weights
-        for eid in moved:
-            e = edges[eid]
-            want = dist[e.v]
-            if want == INF or dist[e.u] + e.weight != want:
-                continue  # not tight: no shortest path used it
-            if not self._positive:
-                return None
-            for fid, a, fwd in self._flow_adj[e.v]:
-                if not fwd and enabled[fid] and dist[a] + weights[fid] == want:
-                    break  # an arc (a, b) still tight
+                if len(lost) < 2:
+                    return self._swap(old, lost[0], enabled) if lost else old
+            elif old is not None:
+                parent, forest = old.parent[:], old.forest[:]
+                weight = old.weight
+                for eid in moved:
+                    e = edges[eid]
+                    ru, rv = find(parent, e.u), find(parent, e.v)
+                    if ru == rv:
+                        break
+                    parent[max(ru, rv)] = min(ru, rv)
+                    forest[eid] = 1
+                    weight += e.weight
+                else:
+                    return SpanResult(old.components - len(moved), forest,
+                                      weight, parent, [])
+            return span_scan(n, edges, self._order, enabled)
+        if old is not None:
+            dist = old[0]  # a ("dij", src) tree, so of a digraph
+            if not maximal:
+                for eid in moved:
+                    e = edges[eid]
+                    if dist[e.u] != INF and dist[e.u] + e.weight <= dist[e.v]:
+                        break
+                else:
+                    return old
             else:
-                return None
-        return dist, None
+                for eid in moved:
+                    e = edges[eid]
+                    want = dist[e.v]
+                    if want == INF or dist[e.u] + e.weight != want:
+                        continue  # not tight: no shortest path used it
+                    if not self._positive:
+                        break
+                    for fid, a, fwd in self._flow_adj[e.v]:
+                        if (not fwd and enabled[fid]
+                                and dist[a] + weights[fid] == want):
+                            break  # an arc (a, b) still tight
+                    else:
+                        break  # b kept no tight in-arc
+                else:
+                    return dist, None
+        return (bfs_tree(self._adj, n, enabled, key[1]) if self._unit
+                else dijkstra_tree(self._adj, weights, n, enabled, key[1]))
 
     def _swap(self, old, eid, enabled):
         """Forest ``old`` after losing forest edge ``eid`` alone. Both ends
@@ -477,20 +490,11 @@ class GraphTheory(MonotonicTheory):
     def _analysis(self, enabled, analysis, key):
         """Analysis ``key`` of the enabled mask, memoized in ``analysis``:
         ("span",), ("dij", src), the one shortest-path tree that reach and
-        distance_leq atoms of ``src`` read, or ("flow", s, t)."""
+        distance_leq atoms of ``src`` read, or ("flow", s, t). A miss runs
+        ``_carried`` from no old analysis, which is the kind's cold run."""
         hit = analysis.get(key)
         if hit is None:
-            name, n = key[0], self.n
-            if name == "span":
-                hit = span_scan(n, self.edges, self._order, enabled)
-            elif name == "dij":
-                hit = (bfs_tree(self._adj, n, enabled, key[1]) if self._unit
-                       else dijkstra_tree(self._adj, self._weights, n,
-                                          enabled, key[1]))
-            else:
-                hit = edmonds_karp(self._flow_adj, self._weights, n, enabled,
-                                   key[1], key[2])
-            analysis[key] = hit
+            hit = analysis[key] = self._carried(key, None, enabled, (), False)
         return hit
 
     def span_weight(self, enabled):

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -383,6 +384,77 @@ def test_parse_model_reports_the_line_of_a_malformed_token():
     assert str(info.value).startswith("line 3: model line expects integers")
 
 
+# Tokens Python's int() reads but a GNF integer field does not: a plus
+# sign, an underscore and a non-ASCII digit, each read by int() as 1 or 11.
+NON_GNF_INTS = ["+1", "1_1", "\u0661"]
+# A document of every line kind that holds integers: a run of three edge
+# lines, an edge line alone, an atom line, a task line and a clause tail of
+# three lines. Each place names the line that takes the token and the
+# field it replaces, as a format of the token.
+INT_DOC = ["p gnf 20 3", "digraph 12 3 1", "edge 1 0 1 1 1", "edge 1 1 2 2 1",
+           "edge 1 2 0 3 1", "ugraph 2 1 2", "edge 2 0 1 4 1",
+           "reach 1 0 2 5", "processor 1", "task 1 0 1 5 6", "1 2 0",
+           "-3 4 0", "5 0"]
+INT_PLACES = {
+    "header": (1, "p gnf %s5 3"),
+    "edge in a block": (4, "edge 1 1 2 2 %s"),
+    "edge alone": (7, "edge 2 0 1 4 %s"),
+    "atom": (8, "reach 1 0 %s 5"),
+    "task": (10, "task 1 0 %s 5 6"),
+    "clause in a block": (12, "-3 %s 0"),
+    "clause alone": (11, "-3 %s 0"),
+}
+
+
+def int_doc(place, token):
+    """INT_DOC with ``token`` at ``place``; the clause alone ends a
+    document whose only clause line it is."""
+    ln, line = INT_PLACES[place]
+    lines = INT_DOC[:]
+    if place == "clause alone":
+        lines[0] = "p gnf 20 1"
+        del lines[ln:]
+    lines[ln - 1] = line % token
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("token", NON_GNF_INTS)
+@pytest.mark.parametrize("place", INT_PLACES)
+def test_integer_fields_are_ascii_decimal(place, token):
+    ln, _ = INT_PLACES[place]
+    parse(int_doc(place, str(int(token))))  # the same value, written plainly
+    e = err(int_doc(place, token))
+    assert e.line == ln and " expects integers, got [" in str(e)
+    assert token in str(e).split(", got ")[1]
+
+
+@pytest.mark.parametrize("token", NON_GNF_INTS)
+def test_model_line_integers_are_ascii_decimal(token):
+    assert parse_model("v 1 -2 0\nv -3 1 0\n", 3) == [None, True, False,
+                                                        False]
+    with pytest.raises(GnfError) as info:
+        parse_model("v 1 -2 0\nv -3 %s 0\n" % token, 3)
+    assert info.value.line == 2
+    assert str(info.value) == (
+        "line 2: model line expects integers, got %r" % ["-3", token, "0"])
+
+
+def test_a_non_gnf_integer_is_named_as_written():
+    e = err(int_doc("edge alone", "1_1"))
+    assert str(e) == "line 7: edge expects integers, got %r" % [
+        "2", "0", "1", "4", "1_1"]
+    e = err(int_doc("atom", "+1"))
+    assert str(e) == "line 8: reach expects integers, got %r" % [
+        "1", "0", "+1", "5"]
+    e = err(int_doc("header", "1_1"))
+    assert str(e) == "line 1: header expects integers, got ['1_15', '3']"
+    # An "inf" bound is no integer field, so the list leaves it out.
+    e = err("p gnf 4 0\nugraph 2 1 1\nedge 1 0 1 1\n"
+            "mst_weight_leq 1 inf +4\n")
+    assert str(e) == "line 4: mst_weight_leq expects integers, got %r" % [
+        "1", "+4"]
+
+
 # -- clause blocks -------------------------------------------------------------
 
 def per_line_clauses(text):
@@ -397,10 +469,9 @@ def per_line_clauses(text):
             continue
         head = tokens[0]
         if head.lstrip("-").isdigit() and declared_clauses is not None:
-            try:
-                lits = list(map(int, tokens))
-            except ValueError:
+            if not all(re.fullmatch("-?[0-9]+", t) for t in tokens):
                 raise GnfError("clause expects integers, got %r" % tokens, ln)
+            lits = list(map(int, tokens))
             if lits.pop() != 0:
                 raise GnfError("clause not terminated by 0", ln)
             if 0 in lits:
